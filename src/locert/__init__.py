@@ -1,7 +1,7 @@
 """locert: exact left-orderability certificates for graph-manifold
 fundamental groups.
 
-Subpackages by subject:
+Modules by subject:
 
 * ``braid``     - B3 word problem, handle reduction, the Dubrovina-
                   Dubrovin ordering and its conjugates, and the
@@ -10,7 +10,9 @@ Subpackages by subject:
                   orderings, and fillings of the twisted I-bundle
 * ``slopes``    - slope calculus on torus boundaries
 * ``fpgroup``   - presentations, Smith-normal-form abelianization,
-                  Dehn-filling relators, amalgams, Todd-Coxeter
+                  Dehn-filling relators, amalgams, Todd-Coxeter, and
+                  the group-word helpers (inversion, free reduction,
+                  powers) that ``braid`` and ``klein`` share
 * ``seifert``   - Brieskorn recognition, Moser surgery, left-orderable-
                   slope verdict rules, splice-tree certificates, and the
                   Heegaard Floer surgery-rank calculator

@@ -3,7 +3,9 @@
 Words are tuples of nonzero integers: +1 for s1, -1 for s1^-1, +2 for s2,
 -2 for s2^-1.  The ASCII syntax is ``a`` = s1, ``A`` = s1^-1, ``b`` = s2,
 ``B`` = s2^-1, with whitespace ignored, so words round-trip bit-exactly
-through the CLI.
+through the CLI.  A braid word is a group word over (s1, s2), so inversion,
+free reduction and powers are ``fpgroup``'s word helpers, bound here under
+the names ``inverse``, ``free_reduce`` and ``power``.
 
 Two independent decision procedures for the word problem are provided and
 cross-validate each other:
@@ -25,6 +27,10 @@ from __future__ import annotations
 
 from enum import Enum
 from typing import NamedTuple
+
+from .fpgroup import free_reduce_word as free_reduce
+from .fpgroup import invert_word as inverse
+from .fpgroup import word_power as power
 
 __all__ = [
     "Word",
@@ -48,9 +54,7 @@ __all__ = [
     "exponent_sum",
     "modular_image",
     "is_trivial",
-    "as_sigma2_power",
     "handle_reduce",
-    "is_one_positive",
     "dd_sign",
     "dd_compare",
     "conj_sign",
@@ -128,21 +132,11 @@ def word_str(word: Word) -> str:
     return "".join(_CHAR_OF_LETTER[x] for x in word)
 
 
-def inverse(word: Word) -> Word:
-    return tuple(-x for x in reversed(word))
-
-
 def concat(*words: Word) -> Word:
     out: list[int] = []
     for w in words:
         out.extend(w)
     return tuple(out)
-
-
-def power(word: Word, n: int) -> Word:
-    if n < 0:
-        return inverse(word) * (-n)
-    return word * n
 
 
 SIGMA1: Word = (1,)
@@ -151,17 +145,6 @@ DELTA: Word = (1, 2, 1)
 DELTA_SQ: Word = DELTA + DELTA
 # Longitude of the trefoil with meridian s2: Delta^2 s2^-6.
 LONGITUDE: Word = DELTA_SQ + power(SIGMA2, -6)
-
-
-def free_reduce(word: Word) -> Word:
-    """Cancel adjacent mutually inverse letters until none remain."""
-    stack: list[int] = []
-    for x in word:
-        if stack and stack[-1] == -x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
 
 
 def exponent_sum(word: Word) -> int:
@@ -207,18 +190,6 @@ def is_trivial(word: Word) -> bool:
     central-quotient image is empty (the kernel of the quotient is
     <Delta^2> and exponent_sum(Delta^2) = 6)."""
     return exponent_sum(word) == 0 and not modular_image(word)
-
-
-def as_sigma2_power(word: Word) -> int | None:
-    """Return k iff the word equals s2^k; None otherwise.
-
-    The only candidate is k = exponent_sum(word), confirmed by the word
-    problem.
-    """
-    k = exponent_sum(word)
-    if is_trivial(concat(word, power(SIGMA2, -k))):
-        return k
-    return None
 
 
 # --- handle reduction ------------------------------------------------------
@@ -332,15 +303,6 @@ def handle_reduce(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
         scan_from = max(0, low - 2)
 
 
-def is_one_positive(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> bool:
-    """True iff the braid admits a representative in which s1 occurs, and
-    only with positive exponents."""
-    reduced = handle_reduce(word, step_cap)
-    return any(abs(x) == 1 for x in reduced) and all(
-        x > 0 for x in reduced if abs(x) == 1
-    )
-
-
 # --- the Dubrovina-Dubrovin ordering ---------------------------------------
 
 def dd_sign(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Sign3:
@@ -353,17 +315,11 @@ def dd_sign(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Sign3:
     reduced = handle_reduce(word, step_cap)
     if not reduced:
         return Sign3.TRIVIAL
-    if any(abs(x) == 1 for x in reduced):
-        return Sign3.POSITIVE if reduced_has_positive_s1(reduced) else Sign3.NEGATIVE
-    # A pure power of s2: positive iff the exponent is negative.
-    return Sign3.POSITIVE if reduced[0] < 0 else Sign3.NEGATIVE
-
-
-def reduced_has_positive_s1(reduced: Word) -> bool:
     for x in reduced:
         if abs(x) == 1:
-            return x > 0
-    raise ValueError("word contains no s1 letters")
+            return Sign3.POSITIVE if x > 0 else Sign3.NEGATIVE
+    # A pure power of s2: positive iff the exponent is negative.
+    return Sign3.POSITIVE if reduced[0] < 0 else Sign3.NEGATIVE
 
 
 def dd_compare(u: Word, v: Word, step_cap: int = DEFAULT_STEP_CAP) -> Ordering:

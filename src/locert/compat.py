@@ -35,16 +35,15 @@ from .klein import (
     KleinFillKind,
     KleinOrderingId,
     KleinPeripheral,
-    element_str,
     k_sign,
     klein_fill,
 )
+from .slopes import make_slope
 
 __all__ = [
     "CompatReport",
     "NonApplicabilityReport",
     "phi_peripheral",
-    "choose_klein_ordering",
     "verify_compatibility",
     "jsjlo_nonapplicability_report",
 ]
@@ -63,12 +62,12 @@ def phi_peripheral(pe: braid.PeripheralElement) -> KleinElement:
     return KleinElement(2 * pe.l, -pe.k - pe.l)
 
 
-def choose_klein_ordering(conjugator: Word) -> KleinOrderingId:
-    """O2 for conjugators not commuting with s2, O1 for commuting ones;
-    this tracks the two restriction types of the conjugated orderings."""
-    if braid.commutes_with_sigma2(conjugator):
-        return KleinOrderingId.O1
-    return KleinOrderingId.O2
+# The Klein ordering matching each restriction type of a conjugated DD
+# ordering: O1 for conjugators commuting with s2, O2 for all others.
+_KLEIN_ORDERING = {
+    braid.PeripheralOrderType.NEG_K: KleinOrderingId.O1,
+    braid.PeripheralOrderType.POS_K: KleinOrderingId.O2,
+}
 
 
 @dataclass(frozen=True)
@@ -83,16 +82,6 @@ class CompatReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "conjugator": self.conjugator,
-            "ordering": self.ordering.value,
-            "grid_bound": self.grid_bound,
-            "checked": self.checked,
-            "positives": self.positives,
-            "failures": [list(f) for f in self.failures],
-        }
 
 
 def verify_compatibility(
@@ -111,7 +100,9 @@ def verify_compatibility(
     if grid_bound < 1:
         raise ValueError("grid_bound must be >= 1")
     ordering = (
-        force_ordering if force_ordering is not None else choose_klein_ordering(conjugator)
+        force_ordering
+        if force_ordering is not None
+        else _KLEIN_ORDERING[braid.restricted_order_type(conjugator)]
     )
     failures = []
     checked = 0
@@ -177,12 +168,10 @@ def jsjlo_nonapplicability_report(slope_bound: int = 5) -> NonApplicabilityRepor
         for n in range(-slope_bound, slope_bound + 1):
             if gcd(m, n) != 1:
                 continue
-            # projective representative: n > 0, or n = 0 and m > 0
-            canonical = (m, n) if n > 0 or (n == 0 and m > 0) else (-m, -n)
-            if canonical in seen:
+            slope = KleinPeripheral(*make_slope(m, n))
+            if slope in seen:
                 continue
-            seen.add(canonical)
-            slope = KleinPeripheral(*canonical)
+            seen.add(slope)
             result = klein_fill(slope)
             survey.append((slope, result.kind.value))
             if result.kind is KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO:

@@ -9,6 +9,8 @@ name is the generator and its all-uppercase form is the inverse, e.g.
 
 Provides:
 
+* the only group-word helpers (inversion, free reduction, powers);
+  ``braid`` and ``klein`` use them for their words too;
 * abelianization by exact integer Smith normal form (no modular
   shortcuts; the matrices here are tiny and certificates demand exact
   invariant factors);
@@ -22,7 +24,6 @@ Provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -30,11 +31,12 @@ __all__ = [
     "Presentation",
     "AbelianInvariants",
     "NameClash",
-    "LOVerdict",
     "ClosedTable",
     "parse_group_word",
     "group_word_str",
     "invert_word",
+    "free_reduce_word",
+    "word_power",
     "abelianization",
     "smith_normal_form",
     "dehn_fill",
@@ -42,7 +44,6 @@ __all__ = [
     "coset_enumerate",
     "enumerate_table",
     "check_closed_table",
-    "lo_by_positive_b1",
 ]
 
 GroupWord = tuple[int, ...]
@@ -92,7 +93,7 @@ class Presentation:
     @classmethod
     def parse(cls, generators: Sequence[str], relators: Sequence[str]) -> "Presentation":
         gens = tuple(generators)
-        probe = cls(gens, ())
+        cls(gens, ())  # reject bad generator names before parsing relators
         return cls(gens, tuple(parse_group_word(r, gens) for r in relators))
 
     @classmethod
@@ -230,11 +231,11 @@ def dehn_fill(
 ) -> Presentation:
     """Adjoin the filling relator mu^p lam^q."""
     pp, q = slope
-    relator = _word_power(mu, pp) + _word_power(lam, q)
+    relator = word_power(mu, pp) + word_power(lam, q)
     return Presentation(p.generators, p.relators + (free_reduce_word(relator),))
 
 
-def _word_power(word: GroupWord, n: int) -> GroupWord:
+def word_power(word: GroupWord, n: int) -> GroupWord:
     if n < 0:
         return invert_word(word) * (-n)
     return word * n
@@ -434,23 +435,3 @@ def check_closed_table(
             if trace(c, rel) != c:
                 return False
     return all(trace(0, w) == 0 for w in subgroup)
-
-
-# --- left-orderability via positive first Betti number -----------------------
-
-class LOVerdict(Enum):
-    LO_CERTIFIED = "lo_certified"
-    UNKNOWN = "unknown"
-
-
-def lo_by_positive_b1(p: Presentation, prime_flag: bool) -> LOVerdict:
-    """Certify left-orderability from a surjection onto Z.
-
-    Positive first Betti number gives a nontrivial homomorphism to Z, which
-    suffices for a compact P^2-irreducible manifold group (Boyer-Rolfsen-
-    Wiest); irreducibility is a hypothesis the caller must supply, never
-    inferred.
-    """
-    if prime_flag and abelianization(p).free_rank >= 1:
-        return LOVerdict.LO_CERTIFIED
-    return LOVerdict.UNKNOWN

@@ -22,7 +22,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .braid import Sign3
-from .fpgroup import AbelianInvariants, Presentation, abelianization
+from .fpgroup import AbelianInvariants, Presentation, abelianization, word_power
 
 __all__ = [
     "KleinElement",
@@ -129,9 +129,7 @@ def klein_presentation() -> Presentation:
 
 def filled_presentation(slope: KleinPeripheral) -> Presentation:
     """The quotient K / <<y^m x^(2n)>> as a presentation."""
-    relator = tuple([2 if slope.m > 0 else -2] * abs(slope.m)) + tuple(
-        [1 if slope.n > 0 else -1] * (2 * abs(slope.n))
-    )
+    relator = word_power((2,), slope.m) + word_power((1, 1), slope.n)
     base = klein_presentation()
     return Presentation(base.generators, base.relators + (relator,))
 

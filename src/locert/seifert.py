@@ -37,7 +37,7 @@ nontrivial factor is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
@@ -45,9 +45,9 @@ from .slopes import (
     GluingMatrix,
     Slope,
     apply_gluing,
-    intersection_number,
     invert_gluing,
     make_slope,
+    parse_slope,
     slope_str,
     union_homology_order,
 )
@@ -308,7 +308,7 @@ class SpliceTree:
                 )
             elif kind == "user":
                 asserted = tuple(
-                    (make_slope(*map(int, s.split("/"))), LOStatus(v))
+                    (parse_slope(s), LOStatus(v))
                     for s, v in nd.get("asserted", {}).items()
                 )
                 nodes.append(
@@ -326,47 +326,6 @@ class SpliceTree:
             for e in obj.get("edges", [])
         )
         return cls(tuple(nodes), edges)
-
-    def to_json(self) -> dict:
-        nodes = []
-        for piece in self.nodes:
-            if isinstance(piece, TorusKnotPiece):
-                nodes.append(
-                    {
-                        "kind": "torus_knot",
-                        "r": piece.r,
-                        "s": piece.s,
-                        "chirality": piece.chirality,
-                        "name": piece.name,
-                    }
-                )
-            elif isinstance(piece, BrieskornZHS):
-                nodes.append(
-                    {
-                        "kind": "brieskorn",
-                        "multiplicities": list(piece.multiplicities),
-                        "name": piece.name,
-                    }
-                )
-            else:
-                nodes.append(
-                    {
-                        "kind": "user",
-                        "name": piece.name,
-                        "description": piece.description,
-                        "asserted": {
-                            slope_str(s): st.value for s, st in piece.asserted
-                        },
-                        "prime_zero_filling": piece.prime_zero_filling,
-                    }
-                )
-        return {
-            "version": 1,
-            "nodes": nodes,
-            "edges": [
-                {"a": e.a, "b": e.b, "matrix": list(e.matrix)} for e in self.edges
-            ],
-        }
 
 
 # --- classification rules -----------------------------------------------------
@@ -636,8 +595,8 @@ class Certificate:
                 ec = c["edge_certificate"]
                 edge = EdgeCertificate(
                     ec["edge"],
-                    make_slope(*map(int, ec["alpha"].split("/"))),
-                    make_slope(*map(int, ec["image"].split("/"))),
+                    parse_slope(ec["alpha"]),
+                    parse_slope(ec["image"]),
                     _verdict_from_json(ec["verdict_a"]),
                     _verdict_from_json(ec["verdict_b"]),
                 )
@@ -709,53 +668,30 @@ def _closed_leaf_verdict(piece: Piece) -> LOSlopeVerdict:
 
 
 def _certify_edge(
-    tree: SpliceTree, edge_index: int, bound: int, hypotheses: list[str]
+    tree: SpliceTree, edge_index: int, bound: int
 ) -> EdgeCertificate | None:
+    """First slope pair (alpha, f(alpha)) left-orderable on both sides.
+
+    Candidates come in a fixed order: the a-side preferred meridian
+    f^-1(lambda), whose image is the b-side longitude; then the a-side
+    longitude, whose image is the b-side preferred meridian f(lambda);
+    then every slope of ``enumerate_slopes(bound)``.  The first two are
+    the splice pairs: a preferred meridian fills to the ambient homology
+    sphere, and a longitude is left-orderable by the B1 rule.
+    """
     edge = tree.edges[edge_index]
     piece_a = tree.nodes[edge.a]
     piece_b = tree.nodes[edge.b]
     f = edge.matrix
-    f_inv = invert_gluing(f)
     lam = Slope(0, 1)
-
-    def record(v: LOSlopeVerdict, side: str) -> None:
-        if v.rule is LORule.B1_RULE:
-            hypotheses.append(f"edge {edge_index} side {side}: {v.evidence}")
-
-    # Splice shortcut: if one side's edge-preferred meridian mu = f^-1 of
-    # the other longitude is a left-orderable slope (its filling is the
-    # ambient homology sphere), pair it with that longitude, which is
-    # left-orderable by the B1 rule.
-    mu_a = apply_gluing(f_inv, lam)
-    verdict_a = slope_lo_verdict(piece_a, mu_a)
-    if verdict_a.status is LOStatus.LO:
-        verdict_b = slope_lo_verdict(piece_b, lam)
-        if verdict_b.status is LOStatus.LO:
-            record(verdict_a, "a")
-            record(verdict_b, "b")
-            return EdgeCertificate(edge_index, mu_a, lam, verdict_a, verdict_b)
-    mu_b = apply_gluing(f, lam)
-    verdict_b = slope_lo_verdict(piece_b, mu_b)
-    if verdict_b.status is LOStatus.LO:
-        verdict_a = slope_lo_verdict(piece_a, lam)
-        if verdict_a.status is LOStatus.LO:
-            record(verdict_a, "a")
-            record(verdict_b, "b")
-            return EdgeCertificate(edge_index, lam, mu_b, verdict_a, verdict_b)
-
-    # General search over bounded slopes, first verified pair in the
-    # deterministic order wins.
-    for alpha in enumerate_slopes(bound):
+    for alpha in [apply_gluing(invert_gluing(f), lam), lam] + enumerate_slopes(bound):
         va = slope_lo_verdict(piece_a, alpha)
         if va.status is not LOStatus.LO:
             continue
         image = apply_gluing(f, alpha)
         vb = slope_lo_verdict(piece_b, image)
-        if vb.status is not LOStatus.LO:
-            continue
-        record(va, "a")
-        record(vb, "b")
-        return EdgeCertificate(edge_index, alpha, image, va, vb)
+        if vb.status is LOStatus.LO:
+            return EdgeCertificate(edge_index, alpha, image, va, vb)
     return None
 
 
@@ -773,7 +709,6 @@ def certificate_search(
     tree.validate(zhs_mode=True)
     if edge is not None and not 0 <= edge < len(tree.edges):
         raise InvalidSpliceTree(f"edge index {edge} out of range")
-    hypotheses: list[str] = []
     reports: list[ComponentReport] = []
     all_lo = True
     for node_ids, edge_ids in tree.components():
@@ -789,7 +724,7 @@ def certificate_search(
                 all_lo = False
             continue
         chosen = edge if edge in edge_ids else edge_ids[0]
-        cert = _certify_edge(tree, chosen, search_bound, hypotheses)
+        cert = _certify_edge(tree, chosen, search_bound)
         if cert is None:
             reports.append(
                 ComponentReport(
@@ -809,6 +744,13 @@ def certificate_search(
             )
     certificate = None
     if all_lo:
+        hypotheses = [
+            f"edge {ec.edge_index} side {side}: {v.evidence}"
+            for ec in (c.edge_certificate for c in reports)
+            if ec is not None
+            for side, v in (("a", ec.verdict_a), ("b", ec.verdict_b))
+            if v.rule is LORule.B1_RULE
+        ]
         certificate = Certificate(
             tuple(reports), tuple(dict.fromkeys(hypotheses)), search_bound
         )

@@ -30,9 +30,6 @@ __all__ = [
     "intersection_number",
     "apply_gluing",
     "invert_gluing",
-    "compose_gluing",
-    "splice_framing",
-    "filling_homology_order",
     "union_homology_order",
 ]
 
@@ -107,32 +104,6 @@ def invert_gluing(m: GluingMatrix) -> GluingMatrix:
     _require_unimodular(m)
     e = m.det()
     return GluingMatrix(e * m.d, -e * m.b, -e * m.c, e * m.a)
-
-
-def compose_gluing(m: GluingMatrix, n: GluingMatrix) -> GluingMatrix:
-    return GluingMatrix(
-        m.a * n.a + m.b * n.c,
-        m.a * n.b + m.b * n.d,
-        m.c * n.a + m.d * n.c,
-        m.c * n.b + m.d * n.d,
-    )
-
-
-def splice_framing(
-    f: GluingMatrix, lambda1: Slope, lambda2: Slope
-) -> tuple[Slope, Slope] | None:
-    """Preferred meridians (mu1, mu2) = (f^-1(lambda2), f(lambda1)) when the
-    union is an integer homology sphere (Delta(f(lambda1), lambda2) = 1);
-    None otherwise."""
-    if intersection_number(apply_gluing(f, lambda1), lambda2) != 1:
-        return None
-    return apply_gluing(invert_gluing(f), lambda2), apply_gluing(f, lambda1)
-
-
-def filling_homology_order(alpha: Slope) -> int:
-    """|H1| of the p/q filling in a (meridian, longitude) framing: |p|,
-    with 0 meaning infinite first homology."""
-    return abs(alpha.p)
 
 
 def union_homology_order(f: GluingMatrix, lambda1: Slope, lambda2: Slope) -> int:

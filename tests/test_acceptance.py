@@ -28,7 +28,7 @@ from locert.braid import (
     restricted_order_type,
 )
 from locert.cli import data_file
-from locert.compat import choose_klein_ordering, verify_compatibility
+from locert.compat import verify_compatibility
 from locert.fpgroup import Presentation, check_closed_table, enumerate_table
 from locert.klein import (
     KleinElement,
@@ -168,7 +168,6 @@ def test_criterion_6_compatibility_proposition():
                 if braid.commutes_with_sigma2(gamma)
                 else KleinOrderingId.O2
             )
-            assert choose_klein_ordering(gamma) is expected_ordering
             assert report.ordering is expected_ordering
         control = verify_compatibility(
             SIGMA1, 5, force_ordering=KleinOrderingId.O1
@@ -287,7 +286,7 @@ def test_criterion_12_surgery_rank_sweep():
         assert hf_surgery_rank(HFParams(-3, 1, 1, (1,))) == 5
         count = 0
         rank_patterns = [(1,), (1, 1), (2,), (3, 1), (2, 2)]
-        for p in range(-25, 25):
+        for p in range(-125, 125):
             for q in range(1, 9):
                 for nu in range(0, 5):
                     ranks = rank_patterns[(p + q + nu) % len(rank_patterns)]

@@ -16,7 +16,6 @@ from locert.braid import (
     PeripheralOrderType,
     Sign3,
     StepCapExceeded,
-    as_sigma2_power,
     commutes_with_sigma2,
     concat,
     conj_sign,
@@ -27,7 +26,6 @@ from locert.braid import (
     free_reduce,
     handle_reduce,
     inverse,
-    is_one_positive,
     is_trivial,
     modular_image,
     parse_word,
@@ -75,12 +73,13 @@ def test_is_trivial():
     assert is_trivial(())
 
 
-def test_as_sigma2_power():
-    assert as_sigma2_power(parse_word("bbb")) == 3
-    assert as_sigma2_power(SIGMA1) is None
-    assert as_sigma2_power(parse_word("Aba")) is None
-    assert as_sigma2_power(()) == 0
-    assert as_sigma2_power(power(SIGMA2, -4)) == -4
+def test_sigma2_power_recognition():
+    # A word equals s2^k iff it parses as the peripheral element (k, 0).
+    assert peripheral_parse(parse_word("bbb")) == PeripheralElement(3, 0)
+    assert peripheral_parse(SIGMA1) is None
+    assert peripheral_parse(parse_word("Aba")) is None
+    assert peripheral_parse(()) == PeripheralElement(0, 0)
+    assert peripheral_parse(power(SIGMA2, -4)) == PeripheralElement(-4, 0)
 
 
 def test_handle_reduce_examples():
@@ -215,7 +214,9 @@ def test_conjugate_bound():
 
 def test_property_s_instance():
     # For beta not commuting with s2 and k != 0, the conjugate
-    # beta^-1 s2^k beta is 1-positive iff k > 0.
+    # beta^-1 s2^k beta is 1-positive iff k > 0.  It is not a power of s2
+    # (the only candidate exponent is its exponent sum), so its DD sign is
+    # positive exactly when it is 1-positive.
     rng = random.Random(1010)
     checked = 0
     while checked < 60:
@@ -225,8 +226,8 @@ def test_property_s_instance():
         checked += 1
         for k in (-3, -1, 1, 2):
             conj = concat(inverse(beta), power(SIGMA2, k), beta)
-            assert as_sigma2_power(conj) is None
-            assert is_one_positive(conj) == (k > 0)
+            assert not is_trivial(concat(conj, power(SIGMA2, -exponent_sum(conj))))
+            assert (dd_sign(conj) is Sign3.POSITIVE) == (k > 0)
 
 
 def test_commutes_with_sigma2():

@@ -1,0 +1,175 @@
+"""Golden corpus of CLI outputs.
+
+Each case runs ``locert.cli.run`` in process, with ``tests/golden/inputs``
+as the working directory, and compares three things byte for byte with
+``tests/golden/cases/<case>.json``: stdout with the ``runtime_ms`` value
+masked, the exit code, and stderr.  The corpus pins verdicts, certificates
+and payloads, so a refactor is done only when every case still matches.
+
+Rule: regenerate the corpus only for a documented correctness fix, and
+name the changed cases in CHANGES.md.  To regenerate named cases (or all
+of them, when none is named), run from the repository root:
+
+    PYTHONPATH=src python tests/test_cli_golden.py [case ...]
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from locert.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+CASES_DIR = GOLDEN / "cases"
+DATA = "../../../src/locert/data/"
+
+_PROP43 = ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
+           "--grid-bound", "3", "--max-len", "6"]
+
+CASES: dict[str, list[str]] = {
+    # braid
+    "braid_sign": ["braid", "sign", "aB"],
+    "braid_sign_text": ["--format", "text", "braid", "sign", "B"],
+    "braid_compare": ["braid", "compare", "b", ""],
+    "braid_reduce": ["braid", "reduce", "abAbaBBAbaBabA"],
+    "braid_floor": ["braid", "floor", "abABab" * 3],
+    "braid_bad_letter": ["braid", "sign", "xyz"],
+    # klein
+    "klein_fill_lo": ["klein", "fill", "1", "0"],
+    "klein_fill_dihedral": ["klein", "fill", "0", "1"],
+    "klein_fill_finite": ["klein", "fill", "2", "3"],
+    "klein_fill_not_primitive": ["klein", "fill", "2", "4"],
+    "klein_sign": ["klein", "sign", "x^2 y^-3", "--ordering", "O2"],
+    "klein_sign_kernel": ["klein", "sign", "y^-4"],
+    # slope
+    "slope_delta": ["slope", "delta", "2/1", "1/1"],
+    "slope_delta_integer": ["slope", "delta", "3", "1/2"],
+    "slope_delta_not_primitive": ["slope", "delta", "2/4", "1/1"],
+    "slope_glue": ["slope", "glue", "--matrix", "0,1,1,0", "2/1"],
+    "slope_glue_shear": ["slope", "glue", "--matrix", "1,1,0,1", "0/1"],
+    "slope_glue_bad_matrix": ["slope", "glue", "--matrix", "1,2,3", "1/1"],
+    # group
+    "group_abelianize": ["group", "abelianize", DATA + "plus4_figure_eight_pi1.json"],
+    "group_abelianize_missing": ["group", "abelianize", "missing.json"],
+    "group_fill": ["group", "fill", DATA + "b3_presentation.json", "--mu", "s2",
+                   "--longitude", "s1 s2 s1 s1 s2 s1 S2 S2 S2 S2 S2 S2",
+                   "--slope", "1/0"],
+    "group_fill_bad_token": ["group", "fill", DATA + "b3_presentation.json",
+                             "--mu", "s3", "--longitude", "s2", "--slope", "1"],
+    "group_amalgam": ["group", "amalgam", DATA + "b3_presentation.json",
+                      DATA + "klein_bottle_presentation.json",
+                      "--pair", "s2 = Y", "--pair", "s1 s2 s1 s1 s2 s1 = Y x x"],
+    "group_enumerate": ["group", "enumerate", "s3.json"],
+    "group_enumerate_subgroup": ["group", "enumerate", "s3.json", "--subgroup", "x"],
+    "group_enumerate_inconclusive": ["group", "enumerate", "dihedral.json",
+                                     "--max-cosets", "200"],
+    # splice
+    "splice_cert_double_trefoil": ["splice", "cert", DATA + "double_trefoil_splice.json"],
+    "splice_cert_double_trefoil_text": ["--format", "text", "splice", "cert",
+                                        DATA + "double_trefoil_splice.json"],
+    "splice_cert_no_answer": ["splice", "cert", "no_answer_tree.json", "--bound", "4"],
+    "splice_cert_no_answer_text": ["--format", "text", "splice", "cert",
+                                   "no_answer_tree.json", "--bound", "2"],
+    "splice_cert_user_splice": ["splice", "cert", "user_splice_tree.json"],
+    "splice_cert_user_splice_text": ["--format", "text", "splice", "cert",
+                                     "user_splice_tree.json"],
+    "splice_cert_forest": ["splice", "cert", "forest_tree.json", "--bound", "2"],
+    "splice_cert_forest_edge": ["splice", "cert", "forest_tree.json", "--edge", "1"],
+    "splice_cert_splice_pairs": ["splice", "cert", "splice_pairs_forest.json"],
+    "splice_cert_poincare_forest": ["splice", "cert", "poincare_forest_tree.json"],
+    "splice_cert_bad_edge": ["splice", "cert", "forest_tree.json", "--edge", "5"],
+    "splice_cert_bad_node": ["splice", "cert", "bad_node_tree.json"],
+    "splice_cert_integer_key": ["splice", "cert", "integer_key_tree.json"],
+    "splice_verify": ["splice", "verify", DATA + "double_trefoil_splice.json",
+                      "double_trefoil_cert.json"],
+    "splice_verify_forest": ["splice", "verify", "forest_tree.json", "forest_cert.json"],
+    "splice_verify_tampered": ["splice", "verify", DATA + "double_trefoil_splice.json",
+                               "tampered_cert.json"],
+    "splice_verify_wrong_tree": ["splice", "verify", "forest_tree.json",
+                                 "double_trefoil_cert.json"],
+    "splice_verify_bad_slope": ["splice", "verify", DATA + "double_trefoil_splice.json",
+                                "bad_slope_cert.json"],
+    # hf
+    "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
+    "hf_rank_bad_q": ["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"],
+    # cover
+    "cover_order": ["cover", "order", "--poly", "t^2 - 3t + 1", "--n", "7"],
+    "cover_order_even": ["cover", "order", "--poly", "t^2 - t + 1", "--n", "6"],
+    "cover_order_not_normalized": ["cover", "order", "--poly", "t^2 + 1", "--n", "3"],
+    # verify
+    "verify_prop43": [*_PROP43, "--verbose-cases"],
+    "verify_prop43_text": ["--format", "text", *_PROP43],
+    "verify_compatibility_alias": ["verify", "compatibility", "--samples", "3",
+                                   "--grid-bound", "2"],
+    "verify_nonapplicability": ["verify", "nonapplicability", "--slope-bound", "3"],
+    "verify_nonapplicability_text": ["--format", "text", "verify", "nonapplicability",
+                                     "--slope-bound", "2"],
+    # usage errors
+    "usage_unknown_command": ["nonsense"],
+    "usage_missing_subcommand": ["braid"],
+    "usage_bad_int": ["klein", "fill", "x", "0"],
+    "usage_bad_choice": ["klein", "sign", "y", "--ordering", "O3"],
+}
+
+_RUNTIME = re.compile(r'("runtime_ms": )[-+0-9.eE]+')
+
+
+def capture(argv: list[str]) -> dict:
+    """Run one case and return its masked stdout, exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(INPUTS)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = run(list(argv), out=out)
+    finally:
+        os.chdir(cwd)
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": _RUNTIME.sub(r'\1"<masked>"', out.getvalue()),
+        "stderr": err.getvalue(),
+    }
+
+
+def _case_path(name: str) -> Path:
+    return CASES_DIR / f"{name}.json"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    expected = json.loads(_case_path(name).read_text(encoding="utf-8"))
+    assert capture(CASES[name]) == expected
+
+
+def test_corpus_has_no_stale_cases():
+    assert sorted(p.stem for p in CASES_DIR.glob("*.json")) == sorted(CASES)
+
+
+def test_corpus_covers_every_exit_code():
+    codes = {
+        json.loads(_case_path(name).read_text(encoding="utf-8"))["exit"]
+        for name in CASES
+    }
+    assert codes == {0, 1, 2}
+
+
+def _regenerate(names: list[str]) -> None:
+    CASES_DIR.mkdir(parents=True, exist_ok=True)
+    for name in names or sorted(CASES):
+        text = json.dumps(capture(CASES[name]), indent=2, sort_keys=True)
+        _case_path(name).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {_case_path(name).relative_to(GOLDEN.parent.parent)}")
+
+
+if __name__ == "__main__":
+    _regenerate(sys.argv[1:])

@@ -1,5 +1,7 @@
 """Orderings compatibility for the trefoil / Klein-bottle gluing."""
 
+import io
+import json
 import random
 
 from locert.braid import (
@@ -11,8 +13,8 @@ from locert.braid import (
     restricted_order_type,
     PeripheralOrderType,
 )
+from locert.cli import run
 from locert.compat import (
-    choose_klein_ordering,
     jsjlo_nonapplicability_report,
     phi_peripheral,
     verify_compatibility,
@@ -39,19 +41,20 @@ def test_phi_peripheral_is_a_homomorphism():
         assert combined == product
 
 
-def test_choose_klein_ordering():
-    assert choose_klein_ordering(SIGMA1) is KleinOrderingId.O2
-    assert choose_klein_ordering(parse_word("bbb")) is KleinOrderingId.O1
-    assert choose_klein_ordering(DELTA_SQ) is KleinOrderingId.O1
+def test_klein_ordering_choice():
+    assert verify_compatibility(SIGMA1, 1).ordering is KleinOrderingId.O2
+    assert verify_compatibility(parse_word("bbb"), 1).ordering is KleinOrderingId.O1
+    assert verify_compatibility(DELTA_SQ, 1).ordering is KleinOrderingId.O1
 
 
 def test_choice_matches_restricted_order_type():
     for word in random_braid_words(6002, 40, 10):
-        chosen = choose_klein_ordering(word)
+        chosen = verify_compatibility(word, 1).ordering
         restricted = restricted_order_type(word)
         assert (chosen is KleinOrderingId.O2) == (
             restricted is PeripheralOrderType.POS_K
         )
+        assert (chosen is KleinOrderingId.O1) == commutes_with_sigma2(word)
 
 
 def test_compatibility_key_conjugators():
@@ -79,10 +82,24 @@ def test_wrong_ordering_control():
 
 def test_report_serialization():
     report = verify_compatibility(SIGMA1, 3)
-    payload = report.to_json()
-    assert payload["ordering"] == "O2"
-    assert payload["failures"] == []
-    assert payload["checked"] == 48
+    assert report.ordering is KleinOrderingId.O2
+    assert report.failures == ()
+    assert report.checked == 48
+    # `verify proposition-4-3 --verbose-cases` serializes one case per report
+    buf = io.StringIO()
+    argv = ["verify", "proposition-4-3", "--samples", "4", "--seed", "2",
+            "--grid-bound", "3", "--verbose-cases"]
+    assert run(argv, out=buf) == 0
+    cases = json.loads(buf.getvalue())["payload"]["cases"]
+    words = random_braid_words(2, 4, 10)
+    assert len(cases) == len(words)
+    for case, word in zip(cases, words):
+        report = verify_compatibility(word, 3)
+        assert case == {
+            "conjugator": report.conjugator,
+            "ordering": report.ordering.value,
+            "failures": len(report.failures),
+        }
 
 
 def test_nonapplicability_report():

@@ -7,7 +7,6 @@ import pytest
 from locert.fpgroup import (
     AbelianInvariants,
     ClosedTable,
-    LOVerdict,
     NameClash,
     Presentation,
     abelianization,
@@ -18,10 +17,11 @@ from locert.fpgroup import (
     enumerate_table,
     group_word_str,
     invert_word,
-    lo_by_positive_b1,
     parse_group_word,
     smith_normal_form,
 )
+from locert.seifert import LORule, LOStatus, TorusKnotPiece, UserPiece, slope_lo_verdict
+from locert.slopes import Slope
 
 B3 = Presentation.parse(["s1", "s2"], ["s1 s2 s1 S2 S1 S2"])
 KLEIN = Presentation.parse(["x", "y"], ["x y X y"])
@@ -187,8 +187,15 @@ def test_abelianization_commutes_with_amalgam():
         assert abelianization(merged) == AbelianInvariants(2 - len(factors), torsion)
 
 
-def test_lo_by_positive_b1():
+def test_positive_b1_facts():
+    # The trefoil 0-filling surjects onto Z; the paper's union does not.
     trefoil_zero_filling = dehn_fill(B3, MERIDIAN, LONGITUDE, (0, 1))
-    assert lo_by_positive_b1(trefoil_zero_filling, True) is LOVerdict.LO_CERTIFIED
-    assert lo_by_positive_b1(_paper_union(), True) is LOVerdict.UNKNOWN
-    assert lo_by_positive_b1(trefoil_zero_filling, False) is LOVerdict.UNKNOWN
+    assert abelianization(trefoil_zero_filling).free_rank >= 1
+    assert abelianization(_paper_union()).free_rank == 0
+    # The B1 rule certifies a 0-filling only with primeness: Heil's theorem
+    # for torus knots, the caller flag for user pieces.
+    zero = Slope(0, 1)
+    assert slope_lo_verdict(TorusKnotPiece(2, 3), zero).rule is LORule.B1_RULE
+    assert slope_lo_verdict(UserPiece("u"), zero).status is LOStatus.UNKNOWN
+    flagged = slope_lo_verdict(UserPiece("u", prime_zero_filling=True), zero)
+    assert flagged.status is LOStatus.LO and flagged.rule is LORule.B1_RULE

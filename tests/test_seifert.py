@@ -299,7 +299,19 @@ def test_tree_and_certificate_json_round_trip():
         ),
         (SpliceEdge(0, 1, SPLICE),),
     )
-    assert SpliceTree.from_json(tree.to_json()) == tree
+    parsed = SpliceTree.from_json(
+        {
+            "version": 1,
+            "nodes": [
+                {"kind": "torus_knot", "r": 2, "s": 3, "chirality": -1,
+                 "name": "mirror"},
+                {"kind": "user", "name": "u", "description": "desc",
+                 "asserted": {"1/0": "lo"}, "prime_zero_filling": True},
+            ],
+            "edges": [{"a": 0, "b": 1, "matrix": [0, 1, 1, 0]}],
+        }
+    )
+    assert parsed == tree
     cert = certificate_search(_double_trefoil(), search_bound=3).certificate
     assert Certificate.from_json(cert.to_json()) == cert
 

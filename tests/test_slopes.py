@@ -12,16 +12,14 @@ from locert.slopes import (
     NotUnimodular,
     Slope,
     apply_gluing,
-    compose_gluing,
-    filling_homology_order,
     intersection_number,
     invert_gluing,
     make_slope,
     parse_slope,
     slope_str,
-    splice_framing,
     union_homology_order,
 )
+from locert.seifert import TorusKnotPiece, moser_surgery
 
 
 def _random_slope(rng):
@@ -31,6 +29,15 @@ def _random_slope(rng):
         p, q = rng.randint(-9, 9), rng.randint(-9, 9)
         if (p, q) != (0, 0) and gcd(p, q) == 1:
             return make_slope(p, q)
+
+
+def _matmul(m, n):
+    return GluingMatrix(
+        m.a * n.a + m.b * n.c,
+        m.a * n.b + m.b * n.d,
+        m.c * n.a + m.d * n.c,
+        m.c * n.b + m.d * n.d,
+    )
 
 
 def _random_unimodular(rng):
@@ -43,10 +50,17 @@ def _random_unimodular(rng):
             if rng.random() < 0.5
             else GluingMatrix(1, 0, k, 1)
         )
-        m = compose_gluing(m, shear)
+        m = _matmul(m, shear)
         if rng.random() < 0.3:
-            m = compose_gluing(m, GluingMatrix(0, 1, 1, 0))
+            m = _matmul(m, GluingMatrix(0, 1, 1, 0))
     return m
+
+
+def _preferred_meridians(f):
+    """(f^-1(lambda), f(lambda)): the splice pairs' meridian slopes."""
+    return apply_gluing(invert_gluing(f), LONGITUDE_SLOPE), apply_gluing(
+        f, LONGITUDE_SLOPE
+    )
 
 
 def test_normalization():
@@ -98,19 +112,20 @@ def test_gluing_preserves_delta_and_composes():
         assert intersection_number(
             apply_gluing(m, a), apply_gluing(m, b)
         ) == intersection_number(a, b)
-        assert apply_gluing(compose_gluing(m, n), a) == apply_gluing(
+        assert apply_gluing(_matmul(m, n), a) == apply_gluing(
             m, apply_gluing(n, a)
         )
         assert apply_gluing(invert_gluing(m), apply_gluing(m, a)) == a
 
 
 def test_splice_framing():
-    framing = splice_framing(SPLICE_MATRIX, LONGITUDE_SLOPE, LONGITUDE_SLOPE)
-    assert framing == (MERIDIAN, MERIDIAN)
-    assert splice_framing(GluingMatrix(1, 0, 0, 1), LONGITUDE_SLOPE, LONGITUDE_SLOPE) is None
-    framing = splice_framing(GluingMatrix(1, 1, 1, 0), LONGITUDE_SLOPE, LONGITUDE_SLOPE)
-    assert framing is not None
-    mu1, mu2 = framing
+    assert _preferred_meridians(SPLICE_MATRIX) == (MERIDIAN, MERIDIAN)
+    # the identity gluing is not a homology-sphere splice
+    identity = GluingMatrix(1, 0, 0, 1)
+    assert union_homology_order(identity, LONGITUDE_SLOPE, LONGITUDE_SLOPE) == 0
+    f = GluingMatrix(1, 1, 1, 0)
+    assert union_homology_order(f, LONGITUDE_SLOPE, LONGITUDE_SLOPE) == 1
+    mu1, mu2 = _preferred_meridians(f)
     assert intersection_number(mu1, LONGITUDE_SLOPE) == 1
     assert intersection_number(mu2, LONGITUDE_SLOPE) == 1
 
@@ -120,11 +135,10 @@ def test_splice_framing_duality_property():
     found = 0
     while found < 40:
         f = _random_unimodular(rng)
-        framing = splice_framing(f, LONGITUDE_SLOPE, LONGITUDE_SLOPE)
-        if framing is None:
+        if union_homology_order(f, LONGITUDE_SLOPE, LONGITUDE_SLOPE) != 1:
             continue
         found += 1
-        mu1, mu2 = framing
+        mu1, mu2 = _preferred_meridians(f)
         assert intersection_number(mu1, LONGITUDE_SLOPE) == 1
         assert intersection_number(mu2, LONGITUDE_SLOPE) == 1
         assert apply_gluing(f, mu1) == LONGITUDE_SLOPE
@@ -139,10 +153,12 @@ def test_splice_matrix_swaps_p_and_q():
 
 
 def test_filling_homology_order():
-    assert filling_homology_order(LONGITUDE_SLOPE) == 0
-    for n in range(-4, 5):
-        assert filling_homology_order(make_slope(1, abs(n) + 1)) == 1
-    assert filling_homology_order(make_slope(4, 1)) == 4
+    # |H1| of the p/q filling is |p|, with 0 meaning infinite
+    for knot in (TorusKnotPiece(2, 3), TorusKnotPiece(3, 4, -1)):
+        assert moser_surgery(knot, LONGITUDE_SLOPE).h1_order == 0
+        for n in range(-4, 5):
+            assert moser_surgery(knot, make_slope(1, abs(n) + 1)).h1_order == 1
+        assert moser_surgery(knot, make_slope(4, 1)).h1_order == 4
 
 
 def test_union_homology_order():
