@@ -23,6 +23,7 @@ Provides:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -98,6 +99,12 @@ class Presentation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Presentation":
+        if not isinstance(obj, dict):
+            raise ValueError("a presentation must be a JSON object")
+        for key in ("generators", "relators"):
+            value = obj[key]
+            if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+                raise ValueError(f"{key} must be a JSON list of strings, got {value!r}")
         return cls.parse(obj["generators"], obj["relators"])
 
     def to_json(self) -> dict:
@@ -317,10 +324,10 @@ def enumerate_table(
         return beta
 
     def coincidence(a: int, b: int) -> None:
-        queue = []
+        queue: deque[int] = deque()
         _merge(a, b, queue)
         while queue:
-            gamma = queue.pop(0)
+            gamma = queue.popleft()
             for col in range(ncols):
                 delta = table[gamma][col]
                 if delta is None:
@@ -335,7 +342,7 @@ def enumerate_table(
                     table[mu][col] = nu
                     table[nu][col ^ 1] = mu
 
-    def _merge(a: int, b: int, queue: list[int]) -> None:
+    def _merge(a: int, b: int, queue: deque[int]) -> None:
         a, b = rep(a), rep(b)
         if a != b:
             a, b = min(a, b), max(a, b)

@@ -293,39 +293,74 @@ class SpliceTree:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpliceTree":
+        _expect(isinstance(obj, dict), "a splice tree must be a JSON object")
         nodes: list[Piece] = []
-        for nd in obj["nodes"]:
+        for nd in _json_list(obj["nodes"], "nodes"):
+            _expect(isinstance(nd, dict), f"node {nd!r} must be a JSON object")
             kind = nd["kind"]
             if kind == "torus_knot":
                 nodes.append(
                     TorusKnotPiece(
-                        nd["r"], nd["s"], nd.get("chirality", 1), nd.get("name", "")
+                        _json_int(nd["r"], "r"),
+                        _json_int(nd["s"], "s"),
+                        _json_int(nd.get("chirality", 1), "chirality"),
+                        nd.get("name", ""),
                     )
                 )
             elif kind == "brieskorn":
+                ms = _json_list(nd["multiplicities"], "multiplicities")
                 nodes.append(
-                    BrieskornZHS(tuple(nd["multiplicities"]), nd.get("name", ""))
+                    BrieskornZHS(
+                        tuple(_json_int(m, "a multiplicity") for m in ms),
+                        nd.get("name", ""),
+                    )
                 )
             elif kind == "user":
-                asserted = tuple(
-                    (parse_slope(s), LOStatus(v))
-                    for s, v in nd.get("asserted", {}).items()
-                )
+                asserted = nd.get("asserted", {})
+                _expect(isinstance(asserted, dict), "asserted must be a JSON object")
                 nodes.append(
                     UserPiece(
                         nd.get("name", ""),
                         nd.get("description", ""),
-                        asserted,
+                        tuple(
+                            (parse_slope(s), LOStatus(v)) for s, v in asserted.items()
+                        ),
                         nd.get("prime_zero_filling", False),
                     )
                 )
             else:
                 raise InvalidSpliceTree(f"unknown node kind {kind!r}")
-        edges = tuple(
-            SpliceEdge(e["a"], e["b"], GluingMatrix(*e["matrix"]))
-            for e in obj.get("edges", [])
-        )
-        return cls(tuple(nodes), edges)
+        edges = []
+        for e in _json_list(obj.get("edges", []), "edges"):
+            _expect(isinstance(e, dict), f"edge {e!r} must be a JSON object")
+            matrix = _json_list(e["matrix"], "matrix")
+            _expect(len(matrix) == 4, "matrix must have 4 entries, row-major")
+            edges.append(
+                SpliceEdge(
+                    _json_int(e["a"], "edge endpoint"),
+                    _json_int(e["b"], "edge endpoint"),
+                    GluingMatrix(*(_json_int(x, "a matrix entry") for x in matrix)),
+                )
+            )
+        return cls(tuple(nodes), tuple(edges))
+
+
+def _expect(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidSpliceTree(message)
+
+
+def _json_list(value: object, what: str) -> list:
+    _expect(isinstance(value, list), f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _json_int(value: object, what: str) -> int:
+    _expect(
+        isinstance(value, int) and not isinstance(value, bool),
+        f"{what} must be an integer, got {value!r}",
+    )
+    return value
 
 
 # --- classification rules -----------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from locert.braid import (
+    DEFAULT_STEP_CAP,
     DELTA,
     DELTA_SQ,
     LONGITUDE,
@@ -284,3 +285,213 @@ def test_delta_floor_bound_exceeded_is_unreachable_for_valid_words():
 
 def test_sampler_determinism():
     assert random_braid_words(7, 5, 12) == random_braid_words(7, 5, 12)
+
+
+# --- differential tests against straightforward reference versions --------
+#
+# The oracles are simple, slower versions of handle_reduce, delta_floor and
+# peripheral_parse: a handle reduction that rebuilds the syllable list on
+# every step (same handle order, so the same words and step counts), a
+# floor search that brackets at m = -L and L + 1, and a recognizer that
+# tries all 2L+1 exponents.  The order itself is pinned by the golden case
+# braid_reduce_order.
+
+
+def _oracle_syllables(word):
+    stack = []
+    for x in word:
+        gen = 1 if abs(x) == 1 else 2
+        exp = 1 if x > 0 else -1
+        if stack and stack[-1][0] == gen:
+            stack[-1][1] += exp
+            if stack[-1][1] == 0:
+                stack.pop()
+        else:
+            stack.append([gen, exp])
+    return stack
+
+
+def _oracle_letters(sylls):
+    out = []
+    for gen, exp in sylls:
+        out.extend([gen if exp > 0 else -gen] * abs(exp))
+    return tuple(out)
+
+
+def _oracle_handle_reduce(word, step_cap=DEFAULT_STEP_CAP):
+    s = _oracle_syllables(word)
+    steps = 0
+    scan_from = 0
+    while True:
+        i = scan_from
+        found = -1
+        while i + 2 < len(s):
+            if s[i][0] == 1 and (s[i][1] > 0) != (s[i + 2][1] > 0):
+                found = i
+                break
+            i += 1
+        if found < 0 and scan_from > 0:
+            scan_from = 0
+            continue
+        if found < 0:
+            return _oracle_letters(s)
+        steps += 1
+        if steps > step_cap:
+            raise StepCapExceeded("oracle step cap")
+        e1 = s[found][1]
+        sgn = 1 if e1 > 0 else -1
+        m = s[found + 1][1]
+        e2 = s[found + 2][1]
+        pieces = [[1, e1 - sgn], [2, -sgn], [1, m], [2, sgn], [1, e2 + sgn]]
+        stack = s[:found]
+        low = len(stack)
+        for gen, exp in pieces:
+            if exp == 0:
+                continue
+            if stack and stack[-1][0] == gen:
+                stack[-1][1] += exp
+                if stack[-1][1] == 0:
+                    stack.pop()
+                    low = min(low, len(stack))
+            else:
+                stack.append([gen, exp])
+        j = found + 3
+        while j < len(s):
+            gen, exp = s[j]
+            if stack and stack[-1][0] == gen:
+                stack[-1][1] += exp
+                if stack[-1][1] == 0:
+                    stack.pop()
+                    low = min(low, len(stack))
+                j += 1
+            else:
+                stack.extend(s[j:])
+                break
+        s = stack
+        scan_from = max(0, low - 2)
+
+
+def _oracle_delta_floor(word):
+    # The search under test; comparisons go through the current dd_compare,
+    # whose handle reduction is checked against the oracle above.
+    bound = len(word)
+
+    def at_most(m):
+        return dd_compare(power(DELTA_SQ, m), word) is not Ordering.GREATER
+
+    lo, hi = -bound, bound + 1
+    if not at_most(lo) or at_most(hi):
+        raise BoundExceeded("oracle bound")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_most(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _oracle_peripheral_parse(word):
+    img = modular_image(word)
+    esum = exponent_sum(word)
+    for k in range(-len(word), len(word) + 1):
+        if modular_image(power(SIGMA2, k)) != img:
+            continue
+        if (esum - k) % 6 != 0:
+            continue
+        l = (esum - k) // 6
+        if is_trivial(concat(word, power(DELTA_SQ, -l), power(SIGMA2, -k))):
+            return PeripheralElement(k, l)
+    return None
+
+
+def _planted_trivial(rng, max_len):
+    # u v u^-1 v^-1 with v a conjugate of a relator: trivial, not freely so.
+    u = random_braid_word(rng, max_len // 4)
+    v = concat(u, BRAID_RELATOR, inverse(u))
+    return concat(u, v, inverse(u), inverse(v))
+
+
+def _oracle_steps(word):
+    """Fewest step_cap values the oracle accepts, by bisection."""
+    lo, hi = -1, 1
+    while True:
+        try:
+            _oracle_handle_reduce(word, step_cap=hi)
+            break
+        except StepCapExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _oracle_handle_reduce(word, step_cap=mid)
+            hi = mid
+        except StepCapExceeded:
+            lo = mid
+    return hi
+
+
+def test_handle_reduce_matches_oracle_on_random_words():
+    rng = random.Random(2001)
+    for _ in range(2000):
+        word = random_braid_word(rng, 700)
+        assert handle_reduce(word) == _oracle_handle_reduce(word), word_str(word)
+
+
+def test_handle_reduce_matches_oracle_on_planted_trivial_words():
+    rng = random.Random(2002)
+    for _ in range(300):
+        word = _planted_trivial(rng, 400)
+        assert is_trivial(word)
+        assert handle_reduce(word) == _oracle_handle_reduce(word) == ()
+
+
+def test_handle_reduce_step_count_matches_oracle():
+    rng = random.Random(2003)
+    for _ in range(150):
+        word = random_braid_word(rng, 160)
+        steps = _oracle_steps(word)
+        handle_reduce(word, step_cap=steps)
+        if steps:
+            with pytest.raises(StepCapExceeded):
+                handle_reduce(word, step_cap=steps - 1)
+
+
+def test_handle_reduce_long_word():
+    rng = random.Random(2004)
+    word = random_braid_word(rng, 16384, min_len=16384)
+    reduced = handle_reduce(word, step_cap=DEFAULT_STEP_CAP)
+    assert exponent_sum(reduced) == exponent_sum(word)
+    assert modular_image(reduced) == modular_image(word)
+    assert len({x > 0 for x in reduced if abs(x) == 1}) <= 1
+
+
+def test_delta_floor_matches_oracle():
+    rng = random.Random(2005)
+    for _ in range(300):
+        word = random_braid_word(rng, 30)
+        assert delta_floor(word) == _oracle_delta_floor(word)
+    for m in range(-6, 7):
+        for tail in ((), SIGMA1, parse_word("B"), parse_word("ab")):
+            word = concat(power(DELTA_SQ, m), tail)
+            assert delta_floor(word) == _oracle_delta_floor(word)
+    for _ in range(4):
+        word = random_braid_word(rng, 300, min_len=200)
+        assert delta_floor(word) == _oracle_delta_floor(word)
+
+
+def test_peripheral_parse_matches_oracle():
+    rng = random.Random(2006)
+    for _ in range(1500):
+        word = random_braid_word(rng, 30)
+        assert peripheral_parse(word) == _oracle_peripheral_parse(word)
+    for k in range(-8, 9):
+        for l in range(-8, 9):
+            word = list(concat(power(SIGMA2, k), power(DELTA_SQ, l)))
+            for _ in range(3):
+                i = rng.randint(0, len(word))
+                x = rng.choice((1, -1, 2, -2))
+                word[i:i] = [x, -x]
+            word = tuple(word)
+            assert peripheral_parse(word) == PeripheralElement(k, l)
+            assert _oracle_peripheral_parse(word) == PeripheralElement(k, l)

@@ -41,6 +41,8 @@ CASES: dict[str, list[str]] = {
     "braid_sign_text": ["--format", "text", "braid", "sign", "B"],
     "braid_compare": ["braid", "compare", "b", ""],
     "braid_reduce": ["braid", "reduce", "abAbaBBAbaBabA"],
+    # pins the handle order: the strictly leftmost order gives "ABBBBBA"
+    "braid_reduce_order": ["braid", "reduce", "BABABAbAbaBBAbB"],
     "braid_floor": ["braid", "floor", "abABab" * 3],
     "braid_bad_letter": ["braid", "sign", "xyz"],
     # klein
@@ -60,6 +62,9 @@ CASES: dict[str, list[str]] = {
     # group
     "group_abelianize": ["group", "abelianize", DATA + "plus4_figure_eight_pi1.json"],
     "group_abelianize_missing": ["group", "abelianize", "missing.json"],
+    "group_abelianize_string_relators": ["group", "abelianize", "string_relators.json"],
+    "group_abelianize_string_generators": ["group", "abelianize",
+                                           "string_generators.json"],
     "group_fill": ["group", "fill", DATA + "b3_presentation.json", "--mu", "s2",
                    "--longitude", "s1 s2 s1 s1 s2 s1 S2 S2 S2 S2 S2 S2",
                    "--slope", "1/0"],
@@ -89,6 +94,10 @@ CASES: dict[str, list[str]] = {
     "splice_cert_bad_edge": ["splice", "cert", "forest_tree.json", "--edge", "5"],
     "splice_cert_bad_node": ["splice", "cert", "bad_node_tree.json"],
     "splice_cert_integer_key": ["splice", "cert", "integer_key_tree.json"],
+    "splice_cert_top_level_list": ["splice", "cert", "list_tree.json"],
+    "splice_cert_short_matrix": ["splice", "cert", "short_matrix_tree.json"],
+    "splice_cert_string_multiplicity": ["splice", "cert",
+                                        "string_multiplicity_tree.json"],
     "splice_verify": ["splice", "verify", DATA + "double_trefoil_splice.json",
                       "double_trefoil_cert.json"],
     "splice_verify_forest": ["splice", "verify", "forest_tree.json", "forest_cert.json"],
