@@ -6,11 +6,14 @@ of K has no zero at an n-th root of unity, and its order is then
 
     |H1| = | prod_{i=1..n-1} Delta_K(zeta_n^i) |.
 
-That product is, up to sign, the resultant of Delta_K(t) with
-(t^n - 1)/(t - 1), so it is computed here exactly as an integer Sylvester
-determinant; a vanishing resultant encodes the infinite case.  No
-floating-point evaluation anywhere: the criterion is about exact
-vanishing.
+That product is |Res(Delta_K, t^n - 1)|, because |Res(Delta_K, t - 1)| =
+|Delta_K(1)| = 1.  It is computed exactly in O(d^2 log n) operations on
+integers for Delta of degree d: t^n is reduced modulo Delta by
+square-and-multiply, and the resultant with the remainder is one Sylvester
+determinant of at most 2d - 1 rows.  A vanishing resultant encodes the
+infinite case.  No floating-point evaluation anywhere: the criterion is
+about exact vanishing.  Orders of more than MAX_ORDER_DIGITS decimal digits
+are not computed (OrderTooLarge).
 
 Polynomials are integer Laurent polynomials, stored as exponent ->
 coefficient maps; multiplying by a power of t changes the resultant only
@@ -27,6 +30,8 @@ __all__ = [
     "IntLaurentPoly",
     "AlexanderDiagnostics",
     "NotAlexanderNormalized",
+    "OrderTooLarge",
+    "MAX_ORDER_DIGITS",
     "poly_from_dict",
     "parse_poly",
     "poly_str",
@@ -40,8 +45,24 @@ __all__ = [
 IntLaurentPoly = dict[int, int]
 
 
+# CPython's default limit for int -> str conversion, so that every order
+# returned can be printed.
+MAX_ORDER_DIGITS = 4300
+_ORDER_CEILING = 10**MAX_ORDER_DIGITS
+# H and lc^s in t^k = H / lc^s modulo Delta grow about as fast as the order
+# of the k-fold cover.  Past twice the budget the order is taken to be out
+# of reach, which bounds the work for every n.
+_POWER_BITS_CAP = 2 * _ORDER_CEILING.bit_length()
+_TOO_LARGE = f"the order exceeds the {MAX_ORDER_DIGITS}-digit budget"
+
+
 class NotAlexanderNormalized(ValueError):
     """branched_cover_order requires Delta(1) = +-1."""
+
+
+class OrderTooLarge(OverflowError):
+    """The order, or an intermediate on the way to it, outgrows the
+    MAX_ORDER_DIGITS budget."""
 
 
 def poly_from_dict(coeffs: Mapping[int, int]) -> IntLaurentPoly:
@@ -208,13 +229,71 @@ def validate_alexander(poly: IntLaurentPoly) -> AlexanderDiagnostics:
     return AlexanderDiagnostics(unit and symmetric, unit, symmetric)
 
 
+def _reduce_mod(p: list[int], s: int, delta: list[int]) -> tuple[list[int], int]:
+    """Reduce p / lc^s modulo delta (ascending coefficients, leading
+    coefficient lc) to H / lc^s' with H integral and of degree below deg
+    delta.  A step scales by lc only when the coefficient it removes is not
+    divisible by lc, and s' is the least exponent that keeps H integral."""
+    d = len(delta) - 1
+    lc = delta[-1]
+    for j in range(len(p) - 1, d - 1, -1):
+        if p[j] % lc:
+            p = [c * lc for c in p]
+            s += 1
+        q = p[j] // lc
+        if q:
+            for i, c in enumerate(delta, j - d):
+                p[i] -= q * c
+    p = p[:d]
+    while s and not any(c % lc for c in p):
+        p = [c // lc for c in p]
+        s -= 1
+    return p, s
+
+
+def _square(h: list[int]) -> list[int]:
+    out = [0] * (2 * len(h) - 1)
+    for i, a in enumerate(h):
+        if a:
+            for j, b in enumerate(h, i):
+                out[j] += a * b
+    return out
+
+
+def _power_of_t_mod(delta: list[int], n: int) -> tuple[list[int], int]:
+    """(H, s) with t^n = H / lc^s modulo delta, by square-and-multiply.
+
+    Raises OrderTooLarge once H or lc^s outgrows _POWER_BITS_CAP bits."""
+    lc_bits = abs(delta[-1]).bit_length() - 1  # 2^(s * lc_bits) <= |lc|^s
+    h, s = _reduce_mod([0, 1], 0, delta)
+    for bit in bin(n)[3:]:
+        h, s = _reduce_mod(_square(h), 2 * s, delta)
+        if bit == "1":
+            h, s = _reduce_mod([0] + h, s, delta)
+        if (
+            max(abs(c) for c in h).bit_length() > _POWER_BITS_CAP
+            or s * lc_bits > _POWER_BITS_CAP
+        ):
+            raise OrderTooLarge(_TOO_LARGE)
+    return h, s
+
+
 def branched_cover_order(poly: IntLaurentPoly, n: int) -> int | None:
     """|H1| of the n-fold cyclic branched cover; None when infinite.
 
-    Computed as |Res(Delta(t), 1 + t + ... + t^(n-1))|, which equals the
-    absolute product of Delta over the nontrivial n-th roots of unity; the
+    Computed as |Res(Delta, t^n - 1)|, which equals the absolute product of
+    Delta over the nontrivial n-th roots of unity since |Delta(1)| = 1; the
     resultant vanishes exactly when some zero of Delta is an n-th root of
-    unity.
+    unity.  With lc the leading coefficient and d the degree of Delta,
+    t^n = H / lc^s modulo Delta for an integral H of degree below d, and
+
+        Res(Delta, t^n - 1) = lc^(n - e) Res(Delta, G) / lc^(s d)
+
+    with G = H - lc^s of degree e.  That takes O(d^2 log n) operations on
+    integers of O(n) digits and one Sylvester determinant of at most
+    2d - 1 rows.  Raises OrderTooLarge, without computing it, when the
+    order has more than MAX_ORDER_DIGITS digits, or when an intermediate
+    grows past twice that budget.
     """
     if n < 2:
         raise ValueError("cover order n must be >= 2")
@@ -223,6 +302,24 @@ def branched_cover_order(poly: IntLaurentPoly, n: int) -> int | None:
         raise NotAlexanderNormalized(
             f"polynomial {poly_str(poly)} has Delta(1) != +-1"
         )
-    cyclotomic_quotient = [1] * n  # (t^n - 1)/(t - 1)
-    res = _resultant(coeffs, cyclotomic_quotient)
-    return abs(res) if res else None
+    d = len(coeffs) - 1
+    if d == 0:
+        return 1
+    lc = coeffs[-1]
+    g, s = _power_of_t_mod(coeffs, n)
+    g[0] -= lc**s  # G = H - lc^s
+    while g and not g[-1]:
+        g.pop()
+    if not g:
+        return None
+    res = _resultant(coeffs, g)
+    if not res:
+        return None
+    shift = n - (len(g) - 1) - s * d
+    # |lc|^shift alone would pass the budget
+    if abs(lc) > 1 and shift >= _ORDER_CEILING.bit_length():
+        raise OrderTooLarge(_TOO_LARGE)
+    order = abs(res * lc**shift if shift >= 0 else res // lc**-shift)
+    if order >= _ORDER_CEILING:
+        raise OrderTooLarge(_TOO_LARGE)
+    return order

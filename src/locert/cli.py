@@ -228,19 +228,22 @@ def _cover_order(args):
             "not a normalized Alexander polynomial: "
             + "; ".join(diag.failed_checks())
         )
-    order = alexander.branched_cover_order(poly, args.n)
-    payload = {
-        "polynomial": alexander.poly_str(poly),
-        "n": args.n,
-        "order": order if order is not None else "infinite",
-    }
+    payload = {"polynomial": alexander.poly_str(poly), "n": args.n}
+    status = "ok"
+    try:
+        order = alexander.branched_cover_order(poly, args.n)
+        payload["order"] = order if order is not None else "infinite"
+    except alexander.OrderTooLarge as exc:
+        status = "inconclusive"
+        payload["order"] = None
+        payload["reason"] = str(exc)
     if args.n % 2 == 0:
         payload["note"] = (
             "n is even: the n-fold branched cover admits a nontrivial "
             "homomorphism onto the fundamental group of the 2-fold one, so "
             "left-orderability descends from the double branched cover"
         )
-    return "ok", payload, [
+    return status, payload, [
         "Fox (after Weber): branched-cover homology from Alexander "
         "polynomial values at roots of unity"
     ]

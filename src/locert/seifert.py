@@ -355,6 +355,16 @@ def _json_list(value: object, what: str) -> list:
     return value
 
 
+def _json_object(value: object, what: str) -> dict:
+    _expect(isinstance(value, dict), f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _json_str(value: object, what: str) -> str:
+    _expect(isinstance(value, str), f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _json_int(value: object, what: str) -> int:
     _expect(
         isinstance(value, int) and not isinstance(value, bool),
@@ -623,39 +633,47 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        _expect(isinstance(obj, dict), "a certificate must be a JSON object")
         comps = []
-        for c in obj["components"]:
+        for c in _json_list(obj.get("components"), "components"):
+            _expect(isinstance(c, dict), f"component {c!r} must be a JSON object")
             edge = None
-            if c.get("edge_certificate"):
-                ec = c["edge_certificate"]
+            if c.get("edge_certificate") is not None:
+                ec = _json_object(c["edge_certificate"], "edge_certificate")
                 edge = EdgeCertificate(
-                    ec["edge"],
-                    parse_slope(ec["alpha"]),
-                    parse_slope(ec["image"]),
-                    _verdict_from_json(ec["verdict_a"]),
-                    _verdict_from_json(ec["verdict_b"]),
+                    _json_int(ec.get("edge"), "edge"),
+                    parse_slope(_json_str(ec.get("alpha"), "alpha")),
+                    parse_slope(_json_str(ec.get("image"), "image")),
+                    _verdict_from_json(ec.get("verdict_a"), "verdict_a"),
+                    _verdict_from_json(ec.get("verdict_b"), "verdict_b"),
                 )
             leaf = (
-                _verdict_from_json(c["leaf_verdict"]) if c.get("leaf_verdict") else None
+                _verdict_from_json(c["leaf_verdict"], "leaf_verdict")
+                if c.get("leaf_verdict") is not None
+                else None
             )
+            nodes = _json_list(c.get("nodes"), "nodes")
             comps.append(
                 ComponentReport(
-                    tuple(c["nodes"]),
-                    LOStatus(c["status"]),
-                    tuple(c.get("pieces", ())),
+                    tuple(_json_int(v, "a component node") for v in nodes),
+                    LOStatus(c.get("status")),
+                    tuple(_json_list(c.get("pieces", []), "pieces")),
                     edge,
                     leaf,
                     c.get("note", ""),
                 )
             )
         return cls(
-            tuple(comps), tuple(obj.get("hypotheses", ())), obj.get("search_bound", 0)
+            tuple(comps),
+            tuple(_json_list(obj.get("hypotheses", []), "hypotheses")),
+            obj.get("search_bound", 0),
         )
 
 
-def _verdict_from_json(obj: dict) -> LOSlopeVerdict:
+def _verdict_from_json(obj: object, what: str) -> LOSlopeVerdict:
+    obj = _json_object(obj, what)
     return LOSlopeVerdict(
-        LOStatus(obj["status"]),
+        LOStatus(obj.get("status")),
         LORule(obj["rule"]) if obj.get("rule") else None,
         obj.get("evidence", ""),
     )
@@ -678,16 +696,14 @@ class SearchOutcome:
 def enumerate_slopes(bound: int) -> list[Slope]:
     """All normalized primitive slopes with |p| <= bound and 0 <= q <=
     bound, in the deterministic order (max(|p|, q), q, p) that the search
-    commits to."""
-    out = []
-    for q in range(0, bound + 1):
-        for p in range(-bound, bound + 1):
-            if q == 0 and p != 1:
-                continue
-            if gcd(p, q) != 1:
-                continue
-            out.append(Slope(p, q))
-    out.sort(key=lambda s: (max(abs(s.p), s.q), s.q, s.p))
+    commits to.  Built shell by shell in that order, so nothing is sorted:
+    shell m holds -m/q and m/q for q < m, then p/m for -m <= p <= m."""
+    out = [Slope(1, 0)] if bound >= 1 else []
+    for m in range(1, bound + 1):
+        for q in range(1, m):
+            if gcd(m, q) == 1:
+                out += (Slope(-m, q), Slope(m, q))
+        out += (Slope(p, m) for p in range(-m, m + 1) if gcd(p, m) == 1)
     return out
 
 

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from locert.alexander import (
+    MAX_ORDER_DIGITS,
     NotAlexanderNormalized,
+    OrderTooLarge,
     branched_cover_order,
     evaluate_at_int,
     parse_poly,
@@ -17,6 +19,75 @@ from locert.alexander import (
 TREFOIL = parse_poly("t^2 - t + 1")
 FIGURE_EIGHT = parse_poly("t^2 - 3t + 1")
 ONE = parse_poly("1")
+FIVE_TWO = parse_poly("2t^2 - 3t + 2")
+
+
+# --- test-local oracle: the Sylvester determinant of Delta against
+# (t^n - 1)/(t - 1), an (n + d - 1)-square matrix, by Bareiss elimination.
+
+
+def _oracle_det(m: list[list[int]]) -> int:
+    n = len(m)
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def oracle_cover_order(poly, n: int) -> int | None:
+    lo, hi = min(poly), max(poly)
+    f = [poly.get(e, 0) for e in range(hi, lo - 1, -1)]  # descending
+    g = [1] * n  # (t^n - 1)/(t - 1), degree n - 1
+    df, dg = len(f) - 1, len(g) - 1
+    if df == 0:
+        return abs(f[0] ** dg)
+    size = df + dg
+    rows = [[0] * i + f + [0] * (size - df - 1 - i) for i in range(dg)]
+    rows += [[0] * i + g + [0] * (size - dg - 1 - i) for i in range(df)]
+    res = _oracle_det(rows)
+    return abs(res) if res else None
+
+
+def lucas(k: int) -> int:
+    a, b = 2, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+# Cyclotomic polynomials with value 1 at t = 1 (Phi_6, Phi_10, Phi_12):
+# a factor Phi_m makes the order infinite exactly when m divides n.
+CYCLOTOMIC_UNITS = ({0: 1, 1: -1, 2: 1}, {0: 1, 1: -1, 2: 1, 3: -1, 4: 1},
+                    {0: 1, 2: -1, 4: 1})
+
+
+def random_alexander_like(rng: random.Random):
+    """Random Laurent Delta of degree 0-8 with Delta(1) = +-1; neither
+    symmetric nor monic in general, of either leading sign, and with a
+    cyclotomic factor one time in three."""
+    while True:
+        d = rng.randint(0, 8)
+        factor = {0: 1}
+        if d >= 2 and rng.random() < 1 / 3:
+            factor = rng.choice([c for c in CYCLOTOMIC_UNITS if max(c) <= d])
+        coeffs = [rng.randint(-5, 5) for _ in range(d - max(factor) + 1)]
+        coeffs[0] += rng.choice((1, -1)) - sum(coeffs)
+        if coeffs[0] and coeffs[-1]:
+            shift = rng.randint(-3, 3)
+            poly = poly_mul(factor, {e: c for e, c in enumerate(coeffs) if c})
+            return {e + shift: c for e, c in poly.items()}
 
 
 def test_parse_poly():
@@ -126,3 +197,63 @@ def test_normalization_guard():
         branched_cover_order(parse_poly("t + 1"), 3)
     with pytest.raises(ValueError):
         branched_cover_order(TREFOIL, 1)
+
+
+def test_matches_sylvester_oracle_on_random_polynomials():
+    rng = random.Random(20110602)
+    seen = {"non-symmetric": 0, "non-monic": 0, "negative leading": 0, "infinite": 0}
+    for _ in range(120):
+        poly = random_alexander_like(rng)
+        lead = poly[max(poly)]
+        seen["non-symmetric"] += not validate_alexander(poly).symmetric
+        seen["non-monic"] += abs(lead) != 1
+        seen["negative leading"] += lead < 0
+        for n in (2, 3, 4, 5, 6, 7, 12, rng.randint(8, 50)):
+            expected = oracle_cover_order(poly, n)
+            seen["infinite"] += expected is None
+            assert branched_cover_order(poly, n) == expected, (poly_str(poly), n)
+    assert all(seen.values()), seen
+
+
+def test_matches_sylvester_oracle_on_knots():
+    for poly in (TREFOIL, FIGURE_EIGHT, FIVE_TWO, poly_mul(TREFOIL, FIVE_TWO),
+                 parse_poly("-2t^2 + 5t - 2"), parse_poly("t^4 - t^3 + t^2 - t + 1")):
+        for n in range(2, 51):
+            assert branched_cover_order(poly, n) == oracle_cover_order(poly, n)
+
+
+def test_five_two_orders():
+    # n = 2: |Delta(-1)| = 7
+    # n = 3: Delta(w) = -5w, so the product is 25w^3 = 25
+    # n = 4: Delta(i) Delta(-1) Delta(-i) = (-3i)(7)(3i) = 63
+    # Delta is not monic, so each value needs the factor lc^(n - e) of
+    # Res(Delta, t^n - 1) = lc^(n - e) Res(Delta, G) / lc^(s d).
+    assert [branched_cover_order(FIVE_TWO, n) for n in range(2, 9)] == [
+        7, 25, 63, 121, 175, 169, 63
+    ]
+
+
+def test_figure_eight_lucas_closed_form_at_large_n():
+    for n in (2, 3, 50, 400, 10_000):
+        assert branched_cover_order(FIGURE_EIGHT, n) == lucas(2 * n) - 2
+    assert len(str(lucas(20_000) - 2)) <= MAX_ORDER_DIGITS
+
+
+def test_trefoil_period_six_at_large_n():
+    expected = {0: None, 1: 1, 2: 3, 3: 4, 4: 3, 5: 1}
+    for n in range(10**6, 10**6 + 12):
+        assert branched_cover_order(TREFOIL, n) == expected[n % 6]
+    assert branched_cover_order(TREFOIL, 10**400 + 1) == 1
+
+
+def test_orders_past_the_digit_budget_raise():
+    # L_24000 - 2 has 5016 digits
+    with pytest.raises(OrderTooLarge):
+        branched_cover_order(FIGURE_EIGHT, 12_000)
+    # intermediates outgrow the budget long before n is reached
+    with pytest.raises(OrderTooLarge):
+        branched_cover_order(FIGURE_EIGHT, 10**100)
+    # 2t - 1: t^n = 1 / 2^n modulo Delta, and the order is 2^n - 1
+    assert branched_cover_order(parse_poly("2t - 1"), 100) == 2**100 - 1
+    with pytest.raises(OrderTooLarge):
+        branched_cover_order(parse_poly("2t - 1"), 10**100)

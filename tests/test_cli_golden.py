@@ -107,6 +107,13 @@ CASES: dict[str, list[str]] = {
                                  "double_trefoil_cert.json"],
     "splice_verify_bad_slope": ["splice", "verify", DATA + "double_trefoil_splice.json",
                                 "bad_slope_cert.json"],
+    "splice_verify_top_level_list": ["splice", "verify", DATA + "double_trefoil_splice.json",
+                                     "list_cert.json"],
+    "splice_verify_int_components": ["splice", "verify",
+                                     DATA + "double_trefoil_splice.json",
+                                     "int_components_cert.json"],
+    "splice_verify_null": ["splice", "verify", DATA + "double_trefoil_splice.json",
+                           "null_cert.json"],
     # hf
     "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
     "hf_rank_bad_q": ["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"],
@@ -114,6 +121,13 @@ CASES: dict[str, list[str]] = {
     "cover_order": ["cover", "order", "--poly", "t^2 - 3t + 1", "--n", "7"],
     "cover_order_even": ["cover", "order", "--poly", "t^2 - t + 1", "--n", "6"],
     "cover_order_not_normalized": ["cover", "order", "--poly", "t^2 + 1", "--n", "3"],
+    "cover_order_figure_eight_400": ["cover", "order", "--poly", "t^2 - 3t + 1",
+                                     "--n", "400"],
+    # L_24000 - 2 has 5016 digits, past the 4300-digit budget
+    "cover_order_too_large": ["cover", "order", "--poly", "t^2 - 3t + 1",
+                              "--n", "12000"],
+    "cover_order_too_large_text": ["--format", "text", "cover", "order", "--poly",
+                                   "t^2 - 3t + 1", "--n", "12000"],
     # verify
     "verify_prop43": [*_PROP43, "--verbose-cases"],
     "verify_prop43_text": ["--format", "text", *_PROP43],

@@ -1,14 +1,18 @@
-"""Static hygiene of the package source: no unused imports, and every
-``__all__`` entry names something the module binds.
+"""Hygiene of the package source: no unused imports, every ``__all__``
+entry names something the module binds, and the CLI's import path stays
+free of modules that only slow start-up.
 
-Both checks read ``src/locert/*.py`` with ``ast``; nothing is imported.
-A name listed in ``__all__`` counts as used, so deliberate re-exports
-(such as ``braid.inverse``, bound from ``fpgroup``) pass.
+The first two checks read ``src/locert/*.py`` with ``ast``; nothing is
+imported.  A name listed in ``__all__`` counts as used, so deliberate
+re-exports (such as ``braid.inverse``, bound from ``fpgroup``) pass.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,18 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_all_entries_resolve(path):
     assert unresolved_exports(path) == []
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # Each costs a few milliseconds of every CLI process's start-up, and
+    # exact arithmetic here is done on integers.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = (
+        "import sys, locert.cli; "
+        "print(sorted({'fractions', 'decimal', '_decimal', '_pydecimal'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -160,6 +160,16 @@ def test_enumerate_slopes_order():
     assert len(slopes) == len(set(slopes))
     for s in slopes:
         assert gcd(s.p, s.q) == 1 and s.q >= 0
+    # the committed order, by its definition: filter the box, then sort
+    for bound in range(0, 41):
+        box = [
+            Slope(p, q)
+            for q in range(bound + 1)
+            for p in range(-bound, bound + 1)
+            if gcd(p, q) == 1 and (q or p == 1)
+        ]
+        box.sort(key=lambda s: (max(abs(s.p), s.q), s.q, s.p))
+        assert enumerate_slopes(bound) == box
 
 
 def test_certificate_search_double_trefoil():
