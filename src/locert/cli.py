@@ -13,6 +13,11 @@ diagnostics on stderr).
 Property-style commands (``verify proposition-4-3``) take ``--seed`` and
 ``--samples``; defaults are seed 0 and 200 samples, and all randomness is
 derived from the seed.
+
+Import rule: this module imports no ``locert`` layer at module level.  Each
+handler imports the layers it calls, so a process loads only what its
+subcommand runs (``slope delta`` loads ``slopes`` alone), and ``run`` imports
+``braid`` only to classify an exception already raised.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ import argparse
 import json
 import sys
 import time
-from importlib import resources
-
-from . import alexander, braid, compat, fpgroup, klein, seifert, slopes
 
 __all__ = ["main", "run"]
 
@@ -47,16 +49,12 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def data_file(name: str) -> dict:
-    """Load one of the bundled JSON data files by name."""
-    with resources.files("locert.data").joinpath(name).open("r") as fh:
-        return json.load(fh)
-
-
 # --- subcommand handlers: return (status, payload, citations) ----------------
 
 
 def _braid_sign(args) -> tuple[str, dict, list[str]]:
+    from . import braid
+
     word = braid.parse_word(args.word)
     sign = braid.dd_sign(word)
     return "ok", {"word": braid.word_str(word), "sign": sign.value}, [
@@ -65,12 +63,16 @@ def _braid_sign(args) -> tuple[str, dict, list[str]]:
 
 
 def _braid_compare(args):
+    from . import braid
+
     u = braid.parse_word(args.u)
     v = braid.parse_word(args.v)
     return "ok", {"comparison": braid.dd_compare(u, v).value}, []
 
 
 def _braid_reduce(args):
+    from . import braid
+
     word = braid.parse_word(args.word)
     reduced = braid.handle_reduce(word)
     return "ok", {
@@ -81,6 +83,8 @@ def _braid_reduce(args):
 
 
 def _braid_floor(args):
+    from . import braid
+
     word = braid.parse_word(args.word)
     return "ok", {"floor": braid.delta_floor(word)}, [
         "Malyutin: Delta^2 is cofinal in every left ordering of B3"
@@ -88,6 +92,8 @@ def _braid_floor(args):
 
 
 def _klein_fill(args):
+    from . import klein
+
     slope = klein.KleinPeripheral(args.m, args.n)
     result = klein.klein_fill(slope)
     ab = result.abelianization
@@ -100,6 +106,8 @@ def _klein_fill(args):
 
 
 def _klein_sign(args):
+    from . import klein
+
     g = klein.parse_element(args.element)
     ordering = klein.KleinOrderingId(args.ordering)
     return "ok", {
@@ -110,32 +118,35 @@ def _klein_sign(args):
 
 
 def _slope_delta(args):
+    from . import slopes
+
     a = slopes.parse_slope(args.alpha)
     b = slopes.parse_slope(args.beta)
     return "ok", {"delta": slopes.intersection_number(a, b)}, []
 
 
 def _slope_glue(args):
-    matrix = _parse_matrix(args.matrix)
+    from . import slopes
+
+    parts = [int(x) for x in args.matrix.split(",")]
+    if len(parts) != 4:
+        raise ValueError("matrix must be 4 comma-separated integers, row-major")
     alpha = slopes.parse_slope(args.slope)
-    image = slopes.apply_gluing(matrix, alpha)
+    image = slopes.apply_gluing(slopes.GluingMatrix(*parts), alpha)
     return "ok", {"slope": slopes.slope_str(image)}, []
 
 
-def _parse_matrix(text: str) -> slopes.GluingMatrix:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("matrix must be 4 comma-separated integers, row-major")
-    return slopes.GluingMatrix(*parts)
-
-
 def _group_abelianize(args):
+    from . import fpgroup
+
     p = fpgroup.Presentation.from_json(_load_json(args.presentation))
     ab = fpgroup.abelianization(p)
     return "ok", {"free_rank": ab.free_rank, "torsion": list(ab.torsion)}, []
 
 
 def _group_fill(args):
+    from . import fpgroup, slopes
+
     p = fpgroup.Presentation.from_json(_load_json(args.presentation))
     mu = fpgroup.parse_group_word(args.mu, p.generators)
     lam = fpgroup.parse_group_word(args.longitude, p.generators)
@@ -145,6 +156,8 @@ def _group_fill(args):
 
 
 def _group_amalgam(args):
+    from . import fpgroup
+
     p1 = fpgroup.Presentation.from_json(_load_json(args.presentation1))
     p2 = fpgroup.Presentation.from_json(_load_json(args.presentation2))
     pairs = []
@@ -165,6 +178,8 @@ def _group_amalgam(args):
 
 
 def _group_enumerate(args):
+    from . import fpgroup
+
     p = fpgroup.Presentation.from_json(_load_json(args.presentation))
     subgroup = [
         fpgroup.parse_group_word(w, p.generators) for w in (args.subgroup or [])
@@ -191,6 +206,8 @@ _SPLICE_CITATIONS = [
 
 
 def _splice_cert(args):
+    from . import seifert
+
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
     outcome = seifert.certificate_search(tree, args.edge, args.bound)
     payload = {
@@ -206,6 +223,8 @@ def _splice_cert(args):
 
 
 def _splice_verify(args):
+    from . import seifert
+
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
     cert = seifert.Certificate.from_json(_load_json(args.certificate))
     ok, report = seifert.verify_certificate(tree, cert)
@@ -213,6 +232,8 @@ def _splice_verify(args):
 
 
 def _hf_rank(args):
+    from . import seifert
+
     ranks = tuple(int(x) for x in args.ranks.split(","))
     params = seifert.HFParams(args.p, args.q, args.nu, ranks)
     return "ok", {"rank": seifert.hf_surgery_rank(params)}, [
@@ -221,6 +242,8 @@ def _hf_rank(args):
 
 
 def _cover_order(args):
+    from . import alexander
+
     poly = alexander.parse_poly(args.poly)
     diag = alexander.validate_alexander(poly)
     if not diag.ok:
@@ -253,8 +276,13 @@ def _verify_compat(args):
     # Mechanized check of the orderings-compatibility proposition for the
     # trefoil / Klein-bottle gluing (the +4-surgery-on-figure-eight graph
     # manifold), over seeded random conjugators.
+    from . import braid, compat, klein
     from .sampling import random_braid_words
 
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
+    if args.max_len < 0:
+        raise ValueError("--max-len must be >= 0")
     samples = random_braid_words(args.seed, args.samples, args.max_len)
     failures = 0
     cases = []
@@ -284,6 +312,8 @@ def _verify_compat(args):
 
 
 def _verify_nonapplicability(args):
+    from . import compat
+
     report = compat.jsjlo_nonapplicability_report(args.slope_bound)
     return "ok", report.to_json(), list(compat.REFERENCES)
 
@@ -440,32 +470,60 @@ def run(argv: list[str] | None = None, out=None) -> int:
     start = time.perf_counter()
     try:
         status, payload, citations = args.handler(args)
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        braid.BoundExceeded,
-        braid.StepCapExceeded,
-    ) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+        # Of the RuntimeErrors only braid's caps are input errors; braid is
+        # imported here, not at start-up, to tell them apart.
+        if isinstance(exc, RuntimeError):
+            from . import braid
+
+            if not isinstance(exc, (braid.BoundExceeded, braid.StepCapExceeded)):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    if args.format == "json":
+    runtime_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    try:
+        text = _render(args.format, status, payload, citations, runtime_ms)
+    except ValueError:
+        # str() refuses an int past the interpreter's digit limit.
+        printable = _drop_unprintable(payload)
+        status = "inconclusive"
+        printable["reason"] = (
+            "an integer in the result exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit budget"
+        )
+        text = _render(args.format, status, printable, citations, runtime_ms)
+    print(text, file=out)
+    return _STATUS_EXIT.get(status, EXIT_INPUT_ERROR)
+
+
+def _render(
+    fmt: str, status: str, payload: dict, citations: list[str], runtime_ms: float
+) -> str:
+    if fmt == "json":
         envelope = {
             "status": status,
             "payload": payload,
             "citations": citations,
-            "runtime_ms": round(runtime_ms, 3),
+            "runtime_ms": runtime_ms,
         }
-        print(json.dumps(envelope, indent=2, sort_keys=True), file=out)
-    else:
-        print(f"status: {status}", file=out)
-        for line in _render_text(payload):
-            print(line, file=out)
-        for c in citations:
-            print(f"  [{c}]", file=out)
-    return _STATUS_EXIT.get(status, EXIT_INPUT_ERROR)
+        return json.dumps(envelope, indent=2, sort_keys=True)
+    lines = [f"status: {status}", *_render_text(payload)]
+    lines.extend(f"  [{c}]" for c in citations)
+    return "\n".join(lines)
+
+
+def _drop_unprintable(value):
+    """``value`` with every int that ``str`` refuses replaced by None."""
+    if isinstance(value, dict):
+        return {key: _drop_unprintable(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_drop_unprintable(v) for v in value]
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            return None
+    return value
 
 
 def _render_text(payload, indent: int = 0) -> list[str]:

@@ -161,6 +161,10 @@ def jsjlo_nonapplicability_report(slope_bound: int = 5) -> NonApplicabilityRepor
     coset enumeration."""
     from math import gcd
 
+    # A bound below 1 surveys no slope, not even y = (1, 0).
+    if slope_bound < 1:
+        raise ValueError("slope_bound must be >= 1")
+
     survey = []
     lo_slopes = []
     seen = set()

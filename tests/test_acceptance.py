@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 from math import gcd
 
+from bundled import data_file
 from locert import braid
 from locert.braid import (
     DELTA_SQ,
@@ -27,7 +28,6 @@ from locert.braid import (
     power,
     restricted_order_type,
 )
-from locert.cli import data_file
 from locert.compat import verify_compatibility
 from locert.fpgroup import Presentation, check_closed_table, enumerate_table
 from locert.klein import (

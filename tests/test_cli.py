@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from locert.cli import data_file, run
+from bundled import data_file, data_path
+from locert import braid
+from locert.cli import run
 
 
 def _run(argv):
@@ -13,12 +15,6 @@ def _run(argv):
     code = run(argv, out=buf)
     text = buf.getvalue()
     return code, json.loads(text) if text.strip() else None
-
-
-def _data_path(name: str) -> str:
-    from importlib import resources
-
-    return str(resources.files("locert.data").joinpath(name))
 
 
 def test_braid_commands():
@@ -50,12 +46,12 @@ def test_slope_commands():
 
 def test_group_commands(tmp_path):
     code, result = _run(
-        ["group", "abelianize", _data_path("plus4_figure_eight_pi1.json")]
+        ["group", "abelianize", data_path("plus4_figure_eight_pi1.json")]
     )
     assert code == 0
     assert result["payload"] == {"free_rank": 0, "torsion": [4]}
 
-    b3 = _data_path("b3_presentation.json")
+    b3 = data_path("b3_presentation.json")
     code, result = _run(
         [
             "group",
@@ -83,7 +79,7 @@ def test_group_commands(tmp_path):
             "group",
             "amalgam",
             b3,
-            _data_path("klein_bottle_presentation.json"),
+            data_path("klein_bottle_presentation.json"),
             "--pair",
             "s2 = Y",
             "--pair",
@@ -110,7 +106,7 @@ def test_group_enumerate_inconclusive_exit_code(tmp_path):
 
 
 def test_splice_commands(tmp_path):
-    tree = _data_path("double_trefoil_splice.json")
+    tree = data_path("double_trefoil_splice.json")
     code, result = _run(["splice", "cert", tree, "--bound", "3"])
     assert code == 0
     cert = result["payload"]["certificate"]
@@ -201,6 +197,35 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert run(["nonsense"]) == 1
     assert run(["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"]) == 1
     capsys.readouterr()
+
+
+def _raiser(exc):
+    def handler(*args):
+        raise exc
+
+    return handler
+
+
+@pytest.mark.parametrize("exc", [braid.StepCapExceeded, braid.BoundExceeded])
+def test_braid_caps_are_input_errors(monkeypatch, capsys, exc):
+    monkeypatch.setattr(braid, "handle_reduce", _raiser(exc("cap hit")))
+    assert run(["braid", "reduce", "ab"]) == 1
+    assert capsys.readouterr().err == "error: cap hit\n"
+
+
+def test_other_runtime_errors_surface(monkeypatch):
+    monkeypatch.setattr(braid, "handle_reduce", _raiser(RecursionError("deep")))
+    with pytest.raises(RecursionError):
+        run(["braid", "reduce", "ab"])
+
+
+def test_integers_at_the_digit_limit_still_print():
+    # Past the limit the answer is inconclusive (golden case
+    # slope_delta_too_large); |10^2150 * 10^2149 + 1| has 4300 digits.
+    code, result = _run(
+        ["slope", "delta", "--", "1" + "0" * 2150 + "/1", "-1/1" + "0" * 2149]
+    )
+    assert code == 0 and result["payload"]["delta"] == 10**4299 + 1
 
 
 def test_text_format():

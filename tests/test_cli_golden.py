@@ -34,6 +34,9 @@ DATA = "../../../src/locert/data/"
 
 _PROP43 = ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
            "--grid-bound", "3", "--max-len", "6"]
+# 10^2200: the slopes print, but their delta 10^4400 - 1 passes the 4300-digit
+# limit of str(int)
+_HUGE = "1" + "0" * 2200
 
 CASES: dict[str, list[str]] = {
     # braid
@@ -56,6 +59,9 @@ CASES: dict[str, list[str]] = {
     "slope_delta": ["slope", "delta", "2/1", "1/1"],
     "slope_delta_integer": ["slope", "delta", "3", "1/2"],
     "slope_delta_not_primitive": ["slope", "delta", "2/4", "1/1"],
+    "slope_delta_too_large": ["slope", "delta", "--", f"{_HUGE}/1", f"1/{_HUGE}"],
+    "slope_delta_too_large_text": ["--format", "text", "slope", "delta", "--",
+                                   f"{_HUGE}/1", f"1/{_HUGE}"],
     "slope_glue": ["slope", "glue", "--matrix", "0,1,1,0", "2/1"],
     "slope_glue_shear": ["slope", "glue", "--matrix", "1,1,0,1", "0/1"],
     "slope_glue_bad_matrix": ["slope", "glue", "--matrix", "1,2,3", "1/1"],
@@ -136,6 +142,11 @@ CASES: dict[str, list[str]] = {
     "verify_nonapplicability": ["verify", "nonapplicability", "--slope-bound", "3"],
     "verify_nonapplicability_text": ["--format", "text", "verify", "nonapplicability",
                                      "--slope-bound", "2"],
+    "verify_nonapplicability_zero_bound": ["verify", "nonapplicability",
+                                           "--slope-bound", "0"],
+    "verify_prop43_zero_samples": ["verify", "proposition-4-3", "--samples", "0"],
+    "verify_prop43_negative_samples": ["verify", "proposition-4-3", "--samples", "-3"],
+    "verify_prop43_negative_max_len": ["verify", "proposition-4-3", "--max-len", "-1"],
     # usage errors
     "usage_unknown_command": ["nonsense"],
     "usage_missing_subcommand": ["braid"],

@@ -1,6 +1,7 @@
 """Hygiene of the package source: no unused imports, every ``__all__``
 entry names something the module binds, and the CLI's import path stays
-free of modules that only slow start-up.
+free of modules that only slow start-up: ``cli`` imports no layer at
+module level, and each subcommand loads only the layers it runs.
 
 The first two checks read ``src/locert/*.py`` with ``ast``; nothing is
 imported.  A name listed in ``__all__`` counts as used, so deliberate
@@ -109,16 +110,72 @@ def test_all_entries_resolve(path):
     assert unresolved_exports(path) == []
 
 
+def _fresh(probe: str, *argv: str) -> str:
+    """Stdout of ``probe`` run in a fresh interpreter with ``argv``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    return out.stdout.strip()
+
+
 def test_cli_import_loads_no_fractions_or_decimal():
     # Each costs a few milliseconds of every CLI process's start-up, and
     # exact arithmetic here is done on integers.
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     probe = (
         "import sys, locert.cli; "
         "print(sorted({'fractions', 'decimal', '_decimal', '_pydecimal'} & set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    )
-    assert out.stdout.strip() == "[]"
+    assert _fresh(probe) == "[]"
+
+
+def test_cli_has_no_module_level_layer_import():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+
+    def imports_locert(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").startswith("locert")
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("locert") for alias in node.names)
+        return False
+
+    assert [node.lineno for node in tree.body if imports_locert(node)] == []
+
+
+_LOADED = (
+    "import io, sys, locert.cli\n"
+    "if sys.argv[1:]:\n"
+    "    locert.cli.run(sys.argv[1:], out=io.StringIO())\n"
+    "print(' '.join(m for m in sys.modules if m.startswith('locert')))"
+)
+_DATA = str(SRC / "data")
+
+# One run per subcommand family -> the locert modules beyond locert.cli it
+# loads.  A layer's own imports count: braid binds fpgroup's word helpers,
+# klein imports braid and fpgroup, seifert imports slopes.
+_FAMILY_MODULES = {
+    "slope": (["slope", "delta", "2/1", "1/1"], "slopes"),
+    "braid": (["braid", "sign", "aB"], "braid fpgroup"),
+    "klein": (["klein", "fill", "1", "0"], "braid fpgroup klein"),
+    "group": (["group", "fill", f"{_DATA}/b3_presentation.json", "--mu", "s2",
+               "--longitude", "s1", "--slope", "1/0"], "fpgroup slopes"),
+    "splice": (["splice", "cert", f"{_DATA}/double_trefoil_splice.json"],
+               "seifert slopes"),
+    "hf": (["hf", "rank", "--p", "5", "--q", "1", "--nu", "1", "--ranks", "1"],
+           "seifert slopes"),
+    "cover": (["cover", "order", "--poly", "t^2 - t + 1", "--n", "7"], "alexander"),
+    "verify": (["verify", "proposition-4-3", "--samples", "1", "--grid-bound", "1"],
+               "braid compat fpgroup klein sampling slopes"),
+}
+
+
+def test_cli_import_loads_no_layer():
+    assert set(_fresh(_LOADED).split()) == {"locert", "locert.cli"}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_MODULES))
+def test_subcommand_loads_only_its_layers(family):
+    argv, layers = _FAMILY_MODULES[family]
+    expected = {"locert", "locert.cli"} | {f"locert.{m}" for m in layers.split()}
+    assert set(_fresh(_LOADED, *argv).split()) == expected
