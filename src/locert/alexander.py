@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
 
 __all__ = [
     "IntLaurentPoly",
@@ -32,7 +31,6 @@ __all__ = [
     "NotAlexanderNormalized",
     "OrderTooLarge",
     "MAX_ORDER_DIGITS",
-    "poly_from_dict",
     "parse_poly",
     "poly_str",
     "poly_mul",
@@ -63,10 +61,6 @@ class NotAlexanderNormalized(ValueError):
 class OrderTooLarge(OverflowError):
     """The order, or an intermediate on the way to it, outgrows the
     MAX_ORDER_DIGITS budget."""
-
-
-def poly_from_dict(coeffs: Mapping[int, int]) -> IntLaurentPoly:
-    return {int(e): int(c) for e, c in coeffs.items() if c}
 
 
 _TERM_RE = re.compile(

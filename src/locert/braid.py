@@ -329,14 +329,14 @@ def handle_reduce(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
 
 # --- the Dubrovina-Dubrovin ordering ---------------------------------------
 
-def dd_sign(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Sign3:
+def dd_sign(word: Word) -> Sign3:
     """Sign in the Dubrovina-Dubrovin ordering.
 
     Positive iff the handle-reduced word is 1-positive or a negative power
     of s2; the reduced word's shape (s1-uniform or s1-free) makes the
     trichotomy exact.
     """
-    reduced = handle_reduce(word, step_cap)
+    reduced = handle_reduce(word)
     if not reduced:
         return Sign3.TRIVIAL
     for x in reduced:
@@ -346,9 +346,9 @@ def dd_sign(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Sign3:
     return Sign3.POSITIVE if reduced[0] < 0 else Sign3.NEGATIVE
 
 
-def dd_compare(u: Word, v: Word, step_cap: int = DEFAULT_STEP_CAP) -> Ordering:
+def dd_compare(u: Word, v: Word) -> Ordering:
     """Compare in the DD ordering: u < v iff u^-1 v is DD-positive."""
-    sign = dd_sign(concat(inverse(u), v), step_cap)
+    sign = dd_sign(concat(inverse(u), v))
     if sign is Sign3.POSITIVE:
         return Ordering.LESS
     if sign is Sign3.TRIVIAL:
@@ -356,13 +356,13 @@ def dd_compare(u: Word, v: Word, step_cap: int = DEFAULT_STEP_CAP) -> Ordering:
     return Ordering.GREATER
 
 
-def conj_sign(word: Word, conjugator: Word, step_cap: int = DEFAULT_STEP_CAP) -> Sign3:
+def conj_sign(word: Word, conjugator: Word) -> Sign3:
     """Sign of ``word`` in the conjugate ordering whose positive cone is
     {w : g^-1 w g DD-positive} for g = ``conjugator``."""
-    return dd_sign(concat(inverse(conjugator), word, conjugator), step_cap)
+    return dd_sign(concat(inverse(conjugator), word, conjugator))
 
 
-def delta_floor(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> int:
+def delta_floor(word: Word) -> int:
     """The integer m with Delta^2m <=_DD word <_DD Delta^(2m+2).
 
     Each letter g satisfies Delta^-2 <_DD g <_DD Delta^2, so by the
@@ -379,7 +379,7 @@ def delta_floor(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> int:
 
     def at_most(m: int) -> bool:
         # Delta^2m <= word
-        return dd_compare(power(DELTA_SQ, m), word, step_cap) is not Ordering.GREATER
+        return dd_compare(power(DELTA_SQ, m), word) is not Ordering.GREATER
 
     up = at_most(0)
     limit = bound + 1 if up else -bound

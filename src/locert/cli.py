@@ -133,7 +133,10 @@ def _slope_glue(args):
         raise ValueError("matrix must be 4 comma-separated integers, row-major")
     alpha = slopes.parse_slope(args.slope)
     image = slopes.apply_gluing(slopes.GluingMatrix(*parts), alpha)
-    return "ok", {"slope": slopes.slope_str(image)}, []
+    try:
+        return "ok", {"slope": slopes.slope_str(image)}, []
+    except ValueError:  # str() refuses an int past the digit limit
+        return "inconclusive", {"slope": None, "reason": _over_budget()}, []
 
 
 def _group_abelianize(args):
@@ -226,8 +229,7 @@ def _splice_verify(args):
     from . import seifert
 
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
-    cert = seifert.Certificate.from_json(_load_json(args.certificate))
-    ok, report = seifert.verify_certificate(tree, cert)
+    ok, report = seifert.verify_certificate(tree, _load_json(args.certificate))
     return "ok", {"valid": ok, "report": report}, _SPLICE_CITATIONS
 
 
@@ -487,10 +489,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
         # str() refuses an int past the interpreter's digit limit.
         printable = _drop_unprintable(payload)
         status = "inconclusive"
-        printable["reason"] = (
-            "an integer in the result exceeds the "
-            f"{sys.get_int_max_str_digits()}-digit budget"
-        )
+        printable["reason"] = _over_budget()
         text = _render(args.format, status, printable, citations, runtime_ms)
     print(text, file=out)
     return _STATUS_EXIT.get(status, EXIT_INPUT_ERROR)
@@ -510,6 +509,12 @@ def _render(
     lines = [f"status: {status}", *_render_text(payload)]
     lines.extend(f"  [{c}]" for c in citations)
     return "\n".join(lines)
+
+
+def _over_budget() -> str:
+    """Why a result holding an int that ``str`` refuses is inconclusive."""
+    digits = sys.get_int_max_str_digits()
+    return f"an integer in the result exceeds the {digits}-digit budget"
 
 
 def _drop_unprintable(value):

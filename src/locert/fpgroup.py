@@ -102,6 +102,8 @@ class Presentation:
         if not isinstance(obj, dict):
             raise ValueError("a presentation must be a JSON object")
         for key in ("generators", "relators"):
+            if key not in obj:
+                raise ValueError(f"{key} is missing")
             value = obj[key]
             if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
                 raise ValueError(f"{key} must be a JSON list of strings, got {value!r}")

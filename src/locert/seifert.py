@@ -234,7 +234,7 @@ class SpliceTree:
     nodes: tuple[Piece, ...]
     edges: tuple[SpliceEdge, ...]
 
-    def validate(self, zhs_mode: bool = True) -> None:
+    def validate(self) -> None:
         degree = [0] * len(self.nodes)
         for e in self.edges:
             for end in (e.a, e.b):
@@ -245,9 +245,7 @@ class SpliceTree:
                 raise InvalidSpliceTree("self-gluings are not supported")
             if abs(e.matrix.det()) != 1:
                 raise InvalidSpliceTree("gluing matrix must be unimodular")
-            if zhs_mode and union_homology_order(
-                e.matrix, Slope(0, 1), Slope(0, 1)
-            ) != 1:
+            if union_homology_order(e.matrix, Slope(0, 1), Slope(0, 1)) != 1:
                 raise InvalidSpliceTree(
                     "edge does not glue to an integer homology sphere "
                     "(Delta(f(lambda), lambda) != 1)"
@@ -295,20 +293,20 @@ class SpliceTree:
     def from_json(cls, obj: dict) -> "SpliceTree":
         _expect(isinstance(obj, dict), "a splice tree must be a JSON object")
         nodes: list[Piece] = []
-        for nd in _json_list(obj["nodes"], "nodes"):
+        for nd in _json_list(_required(obj, "nodes"), "nodes"):
             _expect(isinstance(nd, dict), f"node {nd!r} must be a JSON object")
-            kind = nd["kind"]
+            kind = _required(nd, "kind")
             if kind == "torus_knot":
                 nodes.append(
                     TorusKnotPiece(
-                        _json_int(nd["r"], "r"),
-                        _json_int(nd["s"], "s"),
+                        _json_int(_required(nd, "r"), "r"),
+                        _json_int(_required(nd, "s"), "s"),
                         _json_int(nd.get("chirality", 1), "chirality"),
                         nd.get("name", ""),
                     )
                 )
             elif kind == "brieskorn":
-                ms = _json_list(nd["multiplicities"], "multiplicities")
+                ms = _json_list(_required(nd, "multiplicities"), "multiplicities")
                 nodes.append(
                     BrieskornZHS(
                         tuple(_json_int(m, "a multiplicity") for m in ms),
@@ -318,6 +316,11 @@ class SpliceTree:
             elif kind == "user":
                 asserted = nd.get("asserted", {})
                 _expect(isinstance(asserted, dict), "asserted must be a JSON object")
+                prime = nd.get("prime_zero_filling", False)
+                _expect(
+                    isinstance(prime, bool),
+                    f"prime_zero_filling must be true or false, got {prime!r}",
+                )
                 nodes.append(
                     UserPiece(
                         nd.get("name", ""),
@@ -325,7 +328,7 @@ class SpliceTree:
                         tuple(
                             (parse_slope(s), LOStatus(v)) for s, v in asserted.items()
                         ),
-                        nd.get("prime_zero_filling", False),
+                        prime,
                     )
                 )
             else:
@@ -333,12 +336,12 @@ class SpliceTree:
         edges = []
         for e in _json_list(obj.get("edges", []), "edges"):
             _expect(isinstance(e, dict), f"edge {e!r} must be a JSON object")
-            matrix = _json_list(e["matrix"], "matrix")
+            matrix = _json_list(_required(e, "matrix"), "matrix")
             _expect(len(matrix) == 4, "matrix must have 4 entries, row-major")
             edges.append(
                 SpliceEdge(
-                    _json_int(e["a"], "edge endpoint"),
-                    _json_int(e["b"], "edge endpoint"),
+                    _json_int(_required(e, "a"), "edge endpoint"),
+                    _json_int(_required(e, "b"), "edge endpoint"),
                     GluingMatrix(*(_json_int(x, "a matrix entry") for x in matrix)),
                 )
             )
@@ -348,6 +351,11 @@ class SpliceTree:
 def _expect(ok: bool, message: str) -> None:
     if not ok:
         raise InvalidSpliceTree(message)
+
+
+def _required(obj: dict, key: str) -> object:
+    _expect(key in obj, f"{key} is missing")
+    return obj[key]
 
 
 def _json_list(value: object, what: str) -> list:
@@ -631,53 +639,6 @@ class Certificate:
             "hypotheses": list(self.hypotheses),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Certificate":
-        _expect(isinstance(obj, dict), "a certificate must be a JSON object")
-        comps = []
-        for c in _json_list(obj.get("components"), "components"):
-            _expect(isinstance(c, dict), f"component {c!r} must be a JSON object")
-            edge = None
-            if c.get("edge_certificate") is not None:
-                ec = _json_object(c["edge_certificate"], "edge_certificate")
-                edge = EdgeCertificate(
-                    _json_int(ec.get("edge"), "edge"),
-                    parse_slope(_json_str(ec.get("alpha"), "alpha")),
-                    parse_slope(_json_str(ec.get("image"), "image")),
-                    _verdict_from_json(ec.get("verdict_a"), "verdict_a"),
-                    _verdict_from_json(ec.get("verdict_b"), "verdict_b"),
-                )
-            leaf = (
-                _verdict_from_json(c["leaf_verdict"], "leaf_verdict")
-                if c.get("leaf_verdict") is not None
-                else None
-            )
-            nodes = _json_list(c.get("nodes"), "nodes")
-            comps.append(
-                ComponentReport(
-                    tuple(_json_int(v, "a component node") for v in nodes),
-                    LOStatus(c.get("status")),
-                    tuple(_json_list(c.get("pieces", []), "pieces")),
-                    edge,
-                    leaf,
-                    c.get("note", ""),
-                )
-            )
-        return cls(
-            tuple(comps),
-            tuple(_json_list(obj.get("hypotheses", []), "hypotheses")),
-            obj.get("search_bound", 0),
-        )
-
-
-def _verdict_from_json(obj: object, what: str) -> LOSlopeVerdict:
-    obj = _json_object(obj, what)
-    return LOSlopeVerdict(
-        LOStatus(obj.get("status")),
-        LORule(obj["rule"]) if obj.get("rule") else None,
-        obj.get("evidence", ""),
-    )
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -716,6 +677,20 @@ def _closed_leaf_verdict(piece: Piece) -> LOSlopeVerdict:
     raise InvalidSpliceTree(
         f"{piece.describe()} is an exterior but has no gluing edge"
     )
+
+
+def _certificate(reports: list[ComponentReport], search_bound: int) -> Certificate:
+    """The one place certificates are assembled.  Its hypotheses are the
+    evidence of every B1-rule verdict it cites, in order and without
+    repeats: that rule needs a prime filling."""
+    hypotheses = [
+        f"edge {ec.edge_index} side {side}: {v.evidence}"
+        for ec in (c.edge_certificate for c in reports)
+        if ec is not None
+        for side, v in (("a", ec.verdict_a), ("b", ec.verdict_b))
+        if v.rule is LORule.B1_RULE
+    ]
+    return Certificate(tuple(reports), tuple(dict.fromkeys(hypotheses)), search_bound)
 
 
 def _certify_edge(
@@ -757,67 +732,66 @@ def certificate_search(
     directly.  Unknown is a first-class result: the rule table is partial
     and the slope search is bounded.
     """
-    tree.validate(zhs_mode=True)
+    tree.validate()
     if edge is not None and not 0 <= edge < len(tree.edges):
         raise InvalidSpliceTree(f"edge index {edge} out of range")
     reports: list[ComponentReport] = []
-    all_lo = True
     for node_ids, edge_ids in tree.components():
         pieces = tuple(tree.nodes[i].describe() for i in node_ids)
         if not edge_ids:
             verdict = _closed_leaf_verdict(tree.nodes[node_ids[0]])
             reports.append(
-                ComponentReport(
-                    tuple(node_ids), verdict.status, pieces, None, verdict
-                )
+                ComponentReport(tuple(node_ids), verdict.status, pieces, None, verdict)
             )
-            if verdict.status is not LOStatus.LO:
-                all_lo = False
             continue
         chosen = edge if edge in edge_ids else edge_ids[0]
         cert = _certify_edge(tree, chosen, search_bound)
+        status, note = LOStatus.LO, ""
         if cert is None:
-            reports.append(
-                ComponentReport(
-                    tuple(node_ids),
-                    LOStatus.UNKNOWN,
-                    pieces,
-                    None,
-                    None,
-                    f"no slope pair with |p|, q <= {search_bound} verified "
-                    "left-orderable on both sides",
-                )
+            status = LOStatus.UNKNOWN
+            note = (
+                f"no slope pair with |p|, q <= {search_bound} verified "
+                "left-orderable on both sides"
             )
-            all_lo = False
-        else:
-            reports.append(
-                ComponentReport(tuple(node_ids), LOStatus.LO, pieces, cert, None)
-            )
-    certificate = None
-    if all_lo:
-        hypotheses = [
-            f"edge {ec.edge_index} side {side}: {v.evidence}"
-            for ec in (c.edge_certificate for c in reports)
-            if ec is not None
-            for side, v in (("a", ec.verdict_a), ("b", ec.verdict_b))
-            if v.rule is LORule.B1_RULE
-        ]
-        certificate = Certificate(
-            tuple(reports), tuple(dict.fromkeys(hypotheses)), search_bound
+        reports.append(
+            ComponentReport(tuple(node_ids), status, pieces, cert, None, note)
         )
+    certificate = None
+    if all(c.status is LOStatus.LO for c in reports):
+        certificate = _certificate(reports, search_bound)
     return SearchOutcome(certificate, tuple(reports))
 
 
-def verify_certificate(
-    tree: SpliceTree, cert: Certificate
-) -> tuple[bool, list[str]]:
-    """Re-derive every verdict and homology condition in a certificate.
+def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str]]:
+    """Re-derive a certificate record (``Certificate.to_json``) at its
+    recorded witnesses: each component's nodes, status and leaf-verdict
+    presence, each edge certificate's edge, alpha and image, and the search
+    bound.  Nothing else is read from the record.
 
-    Checks that the certificate covers all components of the tree, that
-    every cited edge pair re-verifies as left-orderable on both sides with
-    the image slope recomputed from the gluing matrix, and that every edge
-    has unit union homology.
+    The tree must validate, the record must claim exactly its components,
+    every closed component and every cited edge pair must re-verify as
+    left-orderable, with each image recomputed from the gluing matrix.  The
+    certificate rebuilt from the witnesses must then equal the record, its
+    verdicts, pieces and hypotheses included.  Malformed witnesses raise.
     """
+    _expect(isinstance(record, dict), "a certificate must be a JSON object")
+    claimed = {}
+    for c in _json_list(record.get("components"), "components"):
+        _expect(isinstance(c, dict), f"component {c!r} must be a JSON object")
+        witness = None
+        if c.get("edge_certificate") is not None:
+            ec = _json_object(c["edge_certificate"], "edge_certificate")
+            witness = (
+                _json_int(ec.get("edge"), "edge"),
+                parse_slope(_json_str(ec.get("alpha"), "alpha")),
+                parse_slope(_json_str(ec.get("image"), "image")),
+            )
+        nodes = _json_list(c.get("nodes"), "nodes")
+        nodes = tuple(sorted(_json_int(v, "a component node") for v in nodes))
+        has_leaf = c.get("leaf_verdict") is not None
+        claimed[nodes] = (LOStatus(c.get("status")), has_leaf, witness)
+    search_bound = _json_int(record.get("search_bound"), "search_bound")
+
     report: list[str] = []
     ok = True
 
@@ -827,27 +801,27 @@ def verify_certificate(
         report.append("FAIL " + msg)
 
     try:
-        tree.validate(zhs_mode=True)
+        tree.validate()
         report.append("tree valid: all edges glue to integer homology spheres")
     except InvalidSpliceTree as exc:
         fail(f"tree invalid: {exc}")
         return False, report
 
     actual = {tuple(nodes): edges for nodes, edges in tree.components()}
-    claimed = {tuple(sorted(c.nodes)): c for c in cert.components}
     if set(actual) != set(claimed):
         fail("certificate components do not match the tree's components")
         return False, report
 
+    reports: list[ComponentReport] = []
     for nodes, edge_ids in actual.items():
-        comp = claimed[nodes]
-        if comp.status is not LOStatus.LO:
+        status, has_leaf, witness = claimed[nodes]
+        pieces = tuple(tree.nodes[i].describe() for i in nodes)
+        if status is not LOStatus.LO:
             fail(f"component {list(nodes)} not certified left-orderable")
             continue
         if not edge_ids:
-            piece = tree.nodes[nodes[0]]
-            verdict = _closed_leaf_verdict(piece)
-            if comp.leaf_verdict is None or verdict.status is not LOStatus.LO:
+            verdict = _closed_leaf_verdict(tree.nodes[nodes[0]])
+            if not has_leaf or verdict.status is not LOStatus.LO:
                 fail(f"closed component {list(nodes)} re-derives as "
                      f"{verdict.status.value}")
             else:
@@ -855,38 +829,60 @@ def verify_certificate(
                     f"component {list(nodes)}: closed piece re-verified "
                     f"({verdict.evidence})"
                 )
+                reports.append(
+                    ComponentReport(nodes, verdict.status, pieces, None, verdict)
+                )
             continue
-        ec = comp.edge_certificate
-        if ec is None:
+        if witness is None:
             fail(f"component {list(nodes)} lacks an edge certificate")
             continue
-        if ec.edge_index not in edge_ids:
-            fail(f"edge {ec.edge_index} does not belong to component "
-                 f"{list(nodes)}")
+        edge_index, alpha, recorded_image = witness
+        if edge_index not in edge_ids:
+            fail(f"edge {edge_index} does not belong to component {list(nodes)}")
             continue
-        edge = tree.edges[ec.edge_index]
-        image = apply_gluing(edge.matrix, ec.alpha)
-        if image != make_slope(ec.image.p, ec.image.q):
+        edge = tree.edges[edge_index]
+        image = apply_gluing(edge.matrix, alpha)
+        if image != recorded_image:
             fail(
-                f"edge {ec.edge_index}: recorded image {slope_str(ec.image)} "
+                f"edge {edge_index}: recorded image {slope_str(recorded_image)} "
                 f"differs from f(alpha) = {slope_str(image)}"
             )
             continue
-        va = slope_lo_verdict(tree.nodes[edge.a], ec.alpha)
+        va = slope_lo_verdict(tree.nodes[edge.a], alpha)
         vb = slope_lo_verdict(tree.nodes[edge.b], image)
         if va.status is not LOStatus.LO:
             fail(
-                f"edge {ec.edge_index}: slope {slope_str(ec.alpha)} "
+                f"edge {edge_index}: slope {slope_str(alpha)} "
                 f"re-derives as {va.status.value} on side a ({va.evidence})"
             )
         elif vb.status is not LOStatus.LO:
             fail(
-                f"edge {ec.edge_index}: slope {slope_str(image)} re-derives "
+                f"edge {edge_index}: slope {slope_str(image)} re-derives "
                 f"as {vb.status.value} on side b ({vb.evidence})"
             )
         else:
             report.append(
-                f"edge {ec.edge_index}: pair ({slope_str(ec.alpha)}, "
+                f"edge {edge_index}: pair ({slope_str(alpha)}, "
                 f"{slope_str(image)}) re-verified left-orderable on both sides"
             )
+            cert = EdgeCertificate(edge_index, alpha, image, va, vb)
+            reports.append(ComponentReport(nodes, LOStatus.LO, pieces, cert, None))
+    if ok:
+        derived = _certificate(reports, search_bound).to_json()
+        where = _first_difference(derived, record, "certificate")
+        if where is not None:
+            fail(f"{where} differs from its re-derivation")
     return ok, report
+
+
+def _first_difference(derived: object, recorded: object, path: str) -> str | None:
+    """Path of the first value where ``recorded`` departs from ``derived``,
+    or None; leaves must agree in type too, so 1, 1.0 and true differ."""
+    same_type = type(derived) is type(recorded)
+    if same_type and isinstance(derived, dict) and derived.keys() == recorded.keys():
+        parts = [(derived[k], recorded[k], f"{path}.{k}") for k in derived]
+    elif same_type and isinstance(derived, list) and len(derived) == len(recorded):
+        parts = [(d, recorded[i], f"{path}[{i}]") for i, d in enumerate(derived)]
+    else:
+        return None if same_type and derived == recorded else path
+    return next(filter(None, (_first_difference(*part) for part in parts)), None)

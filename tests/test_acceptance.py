@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 timings.  Budgets are asserted where the criterion states one.
 """
 
+import copy
 import random
 import time
 from contextlib import contextmanager
@@ -230,21 +231,11 @@ def test_criterion_10_double_trefoil_certificate():
         edge = cert.components[0].edge_certificate
         assert edge.verdict_a.status is LOStatus.LO
         assert edge.verdict_b.status is LOStatus.LO
-        ok, report = verify_certificate(tree, cert)
+        record = cert.to_json()
+        ok, report = verify_certificate(tree, record)
         assert ok, report
-        import dataclasses
-
-        tampered_edge = dataclasses.replace(
-            edge, alpha=make_slope(1, 1), image=make_slope(1, 1)
-        )
-        tampered = dataclasses.replace(
-            cert,
-            components=(
-                dataclasses.replace(
-                    cert.components[0], edge_certificate=tampered_edge
-                ),
-            ),
-        )
+        tampered = copy.deepcopy(record)
+        tampered["components"][0]["edge_certificate"].update(alpha="1/1", image="1/1")
         ok, _ = verify_certificate(tree, tampered)
         assert not ok
 

@@ -37,6 +37,7 @@ _PROP43 = ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
 # 10^2200: the slopes print, but their delta 10^4400 - 1 passes the 4300-digit
 # limit of str(int)
 _HUGE = "1" + "0" * 2200
+_HUGE_GLUE = f"{_HUGE},{'9' * 2200},1{'0' * 2199}1,{_HUGE}"
 
 CASES: dict[str, list[str]] = {
     # braid
@@ -65,12 +66,19 @@ CASES: dict[str, list[str]] = {
     "slope_glue": ["slope", "glue", "--matrix", "0,1,1,0", "2/1"],
     "slope_glue_shear": ["slope", "glue", "--matrix", "1,1,0,1", "0/1"],
     "slope_glue_bad_matrix": ["slope", "glue", "--matrix", "1,2,3", "1/1"],
+    # a unimodular matrix whose image slope has 4401-digit entries
+    "slope_glue_too_large": ["slope", "glue", "--matrix", _HUGE_GLUE, "--",
+                             f"{_HUGE}/1"],
+    "slope_glue_too_large_text": ["--format", "text", "slope", "glue", "--matrix",
+                                  _HUGE_GLUE, "--", f"{_HUGE}/1"],
     # group
     "group_abelianize": ["group", "abelianize", DATA + "plus4_figure_eight_pi1.json"],
     "group_abelianize_missing": ["group", "abelianize", "missing.json"],
     "group_abelianize_string_relators": ["group", "abelianize", "string_relators.json"],
     "group_abelianize_string_generators": ["group", "abelianize",
                                            "string_generators.json"],
+    "group_abelianize_missing_relators": ["group", "abelianize",
+                                          "missing_relators.json"],
     "group_fill": ["group", "fill", DATA + "b3_presentation.json", "--mu", "s2",
                    "--longitude", "s1 s2 s1 s1 s2 s1 S2 S2 S2 S2 S2 S2",
                    "--slope", "1/0"],
@@ -104,6 +112,11 @@ CASES: dict[str, list[str]] = {
     "splice_cert_short_matrix": ["splice", "cert", "short_matrix_tree.json"],
     "splice_cert_string_multiplicity": ["splice", "cert",
                                         "string_multiplicity_tree.json"],
+    # the string "false" is truthy: it used to supply the B1 rule's primeness
+    "splice_cert_string_prime_flag": ["splice", "cert", "string_prime_flag_tree.json"],
+    "splice_cert_missing_kind": ["splice", "cert", "missing_kind_tree.json"],
+    "splice_cert_missing_s": ["splice", "cert", "missing_s_tree.json"],
+    "splice_cert_missing_matrix": ["splice", "cert", "missing_matrix_tree.json"],
     "splice_verify": ["splice", "verify", DATA + "double_trefoil_splice.json",
                       "double_trefoil_cert.json"],
     "splice_verify_forest": ["splice", "verify", "forest_tree.json", "forest_cert.json"],
@@ -120,6 +133,12 @@ CASES: dict[str, list[str]] = {
                                      "int_components_cert.json"],
     "splice_verify_null": ["splice", "verify", DATA + "double_trefoil_splice.json",
                            "null_cert.json"],
+    # records that re-verify pair by pair but differ from their re-derivation
+    "splice_verify_no_hypotheses": ["splice", "verify", "prime_flag_tree.json",
+                                    "no_hypotheses_cert.json"],
+    "splice_verify_forged_evidence": ["splice", "verify",
+                                      DATA + "double_trefoil_splice.json",
+                                      "forged_evidence_cert.json"],
     # hf
     "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
     "hf_rank_bad_q": ["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"],

@@ -1,11 +1,15 @@
 """Hygiene of the package source: no unused imports, every ``__all__``
-entry names something the module binds, and the CLI's import path stays
-free of modules that only slow start-up: ``cli`` imports no layer at
-module level, and each subcommand loads only the layers it runs.
+entry names something the module binds and something the code reads, and
+the CLI's import path stays free of modules that only slow start-up:
+``cli`` imports no layer at module level, and each subcommand loads only
+the layers it runs.
 
-The first two checks read ``src/locert/*.py`` with ``ast``; nothing is
-imported.  A name listed in ``__all__`` counts as used, so deliberate
-re-exports (such as ``braid.inverse``, bound from ``fpgroup``) pass.
+The first three checks read the source with ``ast``; nothing is imported.
+A name listed in ``__all__`` counts as used, so deliberate re-exports (such
+as ``braid.inverse``, bound from ``fpgroup``) pass.  An ``__all__`` entry
+is read when some module of ``src/locert``, ``tests`` or ``perfbench``
+loads it as a name or an attribute; its definition, its ``__all__`` string
+and an import alone do not count.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "locert"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "locert"
 MODULES = sorted(SRC.glob("*.py"))
+READERS = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -56,7 +62,13 @@ def _annotations(tree: ast.Module):
 
 
 def _names(tree: ast.AST) -> set[str]:
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Names the code reads; a definition such as ``X = 1`` stores, so it
+    does not count."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def _used(tree: ast.Module) -> set[str]:
@@ -100,6 +112,20 @@ def unresolved_exports(path: Path) -> list[str]:
     return [f"{path.name}: {name}" for name in _exported(tree) if name not in bound]
 
 
+def unread_exports() -> list[str]:
+    read = set()
+    for path in READERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _used(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in _exported(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in read
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
@@ -108,6 +134,10 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_all_entries_resolve(path):
     assert unresolved_exports(path) == []
+
+
+def test_every_export_is_read():
+    assert unread_exports() == []
 
 
 def _fresh(probe: str, *argv: str) -> str:

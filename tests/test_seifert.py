@@ -1,6 +1,7 @@
 """Verdict rules, splice trees, certificates, and the surgery-rank formula."""
 
-import dataclasses
+import copy
+import json
 from math import gcd
 
 import pytest
@@ -182,7 +183,7 @@ def test_certificate_search_double_trefoil():
     assert ec.image == Slope(-1, 1)
     assert ec.verdict_a.status is LOStatus.LO
     assert ec.verdict_b.status is LOStatus.LO
-    ok, report = verify_certificate(_double_trefoil(), cert)
+    ok, report = verify_certificate(_double_trefoil(), cert.to_json())
     assert ok, report
 
 
@@ -203,7 +204,7 @@ def test_certificate_search_corollary_branch():
     assert ec.verdict_a.rule is LORule.USER_ASSERTED
     assert ec.verdict_b.rule is LORule.B1_RULE
     assert any("Heil" in h or "prime" in h for h in outcome.certificate.hypotheses)
-    ok, _ = verify_certificate(tree, outcome.certificate)
+    ok, _ = verify_certificate(tree, outcome.certificate.to_json())
     assert ok
 
 
@@ -215,7 +216,7 @@ def test_certificate_search_exceptional_leaf():
     lo_leaf = SpliceTree((BrieskornZHS((2, 3, 7)),), ())
     outcome = certificate_search(lo_leaf)
     assert outcome.status is LOStatus.LO
-    ok, _ = verify_certificate(lo_leaf, outcome.certificate)
+    ok, _ = verify_certificate(lo_leaf, outcome.certificate.to_json())
     assert ok
 
 
@@ -231,7 +232,7 @@ def test_certificate_search_forest_components():
     outcome = certificate_search(tree, search_bound=3)
     assert outcome.status is LOStatus.LO
     assert len(outcome.certificate.components) == 2
-    ok, _ = verify_certificate(tree, outcome.certificate)
+    ok, _ = verify_certificate(tree, outcome.certificate.to_json())
     assert ok
     # one bad component spoils the free product
     spoiled = SpliceTree(
@@ -252,28 +253,72 @@ def test_certificate_search_unknown():
 
 def test_verify_rejects_tampered_certificates():
     tree = _double_trefoil()
-    cert = certificate_search(tree, search_bound=3).certificate
-    ec = cert.components[0].edge_certificate
+    record = certificate_search(tree, search_bound=3).certificate.to_json()
 
-    def rebuild(new_ec):
-        comp = dataclasses.replace(cert.components[0], edge_certificate=new_ec)
-        return dataclasses.replace(cert, components=(comp,))
+    def verify_with(**edge_fields):
+        bad = copy.deepcopy(record)
+        bad["components"][0]["edge_certificate"].update(edge_fields)
+        return verify_certificate(tree, bad)
 
     # a slope that is not left-orderable on a positive trefoil
-    bad = rebuild(
-        dataclasses.replace(ec, alpha=make_slope(1, 1), image=make_slope(1, 1))
-    )
-    ok, report = verify_certificate(tree, bad)
+    ok, report = verify_with(alpha="1/1", image="1/1")
     assert not ok and any("re-derives" in line for line in report)
     # an image that does not match the gluing matrix
-    bad = rebuild(dataclasses.replace(ec, image=make_slope(-1, 2)))
-    ok, report = verify_certificate(tree, bad)
+    ok, report = verify_with(image="-1/2")
     assert not ok and any("differs" in line for line in report)
     # empty certificate on empty forest round-trips
     empty_tree = SpliceTree((), ())
-    empty_cert = Certificate((), (), 0)
-    ok, _ = verify_certificate(empty_tree, empty_cert)
+    ok, _ = verify_certificate(empty_tree, Certificate((), (), 0).to_json())
     assert ok
+
+
+def _user_splice() -> SpliceTree:
+    # The b-side longitude is left-orderable only by the B1 rule, whose
+    # primeness hypothesis the caller flag supplies.
+    user = UserPiece("u", prime_zero_filling=True)
+    return SpliceTree((TREFOIL, user), (SpliceEdge(0, 1, GluingMatrix(1, 1, 0, 1)),))
+
+
+def _edited(record: dict, path: tuple, value) -> dict:
+    bad = copy.deepcopy(record)
+    target = bad
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return bad
+
+
+def test_verify_compares_the_record_with_its_rederivation():
+    tree = _user_splice()
+    record = certificate_search(tree, search_bound=3).certificate.to_json()
+    assert record["hypotheses"] == [
+        "edge 0 side b: 0-filling has infinite first homology (surjection onto "
+        "Z); primeness supplied by caller flag"
+    ]
+    ok, report = verify_certificate(tree, record)
+    assert ok, report
+    edge = ("components", 0, "edge_certificate")
+    edits = [
+        (("hypotheses",), [], "certificate.hypotheses"),
+        (edge + ("verdict_b", "evidence"), "forged",
+         "certificate.components[0].edge_certificate.verdict_b.evidence"),
+        (edge + ("verdict_a", "rule"), "UserAsserted",
+         "certificate.components[0].edge_certificate.verdict_a.rule"),
+        (("components", 0, "pieces", 1), "v", "certificate.components[0].pieces[1]"),
+        (("components", 0, "note"), "x", "certificate.components[0].note"),
+        (("components", 0, "leaf_verdict"), False,
+         "certificate.components[0].leaf_verdict"),
+        (("version",), 1.0, "certificate.version"),
+        (("extra",), None, "certificate"),
+    ]
+    for path, value, where in edits:
+        ok, report = verify_certificate(tree, _edited(record, path, value))
+        assert not ok and report[-1] == f"FAIL {where} differs from its re-derivation"
+    # the search bound is a witness: read, and checked to be an integer
+    assert verify_certificate(tree, _edited(record, ("search_bound",), 40))[0]
+    for bound in (None, True, "3"):
+        with pytest.raises(InvalidSpliceTree, match="search_bound"):
+            verify_certificate(tree, _edited(record, ("search_bound",), bound))
 
 
 def test_tree_validation():
@@ -322,8 +367,11 @@ def test_tree_and_certificate_json_round_trip():
         }
     )
     assert parsed == tree
-    cert = certificate_search(_double_trefoil(), search_bound=3).certificate
-    assert Certificate.from_json(cert.to_json()) == cert
+    # search -> JSON text -> verify
+    for splice in (_double_trefoil(), _user_splice()):
+        cert = certificate_search(splice, search_bound=3).certificate
+        record = json.loads(json.dumps(cert.to_json()))
+        assert verify_certificate(splice, record)[0]
 
 
 def test_hf_surgery_rank_examples():
