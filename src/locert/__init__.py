@@ -19,6 +19,8 @@ Modules by subject:
 * ``alexander`` - branched-cover homology orders by exact resultants
 * ``compat``    - the mechanized orderings-compatibility check for the
                   trefoil / Klein-bottle gluing
+* ``sampling``  - seeded random braid words for the property commands
+                  and the tests
 * ``cli``       - the ``locert`` command-line frontend
 
 All arithmetic is exact (Python integers); no floating point is used

@@ -23,11 +23,9 @@ by a unit, so the Laurent ambiguity is harmless under absolute values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 __all__ = [
     "IntLaurentPoly",
-    "AlexanderDiagnostics",
     "NotAlexanderNormalized",
     "OrderTooLarge",
     "MAX_ORDER_DIGITS",
@@ -197,30 +195,16 @@ def _resultant(f: list[int], g: list[int]) -> int:
     return _bareiss_det(rows)
 
 
-@dataclass(frozen=True)
-class AlexanderDiagnostics:
-    ok: bool
-    unit_at_one: bool
-    symmetric: bool
-
-    def failed_checks(self) -> list[str]:
-        out = []
-        if not self.unit_at_one:
-            out.append("value at t = 1 is not a unit")
-        if not self.symmetric:
-            out.append("not symmetric under t -> 1/t up to units")
-        return out
-
-
-def validate_alexander(poly: IntLaurentPoly) -> AlexanderDiagnostics:
-    """Check the standard Alexander normalizations: Delta(1) = +-1 and
-    Delta(t) = +- t^k Delta(1/t)."""
+def validate_alexander(poly: IntLaurentPoly) -> list[str]:
+    """The standard Alexander normalizations that ``poly`` fails, Delta(1) =
+    +-1 and Delta(t) = +- t^k Delta(1/t); empty when it satisfies both."""
     coeffs = _ascending_coeffs(poly)
-    unit = bool(coeffs) and evaluate_at_int(poly, 1) in (1, -1)
-    symmetric = bool(coeffs) and (
-        coeffs == coeffs[::-1] or coeffs == [-c for c in coeffs[::-1]]
-    )
-    return AlexanderDiagnostics(unit and symmetric, unit, symmetric)
+    failed = []
+    if not (coeffs and evaluate_at_int(poly, 1) in (1, -1)):
+        failed.append("value at t = 1 is not a unit")
+    if not (coeffs and coeffs in (coeffs[::-1], [-c for c in coeffs[::-1]])):
+        failed.append("not symmetric under t -> 1/t up to units")
+    return failed
 
 
 def _reduce_mod(p: list[int], s: int, delta: list[int]) -> tuple[list[int], int]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -95,7 +96,18 @@ def _klein_fill(args):
     from . import klein
 
     slope = klein.KleinPeripheral(args.m, args.n)
-    result = klein.klein_fill(slope)
+    try:
+        result = klein.klein_fill(slope)
+    except klein.NotPrimitive:
+        raise
+    except ValueError:  # str() refuses the order 4|mn| in the note
+        return "inconclusive", {
+            "slope": [slope.m, slope.n],
+            "classification": None,
+            "abelianization": None,
+            "note": None,
+            "reason": _over_budget(),
+        }, []
     ab = result.abelianization
     return "ok", {
         "slope": [slope.m, slope.n],
@@ -247,12 +259,9 @@ def _cover_order(args):
     from . import alexander
 
     poly = alexander.parse_poly(args.poly)
-    diag = alexander.validate_alexander(poly)
-    if not diag.ok:
-        raise ValueError(
-            "not a normalized Alexander polynomial: "
-            + "; ".join(diag.failed_checks())
-        )
+    failed = alexander.validate_alexander(poly)
+    if failed:
+        raise ValueError("not a normalized Alexander polynomial: " + "; ".join(failed))
     payload = {"polynomial": alexander.poly_str(poly), "n": args.n}
     status = "ok"
     try:
@@ -491,7 +500,13 @@ def run(argv: list[str] | None = None, out=None) -> int:
         status = "inconclusive"
         printable["reason"] = _over_budget()
         text = _render(args.format, status, printable, citations, runtime_ms)
-    print(text, file=out)
+    try:
+        print(text, file=out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  The exit code still carries the answer;
+        # devnull takes the descriptor, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return _STATUS_EXIT.get(status, EXIT_INPUT_ERROR)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "free_reduce_word",
     "word_power",
     "abelianization",
+    "relation_matrix_invariants",
     "smith_normal_form",
     "dehn_fill",
     "amalgam",
@@ -228,9 +229,16 @@ def abelianization(p: Presentation) -> AbelianInvariants:
         for x in rel:
             row[abs(x) - 1] += 1 if x > 0 else -1
         rows.append(row)
-    factors = smith_normal_form(rows, n)
+    return relation_matrix_invariants(rows, n)
+
+
+def relation_matrix_invariants(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> AbelianInvariants:
+    """The abelian group Z^ncols modulo the rows of an integer matrix."""
+    factors = smith_normal_form(rows, ncols)
     torsion = tuple(d for d in factors if d > 1)
-    return AbelianInvariants(n - len(factors), torsion)
+    return AbelianInvariants(ncols - len(factors), torsion)
 
 
 # --- Dehn filling and amalgams ----------------------------------------------

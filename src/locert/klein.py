@@ -22,7 +22,12 @@ from math import gcd
 from typing import NamedTuple
 
 from .braid import Sign3
-from .fpgroup import AbelianInvariants, Presentation, abelianization, word_power
+from .fpgroup import (
+    AbelianInvariants,
+    Presentation,
+    relation_matrix_invariants,
+    word_power,
+)
 
 __all__ = [
     "KleinElement",
@@ -147,7 +152,8 @@ def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
     m, n = slope
     if gcd(m, n) != 1:
         raise NotPrimitive(f"slope ({m}, {n}) is not primitive")
-    ab = abelianization(filled_presentation(slope))
+    # exponent sums in (x, y) of x y x^-1 y and of y^m x^(2n)
+    ab = relation_matrix_invariants([[0, 2], [2 * n, m]], 2)
     if n == 0:
         return KleinFillResult(
             KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO,

@@ -65,7 +65,6 @@ __all__ = [
     "UserPiece",
     "SpliceEdge",
     "SpliceTree",
-    "ExceptionalKind",
     "MoserKind",
     "MoserResult",
     "HFParams",
@@ -73,7 +72,6 @@ __all__ = [
     "EdgeCertificate",
     "ComponentReport",
     "SearchOutcome",
-    "recognize_exceptional",
     "zhs_lo_status",
     "moser_surgery",
     "torus_knot_lspace_verdict",
@@ -256,6 +254,11 @@ class SpliceTree:
                     f"node {i} ({piece.describe()}) has {degree[i]} edges but "
                     f"{piece.boundary_count()} boundary tori"
                 )
+        for i, piece in enumerate(self.nodes):
+            if degree[i] < piece.boundary_count():
+                raise InvalidSpliceTree(
+                    f"{piece.describe()} is an exterior but has no gluing edge"
+                )
         # With at most one boundary per piece the edge set is automatically
         # acyclic; components are single nodes or exterior pairs.
 
@@ -384,35 +387,19 @@ def _json_int(value: object, what: str) -> int:
 # --- classification rules -----------------------------------------------------
 
 
-class ExceptionalKind(Enum):
-    S3 = "S3"
-    POINCARE = "Poincare"
-    OTHER = "Other"
-
-
-def recognize_exceptional(z: BrieskornZHS) -> ExceptionalKind:
-    """S^3 has fewer than three nontrivial multiplicities; {2, 3, 5} is the
-    Poincare sphere; everything else is a different Brieskorn sphere."""
-    nontrivial = sorted(m for m in z.multiplicities if m > 1)
-    if len(nontrivial) < 3:
-        return ExceptionalKind.S3
-    if nontrivial == [2, 3, 5]:
-        return ExceptionalKind.POINCARE
-    return ExceptionalKind.OTHER
-
-
 def zhs_lo_status(z: BrieskornZHS) -> LOSlopeVerdict:
     """Boyer-Rolfsen-Wiest: among Seifert fibred integer homology spheres
     exactly S^3 (trivial group, not left-orderable by convention) and the
-    Poincare sphere fail to be left-orderable."""
-    kind = recognize_exceptional(z)
-    if kind is ExceptionalKind.S3:
+    Poincare sphere fail to be left-orderable.  S^3 has fewer than three
+    nontrivial multiplicities; {2, 3, 5} is the Poincare sphere."""
+    nontrivial = sorted(m for m in z.multiplicities if m > 1)
+    if len(nontrivial) < 3:
         return LOSlopeVerdict(
             LOStatus.NOT_LO,
             LORule.ZHS_CLASSIFICATION,
             f"{z.describe()} is S^3; the trivial group is not left-orderable",
         )
-    if kind is ExceptionalKind.POINCARE:
+    if nontrivial == [2, 3, 5]:
         return LOSlopeVerdict(
             LOStatus.NOT_LO,
             LORule.ZHS_CLASSIFICATION,
@@ -513,12 +500,9 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
             )
 
     if isinstance(piece, TorusKnotPiece):
-        result = moser_surgery(piece, alpha)
-        if abs(alpha.p) == 1 and result.kind is not MoserKind.REDUCIBLE:
-            if result.kind is MoserKind.LENS:
-                closed = BrieskornZHS((1,))
-            else:
-                closed = BrieskornZHS(result.multiplicities)
+        if abs(alpha.p) == 1:  # a homology sphere; reducible needs p = qrs
+            result = moser_surgery(piece, alpha)
+            closed = BrieskornZHS(result.multiplicities or (1,))  # lens: S^3
             verdict = zhs_lo_status(closed)
             return LOSlopeVerdict(
                 verdict.status,
@@ -526,14 +510,15 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
                 f"{slope_str(alpha)} filling of {piece.describe()} closes to "
                 f"{closed.describe()}: " + verdict.evidence,
             )
-        if result.kind is not MoserKind.REDUCIBLE:
+        try:
             return torus_knot_lspace_verdict(piece, alpha)
-        return LOSlopeVerdict(
-            LOStatus.UNKNOWN,
-            None,
-            f"{slope_str(alpha)} filling of {piece.describe()} is reducible; "
-            "no rule applies",
-        )
+        except RuleInapplicable:
+            return LOSlopeVerdict(
+                LOStatus.UNKNOWN,
+                None,
+                f"{slope_str(alpha)} filling of {piece.describe()} is reducible; "
+                "no rule applies",
+            )
 
     status = piece.lookup(alpha)
     if status is not None:
@@ -668,17 +653,6 @@ def enumerate_slopes(bound: int) -> list[Slope]:
     return out
 
 
-def _closed_leaf_verdict(piece: Piece) -> LOSlopeVerdict:
-    """Status of a component consisting of a single node."""
-    if isinstance(piece, BrieskornZHS):
-        return zhs_lo_status(piece)
-    # An exterior with its single boundary unfilled cannot be a closed
-    # summand; treated as malformed input upstream.
-    raise InvalidSpliceTree(
-        f"{piece.describe()} is an exterior but has no gluing edge"
-    )
-
-
 def _certificate(reports: list[ComponentReport], search_bound: int) -> Certificate:
     """The one place certificates are assembled.  Its hypotheses are the
     evidence of every B1-rule verdict it cites, in order and without
@@ -732,6 +706,7 @@ def certificate_search(
     directly.  Unknown is a first-class result: the rule table is partial
     and the slope search is bounded.
     """
+    _expect(search_bound >= 0, f"search_bound must be >= 0, got {search_bound}")
     tree.validate()
     if edge is not None and not 0 <= edge < len(tree.edges):
         raise InvalidSpliceTree(f"edge index {edge} out of range")
@@ -739,7 +714,7 @@ def certificate_search(
     for node_ids, edge_ids in tree.components():
         pieces = tuple(tree.nodes[i].describe() for i in node_ids)
         if not edge_ids:
-            verdict = _closed_leaf_verdict(tree.nodes[node_ids[0]])
+            verdict = zhs_lo_status(tree.nodes[node_ids[0]])
             reports.append(
                 ComponentReport(tuple(node_ids), verdict.status, pieces, None, verdict)
             )
@@ -764,15 +739,15 @@ def certificate_search(
 
 def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str]]:
     """Re-derive a certificate record (``Certificate.to_json``) at its
-    recorded witnesses: each component's nodes, status and leaf-verdict
-    presence, each edge certificate's edge, alpha and image, and the search
-    bound.  Nothing else is read from the record.
+    witnesses: each component's nodes, each edge certificate's edge and
+    alpha, and the search bound.  The image is parsed, not used.
 
     The tree must validate, the record must claim exactly its components,
-    every closed component and every cited edge pair must re-verify as
-    left-orderable, with each image recomputed from the gluing matrix.  The
-    certificate rebuilt from the witnesses must then equal the record, its
-    verdicts, pieces and hypotheses included.  Malformed witnesses raise.
+    each edge certificate must cite an edge of its component, and every
+    closed component and cited pair (alpha, f(alpha)) must re-derive as
+    left-orderable.  The certificate rebuilt from the witnesses must then
+    equal the record: statuses, leaf verdicts, images, verdicts, pieces and
+    hypotheses are checked there.  Malformed witnesses raise.
     """
     _expect(isinstance(record, dict), "a certificate must be a JSON object")
     claimed = {}
@@ -784,13 +759,13 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
             witness = (
                 _json_int(ec.get("edge"), "edge"),
                 parse_slope(_json_str(ec.get("alpha"), "alpha")),
-                parse_slope(_json_str(ec.get("image"), "image")),
             )
+            parse_slope(_json_str(ec.get("image"), "image"))  # compared below
         nodes = _json_list(c.get("nodes"), "nodes")
         nodes = tuple(sorted(_json_int(v, "a component node") for v in nodes))
-        has_leaf = c.get("leaf_verdict") is not None
-        claimed[nodes] = (LOStatus(c.get("status")), has_leaf, witness)
+        claimed[nodes] = witness
     search_bound = _json_int(record.get("search_bound"), "search_bound")
+    _expect(search_bound >= 0, f"search_bound must be >= 0, got {search_bound}")
 
     report: list[str] = []
     ok = True
@@ -814,14 +789,11 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
 
     reports: list[ComponentReport] = []
     for nodes, edge_ids in actual.items():
-        status, has_leaf, witness = claimed[nodes]
+        witness = claimed[nodes]
         pieces = tuple(tree.nodes[i].describe() for i in nodes)
-        if status is not LOStatus.LO:
-            fail(f"component {list(nodes)} not certified left-orderable")
-            continue
         if not edge_ids:
-            verdict = _closed_leaf_verdict(tree.nodes[nodes[0]])
-            if not has_leaf or verdict.status is not LOStatus.LO:
+            verdict = zhs_lo_status(tree.nodes[nodes[0]])
+            if verdict.status is not LOStatus.LO:
                 fail(f"closed component {list(nodes)} re-derives as "
                      f"{verdict.status.value}")
             else:
@@ -836,18 +808,12 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
         if witness is None:
             fail(f"component {list(nodes)} lacks an edge certificate")
             continue
-        edge_index, alpha, recorded_image = witness
+        edge_index, alpha = witness
         if edge_index not in edge_ids:
             fail(f"edge {edge_index} does not belong to component {list(nodes)}")
             continue
         edge = tree.edges[edge_index]
         image = apply_gluing(edge.matrix, alpha)
-        if image != recorded_image:
-            fail(
-                f"edge {edge_index}: recorded image {slope_str(recorded_image)} "
-                f"differs from f(alpha) = {slope_str(image)}"
-            )
-            continue
         va = slope_lo_verdict(tree.nodes[edge.a], alpha)
         vb = slope_lo_verdict(tree.nodes[edge.b], image)
         if va.status is not LOStatus.LO:

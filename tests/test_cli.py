@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +230,22 @@ def test_integers_at_the_digit_limit_still_print():
         ["slope", "delta", "--", "1" + "0" * 2150 + "/1", "-1/1" + "0" * 2149]
     )
     assert code == 0 and result["payload"]["delta"] == 10**4299 + 1
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # 80 KB of output, more than a pipe buffer holds: the print itself meets
+    # the closed pipe.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    argv = ["--format", "text", "braid", "reduce", "a" * 40000]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "locert.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert child.stdout.readline() == "status: ok\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 0
+    assert child.stderr.read() == ""
+    child.stderr.close()
 
 
 def test_text_format():

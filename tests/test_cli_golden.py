@@ -38,6 +38,7 @@ _PROP43 = ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
 # limit of str(int)
 _HUGE = "1" + "0" * 2200
 _HUGE_GLUE = f"{_HUGE},{'9' * 2200},1{'0' * 2199}1,{_HUGE}"
+_HUGE_PLUS_ONE = "1" + "0" * 2199 + "1"
 
 CASES: dict[str, list[str]] = {
     # braid
@@ -54,6 +55,9 @@ CASES: dict[str, list[str]] = {
     "klein_fill_dihedral": ["klein", "fill", "0", "1"],
     "klein_fill_finite": ["klein", "fill", "2", "3"],
     "klein_fill_not_primitive": ["klein", "fill", "2", "4"],
+    "klein_fill_large": ["klein", "fill", "10000001", "10000000"],
+    # the order 4|mn| of the note has 4401 digits
+    "klein_fill_too_large": ["klein", "fill", _HUGE_PLUS_ONE, _HUGE],
     "klein_sign": ["klein", "sign", "x^2 y^-3", "--ordering", "O2"],
     "klein_sign_kernel": ["klein", "sign", "y^-4"],
     # slope
@@ -117,6 +121,8 @@ CASES: dict[str, list[str]] = {
     "splice_cert_missing_kind": ["splice", "cert", "missing_kind_tree.json"],
     "splice_cert_missing_s": ["splice", "cert", "missing_s_tree.json"],
     "splice_cert_missing_matrix": ["splice", "cert", "missing_matrix_tree.json"],
+    "splice_cert_negative_bound": ["splice", "cert", DATA + "double_trefoil_splice.json",
+                                   "--bound", "-3"],
     "splice_verify": ["splice", "verify", DATA + "double_trefoil_splice.json",
                       "double_trefoil_cert.json"],
     "splice_verify_forest": ["splice", "verify", "forest_tree.json", "forest_cert.json"],
@@ -139,6 +145,13 @@ CASES: dict[str, list[str]] = {
     "splice_verify_forged_evidence": ["splice", "verify",
                                       DATA + "double_trefoil_splice.json",
                                       "forged_evidence_cert.json"],
+    "splice_verify_null_leaf": ["splice", "verify", "forest_tree.json",
+                                "null_leaf_cert.json"],
+    "splice_verify_unglued_exterior": ["splice", "verify", "unglued_exterior_tree.json",
+                                       "double_trefoil_cert.json"],
+    "splice_verify_negative_bound": ["splice", "verify",
+                                     DATA + "double_trefoil_splice.json",
+                                     "negative_bound_cert.json"],
     # hf
     "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
     "hf_rank_bad_q": ["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"],

@@ -209,3 +209,13 @@ def test_subcommand_loads_only_its_layers(family):
     argv, layers = _FAMILY_MODULES[family]
     expected = {"locert", "locert.cli"} | {f"locert.{m}" for m in layers.split()}
     assert set(_fresh(_LOADED, *argv).split()) == expected
+
+
+def test_cover_order_loads_no_dataclasses():
+    # dataclasses brings inspect, ast, dis and tokenize into a process's start-up
+    probe = (
+        "import io, sys, locert.cli\n"
+        "locert.cli.run(sys.argv[1:], out=io.StringIO())\n"
+        "print('dataclasses' in sys.modules)"
+    )
+    assert _fresh(probe, *_FAMILY_MODULES["cover"][0]) == "False"

@@ -1,6 +1,7 @@
 """Klein-bottle group: normal forms, the two orderings, fillings."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -156,14 +157,22 @@ def test_fill_abelianization_evidence():
     assert abelianization(klein_presentation()).free_rank == 1
     assert klein_fill(KleinPeripheral(1, 0)).abelianization.free_rank == 1
     assert klein_fill(KleinPeripheral(0, 1)).abelianization.torsion == (2, 2)
+    # the exponent-sum matrix klein_fill reduces is that of the presentation
+    for m in range(-12, 13):
+        for n in range(-12, 13):
+            if gcd(m, n) == 1:
+                slope = KleinPeripheral(m, n)
+                expected = abelianization(filled_presentation(slope))
+                assert klein_fill(slope).abelianization == expected, slope
+    # no relator is written out, so a large slope costs no more than a small one
+    big = klein_fill(KleinPeripheral(10**7 + 1, 10**7)).abelianization
+    assert big == (0, (4 * 10**7,))
 
 
 def test_fill_agrees_with_coset_enumeration():
     # Exhaustive agreement for primitive slopes with |m|, |n| <= 5: the
     # finite fillings close with index 4|mn| and the two infinite ones do
     # not close at a generous cap.
-    from math import gcd
-
     for m in range(-5, 6):
         for n in range(-5, 6):
             if gcd(m, n) != 1:

@@ -9,7 +9,6 @@ import pytest
 from locert.seifert import (
     BrieskornZHS,
     Certificate,
-    ExceptionalKind,
     HFParams,
     InvalidParams,
     InvalidSpliceTree,
@@ -26,7 +25,6 @@ from locert.seifert import (
     enumerate_slopes,
     hf_surgery_rank,
     moser_surgery,
-    recognize_exceptional,
     slope_lo_verdict,
     torus_knot_lspace_verdict,
     verify_certificate,
@@ -46,10 +44,14 @@ def _double_trefoil() -> SpliceTree:
 
 
 def test_recognize_exceptional():
-    assert recognize_exceptional(BrieskornZHS((2, 3, 5))) is ExceptionalKind.POINCARE
-    assert recognize_exceptional(BrieskornZHS((1, 1))) is ExceptionalKind.S3
-    assert recognize_exceptional(BrieskornZHS((2, 3, 7))) is ExceptionalKind.OTHER
-    assert recognize_exceptional(BrieskornZHS((5, 3, 2, 1))) is ExceptionalKind.POINCARE
+    # the two exceptional spheres, recognized up to order and padding by 1s
+    def evidence(ms):
+        return zhs_lo_status(BrieskornZHS(ms)).evidence
+
+    assert evidence((2, 3, 5)).startswith("Sigma(2,3,5) is the Poincare sphere;")
+    assert evidence((1, 1)).startswith("Sigma(1,1) is S^3;")
+    assert evidence((2, 3, 7)).startswith("Sigma(2,3,7) is a Seifert fibred")
+    assert evidence((5, 3, 2, 1)).startswith("Sigma(5,3,2,1) is the Poincare sphere;")
     with pytest.raises(NotCoprime):
         BrieskornZHS((2, 4, 5))
     with pytest.raises(NotCoprime):
@@ -113,8 +115,16 @@ def test_slope_verdict_dispatch_order():
     assert minus.status is LOStatus.LO and minus.rule is LORule.ZHS_CLASSIFICATION
     big = slope_lo_verdict(TREFOIL, make_slope(7, 2))
     assert big.rule is LORule.LSPACE_INTERVAL and big.status is LOStatus.NOT_LO
+    # the trivial filling is the one |p| = 1 lens space: S^3
+    assert slope_lo_verdict(TREFOIL, make_slope(1, 0)).evidence == (
+        "1/0 filling of T(2,3) chirality +1 closes to Sigma(1): Sigma(1) is S^3; "
+        "the trivial group is not left-orderable"
+    )
     reducible = slope_lo_verdict(TREFOIL, make_slope(6, 1))
     assert reducible.status is LOStatus.UNKNOWN
+    assert reducible.evidence == (
+        "6/1 filling of T(2,3) chirality +1 is reducible; no rule applies"
+    )
     user = UserPiece("Y", asserted=((Slope(1, 0), LOStatus.LO),))
     asserted = slope_lo_verdict(user, make_slope(1, 0))
     assert asserted.status is LOStatus.LO and asserted.rule is LORule.USER_ASSERTED
@@ -263,9 +273,31 @@ def test_verify_rejects_tampered_certificates():
     # a slope that is not left-orderable on a positive trefoil
     ok, report = verify_with(alpha="1/1", image="1/1")
     assert not ok and any("re-derives" in line for line in report)
-    # an image that does not match the gluing matrix
+    # record fields are checked once, by the comparison with the re-derivation
     ok, report = verify_with(image="-1/2")
-    assert not ok and any("differs" in line for line in report)
+    assert not ok and report[-1] == (
+        "FAIL certificate.components[0].edge_certificate.image differs from its "
+        "re-derivation"
+    )
+    for status in ("unknown", "banana"):
+        bad = copy.deepcopy(record)
+        bad["components"][0]["status"] = status
+        ok, report = verify_certificate(tree, bad)
+        assert not ok and report[-1] == (
+            "FAIL certificate.components[0].status differs from its re-derivation"
+        )
+    forest = SpliceTree(tree.nodes + (BrieskornZHS((2, 3, 7)),), tree.edges)
+    bad = certificate_search(forest, search_bound=3).certificate.to_json()
+    bad["components"][1]["leaf_verdict"] = None
+    ok, report = verify_certificate(forest, bad)
+    assert not ok and report[-1] == (
+        "FAIL certificate.components[1].leaf_verdict differs from its re-derivation"
+    )
+    # an unglued exterior makes the tree invalid
+    ok, report = verify_certificate(SpliceTree((TREFOIL,), ()), record)
+    assert not ok and report == [
+        "FAIL tree invalid: T(2,3) chirality +1 is an exterior but has no gluing edge"
+    ]
     # empty certificate on empty forest round-trips
     empty_tree = SpliceTree((), ())
     ok, _ = verify_certificate(empty_tree, Certificate((), (), 0).to_json())
@@ -316,9 +348,13 @@ def test_verify_compares_the_record_with_its_rederivation():
         assert not ok and report[-1] == f"FAIL {where} differs from its re-derivation"
     # the search bound is a witness: read, and checked to be an integer
     assert verify_certificate(tree, _edited(record, ("search_bound",), 40))[0]
-    for bound in (None, True, "3"):
+    for bound in (None, True, "3", -1):
         with pytest.raises(InvalidSpliceTree, match="search_bound"):
             verify_certificate(tree, _edited(record, ("search_bound",), bound))
+    # bound 0 tries the splice pairs only; a negative bound is an input error
+    assert certificate_search(tree, search_bound=0).certificate is not None
+    with pytest.raises(InvalidSpliceTree, match="search_bound must be >= 0, got -1"):
+        certificate_search(tree, search_bound=-1)
 
 
 def test_tree_validation():
@@ -344,6 +380,8 @@ def test_tree_validation():
             (TREFOIL, TorusKnotPiece(2, 5), TorusKnotPiece(2, 7)),
             (SpliceEdge(0, 1, SPLICE), SpliceEdge(0, 2, SPLICE)),
         ).validate()
+    with pytest.raises(InvalidSpliceTree, match="exterior but has no gluing edge"):
+        SpliceTree((BrieskornZHS((2, 3, 7)), TREFOIL), ()).validate()
 
 
 def test_tree_and_certificate_json_round_trip():
