@@ -12,7 +12,8 @@ Modules by subject:
 * ``fpgroup``   - presentations, Smith-normal-form abelianization,
                   Dehn-filling relators, amalgams, Todd-Coxeter, and
                   the group-word helpers (inversion, free reduction,
-                  powers) that ``braid`` and ``klein`` share
+                  powers); ``braid`` binds inversion and powers, and
+                  ``klein`` powers
 * ``seifert``   - Brieskorn recognition, Moser surgery, left-orderable-
                   slope verdict rules, splice-tree certificates, and the
                   Heegaard Floer surgery-rank calculator

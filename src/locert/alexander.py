@@ -31,7 +31,6 @@ __all__ = [
     "MAX_ORDER_DIGITS",
     "parse_poly",
     "poly_str",
-    "poly_mul",
     "evaluate_at_int",
     "validate_alexander",
     "branched_cover_order",
@@ -118,15 +117,6 @@ def poly_str(poly: IntLaurentPoly) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def poly_mul(f: IntLaurentPoly, g: IntLaurentPoly) -> IntLaurentPoly:
-    out: IntLaurentPoly = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
 
 
 def evaluate_at_int(poly: IntLaurentPoly, t: int) -> int:

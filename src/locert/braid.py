@@ -3,9 +3,9 @@
 Words are tuples of nonzero integers: +1 for s1, -1 for s1^-1, +2 for s2,
 -2 for s2^-1.  The ASCII syntax is ``a`` = s1, ``A`` = s1^-1, ``b`` = s2,
 ``B`` = s2^-1, with whitespace ignored, so words round-trip bit-exactly
-through the CLI.  A braid word is a group word over (s1, s2), so inversion,
-free reduction and powers are ``fpgroup``'s word helpers, bound here under
-the names ``inverse``, ``free_reduce`` and ``power``.
+through the CLI.  A braid word is a group word over (s1, s2), so inversion
+and powers are ``fpgroup``'s word helpers, bound here under the names
+``inverse`` and ``power``.
 
 Two independent decision procedures for the word problem are provided and
 cross-validate each other:
@@ -28,7 +28,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .fpgroup import free_reduce_word as free_reduce
 from .fpgroup import invert_word as inverse
 from .fpgroup import word_power as power
 
@@ -44,13 +43,11 @@ __all__ = [
     "SIGMA2",
     "DELTA",
     "DELTA_SQ",
-    "LONGITUDE",
     "parse_word",
     "word_str",
     "inverse",
     "concat",
     "power",
-    "free_reduce",
     "exponent_sum",
     "modular_image",
     "is_trivial",
@@ -143,8 +140,6 @@ SIGMA1: Word = (1,)
 SIGMA2: Word = (2,)
 DELTA: Word = (1, 2, 1)
 DELTA_SQ: Word = DELTA + DELTA
-# Longitude of the trefoil with meridian s2: Delta^2 s2^-6.
-LONGITUDE: Word = DELTA_SQ + power(SIGMA2, -6)
 
 
 def exponent_sum(word: Word) -> int:

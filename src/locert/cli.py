@@ -6,9 +6,11 @@ Every subcommand prints a result envelope
 
 in JSON mode (the default), or a readable text rendering with ``--format
 text``.  The payload is deterministic for fixed inputs and seeds; only
-``runtime_ms`` varies between runs.  Exit codes: 0 on success, 2 when the
-answer is unknown or inconclusive, 1 on input errors (with exact flag
-diagnostics on stderr).
+``runtime_ms`` varies between runs.  Exit codes: 0 on success; 2 when the
+answer is unknown or inconclusive; 1 on input errors, with a diagnostic on
+stderr (a braid word past handle reduction's step cap or ``delta_floor``'s
+bound counts as one), and on a failed ``verify proposition-4-3`` check,
+whose envelope has status ``error``.
 
 Property-style commands (``verify proposition-4-3``) take ``--seed`` and
 ``--samples``; defaults are seed 0 and 200 samples, and all randomness is
@@ -33,6 +35,10 @@ __all__ = ["main", "run"]
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNKNOWN = 2
+
+# ``group fill`` writes out its relator mu^p lambda^q; past this many letters
+# it answers inconclusive instead.
+_MAX_FILL_LETTERS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -166,6 +172,12 @@ def _group_fill(args):
     mu = fpgroup.parse_group_word(args.mu, p.generators)
     lam = fpgroup.parse_group_word(args.longitude, p.generators)
     slope = slopes.parse_slope(args.slope)
+    if abs(slope.p) * len(mu) + abs(slope.q) * len(lam) > _MAX_FILL_LETTERS:
+        return "inconclusive", {
+            "presentation": None,
+            "reason": "the relator mu^p lambda^q would pass the "
+            f"{_MAX_FILL_LETTERS}-letter cap",
+        }, []
     filled = fpgroup.dehn_fill(p, mu, lam, (slope.p, slope.q))
     return "ok", {"presentation": filled.to_json()}, []
 
@@ -199,13 +211,13 @@ def _group_enumerate(args):
     subgroup = [
         fpgroup.parse_group_word(w, p.generators) for w in (args.subgroup or [])
     ]
-    index = fpgroup.coset_enumerate(p, subgroup, args.max_cosets)
-    if index is None:
+    closed = fpgroup.enumerate_table(p, subgroup, args.max_cosets)
+    if closed is None:
         return "inconclusive", {
             "index": None,
             "max_cosets": args.max_cosets,
         }, ["Todd-Coxeter: a closed coset table certifies the index"]
-    return "ok", {"index": index, "max_cosets": args.max_cosets}, [
+    return "ok", {"index": closed.index, "max_cosets": args.max_cosets}, [
         "Todd-Coxeter: a closed coset table certifies the index"
     ]
 
@@ -249,8 +261,7 @@ def _hf_rank(args):
     from . import seifert
 
     ranks = tuple(int(x) for x in args.ranks.split(","))
-    params = seifert.HFParams(args.p, args.q, args.nu, ranks)
-    return "ok", {"rank": seifert.hf_surgery_rank(params)}, [
+    return "ok", {"rank": seifert.hf_surgery_rank(args.p, args.q, args.nu, ranks)}, [
         "rational surgery formula for the total Heegaard Floer rank"
     ]
 
@@ -325,8 +336,8 @@ def _verify_compat(args):
 def _verify_nonapplicability(args):
     from . import compat
 
-    report = compat.jsjlo_nonapplicability_report(args.slope_bound)
-    return "ok", report.to_json(), list(compat.REFERENCES)
+    payload = compat.jsjlo_nonapplicability_report(args.slope_bound)
+    return "ok", payload, list(compat.REFERENCES)
 
 
 # --- wiring -------------------------------------------------------------------

@@ -26,10 +26,11 @@ of (k, l), so a grid that hits every sign class covers the general case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import braid
 from .braid import Sign3, Word
-from .fpgroup import coset_enumerate
+from .fpgroup import Presentation, enumerate_table
 from .klein import (
     KleinElement,
     KleinFillKind,
@@ -38,11 +39,9 @@ from .klein import (
     k_sign,
     klein_fill,
 )
-from .slopes import make_slope
 
 __all__ = [
     "CompatReport",
-    "NonApplicabilityReport",
     "phi_peripheral",
     "verify_compatibility",
     "jsjlo_nonapplicability_report",
@@ -74,14 +73,9 @@ _KLEIN_ORDERING = {
 class CompatReport:
     conjugator: str
     ordering: KleinOrderingId
-    grid_bound: int
     checked: int
     positives: int
     failures: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def verify_compatibility(
@@ -124,87 +118,49 @@ def verify_compatibility(
     return CompatReport(
         braid.word_str(conjugator),
         ordering,
-        grid_bound,
         checked,
         positives,
         tuple(failures),
     )
 
 
-@dataclass(frozen=True)
-class NonApplicabilityReport:
-    """Why the slope-pair certificate cannot apply to this gluing."""
-
-    klein_slopes: tuple[tuple[KleinPeripheral, str], ...]
-    lo_slopes: tuple[KleinPeripheral, ...]
-    pullback_slope: str
-    b3_quotient_index: int | None
-    conclusion: str
-
-    def to_json(self) -> dict:
-        return {
-            "klein_slopes": [
-                {"slope": [s.m, s.n], "classification": kind}
-                for s, kind in self.klein_slopes
-            ],
-            "lo_slopes": [[s.m, s.n] for s in self.lo_slopes],
-            "pullback_slope": self.pullback_slope,
-            "b3_quotient_index": self.b3_quotient_index,
-            "conclusion": self.conclusion,
-        }
-
-
-def jsjlo_nonapplicability_report(slope_bound: int = 5) -> NonApplicabilityReport:
+def jsjlo_nonapplicability_report(slope_bound: int = 5) -> dict:
     """Survey every primitive Klein-side slope with |m|, |n| <= bound,
     exhibit y as the unique left-orderable one, pull it back through the
     gluing to the meridian s2, and certify that B3 / <<s2>> is trivial by
-    coset enumeration."""
-    from math import gcd
-
+    coset enumeration.  Slopes are taken up to sign, normalized to n > 0
+    or (m, n) = (1, 0), and listed in (m, n) order."""
     # A bound below 1 surveys no slope, not even y = (1, 0).
     if slope_bound < 1:
         raise ValueError("slope_bound must be >= 1")
 
     survey = []
     lo_slopes = []
-    seen = set()
     for m in range(-slope_bound, slope_bound + 1):
-        for n in range(-slope_bound, slope_bound + 1):
-            if gcd(m, n) != 1:
+        for n in range(slope_bound + 1):
+            if gcd(m, n) != 1 or (n == 0 and m < 0):
                 continue
-            slope = KleinPeripheral(*make_slope(m, n))
-            if slope in seen:
-                continue
-            seen.add(slope)
-            result = klein_fill(slope)
-            survey.append((slope, result.kind.value))
-            if result.kind is KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO:
-                lo_slopes.append(slope)
-    survey.sort(key=lambda item: (item[0].m, item[0].n))
+            kind = klein_fill(KleinPeripheral(m, n)).kind
+            survey.append({"slope": [m, n], "classification": kind.value})
+            if kind is KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO:
+                lo_slopes.append([m, n])
 
     # phi(s2^k Delta^2l) = y^(-k-l) x^2l, so the class of y pulls back to
     # the class of s2, the meridian of the trefoil.
-    b3 = braid_presentation_with_meridian_filled()
-    index = coset_enumerate(b3, [], max_cosets=1000)
-    conclusion = (
-        "the unique left-orderable slope on the Klein-bottle side is y; its "
-        "pullback through the gluing is the meridian s2, and B3/<<s2>> is "
-        "the trivial group, which is not left-orderable; hence no slope "
-        "pair is left-orderable on both sides and the slope-pair splice "
-        "criterion cannot apply.  Orderability holds anyway through the "
-        "Bludov-Glass compatibility of the conjugate-DD family with "
-        "{O1, O2}, verified separately on peripheral grids."
-    )
-    return NonApplicabilityReport(
-        tuple(survey),
-        tuple(lo_slopes),
-        "s2 (the trefoil meridian)",
-        index,
-        conclusion,
-    )
-
-
-def braid_presentation_with_meridian_filled():
-    from .fpgroup import Presentation
-
-    return Presentation.parse(["s1", "s2"], ["s1 s2 s1 S2 S1 S2", "s2"])
+    b3 = Presentation.parse(["s1", "s2"], ["s1 s2 s1 S2 S1 S2", "s2"])
+    closed = enumerate_table(b3, [], max_cosets=1000)
+    return {
+        "klein_slopes": survey,
+        "lo_slopes": lo_slopes,
+        "pullback_slope": "s2 (the trefoil meridian)",
+        "b3_quotient_index": None if closed is None else closed.index,
+        "conclusion": (
+            "the unique left-orderable slope on the Klein-bottle side is y; its "
+            "pullback through the gluing is the meridian s2, and B3/<<s2>> is "
+            "the trivial group, which is not left-orderable; hence no slope "
+            "pair is left-orderable on both sides and the slope-pair splice "
+            "criterion cannot apply.  Orderability holds anyway through the "
+            "Bludov-Glass compatibility of the conjugate-DD family with "
+            "{O1, O2}, verified separately on peripheral grids."
+        ),
+    }

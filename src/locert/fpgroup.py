@@ -10,7 +10,8 @@ name is the generator and its all-uppercase form is the inverse, e.g.
 Provides:
 
 * the only group-word helpers (inversion, free reduction, powers);
-  ``braid`` and ``klein`` use them for their words too;
+  ``braid`` uses inversion and powers for its words too, and ``klein``
+  powers;
 * abelianization by exact integer Smith normal form (no modular
   shortcuts; the matrices here are tiny and certificates demand exact
   invariant factors);
@@ -43,7 +44,6 @@ __all__ = [
     "smith_normal_form",
     "dehn_fill",
     "amalgam",
-    "coset_enumerate",
     "enumerate_table",
     "check_closed_table",
 ]
@@ -60,15 +60,6 @@ class AbelianInvariants(NamedTuple):
 
     free_rank: int
     torsion: tuple[int, ...]
-
-    def order(self) -> int | None:
-        """Group order; None when infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
 
 
 @dataclass(frozen=True)
@@ -253,6 +244,8 @@ def dehn_fill(
 
 
 def word_power(word: GroupWord, n: int) -> GroupWord:
+    if not word:  # () * n overflows for an n past sys.maxsize
+        return ()
     if n < 0:
         return invert_word(word) * (-n)
     return word * n
@@ -411,17 +404,6 @@ def enumerate_table(
 
 class _CapHit(Exception):
     pass
-
-
-def coset_enumerate(
-    p: Presentation,
-    subgroup: Sequence[GroupWord] = (),
-    max_cosets: int = 100_000,
-) -> int | None:
-    """Index of the subgroup if the enumeration closes within the cap;
-    None (inconclusive) otherwise."""
-    closed = enumerate_table(p, subgroup, max_cosets)
-    return None if closed is None else closed.index
 
 
 def check_closed_table(

@@ -84,8 +84,6 @@ class KleinFillResult(NamedTuple):
 
 
 IDENTITY = KleinElement(0, 0)
-X = KleinElement(1, 0)
-Y = KleinElement(0, 1)
 
 
 def k_multiply(g: KleinElement, h: KleinElement) -> KleinElement:
@@ -175,20 +173,19 @@ def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
     )
 
 
-_ELEMENT_RE = re.compile(
-    r"^\s*(?:x\^?(-?\d+)?)?\s*(?:y\^?(-?\d+)?)?\s*$"
-)
+_ELEMENT_RE = re.compile(r"\s*(?:(x)(?:\^(-?\d+))?)?\s*(?:(y)(?:\^(-?\d+))?)?\s*")
 
 
 def parse_element(text: str) -> KleinElement:
-    """Parse ``x^a y^b`` (either factor may be omitted; bare x means a=1)."""
-    match = _ELEMENT_RE.match(text)
-    if not match or (text.strip() and "x" not in text and "y" not in text):
+    """Parse ``x^a y^b``: either factor or both may be omitted, a bare x or
+    y means exponent 1, and ``1`` is the identity."""
+    if text.strip() == "1":
+        return IDENTITY
+    match = _ELEMENT_RE.fullmatch(text)
+    if not match:
         raise ValueError(f"cannot parse Klein element {text!r}")
-    a_txt, b_txt = match.groups()
-    a = int(a_txt) if a_txt is not None else (1 if "x" in text else 0)
-    b = int(b_txt) if b_txt is not None else (1 if "y" in text else 0)
-    return KleinElement(a, b)
+    x, a, y, b = match.groups()
+    return KleinElement(int(a or 1) if x else 0, int(b or 1) if y else 0)
 
 
 def element_str(g: KleinElement) -> str:

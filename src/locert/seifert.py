@@ -67,7 +67,6 @@ __all__ = [
     "SpliceTree",
     "MoserKind",
     "MoserResult",
-    "HFParams",
     "Certificate",
     "EdgeCertificate",
     "ComponentReport",
@@ -139,7 +138,6 @@ class BrieskornZHS:
     multiplicities; entries equal to 1 are normalization padding."""
 
     multiplicities: tuple[int, ...]
-    name: str = ""
 
     def __post_init__(self) -> None:
         ms = self.multiplicities
@@ -170,7 +168,6 @@ class TorusKnotPiece:
     r: int
     s: int
     chirality: int = 1
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.r < 2 or self.s < 2 or gcd(self.r, self.s) != 1:
@@ -305,16 +302,12 @@ class SpliceTree:
                         _json_int(_required(nd, "r"), "r"),
                         _json_int(_required(nd, "s"), "s"),
                         _json_int(nd.get("chirality", 1), "chirality"),
-                        nd.get("name", ""),
                     )
                 )
             elif kind == "brieskorn":
                 ms = _json_list(_required(nd, "multiplicities"), "multiplicities")
                 nodes.append(
-                    BrieskornZHS(
-                        tuple(_json_int(m, "a multiplicity") for m in ms),
-                        nd.get("name", ""),
-                    )
+                    BrieskornZHS(tuple(_json_int(m, "a multiplicity") for m in ms))
                 )
             elif kind == "user":
                 asserted = nd.get("asserted", {})
@@ -535,36 +528,26 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
 # --- Heegaard Floer surgery rank calculator ------------------------------------
 
 
-@dataclass(frozen=True)
-class HFParams:
-    """Inputs to the rational surgery rank formula: surgery coefficient
-    p/q with q > 0, the nonnegative knot invariant nu, and the ranks of
-    the large-surgery homology groups (all >= 1)."""
-
-    p: int
-    q: int
-    nu: int
-    as_ranks: tuple[int, ...]
-
-
-def hf_surgery_rank(params: HFParams) -> int:
-    """Total Heegaard Floer rank of the p/q surgery.
+def hf_surgery_rank(p: int, q: int, nu: int, ranks: tuple[int, ...]) -> int:
+    """Total Heegaard Floer rank of the p/q surgery (q > 0) on a knot with
+    the nonnegative invariant nu and large-surgery homology ranks ``ranks``
+    (all >= 1).
 
     For nu > 0 the formula reads
         p + 2 max(0, (2 nu - 1) q - p) + q * sum(rank - 1),
     and for nu = 0 it collapses to |p| + q * sum(rank - 1).  The value is
     always >= |p|, with equality characterizing L-space surgeries.
     """
-    if params.q <= 0:
+    if q <= 0:
         raise InvalidParams("q must be positive")
-    if params.nu < 0:
+    if nu < 0:
         raise InvalidParams("nu must be nonnegative")
-    if any(r < 1 for r in params.as_ranks):
+    if any(r < 1 for r in ranks):
         raise InvalidParams("all ranks must be >= 1")
-    extra = params.q * sum(r - 1 for r in params.as_ranks)
-    if params.nu == 0:
-        return abs(params.p) + extra
-    return params.p + 2 * max(0, (2 * params.nu - 1) * params.q - params.p) + extra
+    extra = q * sum(r - 1 for r in ranks)
+    if nu == 0:
+        return abs(p) + extra
+    return p + 2 * max(0, (2 * nu - 1) * q - p) + extra
 
 
 # --- certificates ---------------------------------------------------------------

@@ -21,9 +21,6 @@ __all__ = [
     "Slope",
     "GluingMatrix",
     "NotUnimodular",
-    "MERIDIAN",
-    "LONGITUDE_SLOPE",
-    "SPLICE_MATRIX",
     "make_slope",
     "parse_slope",
     "slope_str",
@@ -54,12 +51,6 @@ class GluingMatrix(NamedTuple):
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
-
-
-MERIDIAN = Slope(1, 0)
-LONGITUDE_SLOPE = Slope(0, 1)
-# Identifies each meridian with the other longitude: the splice gluing.
-SPLICE_MATRIX = GluingMatrix(0, 1, 1, 0)
 
 
 def make_slope(p: int, q: int) -> Slope:

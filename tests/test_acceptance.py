@@ -43,7 +43,6 @@ from locert.alexander import branched_cover_order, evaluate_at_int, parse_poly
 from locert.sampling import random_braid_word
 from locert.seifert import (
     BrieskornZHS,
-    HFParams,
     LOStatus,
     MoserKind,
     SpliceTree,
@@ -163,7 +162,7 @@ def test_criterion_6_compatibility_proposition():
         for _ in range(200):
             gamma = random_braid_word(rng, 10)
             report = verify_compatibility(gamma, 5)
-            assert report.ok, (report.conjugator, report.failures)
+            assert not report.failures, report.conjugator
             expected_ordering = (
                 KleinOrderingId.O1
                 if braid.commutes_with_sigma2(gamma)
@@ -274,14 +273,14 @@ def test_criterion_11_slope_corollary_shapes():
 
 def test_criterion_12_surgery_rank_sweep():
     with criterion(12, "surgery rank >= |p| on a 10^4 sweep; -3 maps to 5", 1.0):
-        assert hf_surgery_rank(HFParams(-3, 1, 1, (1,))) == 5
+        assert hf_surgery_rank(-3, 1, 1, (1,)) == 5
         count = 0
         rank_patterns = [(1,), (1, 1), (2,), (3, 1), (2, 2)]
         for p in range(-125, 125):
             for q in range(1, 9):
                 for nu in range(0, 5):
                     ranks = rank_patterns[(p + q + nu) % len(rank_patterns)]
-                    value = hf_surgery_rank(HFParams(p, q, nu, ranks))
+                    value = hf_surgery_rank(p, q, nu, ranks)
                     assert value >= abs(p)
                     if p < 0 and nu > 0:
                         assert value > abs(p)

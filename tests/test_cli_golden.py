@@ -60,6 +60,9 @@ CASES: dict[str, list[str]] = {
     "klein_fill_too_large": ["klein", "fill", _HUGE_PLUS_ONE, _HUGE],
     "klein_sign": ["klein", "sign", "x^2 y^-3", "--ordering", "O2"],
     "klein_sign_kernel": ["klein", "sign", "y^-4"],
+    # a caret needs an integer after it; "1" is how the identity prints
+    "klein_sign_dangling_caret": ["klein", "sign", "x^"],
+    "klein_sign_identity": ["klein", "sign", "1"],
     # slope
     "slope_delta": ["slope", "delta", "2/1", "1/1"],
     "slope_delta_integer": ["slope", "delta", "3", "1/2"],
@@ -86,6 +89,13 @@ CASES: dict[str, list[str]] = {
     "group_fill": ["group", "fill", DATA + "b3_presentation.json", "--mu", "s2",
                    "--longitude", "s1 s2 s1 s1 s2 s1 S2 S2 S2 S2 S2 S2",
                    "--slope", "1/0"],
+    # mu^p lambda^q past the letter cap: 10^2200 overflowed, 10^11 ran out of memory
+    "group_fill_too_large": ["group", "fill", DATA + "b3_presentation.json",
+                             "--mu", "s2", "--longitude", "s1", "--slope",
+                             f"{_HUGE}/1"],
+    "group_fill_too_large_text": ["--format", "text", "group", "fill",
+                                  DATA + "b3_presentation.json", "--mu", "s2",
+                                  "--longitude", "s1", "--slope", "100000000000/1"],
     "group_fill_bad_token": ["group", "fill", DATA + "b3_presentation.json",
                              "--mu", "s3", "--longitude", "s2", "--slope", "1"],
     "group_amalgam": ["group", "amalgam", DATA + "b3_presentation.json",
@@ -105,6 +115,9 @@ CASES: dict[str, list[str]] = {
     "splice_cert_user_splice": ["splice", "cert", "user_splice_tree.json"],
     "splice_cert_user_splice_text": ["--format", "text", "splice", "cert",
                                      "user_splice_tree.json"],
+    # certified by the L-space interval rule at -2/1, and at 2/1 on the mirror
+    "splice_cert_lspace_interval": ["splice", "cert", "lspace_splice_tree.json"],
+    "splice_cert_lspace_interval_mirror": ["splice", "cert", "lspace_mirror_tree.json"],
     "splice_cert_forest": ["splice", "cert", "forest_tree.json", "--bound", "2"],
     "splice_cert_forest_edge": ["splice", "cert", "forest_tree.json", "--edge", "1"],
     "splice_cert_splice_pairs": ["splice", "cert", "splice_pairs_forest.json"],
@@ -139,6 +152,11 @@ CASES: dict[str, list[str]] = {
                                      "int_components_cert.json"],
     "splice_verify_null": ["splice", "verify", DATA + "double_trefoil_splice.json",
                            "null_cert.json"],
+    # alpha edited to an L-space slope and to the reducible slope
+    "splice_verify_lspace_not_lo": ["splice", "verify", "lspace_splice_tree.json",
+                                    "lspace_not_lo_cert.json"],
+    "splice_verify_lspace_reducible": ["splice", "verify", "lspace_splice_tree.json",
+                                       "lspace_reducible_cert.json"],
     # records that re-verify pair by pair but differ from their re-derivation
     "splice_verify_no_hypotheses": ["splice", "verify", "prime_flag_tree.json",
                                     "no_hypotheses_cert.json"],

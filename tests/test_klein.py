@@ -1,7 +1,7 @@
 """Klein-bottle group: normal forms, the two orderings, fillings."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -146,7 +146,8 @@ def test_fill_classification():
     )
     result = klein_fill(KleinPeripheral(1, 1))
     assert result.kind is KleinFillKind.FINITE_NOT_LO
-    assert result.abelianization.order() == 4
+    assert result.abelianization.free_rank == 0
+    assert prod(result.abelianization.torsion) == 4
     with pytest.raises(NotPrimitive):
         klein_fill(KleinPeripheral(2, 2))
     with pytest.raises(NotPrimitive):
@@ -196,5 +197,9 @@ def test_element_parsing():
     assert element_str(KleinElement(2, -3)) == "x^2 y^-3"
     assert element_str(IDENTITY) == "1"
     assert parse_element(element_str(KleinElement(-4, 9))) == KleinElement(-4, 9)
-    with pytest.raises(ValueError):
-        parse_element("z^2")
+    assert parse_element(element_str(IDENTITY)) == IDENTITY
+    assert parse_element("xy") == KleinElement(1, 1)
+    # a caret needs an integer after it, and an exponent needs its caret
+    for text in ("z^2", "x^", "x^y", "xy^", "x2", "y x", "11"):
+        with pytest.raises(ValueError):
+            parse_element(text)

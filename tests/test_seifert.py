@@ -9,7 +9,6 @@ import pytest
 from locert.seifert import (
     BrieskornZHS,
     Certificate,
-    HFParams,
     InvalidParams,
     InvalidSpliceTree,
     LORule,
@@ -38,7 +37,7 @@ SPLICE = GluingMatrix(0, 1, 1, 0)
 
 def _double_trefoil() -> SpliceTree:
     return SpliceTree(
-        (TorusKnotPiece(2, 3, 1, "a"), TorusKnotPiece(2, 3, 1, "b")),
+        (TorusKnotPiece(2, 3), TorusKnotPiece(2, 3)),
         (SpliceEdge(0, 1, SPLICE),),
     )
 
@@ -233,9 +232,9 @@ def test_certificate_search_exceptional_leaf():
 def test_certificate_search_forest_components():
     tree = SpliceTree(
         (
-            TorusKnotPiece(2, 3, 1, "a"),
-            TorusKnotPiece(2, 3, 1, "b"),
-            BrieskornZHS((2, 3, 7), "leaf"),
+            TorusKnotPiece(2, 3),
+            TorusKnotPiece(2, 3),
+            BrieskornZHS((2, 3, 7)),
         ),
         (SpliceEdge(0, 1, SPLICE),),
     )
@@ -246,7 +245,7 @@ def test_certificate_search_forest_components():
     assert ok
     # one bad component spoils the free product
     spoiled = SpliceTree(
-        tree.nodes[:2] + (BrieskornZHS((2, 3, 5), "leaf"),), tree.edges
+        tree.nodes[:2] + (BrieskornZHS((2, 3, 5)),), tree.edges
     )
     outcome = certificate_search(spoiled, search_bound=3)
     assert outcome.status is LOStatus.NOT_LO
@@ -387,7 +386,7 @@ def test_tree_validation():
 def test_tree_and_certificate_json_round_trip():
     tree = SpliceTree(
         (
-            TorusKnotPiece(2, 3, -1, "mirror"),
+            TorusKnotPiece(2, 3, -1),
             UserPiece("u", "desc", ((Slope(1, 0), LOStatus.LO),), True),
         ),
         (SpliceEdge(0, 1, SPLICE),),
@@ -413,15 +412,15 @@ def test_tree_and_certificate_json_round_trip():
 
 
 def test_hf_surgery_rank_examples():
-    assert hf_surgery_rank(HFParams(-3, 1, 1, (1,))) == 5
-    assert hf_surgery_rank(HFParams(7, 1, 1, (1,))) == 7
-    assert hf_surgery_rank(HFParams(5, 2, 0, (3,))) == 9
+    assert hf_surgery_rank(-3, 1, 1, (1,)) == 5
+    assert hf_surgery_rank(7, 1, 1, (1,)) == 7
+    assert hf_surgery_rank(5, 2, 0, (3,)) == 9
     with pytest.raises(InvalidParams):
-        hf_surgery_rank(HFParams(1, 0, 1, (1,)))
+        hf_surgery_rank(1, 0, 1, (1,))
     with pytest.raises(InvalidParams):
-        hf_surgery_rank(HFParams(1, 1, -1, (1,)))
+        hf_surgery_rank(1, 1, -1, (1,))
     with pytest.raises(InvalidParams):
-        hf_surgery_rank(HFParams(1, 1, 1, (0,)))
+        hf_surgery_rank(1, 1, 1, (0,))
 
 
 def test_hf_surgery_rank_lower_bound():
@@ -430,7 +429,7 @@ def test_hf_surgery_rank_lower_bound():
         for q in range(1, 5):
             for nu in range(0, 3):
                 for ranks in rank_patterns:
-                    value = hf_surgery_rank(HFParams(p, q, nu, ranks))
+                    value = hf_surgery_rank(p, q, nu, ranks)
                     assert value >= abs(p)
                     if p < 0 and nu > 0:
                         assert value > abs(p)

@@ -5,9 +5,6 @@ import random
 import pytest
 
 from locert.slopes import (
-    LONGITUDE_SLOPE,
-    MERIDIAN,
-    SPLICE_MATRIX,
     GluingMatrix,
     NotUnimodular,
     Slope,
@@ -20,6 +17,11 @@ from locert.slopes import (
     union_homology_order,
 )
 from locert.seifert import TorusKnotPiece, moser_surgery
+
+MERIDIAN = Slope(1, 0)
+LONGITUDE_SLOPE = Slope(0, 1)
+# Identifies each meridian with the other longitude: the splice gluing.
+SPLICE_MATRIX = GluingMatrix(0, 1, 1, 0)
 
 
 def _random_slope(rng):
