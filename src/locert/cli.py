@@ -53,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 # --- subcommand handlers: return (status, payload, citations) ----------------
@@ -236,17 +239,13 @@ def _splice_cert(args):
     from . import seifert
 
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
-    outcome = seifert.certificate_search(tree, args.edge, args.bound)
+    status, components, certificate = seifert.certificate_search(tree, args.bound)
     payload = {
-        "status": outcome.status.value,
-        "components": [c.to_json() for c in outcome.components],
-        "certificate": outcome.certificate.to_json()
-        if outcome.certificate
-        else None,
+        "status": status.value,
+        "components": components,
+        "certificate": certificate,
     }
-    if outcome.certificate is None:
-        return "unknown", payload, _SPLICE_CITATIONS
-    return "ok", payload, _SPLICE_CITATIONS
+    return "unknown" if certificate is None else "ok", payload, _SPLICE_CITATIONS
 
 
 def _splice_verify(args):
@@ -425,7 +424,6 @@ def _build_parser() -> _Parser:
     p = splice_sub.add_parser("cert", help="search for a certificate")
     p.add_argument("tree", help="splice tree JSON file")
     p.add_argument("--bound", type=int, default=3, help="slope search bound")
-    p.add_argument("--edge", type=int, default=None, help="preferred edge index")
     p.set_defaults(handler=_splice_cert)
     p = splice_sub.add_parser("verify", help="re-derive a certificate")
     p.add_argument("tree")

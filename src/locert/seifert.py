@@ -37,9 +37,12 @@ nontrivial factor is.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 from .slopes import (
     GluingMatrix,
@@ -67,9 +70,6 @@ __all__ = [
     "SpliceTree",
     "MoserKind",
     "MoserResult",
-    "Certificate",
-    "EdgeCertificate",
-    "ComponentReport",
     "SearchOutcome",
     "zhs_lo_status",
     "moser_surgery",
@@ -553,177 +553,160 @@ def hf_surgery_rank(p: int, q: int, nu: int, ranks: tuple[int, ...]) -> int:
 # --- certificates ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeCertificate:
-    edge_index: int
-    alpha: Slope  # slope on the a-side of the edge
-    image: Slope  # f(alpha) on the b-side
-    verdict_a: LOSlopeVerdict
-    verdict_b: LOSlopeVerdict
+class SearchOutcome(NamedTuple):
+    """The answer of ``certificate_search``: LO when ``certificate`` is set,
+    NOT_LO when some component is not, UNKNOWN otherwise.  ``components``
+    and ``certificate`` are the JSON records that ``splice cert`` prints."""
 
-    def to_json(self) -> dict:
-        return {
-            "edge": self.edge_index,
-            "alpha": slope_str(self.alpha),
-            "image": slope_str(self.image),
-            "verdict_a": self.verdict_a.to_json(),
-            "verdict_b": self.verdict_b.to_json(),
-        }
-
-
-@dataclass(frozen=True)
-class ComponentReport:
-    nodes: tuple[int, ...]
     status: LOStatus
-    pieces: tuple[str, ...]
-    edge_certificate: EdgeCertificate | None
-    leaf_verdict: LOSlopeVerdict | None
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "status": self.status.value,
-            "pieces": list(self.pieces),
-            "edge_certificate": (
-                self.edge_certificate.to_json() if self.edge_certificate else None
-            ),
-            "leaf_verdict": self.leaf_verdict.to_json() if self.leaf_verdict else None,
-            "note": self.note,
-        }
+    components: list[dict]
+    certificate: dict | None
 
 
-@dataclass(frozen=True)
-class Certificate:
-    components: tuple[ComponentReport, ...]
-    hypotheses: tuple[str, ...]
-    search_bound: int
-
-    def to_json(self) -> dict:
-        return {
-            "version": 1,
-            "search_bound": self.search_bound,
-            "components": [c.to_json() for c in self.components],
-            "hypotheses": list(self.hypotheses),
-        }
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    certificate: Certificate | None
-    components: tuple[ComponentReport, ...]
-
-    @property
-    def status(self) -> LOStatus:
-        if self.certificate is not None:
-            return LOStatus.LO
-        if any(c.status is LOStatus.NOT_LO for c in self.components):
-            return LOStatus.NOT_LO
-        return LOStatus.UNKNOWN
-
-
-def enumerate_slopes(bound: int) -> list[Slope]:
+def _slopes(bound: int) -> Iterator[Slope]:
     """All normalized primitive slopes with |p| <= bound and 0 <= q <=
     bound, in the deterministic order (max(|p|, q), q, p) that the search
-    commits to.  Built shell by shell in that order, so nothing is sorted:
-    shell m holds -m/q and m/q for q < m, then p/m for -m <= p <= m."""
-    out = [Slope(1, 0)] if bound >= 1 else []
+    commits to.  Generated shell by shell in that order, so nothing is
+    sorted or stored: shell m holds -m/q and m/q for q < m, then p/m for
+    -m <= p <= m."""
+    if bound >= 1:
+        yield Slope(1, 0)
     for m in range(1, bound + 1):
         for q in range(1, m):
             if gcd(m, q) == 1:
-                out += (Slope(-m, q), Slope(m, q))
-        out += (Slope(p, m) for p in range(-m, m + 1) if gcd(p, m) == 1)
-    return out
+                yield Slope(-m, q)
+                yield Slope(m, q)
+        for p in range(-m, m + 1):
+            if gcd(p, m) == 1:
+                yield Slope(p, m)
 
 
-def _certificate(reports: list[ComponentReport], search_bound: int) -> Certificate:
-    """The one place certificates are assembled.  Its hypotheses are the
-    evidence of every B1-rule verdict it cites, in order and without
+def enumerate_slopes(bound: int) -> list[Slope]:
+    """The slopes the search tries after the splice pairs, as a list."""
+    return list(_slopes(bound))
+
+
+def _pair(
+    tree: SpliceTree, edge: SpliceEdge, alpha: Slope
+) -> tuple[LOSlopeVerdict, Slope | None, LOSlopeVerdict | None]:
+    """The one check of a slope pair (alpha, f(alpha)) across ``edge``: the
+    verdict on side a and, only when that verdict is LO, the image f(alpha)
+    and the verdict on side b (None and None otherwise)."""
+    va = slope_lo_verdict(tree.nodes[edge.a], alpha)
+    if va.status is not LOStatus.LO:
+        return va, None, None
+    image = apply_gluing(edge.matrix, alpha)
+    return va, image, slope_lo_verdict(tree.nodes[edge.b], image)
+
+
+def _component(
+    tree: SpliceTree,
+    nodes: list[int],
+    status: LOStatus,
+    leaf_verdict: LOSlopeVerdict | None = None,
+    pair: tuple | None = None,
+    note: str = "",
+) -> dict:
+    """The record of one component; ``pair`` is (edge index, alpha, image,
+    verdict a, verdict b) of the certified edge."""
+    edge_certificate = None
+    if pair is not None:
+        edge_index, alpha, image, va, vb = pair
+        edge_certificate = {
+            "edge": edge_index,
+            "alpha": slope_str(alpha),
+            "image": slope_str(image),
+            "verdict_a": va.to_json(),
+            "verdict_b": vb.to_json(),
+        }
+    return {
+        "nodes": list(nodes),
+        "status": status.value,
+        "pieces": [tree.nodes[i].describe() for i in nodes],
+        "edge_certificate": edge_certificate,
+        "leaf_verdict": leaf_verdict.to_json() if leaf_verdict else None,
+        "note": note,
+    }
+
+
+def _certificate(components: list[dict], search_bound: int) -> dict:
+    """The one place certificate records are assembled.  Its hypotheses are
+    the evidence of every B1-rule verdict it cites, in order and without
     repeats: that rule needs a prime filling."""
     hypotheses = [
-        f"edge {ec.edge_index} side {side}: {v.evidence}"
-        for ec in (c.edge_certificate for c in reports)
+        f"edge {ec['edge']} side {side}: {ec['verdict_' + side]['evidence']}"
+        for ec in (c["edge_certificate"] for c in components)
         if ec is not None
-        for side, v in (("a", ec.verdict_a), ("b", ec.verdict_b))
-        if v.rule is LORule.B1_RULE
+        for side in "ab"
+        if ec["verdict_" + side]["rule"] == LORule.B1_RULE.value
     ]
-    return Certificate(tuple(reports), tuple(dict.fromkeys(hypotheses)), search_bound)
+    return {
+        "version": 1,
+        "search_bound": search_bound,
+        "components": components,
+        "hypotheses": list(dict.fromkeys(hypotheses)),
+    }
 
 
-def _certify_edge(
-    tree: SpliceTree, edge_index: int, bound: int
-) -> EdgeCertificate | None:
-    """First slope pair (alpha, f(alpha)) left-orderable on both sides.
+def _certify_edge(tree: SpliceTree, edge_index: int, bound: int) -> tuple | None:
+    """First slope pair (alpha, f(alpha)) left-orderable on both sides, as
+    (edge index, alpha, image, verdict a, verdict b).
 
     Candidates come in a fixed order: the a-side preferred meridian
     f^-1(lambda), whose image is the b-side longitude; then the a-side
     longitude, whose image is the b-side preferred meridian f(lambda);
-    then every slope of ``enumerate_slopes(bound)``.  The first two are
-    the splice pairs: a preferred meridian fills to the ambient homology
-    sphere, and a longitude is left-orderable by the B1 rule.
+    then the slopes of ``enumerate_slopes(bound)``, generated one at a
+    time.  The first two are the splice pairs: a preferred meridian fills
+    to the ambient homology sphere, and a longitude is left-orderable by
+    the B1 rule.
     """
     edge = tree.edges[edge_index]
-    piece_a = tree.nodes[edge.a]
-    piece_b = tree.nodes[edge.b]
-    f = edge.matrix
     lam = Slope(0, 1)
-    for alpha in [apply_gluing(invert_gluing(f), lam), lam] + enumerate_slopes(bound):
-        va = slope_lo_verdict(piece_a, alpha)
-        if va.status is not LOStatus.LO:
-            continue
-        image = apply_gluing(f, alpha)
-        vb = slope_lo_verdict(piece_b, image)
-        if vb.status is LOStatus.LO:
-            return EdgeCertificate(edge_index, alpha, image, va, vb)
+    meridian = apply_gluing(invert_gluing(edge.matrix), lam)
+    for alpha in chain((meridian, lam), _slopes(bound)):
+        va, image, vb = _pair(tree, edge, alpha)
+        if vb is not None and vb.status is LOStatus.LO:
+            return edge_index, alpha, image, va, vb
     return None
 
 
-def certificate_search(
-    tree: SpliceTree, edge: int | None = None, search_bound: int = 3
-) -> SearchOutcome:
+def certificate_search(tree: SpliceTree, search_bound: int = 3) -> SearchOutcome:
     """Search for a left-orderability certificate on the splice forest.
 
-    Components (prime summands) are certified independently.  For a
-    two-piece component the chosen edge is certified by exhibiting a slope
-    pair left-orderable on both sides; single closed nodes are classified
+    Components (prime summands) are certified independently.  A two-piece
+    component has one edge, certified by exhibiting a slope pair
+    left-orderable on both sides; single closed nodes are classified
     directly.  Unknown is a first-class result: the rule table is partial
     and the slope search is bounded.
     """
     _expect(search_bound >= 0, f"search_bound must be >= 0, got {search_bound}")
     tree.validate()
-    if edge is not None and not 0 <= edge < len(tree.edges):
-        raise InvalidSpliceTree(f"edge index {edge} out of range")
-    reports: list[ComponentReport] = []
+    components = []
     for node_ids, edge_ids in tree.components():
-        pieces = tuple(tree.nodes[i].describe() for i in node_ids)
         if not edge_ids:
             verdict = zhs_lo_status(tree.nodes[node_ids[0]])
-            reports.append(
-                ComponentReport(tuple(node_ids), verdict.status, pieces, None, verdict)
-            )
-            continue
-        chosen = edge if edge in edge_ids else edge_ids[0]
-        cert = _certify_edge(tree, chosen, search_bound)
-        status, note = LOStatus.LO, ""
-        if cert is None:
-            status = LOStatus.UNKNOWN
+            components.append(_component(tree, node_ids, verdict.status, verdict))
+        elif pair := _certify_edge(tree, edge_ids[0], search_bound):
+            components.append(_component(tree, node_ids, LOStatus.LO, pair=pair))
+        else:
             note = (
                 f"no slope pair with |p|, q <= {search_bound} verified "
                 "left-orderable on both sides"
             )
-        reports.append(
-            ComponentReport(tuple(node_ids), status, pieces, cert, None, note)
-        )
-    certificate = None
-    if all(c.status is LOStatus.LO for c in reports):
-        certificate = _certificate(reports, search_bound)
-    return SearchOutcome(certificate, tuple(reports))
+            components.append(_component(tree, node_ids, LOStatus.UNKNOWN, note=note))
+    statuses = {LOStatus(c["status"]) for c in components}
+    if statuses <= {LOStatus.LO}:
+        certificate = _certificate(components, search_bound)
+        return SearchOutcome(LOStatus.LO, components, certificate)
+    status = LOStatus.NOT_LO if LOStatus.NOT_LO in statuses else LOStatus.UNKNOWN
+    return SearchOutcome(status, components, None)
 
 
 def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str]]:
-    """Re-derive a certificate record (``Certificate.to_json``) at its
-    witnesses: each component's nodes, each edge certificate's edge and
-    alpha, and the search bound.  The image is parsed, not used.
+    """Re-derive a certificate record (the ``certificate`` that ``splice
+    cert`` prints) at its witnesses: each component's nodes, each edge
+    certificate's edge and alpha, and the search bound.  The image is
+    parsed, not used.
 
     The tree must validate, the record must claim exactly its components,
     each edge certificate must cite an edge of its component, and every
@@ -770,10 +753,9 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
         fail("certificate components do not match the tree's components")
         return False, report
 
-    reports: list[ComponentReport] = []
+    components = []
     for nodes, edge_ids in actual.items():
         witness = claimed[nodes]
-        pieces = tuple(tree.nodes[i].describe() for i in nodes)
         if not edge_ids:
             verdict = zhs_lo_status(tree.nodes[nodes[0]])
             if verdict.status is not LOStatus.LO:
@@ -784,9 +766,7 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
                     f"component {list(nodes)}: closed piece re-verified "
                     f"({verdict.evidence})"
                 )
-                reports.append(
-                    ComponentReport(nodes, verdict.status, pieces, None, verdict)
-                )
+                components.append(_component(tree, nodes, verdict.status, verdict))
             continue
         if witness is None:
             fail(f"component {list(nodes)} lacks an edge certificate")
@@ -795,11 +775,8 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
         if edge_index not in edge_ids:
             fail(f"edge {edge_index} does not belong to component {list(nodes)}")
             continue
-        edge = tree.edges[edge_index]
-        image = apply_gluing(edge.matrix, alpha)
-        va = slope_lo_verdict(tree.nodes[edge.a], alpha)
-        vb = slope_lo_verdict(tree.nodes[edge.b], image)
-        if va.status is not LOStatus.LO:
+        va, image, vb = _pair(tree, tree.edges[edge_index], alpha)
+        if vb is None:
             fail(
                 f"edge {edge_index}: slope {slope_str(alpha)} "
                 f"re-derives as {va.status.value} on side a ({va.evidence})"
@@ -814,10 +791,10 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
                 f"edge {edge_index}: pair ({slope_str(alpha)}, "
                 f"{slope_str(image)}) re-verified left-orderable on both sides"
             )
-            cert = EdgeCertificate(edge_index, alpha, image, va, vb)
-            reports.append(ComponentReport(nodes, LOStatus.LO, pieces, cert, None))
+            pair = (edge_index, alpha, image, va, vb)
+            components.append(_component(tree, nodes, LOStatus.LO, pair=pair))
     if ok:
-        derived = _certificate(reports, search_bound).to_json()
+        derived = _certificate(components, search_bound)
         where = _first_difference(derived, record, "certificate")
         if where is not None:
             fail(f"{where} differs from its re-derivation")

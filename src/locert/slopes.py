@@ -67,9 +67,8 @@ def make_slope(p: int, q: int) -> Slope:
 
 
 def parse_slope(text: str) -> Slope:
-    p_txt, _, q_txt = text.partition("/")
-    q = int(q_txt) if q_txt else 1
-    return make_slope(int(p_txt), q)
+    p_txt, slash, q_txt = text.partition("/")
+    return make_slope(int(p_txt), int(q_txt) if slash else 1)
 
 
 def slope_str(s: Slope) -> str:

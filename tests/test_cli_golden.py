@@ -67,6 +67,8 @@ CASES: dict[str, list[str]] = {
     "slope_delta": ["slope", "delta", "2/1", "1/1"],
     "slope_delta_integer": ["slope", "delta", "3", "1/2"],
     "slope_delta_not_primitive": ["slope", "delta", "2/4", "1/1"],
+    # after a slash the denominator must be an integer
+    "slope_delta_empty_denominator": ["slope", "delta", "1/", "2/1"],
     "slope_delta_too_large": ["slope", "delta", "--", f"{_HUGE}/1", f"1/{_HUGE}"],
     "slope_delta_too_large_text": ["--format", "text", "slope", "delta", "--",
                                    f"{_HUGE}/1", f"1/{_HUGE}"],
@@ -119,10 +121,8 @@ CASES: dict[str, list[str]] = {
     "splice_cert_lspace_interval": ["splice", "cert", "lspace_splice_tree.json"],
     "splice_cert_lspace_interval_mirror": ["splice", "cert", "lspace_mirror_tree.json"],
     "splice_cert_forest": ["splice", "cert", "forest_tree.json", "--bound", "2"],
-    "splice_cert_forest_edge": ["splice", "cert", "forest_tree.json", "--edge", "1"],
     "splice_cert_splice_pairs": ["splice", "cert", "splice_pairs_forest.json"],
     "splice_cert_poincare_forest": ["splice", "cert", "poincare_forest_tree.json"],
-    "splice_cert_bad_edge": ["splice", "cert", "forest_tree.json", "--edge", "5"],
     "splice_cert_bad_node": ["splice", "cert", "bad_node_tree.json"],
     "splice_cert_integer_key": ["splice", "cert", "integer_key_tree.json"],
     "splice_cert_top_level_list": ["splice", "cert", "list_tree.json"],
@@ -134,6 +134,8 @@ CASES: dict[str, list[str]] = {
     "splice_cert_missing_kind": ["splice", "cert", "missing_kind_tree.json"],
     "splice_cert_missing_s": ["splice", "cert", "missing_s_tree.json"],
     "splice_cert_missing_matrix": ["splice", "cert", "missing_matrix_tree.json"],
+    # 3000 nested lists: json.load hits the recursion limit
+    "splice_cert_deep_nesting": ["splice", "cert", "deep_nesting.json"],
     "splice_cert_negative_bound": ["splice", "cert", DATA + "double_trefoil_splice.json",
                                    "--bound", "-3"],
     "splice_verify": ["splice", "verify", DATA + "double_trefoil_splice.json",
@@ -245,6 +247,26 @@ def test_corpus_covers_every_exit_code():
         for name in CASES
     }
     assert codes == {0, 1, 2}
+
+
+def _certified_cases() -> list[str]:
+    return [
+        name for name, argv in sorted(CASES.items())
+        if argv[:2] == ["splice", "cert"]
+        and json.loads(_case_path(name).read_text(encoding="utf-8"))["exit"] == 0
+    ]
+
+
+@pytest.mark.parametrize("name", _certified_cases())
+def test_printed_certificates_verify(name, tmp_path):
+    # The certificate that `splice cert` prints is the record `splice verify`
+    # reads.
+    stdout = json.loads(_case_path(name).read_text(encoding="utf-8"))["stdout"]
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(json.loads(stdout)["payload"]["certificate"]))
+    result = capture(["splice", "verify", CASES[name][2], str(cert_path)])
+    assert result["exit"] == 0 and result["stderr"] == ""
+    assert json.loads(result["stdout"])["payload"]["valid"] is True
 
 
 def _regenerate(names: list[str]) -> None:

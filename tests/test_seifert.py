@@ -6,9 +6,9 @@ from math import gcd
 
 import pytest
 
+from locert import seifert
 from locert.seifert import (
     BrieskornZHS,
-    Certificate,
     InvalidParams,
     InvalidSpliceTree,
     LORule,
@@ -182,17 +182,36 @@ def test_enumerate_slopes_order():
         assert enumerate_slopes(bound) == box
 
 
+def test_search_generates_slopes_lazily(monkeypatch):
+    # The double trefoil certifies at -1/1, the second enumerated slope, so
+    # even a huge bound must build only a few slopes before the witness.
+    made = []
+
+    def counting_slope(p, q):
+        made.append((p, q))
+        assert len(made) < 100, "the search built slopes past its witness"
+        return Slope(p, q)
+
+    monkeypatch.setattr(seifert, "Slope", counting_slope)
+    outcome = certificate_search(_double_trefoil(), search_bound=10**9)
+    monkeypatch.undo()
+    assert outcome.certificate == dict(
+        certificate_search(_double_trefoil(), search_bound=3).certificate,
+        search_bound=10**9,
+    )
+
+
 def test_certificate_search_double_trefoil():
     outcome = certificate_search(_double_trefoil(), search_bound=3)
     assert outcome.status is LOStatus.LO
     cert = outcome.certificate
     assert cert is not None
-    ec = cert.components[0].edge_certificate
-    assert ec.alpha == Slope(-1, 1)
-    assert ec.image == Slope(-1, 1)
-    assert ec.verdict_a.status is LOStatus.LO
-    assert ec.verdict_b.status is LOStatus.LO
-    ok, report = verify_certificate(_double_trefoil(), cert.to_json())
+    ec = cert["components"][0]["edge_certificate"]
+    assert ec["alpha"] == "-1/1"
+    assert ec["image"] == "-1/1"
+    assert ec["verdict_a"]["status"] == LOStatus.LO.value
+    assert ec["verdict_b"]["status"] == LOStatus.LO.value
+    ok, report = verify_certificate(_double_trefoil(), cert)
     assert ok, report
 
 
@@ -206,14 +225,15 @@ def test_certificate_search_corollary_branch():
     tree = SpliceTree((user, TorusKnotPiece(2, 3)), (SpliceEdge(0, 1, SPLICE),))
     outcome = certificate_search(tree, search_bound=3)
     assert outcome.status is LOStatus.LO
-    ec = outcome.certificate.components[0].edge_certificate
+    ec = outcome.certificate["components"][0]["edge_certificate"]
     # the splice pair (mu_1, lambda_2)
-    assert ec.alpha == Slope(1, 0)
-    assert ec.image == Slope(0, 1)
-    assert ec.verdict_a.rule is LORule.USER_ASSERTED
-    assert ec.verdict_b.rule is LORule.B1_RULE
-    assert any("Heil" in h or "prime" in h for h in outcome.certificate.hypotheses)
-    ok, _ = verify_certificate(tree, outcome.certificate.to_json())
+    assert ec["alpha"] == "1/0"
+    assert ec["image"] == "0/1"
+    assert ec["verdict_a"]["rule"] == LORule.USER_ASSERTED.value
+    assert ec["verdict_b"]["rule"] == LORule.B1_RULE.value
+    hypotheses = outcome.certificate["hypotheses"]
+    assert any("Heil" in h or "prime" in h for h in hypotheses)
+    ok, _ = verify_certificate(tree, outcome.certificate)
     assert ok
 
 
@@ -225,7 +245,7 @@ def test_certificate_search_exceptional_leaf():
     lo_leaf = SpliceTree((BrieskornZHS((2, 3, 7)),), ())
     outcome = certificate_search(lo_leaf)
     assert outcome.status is LOStatus.LO
-    ok, _ = verify_certificate(lo_leaf, outcome.certificate.to_json())
+    ok, _ = verify_certificate(lo_leaf, outcome.certificate)
     assert ok
 
 
@@ -240,8 +260,8 @@ def test_certificate_search_forest_components():
     )
     outcome = certificate_search(tree, search_bound=3)
     assert outcome.status is LOStatus.LO
-    assert len(outcome.certificate.components) == 2
-    ok, _ = verify_certificate(tree, outcome.certificate.to_json())
+    assert len(outcome.certificate["components"]) == 2
+    ok, _ = verify_certificate(tree, outcome.certificate)
     assert ok
     # one bad component spoils the free product
     spoiled = SpliceTree(
@@ -262,7 +282,7 @@ def test_certificate_search_unknown():
 
 def test_verify_rejects_tampered_certificates():
     tree = _double_trefoil()
-    record = certificate_search(tree, search_bound=3).certificate.to_json()
+    record = certificate_search(tree, search_bound=3).certificate
 
     def verify_with(**edge_fields):
         bad = copy.deepcopy(record)
@@ -286,7 +306,7 @@ def test_verify_rejects_tampered_certificates():
             "FAIL certificate.components[0].status differs from its re-derivation"
         )
     forest = SpliceTree(tree.nodes + (BrieskornZHS((2, 3, 7)),), tree.edges)
-    bad = certificate_search(forest, search_bound=3).certificate.to_json()
+    bad = certificate_search(forest, search_bound=3).certificate
     bad["components"][1]["leaf_verdict"] = None
     ok, report = verify_certificate(forest, bad)
     assert not ok and report[-1] == (
@@ -299,7 +319,8 @@ def test_verify_rejects_tampered_certificates():
     ]
     # empty certificate on empty forest round-trips
     empty_tree = SpliceTree((), ())
-    ok, _ = verify_certificate(empty_tree, Certificate((), (), 0).to_json())
+    empty = {"version": 1, "search_bound": 0, "components": [], "hypotheses": []}
+    ok, _ = verify_certificate(empty_tree, empty)
     assert ok
 
 
@@ -321,7 +342,7 @@ def _edited(record: dict, path: tuple, value) -> dict:
 
 def test_verify_compares_the_record_with_its_rederivation():
     tree = _user_splice()
-    record = certificate_search(tree, search_bound=3).certificate.to_json()
+    record = certificate_search(tree, search_bound=3).certificate
     assert record["hypotheses"] == [
         "edge 0 side b: 0-filling has infinite first homology (surjection onto "
         "Z); primeness supplied by caller flag"
@@ -407,7 +428,7 @@ def test_tree_and_certificate_json_round_trip():
     # search -> JSON text -> verify
     for splice in (_double_trefoil(), _user_splice()):
         cert = certificate_search(splice, search_bound=3).certificate
-        record = json.loads(json.dumps(cert.to_json()))
+        record = json.loads(json.dumps(cert))
         assert verify_certificate(splice, record)[0]
 
 

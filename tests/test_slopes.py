@@ -79,6 +79,10 @@ def test_parse_and_format():
     assert parse_slope("3/2") == Slope(3, 2)
     assert parse_slope("-1/1") == Slope(-1, 1)
     assert parse_slope("5") == Slope(5, 1)
+    # after a slash the denominator must be an integer
+    for text in ("1/", "1/ ", "/1", "1/x"):
+        with pytest.raises(ValueError):
+            parse_slope(text)
     assert slope_str(Slope(-1, 1)) == "-1/1"
 
 
