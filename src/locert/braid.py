@@ -37,8 +37,6 @@ __all__ = [
     "Ordering",
     "PeripheralElement",
     "PeripheralOrderType",
-    "StepCapExceeded",
-    "BoundExceeded",
     "SIGMA1",
     "SIGMA2",
     "DELTA",
@@ -67,16 +65,6 @@ DEFAULT_STEP_CAP = 1_000_000
 
 _LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
 _CHAR_OF_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
-
-
-class StepCapExceeded(RuntimeError):
-    """Handle reduction exceeded its step cap (an internal bug: termination
-    is a theorem, so a genuine input can never trip this)."""
-
-
-class BoundExceeded(RuntimeError):
-    """delta_floor found no floor within the letter-count bound (a bug:
-    the bound is valid by the Malyutin inequalities)."""
 
 
 class Sign3(Enum):
@@ -248,8 +236,8 @@ def handle_reduce(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
     start; random words of 512 to 8192 letters take 2 to 4 passes in all
     on average.
 
-    Raises StepCapExceeded past ``step_cap`` rewriting steps, which would
-    indicate an implementation bug rather than a hard input.
+    Raises ValueError past ``step_cap`` rewriting steps.  Termination is a
+    theorem, but it does not bound the step count by ``step_cap``.
     """
     left = _syllables(word)
     steps = 0
@@ -271,7 +259,7 @@ def handle_reduce(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
         while True:
             steps += 1
             if steps > step_cap:
-                raise StepCapExceeded(
+                raise ValueError(
                     f"handle reduction exceeded {step_cap} steps on a word of "
                     f"{len(word)} letters"
                 )
@@ -368,7 +356,7 @@ def delta_floor(word: Word) -> int:
     gap.  Floors are small next to L (on 150 random words of 512 to 1024
     letters, median |m| 4 and maximum 19), so the comparisons against the
     long words Delta^+-2L happen only if the doubling reaches them.
-    BoundExceeded is raised when the range is exhausted without a flip.
+    ValueError is raised when the range is exhausted without a flip.
     """
     bound = len(word)
 
@@ -384,7 +372,7 @@ def delta_floor(word: Word) -> int:
         if at_most(m) is not up:
             break
         if m == limit:
-            raise BoundExceeded(
+            raise ValueError(
                 f"no Delta^2 floor within |m| <= {bound} for word {word_str(word)!r}"
             )
         inside, step = m, 2 * step

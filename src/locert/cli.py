@@ -18,8 +18,10 @@ derived from the seed.
 
 Import rule: this module imports no ``locert`` layer at module level.  Each
 handler imports the layers it calls, so a process loads only what its
-subcommand runs (``slope delta`` loads ``slopes`` alone), and ``run`` imports
-``braid`` only to classify an exception already raised.
+subcommand runs (``slope delta`` loads ``slopes`` alone).  A layer raises
+``ValueError`` on bad input, which ``run`` maps to exit 1 as it does
+``OSError``, and ``OverflowError`` past a budget, which a handler answers as
+``inconclusive``; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -107,9 +109,7 @@ def _klein_fill(args):
     slope = klein.KleinPeripheral(args.m, args.n)
     try:
         result = klein.klein_fill(slope)
-    except klein.NotPrimitive:
-        raise
-    except ValueError:  # str() refuses the order 4|mn| in the note
+    except OverflowError:
         return "inconclusive", {
             "slope": [slope.m, slope.n],
             "classification": None,
@@ -277,7 +277,7 @@ def _cover_order(args):
     try:
         order = alexander.branched_cover_order(poly, args.n)
         payload["order"] = order if order is not None else "infinite"
-    except alexander.OrderTooLarge as exc:
+    except OverflowError as exc:
         status = "inconclusive"
         payload["order"] = None
         payload["reason"] = str(exc)
@@ -490,14 +490,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     start = time.perf_counter()
     try:
         status, payload, citations = args.handler(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        # Of the RuntimeErrors only braid's caps are input errors; braid is
-        # imported here, not at start-up, to tell them apart.
-        if isinstance(exc, RuntimeError):
-            from . import braid
-
-            if not isinstance(exc, (braid.BoundExceeded, braid.StepCapExceeded)):
-                raise
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     runtime_ms = round((time.perf_counter() - start) * 1000.0, 3)

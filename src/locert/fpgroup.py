@@ -32,7 +32,6 @@ __all__ = [
     "GroupWord",
     "Presentation",
     "AbelianInvariants",
-    "NameClash",
     "ClosedTable",
     "parse_group_word",
     "group_word_str",
@@ -49,10 +48,6 @@ __all__ = [
 ]
 
 GroupWord = tuple[int, ...]
-
-
-class NameClash(ValueError):
-    """Generator names collide when forming an amalgam."""
 
 
 class AbelianInvariants(NamedTuple):
@@ -263,7 +258,7 @@ def amalgam(
         g.lower() for g in p2.generators
     )
     if clash:
-        raise NameClash(f"generator names collide: {sorted(clash)}")
+        raise ValueError(f"generator names collide: {sorted(clash)}")
     shift = len(p1.generators)
 
     def shifted(word: GroupWord) -> GroupWord:
@@ -302,6 +297,8 @@ def enumerate_table(
     presentation order, and undefined entries filled column by column, so
     a run is reproducible bit for bit.
     """
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
     ncols = 2 * len(p.generators)
     if not p.generators:
         return ClosedTable(1, [[]])

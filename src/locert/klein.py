@@ -35,7 +35,6 @@ __all__ = [
     "KleinPeripheral",
     "KleinFillKind",
     "KleinFillResult",
-    "NotPrimitive",
     "k_multiply",
     "k_inverse",
     "k_sign",
@@ -46,10 +45,6 @@ __all__ = [
     "parse_element",
     "element_str",
 ]
-
-
-class NotPrimitive(ValueError):
-    """Filling slope (m, n) must satisfy gcd(m, n) = 1."""
 
 
 class KleinElement(NamedTuple):
@@ -145,11 +140,12 @@ def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
     infinite dihedral group Z/2 * Z/2 (set x^2 = 1: then (xy)^2 = 1 as
     well), which has torsion.  Every other primitive slope gives a finite
     group: killing y^m x^(2n) with m, n nonzero forces x^(4n) = 1 and
-    y^(2m) = 1, leaving a quotient of order 4|mn|.
+    y^(2m) = 1, leaving a quotient of order 4|mn|.  OverflowError is
+    raised when that order has too many digits to print.
     """
     m, n = slope
     if gcd(m, n) != 1:
-        raise NotPrimitive(f"slope ({m}, {n}) is not primitive")
+        raise ValueError(f"slope ({m}, {n}) is not primitive")
     # exponent sums in (x, y) of x y x^-1 y and of y^m x^(2n)
     ab = relation_matrix_invariants([[0, 2], [2 * n, m]], 2)
     if n == 0:
@@ -165,10 +161,14 @@ def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
             "quotient is Z/2 * Z/2 (infinite dihedral); torsion "
             "obstructs left-orderability",
         )
+    try:
+        order = str(4 * abs(m * n))
+    except ValueError:  # str() refuses an int past the digit limit
+        raise OverflowError("the order 4|mn| passes the digit limit") from None
     return KleinFillResult(
         KleinFillKind.FINITE_NOT_LO,
         ab,
-        f"finite quotient of order {4 * abs(m * n)} (elliptic filling); "
+        f"finite quotient of order {order} (elliptic filling); "
         "finite nontrivial groups are not left-orderable",
     )
 

@@ -59,9 +59,6 @@ __all__ = [
     "LOStatus",
     "LORule",
     "LOSlopeVerdict",
-    "NotCoprime",
-    "RuleInapplicable",
-    "InvalidParams",
     "InvalidSpliceTree",
     "BrieskornZHS",
     "TorusKnotPiece",
@@ -80,18 +77,6 @@ __all__ = [
     "hf_surgery_rank",
     "enumerate_slopes",
 ]
-
-
-class NotCoprime(ValueError):
-    """Brieskorn multiplicities must be pairwise coprime."""
-
-
-class RuleInapplicable(ValueError):
-    """The L-space interval rule does not cover reducible fillings."""
-
-
-class InvalidParams(ValueError):
-    """Surgery-rank parameters out of range."""
 
 
 class InvalidSpliceTree(ValueError):
@@ -142,12 +127,12 @@ class BrieskornZHS:
     def __post_init__(self) -> None:
         ms = self.multiplicities
         if not ms or any(m < 1 for m in ms):
-            raise NotCoprime("multiplicities must be integers >= 1")
+            raise ValueError("multiplicities must be integers >= 1")
         nontrivial = [m for m in ms if m > 1]
         for i in range(len(nontrivial)):
             for j in range(i + 1, len(nontrivial)):
                 if gcd(nontrivial[i], nontrivial[j]) != 1:
-                    raise NotCoprime(
+                    raise ValueError(
                         f"multiplicities {nontrivial[i]} and {nontrivial[j]} "
                         "share a factor"
                     )
@@ -319,8 +304,8 @@ class SpliceTree:
                 )
                 nodes.append(
                     UserPiece(
-                        nd.get("name", ""),
-                        nd.get("description", ""),
+                        _json_str(nd.get("name", ""), "name"),
+                        _json_str(nd.get("description", ""), "description"),
                         tuple(
                             (parse_slope(s), LOStatus(v)) for s, v in asserted.items()
                         ),
@@ -442,11 +427,15 @@ def moser_surgery(k: TorusKnotPiece, alpha: Slope) -> MoserResult:
 def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict:
     """L-space interval rule: for the positive T(r, s), the p/q filling is
     an L-space iff p/q >= rs - r - s; by Boyer-Gordon-Watson this is
-    exactly non-left-orderability among these Seifert fibred fillings."""
+    exactly non-left-orderability among these Seifert fibred fillings.  The
+    reducible filling is covered by no rule: its verdict is UNKNOWN."""
     result = moser_surgery(k, alpha)
     if result.kind is MoserKind.REDUCIBLE:
-        raise RuleInapplicable(
-            f"{slope_str(alpha)} filling of {k.describe()} is reducible"
+        return LOSlopeVerdict(
+            LOStatus.UNKNOWN,
+            None,
+            f"{slope_str(alpha)} filling of {k.describe()} is reducible; "
+            "no rule applies",
         )
     eff = _effective_slope(k, alpha)
     threshold = k.r * k.s - k.r - k.s
@@ -503,15 +492,7 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
                 f"{slope_str(alpha)} filling of {piece.describe()} closes to "
                 f"{closed.describe()}: " + verdict.evidence,
             )
-        try:
-            return torus_knot_lspace_verdict(piece, alpha)
-        except RuleInapplicable:
-            return LOSlopeVerdict(
-                LOStatus.UNKNOWN,
-                None,
-                f"{slope_str(alpha)} filling of {piece.describe()} is reducible; "
-                "no rule applies",
-            )
+        return torus_knot_lspace_verdict(piece, alpha)
 
     status = piece.lookup(alpha)
     if status is not None:
@@ -539,11 +520,11 @@ def hf_surgery_rank(p: int, q: int, nu: int, ranks: tuple[int, ...]) -> int:
     always >= |p|, with equality characterizing L-space surgeries.
     """
     if q <= 0:
-        raise InvalidParams("q must be positive")
+        raise ValueError("q must be positive")
     if nu < 0:
-        raise InvalidParams("nu must be nonnegative")
+        raise ValueError("nu must be nonnegative")
     if any(r < 1 for r in ranks):
-        raise InvalidParams("all ranks must be >= 1")
+        raise ValueError("all ranks must be >= 1")
     extra = q * sum(r - 1 for r in ranks)
     if nu == 0:
         return abs(p) + extra

@@ -20,7 +20,6 @@ from typing import NamedTuple
 __all__ = [
     "Slope",
     "GluingMatrix",
-    "NotUnimodular",
     "make_slope",
     "parse_slope",
     "slope_str",
@@ -29,10 +28,6 @@ __all__ = [
     "invert_gluing",
     "union_homology_order",
 ]
-
-
-class NotUnimodular(ValueError):
-    """Gluing matrices must have determinant +1 or -1."""
 
 
 class Slope(NamedTuple):
@@ -82,7 +77,7 @@ def intersection_number(alpha: Slope, beta: Slope) -> int:
 
 def _require_unimodular(m: GluingMatrix) -> None:
     if abs(m.det()) != 1:
-        raise NotUnimodular(f"matrix {tuple(m)} has determinant {m.det()}")
+        raise ValueError(f"matrix {tuple(m)} has determinant {m.det()}")
 
 
 def apply_gluing(m: GluingMatrix, alpha: Slope) -> Slope:

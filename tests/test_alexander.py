@@ -1,13 +1,12 @@
 """Branched-cover homology orders by exact resultants."""
 
 import random
+import re
 
 import pytest
 
 from locert.alexander import (
     MAX_ORDER_DIGITS,
-    NotAlexanderNormalized,
-    OrderTooLarge,
     branched_cover_order,
     evaluate_at_int,
     parse_poly,
@@ -117,6 +116,8 @@ def test_poly_str_round_trip():
 
 
 NOT_SYMMETRIC = "not symmetric under t -> 1/t up to units"
+TOO_LARGE = r"^the order exceeds the 4300-digit budget$"
+DEGREE = r"^the degree exceeds the budget of 200$"
 
 
 def test_validate_alexander():
@@ -128,6 +129,33 @@ def test_validate_alexander():
         "value at t = 1 is not a unit"
     ]
     assert validate_alexander({}) == ["value at t = 1 is not a unit", NOT_SYMMETRIC]
+    # only the exponents present are read, so a wide polynomial costs nothing
+    assert validate_alexander(parse_poly("t^100000000 - t + 1")) == [NOT_SYMMETRIC]
+    assert validate_alexander(parse_poly("t^100000000 - t^50000000 + 1")) == []
+
+
+def _listed_failures(poly):
+    # the check on the written-out coefficient list, as a reference
+    coeffs = [poly.get(e, 0) for e in range(min(poly), max(poly) + 1)] if poly else []
+    failed = []
+    if not (coeffs and evaluate_at_int(poly, 1) in (1, -1)):
+        failed.append("value at t = 1 is not a unit")
+    if not (coeffs and coeffs in (coeffs[::-1], [-c for c in coeffs[::-1]])):
+        failed.append(NOT_SYMMETRIC)
+    return failed
+
+
+def test_validate_alexander_matches_the_coefficient_list():
+    rng = random.Random(20110603)
+    for _ in range(500):
+        lo = rng.randint(-4, 4)
+        half = [rng.randint(-2, 2) for _ in range(rng.randint(0, 4))]
+        sign = rng.choice((1, -1))
+        coeffs = half + [rng.randint(-3, 3)] + [sign * c for c in reversed(half)]
+        if rng.random() < 0.5:
+            coeffs[rng.randrange(len(coeffs))] += rng.choice((1, -1))
+        poly = {lo + i: c for i, c in enumerate(coeffs) if c}
+        assert validate_alexander(poly) == _listed_failures(poly), poly
 
 
 def test_conway_orders_are_one():
@@ -203,10 +231,24 @@ def test_laurent_shift_invariance():
 
 
 def test_normalization_guard():
-    with pytest.raises(NotAlexanderNormalized):
+    with pytest.raises(
+        ValueError, match=re.escape("polynomial t + 1 has Delta(1) != +-1") + "$"
+    ):
         branched_cover_order(parse_poly("t + 1"), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cover order n must be >= 2$"):
         branched_cover_order(TREFOIL, 1)
+
+
+def test_degree_budget():
+    # degree 200 is answered, and checked against |Delta(-1)|; past it the
+    # degree alone is refused, before any coefficient list is written out
+    wide = parse_poly("t^200 - t^100 + 1")
+    assert branched_cover_order(wide, 2) == abs(evaluate_at_int(wide, -1))
+    for text in ("t^201 - t^101 + 1", "t^100000000 - t^50000000 + 1",
+                 "t^-100 - t + t^101"):
+        poly = parse_poly(text)
+        with pytest.raises(OverflowError, match=DEGREE):
+            branched_cover_order(poly, 3)
 
 
 def test_matches_sylvester_oracle_on_random_polynomials():
@@ -258,12 +300,12 @@ def test_trefoil_period_six_at_large_n():
 
 def test_orders_past_the_digit_budget_raise():
     # L_24000 - 2 has 5016 digits
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OverflowError, match=TOO_LARGE):
         branched_cover_order(FIGURE_EIGHT, 12_000)
     # intermediates outgrow the budget long before n is reached
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OverflowError, match=TOO_LARGE):
         branched_cover_order(FIGURE_EIGHT, 10**100)
     # 2t - 1: t^n = 1 / 2^n modulo Delta, and the order is 2^n - 1
     assert branched_cover_order(parse_poly("2t - 1"), 100) == 2**100 - 1
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OverflowError, match=TOO_LARGE):
         branched_cover_order(parse_poly("2t - 1"), 10**100)

@@ -210,17 +210,21 @@ def _raiser(exc):
     return handler
 
 
-@pytest.mark.parametrize("exc", [braid.StepCapExceeded, braid.BoundExceeded])
-def test_braid_caps_are_input_errors(monkeypatch, capsys, exc):
-    monkeypatch.setattr(braid, "handle_reduce", _raiser(exc("cap hit")))
-    assert run(["braid", "reduce", "ab"]) == 1
+@pytest.mark.parametrize("layer, command", [("handle_reduce", "reduce"),
+                                            ("delta_floor", "floor")])
+def test_braid_caps_are_input_errors(monkeypatch, capsys, layer, command):
+    monkeypatch.setattr(braid, layer, _raiser(ValueError("cap hit")))
+    assert run(["braid", command, "ab"]) == 1
     assert capsys.readouterr().err == "error: cap hit\n"
 
 
 def test_other_runtime_errors_surface(monkeypatch):
-    monkeypatch.setattr(braid, "handle_reduce", _raiser(RecursionError("deep")))
-    with pytest.raises(RecursionError):
-        run(["braid", "reduce", "ab"])
+    # only ValueError and OSError are input errors; anything else is a fault
+    # of the program and must not print as one
+    for exc in (KeyError("k"), RuntimeError("r"), RecursionError("deep")):
+        monkeypatch.setattr(braid, "handle_reduce", _raiser(exc))
+        with pytest.raises(type(exc)):
+            run(["braid", "reduce", "ab"])
 
 
 def test_integers_at_the_digit_limit_still_print():

@@ -107,6 +107,7 @@ CASES: dict[str, list[str]] = {
     "group_enumerate_subgroup": ["group", "enumerate", "s3.json", "--subgroup", "x"],
     "group_enumerate_inconclusive": ["group", "enumerate", "dihedral.json",
                                      "--max-cosets", "200"],
+    "group_enumerate_zero_cap": ["group", "enumerate", "s3.json", "--max-cosets", "0"],
     # splice
     "splice_cert_double_trefoil": ["splice", "cert", DATA + "double_trefoil_splice.json"],
     "splice_cert_double_trefoil_text": ["--format", "text", "splice", "cert",
@@ -134,6 +135,8 @@ CASES: dict[str, list[str]] = {
     "splice_cert_missing_kind": ["splice", "cert", "missing_kind_tree.json"],
     "splice_cert_missing_s": ["splice", "cert", "missing_s_tree.json"],
     "splice_cert_missing_matrix": ["splice", "cert", "missing_matrix_tree.json"],
+    # a user piece's name and description must be strings
+    "splice_cert_user_fields": ["splice", "cert", "user_fields_tree.json"],
     # 3000 nested lists: json.load hits the recursion limit
     "splice_cert_deep_nesting": ["splice", "cert", "deep_nesting.json"],
     "splice_cert_negative_bound": ["splice", "cert", DATA + "double_trefoil_splice.json",
@@ -186,6 +189,12 @@ CASES: dict[str, list[str]] = {
                               "--n", "12000"],
     "cover_order_too_large_text": ["--format", "text", "cover", "order", "--poly",
                                    "t^2 - 3t + 1", "--n", "12000"],
+    # degree 10^8, answered without writing out the coefficients: not
+    # symmetric, and past the degree budget
+    "cover_order_wide_not_symmetric": ["cover", "order", "--poly",
+                                       "t^100000000 - t + 1", "--n", "2"],
+    "cover_order_wide": ["cover", "order", "--poly",
+                         "t^100000000 - t^50000000 + 1", "--n", "2"],
     # verify
     "verify_prop43": [*_PROP43, "--verbose-cases"],
     "verify_prop43_text": ["--format", "text", *_PROP43],

@@ -8,7 +8,6 @@ import pytest
 from locert.fpgroup import (
     AbelianInvariants,
     ClosedTable,
-    NameClash,
     Presentation,
     abelianization,
     amalgam,
@@ -125,7 +124,9 @@ def test_amalgam():
     assert len(union.relators) == 4
     free = amalgam(B3, KLEIN, [])
     assert len(free.relators) == 2
-    with pytest.raises(NameClash):
+    with pytest.raises(
+        ValueError, match=r"^generator names collide: \['s1', 's2'\]$"
+    ):
         amalgam(B3, B3, [])
 
 
@@ -139,6 +140,14 @@ def test_coset_enumeration_klein_quotients():
     assert enumerate_table(filled, [], 1000).index == 4
     dihedral = Presentation.parse(["x", "y"], ["x y X y", "x x"])
     assert enumerate_table(dihedral, [], 300) is None
+
+
+def test_coset_cap_below_one_is_an_input_error():
+    # checked before the shortcut for a presentation with no generators
+    for p, cap in ((Presentation.parse([], []), 0), (B3, -5)):
+        with pytest.raises(ValueError, match=f"^max_cosets must be >= 1, got {cap}$"):
+            enumerate_table(p, [], cap)
+    assert enumerate_table(Presentation.parse([], []), [], 1).index == 1
 
 
 def test_coset_enumeration_subgroup_index():

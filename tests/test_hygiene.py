@@ -10,12 +10,15 @@ as ``braid.inverse``, bound from ``fpgroup``) pass.  An ``__all__`` entry
 is read when some module of ``src/locert`` or ``perfbench`` loads it as a
 name or an attribute; its definition, its ``__all__`` string and an import
 alone do not count.  The tests are not readers: an export only they read
-must back a claim or a cross-check named in ``TEST_ONLY_EXPORTS``.
+must back a claim or a cross-check named in ``TEST_ONLY_EXPORTS``.  Every
+exception class the package defines must be caught by type somewhere in it
+or in ``perfbench``.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -41,6 +44,8 @@ TEST_ONLY_EXPORTS = {
     "klein.py: filled_presentation",
     # the independent soundness check on every closed coset table
     "fpgroup.py: check_closed_table",
+    # |Delta(-1)|, the 2-fold cover order by direct evaluation
+    "alexander.py: evaluate_at_int",
 }
 
 
@@ -155,6 +160,60 @@ def test_all_entries_resolve(path):
 def test_every_export_is_read():
     # equality, so an entry that gains a reader or leaves __all__ fails too
     assert set(unread_exports()) == TEST_ONLY_EXPORTS
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Names and attribute names inside an expression."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def exception_classes() -> dict[str, str]:
+    """Classes defined in the package that derive from an exception ->
+    "module: name"."""
+    bases = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                where = f"{path.name}: {node.name}"
+                bases[node.name] = (where, set().union(*map(_referenced, node.bases)))
+    builtin = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    found: dict[str, str] = {}
+    while True:
+        new = {name: where for name, (where, names) in bases.items()
+               if name not in found and names & (builtin | set(found))}
+        if not new:
+            return found
+        found.update(new)
+
+
+def caught_names() -> set[str]:
+    """Names read in an ``except`` clause or as the class argument of an
+    ``isinstance`` call, in the package or the benchmark."""
+    caught = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _referenced(node.type)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                caught |= _referenced(node.args[1])
+    return caught
+
+
+def test_every_exception_class_is_caught():
+    # An exception class earns its place only where code tells it apart;
+    # elsewhere a built-in one (ValueError, OverflowError) says the same.
+    classes = exception_classes()
+    assert "cli.py: _UsageError" in classes.values()
+    caught = caught_names()
+    assert sorted(where for name, where in classes.items() if name not in caught) == []
 
 
 def _fresh(probe: str, *argv: str) -> str:

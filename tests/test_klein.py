@@ -13,7 +13,6 @@ from locert.klein import (
     KleinFillKind,
     KleinOrderingId,
     KleinPeripheral,
-    NotPrimitive,
     element_str,
     filled_presentation,
     k_conjugate_ordering,
@@ -148,9 +147,9 @@ def test_fill_classification():
     assert result.kind is KleinFillKind.FINITE_NOT_LO
     assert result.abelianization.free_rank == 0
     assert prod(result.abelianization.torsion) == 4
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(ValueError, match=r"^slope \(2, 2\) is not primitive$"):
         klein_fill(KleinPeripheral(2, 2))
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(ValueError, match=r"^slope \(0, 0\) is not primitive$"):
         klein_fill(KleinPeripheral(0, 0))
 
 
@@ -168,6 +167,11 @@ def test_fill_abelianization_evidence():
     # no relator is written out, so a large slope costs no more than a small one
     big = klein_fill(KleinPeripheral(10**7 + 1, 10**7)).abelianization
     assert big == (0, (4 * 10**7,))
+    # an order 4|mn| too long to print is past the budget, not bad input
+    with pytest.raises(
+        OverflowError, match=r"^the order 4\|mn\| passes the digit limit$"
+    ):
+        klein_fill(KleinPeripheral(10**2200 + 1, 10**2200))
 
 
 def test_fill_agrees_with_coset_enumeration():

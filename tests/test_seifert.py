@@ -9,13 +9,11 @@ import pytest
 from locert import seifert
 from locert.seifert import (
     BrieskornZHS,
-    InvalidParams,
     InvalidSpliceTree,
     LORule,
+    LOSlopeVerdict,
     LOStatus,
     MoserKind,
-    NotCoprime,
-    RuleInapplicable,
     SpliceEdge,
     SpliceTree,
     TorusKnotPiece,
@@ -51,9 +49,9 @@ def test_recognize_exceptional():
     assert evidence((1, 1)).startswith("Sigma(1,1) is S^3;")
     assert evidence((2, 3, 7)).startswith("Sigma(2,3,7) is a Seifert fibred")
     assert evidence((5, 3, 2, 1)).startswith("Sigma(5,3,2,1) is the Poincare sphere;")
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError, match=r"^multiplicities 2 and 4 share a factor$"):
         BrieskornZHS((2, 4, 5))
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError, match=r"^multiplicities must be integers >= 1$"):
         BrieskornZHS((0, 3))
 
 
@@ -96,8 +94,12 @@ def test_lspace_interval_rule():
     assert (
         torus_knot_lspace_verdict(TREFOIL, make_slope(1, 0)).status is LOStatus.NOT_LO
     )
-    with pytest.raises(RuleInapplicable):
-        torus_knot_lspace_verdict(TREFOIL, make_slope(6, 1))
+    # the reducible filling: no rule applies
+    assert torus_knot_lspace_verdict(TREFOIL, make_slope(6, 1)) == LOSlopeVerdict(
+        LOStatus.UNKNOWN,
+        None,
+        "6/1 filling of T(2,3) chirality +1 is reducible; no rule applies",
+    )
     # mirrors: the trivial filling stays non-left-orderable
     mirror = TorusKnotPiece(2, 3, -1)
     assert torus_knot_lspace_verdict(mirror, make_slope(1, 0)).status is LOStatus.NOT_LO
@@ -425,6 +427,22 @@ def test_tree_and_certificate_json_round_trip():
         }
     )
     assert parsed == tree
+
+
+def test_user_piece_name_and_description_are_strings():
+    def user(**fields):
+        node = {"kind": "user", "asserted": {"1/0": "lo"}, **fields}
+        return {"nodes": [node], "edges": []}
+
+    assert SpliceTree.from_json(user()).nodes == (
+        UserPiece(asserted=((Slope(1, 0), LOStatus.LO),)),
+    )
+    with pytest.raises(InvalidSpliceTree, match=r"^name must be a string, got 5$"):
+        SpliceTree.from_json(user(name=5, description="d"))
+    with pytest.raises(
+        InvalidSpliceTree, match=r"^description must be a string, got \['x'\]$"
+    ):
+        SpliceTree.from_json(user(name="n", description=["x"]))
     # search -> JSON text -> verify
     for splice in (_double_trefoil(), _user_splice()):
         cert = certificate_search(splice, search_bound=3).certificate
@@ -436,11 +454,11 @@ def test_hf_surgery_rank_examples():
     assert hf_surgery_rank(-3, 1, 1, (1,)) == 5
     assert hf_surgery_rank(7, 1, 1, (1,)) == 7
     assert hf_surgery_rank(5, 2, 0, (3,)) == 9
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match=r"^q must be positive$"):
         hf_surgery_rank(1, 0, 1, (1,))
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match=r"^nu must be nonnegative$"):
         hf_surgery_rank(1, 1, -1, (1,))
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match=r"^all ranks must be >= 1$"):
         hf_surgery_rank(1, 1, 1, (0,))
 
 
