@@ -22,11 +22,15 @@ subcommand runs (``slope delta`` loads ``slopes`` alone).  A layer raises
 ``ValueError`` on bad input, which ``run`` maps to exit 1 as it does
 ``OSError``, and ``OverflowError`` past a budget, which a handler answers as
 ``inconclusive``; any other exception propagates.
+
+The argument parser is built once per process, on the first ``run``, and
+reused by every later call; importing this module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -342,6 +346,7 @@ def _verify_nonapplicability(args):
 # --- wiring -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="locert",

@@ -72,6 +72,15 @@ class Presentation:
                     f"generator name {g!r} must contain a lowercase letter "
                     "(uppercase marks inverses)"
                 )
+        # "ß" and "ss" differ case-insensitively, but both inverses spell "SS".
+        named: dict[str, str] = {}
+        for g in self.generators:
+            other = named.setdefault(g.upper(), g)
+            if other != g:
+                raise ValueError(
+                    f"generator names {other!r} and {g!r} have the same "
+                    f"uppercase form {g.upper()!r}, which spells an inverse"
+                )
         n = len(self.generators)
         for rel in self.relators:
             for x in rel:

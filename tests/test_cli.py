@@ -12,6 +12,7 @@ import pytest
 from bundled import data_file, data_path
 from locert import braid
 from locert.cli import run
+from test_cli_golden import _RUNTIME, INPUTS, capture
 
 
 def _run(argv):
@@ -250,6 +251,47 @@ def test_closed_stdout_keeps_the_exit_code():
     assert child.wait(timeout=60) == 0
     assert child.stderr.read() == ""
     child.stderr.close()
+
+
+_PROP43 = ["verify", "proposition-4-3", "--samples", "3", "--grid-bound", "2"]
+# One process runs these in order on its one parser; each must answer as it
+# does first in a fresh process.
+_SEQUENCE = [
+    # a usage error after an append action has fired, then valid queries
+    ["group", "enumerate", "s3.json", "--subgroup", "x", "--max-cosets", "z"],
+    ["klein", "fill", "1", "0"],
+    ["group", "enumerate", "s3.json", "--subgroup", "x", "--subgroup", "y"],
+    ["group", "enumerate", "s3.json", "--subgroup", "x"],
+    ["group", "enumerate", "s3.json"],
+    ["group", "amalgam", data_path("b3_presentation.json"),
+     data_path("klein_bottle_presentation.json"),
+     "--pair", "s2 = Y", "--pair", "s1 s2 s1 s1 s2 s1 = Y x x"],
+    ["group", "amalgam", data_path("b3_presentation.json"),
+     data_path("klein_bottle_presentation.json"), "--pair", "s2 = Y"],
+    ["--format", "text", "braid", "sign", "B"],
+    ["braid", "sign", "B"],
+    [*_PROP43, "--verbose-cases"],
+    _PROP43,
+]
+
+
+def test_reused_parser_keeps_no_state_between_runs():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    codes = []
+    for argv in _SEQUENCE:
+        result = capture(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "locert.cli", *argv], env=env, cwd=INPUTS,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result == {
+            "argv": argv,
+            "exit": fresh.returncode,
+            "stdout": _RUNTIME.sub(r'\1"<masked>"', fresh.stdout),
+            "stderr": fresh.stderr,
+        }
+        codes.append(result["exit"])
+    assert codes == [1] + [0] * (len(_SEQUENCE) - 1)
 
 
 def test_text_format():

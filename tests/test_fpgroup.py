@@ -59,6 +59,17 @@ def test_presentation_validation():
         Presentation(("x",), ((2,),))
 
 
+@pytest.mark.parametrize("names", [("ß", "ss"), ("s", "ſ"), ("x", "ß", "ss")])
+def test_presentation_rejects_colliding_inverse_spellings(names):
+    # Both inverses would print as one token, so a printed word could read
+    # back as another element.
+    first, second = names[-2:]
+    with pytest.raises(
+        ValueError, match=f"^generator names '{first}' and '{second}' have the same "
+    ):
+        Presentation(names, ())
+
+
 def test_presentation_json_round_trip():
     assert Presentation.from_json(B3.to_json()) == B3
 

@@ -1,8 +1,8 @@
 """Hygiene of the package source: no unused imports, every ``__all__``
 entry names something the module binds and something the code reads, and
 the CLI's import path stays free of modules that only slow start-up:
-``cli`` imports no layer at module level, and each subcommand loads only
-the layers it runs.
+``cli`` imports no layer at module level and builds no parser on import,
+and each subcommand loads only the layers it runs.
 
 The first three checks read the source with ``ast``; nothing is imported.
 A name listed in ``__all__`` counts as used, so deliberate re-exports (such
@@ -278,6 +278,30 @@ _FAMILY_MODULES = {
 
 def test_cli_import_loads_no_layer():
     assert set(_fresh(_LOADED).split()) == {"locert", "locert.cli"}
+
+
+_PARSERS_BUILT = (
+    "import argparse, io\n"
+    "built = []\n"
+    "init = argparse.ArgumentParser.__init__\n"
+    "def counted(self, *args, **kwargs):\n"
+    "    built.append(self)\n"
+    "    init(self, *args, **kwargs)\n"
+    "argparse.ArgumentParser.__init__ = counted\n"
+    "import locert.cli\n"
+    "counts = [len(built)]\n"
+    "for _ in range(2):\n"
+    "    locert.cli.run(['slope', 'delta', '2/1', '1/1'], out=io.StringIO())\n"
+    "    counts.append(len(built))\n"
+    "print(*counts)"
+)
+
+
+def test_cli_import_builds_no_parser():
+    # The parser tree (about 4 ms) is built on the first run and kept: import
+    # builds none, and a second run builds no more.
+    on_import, after_first, after_second = map(int, _fresh(_PARSERS_BUILT).split())
+    assert on_import == 0 and after_first > 0 and after_second == after_first
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILY_MODULES))
