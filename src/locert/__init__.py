@@ -8,7 +8,9 @@ Modules by subject:
                   peripheral subgroup of the trefoil exterior
 * ``klein``     - the Klein-bottle group, its two distinguished
                   orderings, and fillings of the twisted I-bundle
-* ``slopes``    - slope calculus on torus boundaries
+* ``slopes``    - slope calculus on torus boundaries, and the walk over
+                  primitive slopes that the splice search and the
+                  Klein-bottle survey share
 * ``fpgroup``   - presentations, Smith-normal-form abelianization,
                   Dehn-filling relators, amalgams, Todd-Coxeter, and
                   the group-word helpers (inversion, free reduction,

@@ -3,9 +3,9 @@
 Words are tuples of nonzero integers: +1 for s1, -1 for s1^-1, +2 for s2,
 -2 for s2^-1.  The ASCII syntax is ``a`` = s1, ``A`` = s1^-1, ``b`` = s2,
 ``B`` = s2^-1, with whitespace ignored, so words round-trip bit-exactly
-through the CLI.  A braid word is a group word over (s1, s2), so inversion
-and powers are ``fpgroup``'s word helpers, bound here under the names
-``inverse`` and ``power``.
+through the CLI.  Words concatenate with tuple ``+``.  A braid word is a
+group word over (s1, s2), so inversion and powers are ``fpgroup``'s word
+helpers, bound here under the names ``inverse`` and ``power``.
 
 Two independent decision procedures for the word problem are provided and
 cross-validate each other:
@@ -16,7 +16,8 @@ cross-validate each other:
   sum vanishes (the kernel of the quotient is generated by Delta^2, which
   has exponent sum 6);
 * Dehornoy-style handle reduction, which rewrites a word into one in which
-  s1 occurs with a single sign only (or not at all).
+  s1 occurs with a single sign only (or not at all); it raises ValueError
+  past ``STEP_CAP`` rewriting steps.
 
 Handle reduction also decides the Dubrovina-Dubrovin left ordering of B3:
 a braid is DD-positive iff it admits a 1-positive representative (s1 only
@@ -44,7 +45,6 @@ __all__ = [
     "parse_word",
     "word_str",
     "inverse",
-    "concat",
     "power",
     "exponent_sum",
     "modular_image",
@@ -61,7 +61,7 @@ __all__ = [
 
 Word = tuple[int, ...]
 
-DEFAULT_STEP_CAP = 1_000_000
+STEP_CAP = 1_000_000
 
 _LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
 _CHAR_OF_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
@@ -115,13 +115,6 @@ def parse_word(text: str) -> Word:
 
 def word_str(word: Word) -> str:
     return "".join(_CHAR_OF_LETTER[x] for x in word)
-
-
-def concat(*words: Word) -> Word:
-    out: list[int] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
 
 
 SIGMA1: Word = (1,)
@@ -206,7 +199,7 @@ def _letters(sylls: list[list[int]]) -> Word:
     return tuple(out)
 
 
-def handle_reduce(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
+def handle_reduce(word: Word) -> Word:
     """Dehornoy handle reduction, specialized to B3.
 
     After free reduction, an s1-handle is a subword s1^e s2^m s1^-e whose
@@ -236,9 +229,10 @@ def handle_reduce(word: Word, step_cap: int = DEFAULT_STEP_CAP) -> Word:
     start; random words of 512 to 8192 letters take 2 to 4 passes in all
     on average.
 
-    Raises ValueError past ``step_cap`` rewriting steps.  Termination is a
-    theorem, but it does not bound the step count by ``step_cap``.
+    Raises ValueError past ``STEP_CAP`` rewriting steps.  Termination is a
+    theorem, but it does not bound the step count by ``STEP_CAP``.
     """
+    step_cap = STEP_CAP
     left = _syllables(word)
     steps = 0
     while True:
@@ -331,7 +325,7 @@ def dd_sign(word: Word) -> Sign3:
 
 def dd_compare(u: Word, v: Word) -> Ordering:
     """Compare in the DD ordering: u < v iff u^-1 v is DD-positive."""
-    sign = dd_sign(concat(inverse(u), v))
+    sign = dd_sign(inverse(u) + v)
     if sign is Sign3.POSITIVE:
         return Ordering.LESS
     if sign is Sign3.TRIVIAL:
@@ -342,7 +336,7 @@ def dd_compare(u: Word, v: Word) -> Ordering:
 def conj_sign(word: Word, conjugator: Word) -> Sign3:
     """Sign of ``word`` in the conjugate ordering whose positive cone is
     {w : g^-1 w g DD-positive} for g = ``conjugator``."""
-    return dd_sign(concat(inverse(conjugator), word, conjugator))
+    return dd_sign(inverse(conjugator) + word + conjugator)
 
 
 def delta_floor(word: Word) -> int:
@@ -388,7 +382,7 @@ def delta_floor(word: Word) -> int:
 
 def commutes_with_sigma2(word: Word) -> bool:
     """Exact commutator check against s2."""
-    return is_trivial(concat(word, SIGMA2, inverse(word), power(SIGMA2, -1)))
+    return is_trivial(word + SIGMA2 + inverse(word) + power(SIGMA2, -1))
 
 
 def peripheral_parse(word: Word) -> PeripheralElement | None:
@@ -408,7 +402,7 @@ def peripheral_parse(word: Word) -> PeripheralElement | None:
     if (esum - k) % 6 != 0:
         return None
     l = (esum - k) // 6
-    if is_trivial(concat(word, power(DELTA_SQ, -l), power(SIGMA2, -k))):
+    if is_trivial(word + power(DELTA_SQ, -l) + power(SIGMA2, -k)):
         return PeripheralElement(k, l)
     return None
 

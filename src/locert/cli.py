@@ -7,7 +7,10 @@ Every subcommand prints a result envelope
 in JSON mode (the default), or a readable text rendering with ``--format
 text``.  The payload is deterministic for fixed inputs and seeds; only
 ``runtime_ms`` varies between runs.  Exit codes: 0 on success; 2 when the
-answer is unknown or inconclusive; 1 on input errors, with a diagnostic on
+answer is unknown or inconclusive (among others, ``verify
+proposition-4-3`` whose sampled conjugators would pass the letter cap, and
+``splice cert`` or ``splice verify`` on a tree whose record would hold an
+integer past the digit budget); 1 on input errors, with a diagnostic on
 stderr (a braid word past handle reduction's step cap or ``delta_floor``'s
 bound counts as one), and on a failed ``verify proposition-4-3`` check,
 whose envelope has status ``error``.
@@ -42,9 +45,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNKNOWN = 2
 
-# ``group fill`` writes out its relator mu^p lambda^q; past this many letters
-# it answers inconclusive instead.
-_MAX_FILL_LETTERS = 1_000_000
+# ``group fill`` writes out its relator mu^p lambda^q, and ``verify
+# proposition-4-3`` its sampled conjugators; past this many letters each
+# answers inconclusive instead.
+_MAX_LETTERS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -160,7 +164,7 @@ def _slope_glue(args):
     image = slopes.apply_gluing(slopes.GluingMatrix(*parts), alpha)
     try:
         return "ok", {"slope": slopes.slope_str(image)}, []
-    except ValueError:  # str() refuses an int past the digit limit
+    except OverflowError:
         return "inconclusive", {"slope": None, "reason": _over_budget()}, []
 
 
@@ -179,11 +183,11 @@ def _group_fill(args):
     mu = fpgroup.parse_group_word(args.mu, p.generators)
     lam = fpgroup.parse_group_word(args.longitude, p.generators)
     slope = slopes.parse_slope(args.slope)
-    if abs(slope.p) * len(mu) + abs(slope.q) * len(lam) > _MAX_FILL_LETTERS:
+    if abs(slope.p) * len(mu) + abs(slope.q) * len(lam) > _MAX_LETTERS:
         return "inconclusive", {
             "presentation": None,
             "reason": "the relator mu^p lambda^q would pass the "
-            f"{_MAX_FILL_LETTERS}-letter cap",
+            f"{_MAX_LETTERS}-letter cap",
         }, []
     filled = fpgroup.dehn_fill(p, mu, lam, (slope.p, slope.q))
     return "ok", {"presentation": filled.to_json()}, []
@@ -243,7 +247,15 @@ def _splice_cert(args):
     from . import seifert
 
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
-    status, components, certificate = seifert.certificate_search(tree, args.bound)
+    try:
+        status, components, certificate = seifert.certificate_search(tree, args.bound)
+    except OverflowError:
+        return "inconclusive", {
+            "status": None,
+            "components": None,
+            "certificate": None,
+            "reason": _over_budget(),
+        }, _SPLICE_CITATIONS
     payload = {
         "status": status.value,
         "components": components,
@@ -256,7 +268,14 @@ def _splice_verify(args):
     from . import seifert
 
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
-    ok, report = seifert.verify_certificate(tree, _load_json(args.certificate))
+    try:
+        ok, report = seifert.verify_certificate(tree, _load_json(args.certificate))
+    except OverflowError:
+        return "inconclusive", {
+            "valid": None,
+            "report": None,
+            "reason": _over_budget(),
+        }, _SPLICE_CITATIONS
     return "ok", {"valid": ok, "report": report}, _SPLICE_CITATIONS
 
 
@@ -308,6 +327,17 @@ def _verify_compat(args):
         raise ValueError("--samples must be >= 1")
     if args.max_len < 0:
         raise ValueError("--max-len must be >= 0")
+    if args.samples * (args.max_len + 1) > _MAX_LETTERS:
+        return "inconclusive", {
+            "seed": args.seed,
+            "samples": args.samples,
+            "grid_bound": args.grid_bound,
+            "total_failures": None,
+            "wrong_ordering_control_failures": None,
+            "cases": None,
+            "reason": "the sampled conjugators would pass the "
+            f"{_MAX_LETTERS}-letter cap",
+        }, list(compat.REFERENCES)
     samples = random_braid_words(args.seed, args.samples, args.max_len)
     failures = 0
     cases = []

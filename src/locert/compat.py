@@ -26,7 +26,6 @@ of (k, l), so a grid that hits every sign class covers the general case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import braid
 from .braid import Sign3, Word
@@ -39,6 +38,7 @@ from .klein import (
     k_sign,
     klein_fill,
 )
+from .slopes import primitive_slopes
 
 __all__ = [
     "CompatReport",
@@ -106,9 +106,7 @@ def verify_compatibility(
             if k == 0 and l == 0:
                 continue
             checked += 1
-            word = braid.concat(
-                braid.power(braid.SIGMA2, k), braid.power(braid.DELTA_SQ, l)
-            )
+            word = braid.power(braid.SIGMA2, k) + braid.power(braid.DELTA_SQ, l)
             if braid.conj_sign(word, conjugator) is not Sign3.POSITIVE:
                 continue
             positives += 1
@@ -136,14 +134,11 @@ def jsjlo_nonapplicability_report(slope_bound: int = 5) -> dict:
 
     survey = []
     lo_slopes = []
-    for m in range(-slope_bound, slope_bound + 1):
-        for n in range(slope_bound + 1):
-            if gcd(m, n) != 1 or (n == 0 and m < 0):
-                continue
-            kind = klein_fill(KleinPeripheral(m, n)).kind
-            survey.append({"slope": [m, n], "classification": kind.value})
-            if kind is KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO:
-                lo_slopes.append([m, n])
+    for m, n in sorted(primitive_slopes(slope_bound)):
+        kind = klein_fill(KleinPeripheral(m, n)).kind
+        survey.append({"slope": [m, n], "classification": kind.value})
+        if kind is KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO:
+            lo_slopes.append([m, n])
 
     # phi(s2^k Delta^2l) = y^(-k-l) x^2l, so the class of y pulls back to
     # the class of s2, the meridian of the trefoil.

@@ -11,13 +11,11 @@ from .braid import Word
 _LETTERS = (1, -1, 2, -2)
 
 
-def random_braid_word(rng: random.Random, max_len: int, min_len: int = 0) -> Word:
-    length = rng.randint(min_len, max_len)
+def random_braid_word(rng: random.Random, max_len: int) -> Word:
+    length = rng.randint(0, max_len)
     return tuple(rng.choice(_LETTERS) for _ in range(length))
 
 
-def random_braid_words(
-    seed: int, count: int, max_len: int, min_len: int = 0
-) -> list[Word]:
+def random_braid_words(seed: int, count: int, max_len: int) -> list[Word]:
     rng = random.Random(seed)
-    return [random_braid_word(rng, max_len, min_len) for _ in range(count)]
+    return [random_braid_word(rng, max_len) for _ in range(count)]

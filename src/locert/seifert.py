@@ -37,7 +37,6 @@ nontrivial factor is.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -51,6 +50,7 @@ from .slopes import (
     invert_gluing,
     make_slope,
     parse_slope,
+    primitive_slopes,
     slope_str,
     union_homology_order,
 )
@@ -141,7 +141,7 @@ class BrieskornZHS:
         return 0
 
     def describe(self) -> str:
-        inner = ",".join(str(m) for m in self.multiplicities)
+        inner = ",".join(_digits(m, "a multiplicity") for m in self.multiplicities)
         return f"Sigma({inner})"
 
 
@@ -365,6 +365,15 @@ def _json_int(value: object, what: str) -> int:
 # --- classification rules -----------------------------------------------------
 
 
+def _digits(n: int, what: str) -> str:
+    """``str(n)`` for an integer derived from the input; OverflowError when
+    ``str`` refuses it for its length."""
+    try:
+        return str(n)
+    except ValueError:  # str() refuses an int past the digit limit
+        raise OverflowError(f"{what} passes the digit limit") from None
+
+
 def zhs_lo_status(z: BrieskornZHS) -> LOSlopeVerdict:
     """Boyer-Rolfsen-Wiest: among Seifert fibred integer homology spheres
     exactly S^3 (trivial group, not left-orderable by convention) and the
@@ -441,18 +450,19 @@ def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict
     threshold = k.r * k.s - k.r - k.s
     # p/q >= threshold with q >= 0, as the exact integer inequality.
     not_lo = eff.p >= threshold * eff.q
-    where = f"{eff.p}/{eff.q} on the positive T({k.r},{k.s})"
+    where = f"{slope_str(eff)} on the positive T({k.r},{k.s})"
+    bar = f"rs - r - s = {_digits(threshold, 'rs - r - s')}"
     if not_lo:
         return LOSlopeVerdict(
             LOStatus.NOT_LO,
             LORule.LSPACE_INTERVAL,
-            f"{where} satisfies p/q >= rs - r - s = {threshold}: an L-space "
+            f"{where} satisfies p/q >= {bar}: an L-space "
             "filling, hence not left-orderable (Boyer-Gordon-Watson)",
         )
     return LOSlopeVerdict(
         LOStatus.LO,
         LORule.LSPACE_INTERVAL,
-        f"{where} satisfies p/q < rs - r - s = {threshold}: not an L-space, "
+        f"{where} satisfies p/q < {bar}: not an L-space, "
         "and the filling is Seifert fibred, hence left-orderable "
         "(Boyer-Gordon-Watson)",
     )
@@ -544,27 +554,9 @@ class SearchOutcome(NamedTuple):
     certificate: dict | None
 
 
-def _slopes(bound: int) -> Iterator[Slope]:
-    """All normalized primitive slopes with |p| <= bound and 0 <= q <=
-    bound, in the deterministic order (max(|p|, q), q, p) that the search
-    commits to.  Generated shell by shell in that order, so nothing is
-    sorted or stored: shell m holds -m/q and m/q for q < m, then p/m for
-    -m <= p <= m."""
-    if bound >= 1:
-        yield Slope(1, 0)
-    for m in range(1, bound + 1):
-        for q in range(1, m):
-            if gcd(m, q) == 1:
-                yield Slope(-m, q)
-                yield Slope(m, q)
-        for p in range(-m, m + 1):
-            if gcd(p, m) == 1:
-                yield Slope(p, m)
-
-
 def enumerate_slopes(bound: int) -> list[Slope]:
     """The slopes the search tries after the splice pairs, as a list."""
-    return list(_slopes(bound))
+    return list(primitive_slopes(bound))
 
 
 def _pair(
@@ -636,7 +628,7 @@ def _certify_edge(tree: SpliceTree, edge_index: int, bound: int) -> tuple | None
     Candidates come in a fixed order: the a-side preferred meridian
     f^-1(lambda), whose image is the b-side longitude; then the a-side
     longitude, whose image is the b-side preferred meridian f(lambda);
-    then the slopes of ``enumerate_slopes(bound)``, generated one at a
+    then the slopes of ``primitive_slopes(bound)``, generated one at a
     time.  The first two are the splice pairs: a preferred meridian fills
     to the ambient homology sphere, and a longitude is left-orderable by
     the B1 rule.
@@ -644,7 +636,7 @@ def _certify_edge(tree: SpliceTree, edge_index: int, bound: int) -> tuple | None
     edge = tree.edges[edge_index]
     lam = Slope(0, 1)
     meridian = apply_gluing(invert_gluing(edge.matrix), lam)
-    for alpha in chain((meridian, lam), _slopes(bound)):
+    for alpha in chain((meridian, lam), primitive_slopes(bound)):
         va, image, vb = _pair(tree, edge, alpha)
         if vb is not None and vb.status is LOStatus.LO:
             return edge_index, alpha, image, va, vb

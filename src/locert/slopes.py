@@ -10,10 +10,16 @@ along p/q is |p|, and for a union along a gluing f the first homology has
 order Delta(f(lambda_1), lambda_2), the minimal geometric intersection
 number of the glued longitudes; value 0 encodes infinite homology in both
 cases.
+
+``primitive_slopes(bound)`` walks the normalized slopes with |p|, q <=
+bound in the order (max(|p|, q), q, p), one shell max(|p|, q) = m at a
+time, lazily; the splice certificate search tries them in that order, and
+the Klein-bottle survey sorts them into (p, q) order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd
 from typing import NamedTuple
 
@@ -23,6 +29,7 @@ __all__ = [
     "make_slope",
     "parse_slope",
     "slope_str",
+    "primitive_slopes",
     "intersection_number",
     "apply_gluing",
     "invert_gluing",
@@ -67,7 +74,29 @@ def parse_slope(text: str) -> Slope:
 
 
 def slope_str(s: Slope) -> str:
-    return f"{s.p}/{s.q}"
+    """``p/q``; OverflowError when ``str`` refuses an entry for its length."""
+    try:
+        return f"{s.p}/{s.q}"
+    except ValueError:  # str() refuses an int past the digit limit
+        raise OverflowError("a slope entry passes the digit limit") from None
+
+
+def primitive_slopes(bound: int) -> Iterator[Slope]:
+    """All normalized primitive slopes with |p| <= bound and 0 <= q <=
+    bound, in the deterministic order (max(|p|, q), q, p) that the search
+    commits to.  Generated shell by shell in that order, so nothing is
+    sorted or stored: shell m holds -m/q and m/q for q < m, then p/m for
+    -m <= p <= m."""
+    if bound >= 1:
+        yield Slope(1, 0)
+    for m in range(1, bound + 1):
+        for q in range(1, m):
+            if gcd(m, q) == 1:
+                yield Slope(-m, q)
+                yield Slope(m, q)
+        for p in range(-m, m + 1):
+            if gcd(p, m) == 1:
+                yield Slope(p, m)
 
 
 def intersection_number(alpha: Slope, beta: Slope) -> int:

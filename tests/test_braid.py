@@ -4,18 +4,18 @@ import random
 
 import pytest
 
+from locert import braid
 from locert.braid import (
-    DEFAULT_STEP_CAP,
     DELTA,
     DELTA_SQ,
     SIGMA1,
     SIGMA2,
+    STEP_CAP,
     Ordering,
     PeripheralElement,
     PeripheralOrderType,
     Sign3,
     commutes_with_sigma2,
-    concat,
     conj_sign,
     dd_compare,
     dd_sign,
@@ -62,7 +62,7 @@ def test_modular_image():
     assert modular_image(SIGMA1) == (("b", 2), ("a", 1))
     assert modular_image(BRAID_RELATOR) == ()
     # cross-check: Delta^2 = (s1 s2)^3 in B3
-    assert is_trivial(concat(DELTA_SQ, power(parse_word("ab"), -3)))
+    assert is_trivial(DELTA_SQ + power(parse_word("ab"), -3))
 
 
 def test_is_trivial():
@@ -99,11 +99,12 @@ def test_handle_reduce_output_shape_and_soundness():
         assert len(signs) <= 1
 
 
-def test_handle_reduce_step_cap():
+def test_handle_reduce_step_cap(monkeypatch):
+    monkeypatch.setattr(braid, "STEP_CAP", 0)
     with pytest.raises(
         ValueError, match=r"^handle reduction exceeded 0 steps on a word of 3 letters$"
     ):
-        handle_reduce(parse_word("abA"), step_cap=0)
+        handle_reduce(parse_word("abA"))
 
 
 def test_word_problem_cross_check():
@@ -141,7 +142,7 @@ def test_dd_cone_closure():
         u = random_braid_word(rng, 16)
         v = random_braid_word(rng, 16)
         if dd_sign(u) is Sign3.POSITIVE and dd_sign(v) is Sign3.POSITIVE:
-            assert dd_sign(concat(u, v)) is Sign3.POSITIVE
+            assert dd_sign(u + v) is Sign3.POSITIVE
             found += 1
 
 
@@ -157,7 +158,7 @@ def test_dd_left_invariance():
         f = random_braid_word(rng, 12)
         u = random_braid_word(rng, 12)
         v = random_braid_word(rng, 12)
-        assert dd_compare(u, v) is dd_compare(concat(f, u), concat(f, v))
+        assert dd_compare(u, v) is dd_compare(f + u, f + v)
 
 
 def test_conj_sign_examples():
@@ -176,7 +177,7 @@ def test_conj_identity_matches_dd():
 def test_delta_floor_examples():
     assert delta_floor(parse_word("B")) == 0
     assert delta_floor(power(DELTA, 4)) == 2
-    assert delta_floor(concat(power(DELTA_SQ, -1), parse_word("B"))) == -1
+    assert delta_floor(power(DELTA_SQ, -1) + parse_word("B")) == -1
     assert delta_floor(()) == 0
 
 
@@ -197,7 +198,7 @@ def test_malyutin_floor_subadditivity():
     for _ in range(120):
         a = random_braid_word(rng, 10)
         b = random_braid_word(rng, 10)
-        fa, fb, fab = delta_floor(a), delta_floor(b), delta_floor(concat(a, b))
+        fa, fb, fab = delta_floor(a), delta_floor(b), delta_floor(a + b)
         assert fa + fb <= fab <= fa + fb + 1
 
 
@@ -207,7 +208,7 @@ def test_conjugate_bound():
     for _ in range(100):
         beta = random_braid_word(rng, 12)
         for k in range(-5, 6):
-            conj = concat(inverse(beta), power(SIGMA2, k), beta)
+            conj = inverse(beta) + power(SIGMA2, k) + beta
             assert dd_compare(power(DELTA_SQ, -1), conj) is Ordering.LESS
             assert dd_compare(conj, DELTA_SQ) is Ordering.LESS
 
@@ -225,8 +226,8 @@ def test_property_s_instance():
             continue
         checked += 1
         for k in (-3, -1, 1, 2):
-            conj = concat(inverse(beta), power(SIGMA2, k), beta)
-            assert not is_trivial(concat(conj, power(SIGMA2, -exponent_sum(conj))))
+            conj = inverse(beta) + power(SIGMA2, k) + beta
+            assert not is_trivial(conj + power(SIGMA2, -exponent_sum(conj)))
             assert (dd_sign(conj) is Sign3.POSITIVE) == (k > 0)
 
 
@@ -240,7 +241,7 @@ def test_delta_squared_is_central():
     rng = random.Random(1011)
     for _ in range(60):
         word = random_braid_word(rng, 16)
-        commutator = concat(DELTA_SQ, word, power(DELTA_SQ, -1), inverse(word))
+        commutator = DELTA_SQ + word + power(DELTA_SQ, -1) + inverse(word)
         assert is_trivial(commutator)
 
 
@@ -252,7 +253,7 @@ def test_peripheral_parse():
     assert peripheral_parse(SIGMA1) is None
     assert peripheral_parse(()) == PeripheralElement(0, 0)
     # scrambled representative of s2^-1 Delta^-2
-    word = concat(power(DELTA_SQ, -1), power(SIGMA2, -1))
+    word = power(DELTA_SQ, -1) + power(SIGMA2, -1)
     assert peripheral_parse(word) == PeripheralElement(-1, -1)
 
 
@@ -271,7 +272,7 @@ def test_restricted_order_type_matches_conj_sign():
             for l in range(-3, 4):
                 if k == 0 and l == 0:
                     continue
-                word = concat(power(SIGMA2, k), power(DELTA_SQ, l))
+                word = power(SIGMA2, k) + power(DELTA_SQ, l)
                 expected = order_type.is_positive(PeripheralElement(k, l))
                 assert (conj_sign(word, gamma) is Sign3.POSITIVE) == expected
 
@@ -317,7 +318,7 @@ def _oracle_letters(sylls):
     return tuple(out)
 
 
-def _oracle_handle_reduce(word, step_cap=DEFAULT_STEP_CAP):
+def _oracle_handle_reduce(word, step_cap=STEP_CAP):
     s = _oracle_syllables(word)
     steps = 0
     scan_from = 0
@@ -399,7 +400,7 @@ def _oracle_peripheral_parse(word):
         if (esum - k) % 6 != 0:
             continue
         l = (esum - k) // 6
-        if is_trivial(concat(word, power(DELTA_SQ, -l), power(SIGMA2, -k))):
+        if is_trivial(word + power(DELTA_SQ, -l) + power(SIGMA2, -k)):
             return PeripheralElement(k, l)
     return None
 
@@ -407,8 +408,15 @@ def _oracle_peripheral_parse(word):
 def _planted_trivial(rng, max_len):
     # u v u^-1 v^-1 with v a conjugate of a relator: trivial, not freely so.
     u = random_braid_word(rng, max_len // 4)
-    v = concat(u, BRAID_RELATOR, inverse(u))
-    return concat(u, v, inverse(u), inverse(v))
+    v = u + BRAID_RELATOR + inverse(u)
+    return u + v + inverse(u) + inverse(v)
+
+
+def _random_word(rng, min_len, max_len):
+    """A word of min_len to max_len letters, drawn as ``random_braid_word``
+    draws one of 0 to max_len."""
+    length = rng.randint(min_len, max_len)
+    return tuple(rng.choice((1, -1, 2, -2)) for _ in range(length))
 
 
 def _oracle_steps(word):
@@ -445,23 +453,25 @@ def test_handle_reduce_matches_oracle_on_planted_trivial_words():
         assert handle_reduce(word) == _oracle_handle_reduce(word) == ()
 
 
-def test_handle_reduce_step_count_matches_oracle():
+def test_handle_reduce_step_count_matches_oracle(monkeypatch):
     rng = random.Random(2003)
     for _ in range(150):
         word = random_braid_word(rng, 160)
         steps = _oracle_steps(word)
-        handle_reduce(word, step_cap=steps)
+        monkeypatch.setattr(braid, "STEP_CAP", steps)
+        handle_reduce(word)
         if steps:
+            monkeypatch.setattr(braid, "STEP_CAP", steps - 1)
             message = (f"^handle reduction exceeded {steps - 1} steps on a word "
                        f"of {len(word)} letters$")
             with pytest.raises(ValueError, match=message):
-                handle_reduce(word, step_cap=steps - 1)
+                handle_reduce(word)
 
 
 def test_handle_reduce_long_word():
     rng = random.Random(2004)
-    word = random_braid_word(rng, 16384, min_len=16384)
-    reduced = handle_reduce(word, step_cap=DEFAULT_STEP_CAP)
+    word = _random_word(rng, 16384, 16384)
+    reduced = handle_reduce(word)
     assert exponent_sum(reduced) == exponent_sum(word)
     assert modular_image(reduced) == modular_image(word)
     assert len({x > 0 for x in reduced if abs(x) == 1}) <= 1
@@ -474,10 +484,10 @@ def test_delta_floor_matches_oracle():
         assert delta_floor(word) == _oracle_delta_floor(word)
     for m in range(-6, 7):
         for tail in ((), SIGMA1, parse_word("B"), parse_word("ab")):
-            word = concat(power(DELTA_SQ, m), tail)
+            word = power(DELTA_SQ, m) + tail
             assert delta_floor(word) == _oracle_delta_floor(word)
     for _ in range(4):
-        word = random_braid_word(rng, 300, min_len=200)
+        word = _random_word(rng, 200, 300)
         assert delta_floor(word) == _oracle_delta_floor(word)
 
 
@@ -488,7 +498,7 @@ def test_peripheral_parse_matches_oracle():
         assert peripheral_parse(word) == _oracle_peripheral_parse(word)
     for k in range(-8, 9):
         for l in range(-8, 9):
-            word = list(concat(power(SIGMA2, k), power(DELTA_SQ, l)))
+            word = list(power(SIGMA2, k) + power(DELTA_SQ, l))
             for _ in range(3):
                 i = rng.randint(0, len(word))
                 x = rng.choice((1, -1, 2, -2))

@@ -145,6 +145,9 @@ CASES: dict[str, list[str]] = {
     "splice_cert_deep_nesting": ["splice", "cert", "deep_nesting.json"],
     "splice_cert_negative_bound": ["splice", "cert", DATA + "double_trefoil_splice.json",
                                    "--bound", "-3"],
+    # T(10^2200 + 1, 10^2200 + 3): the -1/1 and 1/0 fillings close to Brieskorn
+    # spheres whose third multiplicity |p - qrs| has 4401 digits
+    "splice_cert_too_large": ["splice", "cert", "huge_torus_knot_tree.json"],
     "splice_verify": ["splice", "verify", DATA + "double_trefoil_splice.json",
                       "double_trefoil_cert.json"],
     "splice_verify_forest": ["splice", "verify", "forest_tree.json", "forest_cert.json"],
@@ -179,6 +182,8 @@ CASES: dict[str, list[str]] = {
     "splice_verify_negative_bound": ["splice", "verify",
                                      DATA + "double_trefoil_splice.json",
                                      "negative_bound_cert.json"],
+    "splice_verify_too_large": ["splice", "verify", "huge_torus_knot_tree.json",
+                                "double_trefoil_cert.json"],
     # hf
     "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
     "hf_rank_bad_q": ["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"],
@@ -212,6 +217,9 @@ CASES: dict[str, list[str]] = {
     "verify_prop43_zero_samples": ["verify", "proposition-4-3", "--samples", "0"],
     "verify_prop43_negative_samples": ["verify", "proposition-4-3", "--samples", "-3"],
     "verify_prop43_negative_max_len": ["verify", "proposition-4-3", "--max-len", "-1"],
+    # 1 x (10^6 + 1) letters, one past the cap: answered before any sampling
+    "verify_prop43_too_many_letters": ["verify", "proposition-4-3", "--samples", "1",
+                                       "--max-len", "1000000"],
     # usage errors
     "usage_unknown_command": ["nonsense"],
     "usage_missing_subcommand": ["braid"],

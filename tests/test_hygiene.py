@@ -12,7 +12,9 @@ name or an attribute; its definition, its ``__all__`` string and an import
 alone do not count.  The tests are not readers: an export only they read
 must back a claim or a cross-check named in ``TEST_ONLY_EXPORTS``.  Every
 exception class the package defines must be caught by type somewhere in it
-or in ``perfbench``.
+or in ``perfbench``, and every defaulted parameter of a package function
+must be passed by some call in those same readers: a knob only the tests
+turn is a constant.
 """
 
 from __future__ import annotations
@@ -216,6 +218,62 @@ def test_every_exception_class_is_caught():
     assert sorted(where for name, where in classes.items() if name not in caught) == []
 
 
+def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """"module: function(parameter)" -> (function, parameter, the index a
+    caller passes it at positionally, or None for keyword-only), for every
+    parameter with a default of a function or method in the package."""
+    found = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            skip = 1 if id(node) in methods and positional else 0  # self, cls
+            for i in range(len(positional) - len(a.defaults), len(positional)):
+                name = positional[i].arg
+                found[f"{path.name}: {node.name}({name})"] = (node.name, name, i - skip)
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    found[f"{path.name}: {node.name}({arg.arg})"] = (node.name, arg.arg, None)
+    return found
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args)
+
+
+def unset_defaults() -> list[str]:
+    calls: dict[str, list[ast.Call]] = {}
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(callee, []).append(node)
+    return sorted(
+        where
+        for where, (function, param, index) in defaulted_parameters().items()
+        if not any(_passes(call, param, index) for call in calls.get(function, []))
+    )
+
+
+def test_every_default_is_passed_by_a_reader():
+    # A default that no product or benchmark call overrides is a constant in
+    # disguise; tests that need another value monkeypatch a module constant.
+    assert "cli.py: run(out)" in defaulted_parameters()
+    assert unset_defaults() == []
+
+
 def _fresh(probe: str, *argv: str) -> str:
     """Stdout of ``probe`` run in a fresh interpreter with ``argv``."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -259,7 +317,7 @@ _DATA = str(SRC / "data")
 
 # One run per subcommand family -> the locert modules beyond locert.cli it
 # loads.  A layer's own imports count: braid binds fpgroup's word helpers,
-# klein imports braid and fpgroup, seifert imports slopes.
+# klein imports braid and fpgroup, seifert and compat import slopes.
 _FAMILY_MODULES = {
     "slope": (["slope", "delta", "2/1", "1/1"], "slopes"),
     "braid": (["braid", "sign", "aB"], "braid fpgroup"),
@@ -272,7 +330,7 @@ _FAMILY_MODULES = {
            "seifert slopes"),
     "cover": (["cover", "order", "--poly", "t^2 - t + 1", "--n", "7"], "alexander"),
     "verify": (["verify", "proposition-4-3", "--samples", "1", "--grid-bound", "1"],
-               "braid compat fpgroup klein sampling"),
+               "braid compat fpgroup klein sampling slopes"),
 }
 
 

@@ -6,7 +6,6 @@ from math import gcd
 
 import pytest
 
-from locert import seifert
 from locert.seifert import (
     BrieskornZHS,
     InvalidSpliceTree,
@@ -194,7 +193,7 @@ def test_search_generates_slopes_lazily(monkeypatch):
         assert len(made) < 100, "the search built slopes past its witness"
         return Slope(p, q)
 
-    monkeypatch.setattr(seifert, "Slope", counting_slope)
+    monkeypatch.setattr("locert.slopes.Slope", counting_slope)
     outcome = certificate_search(_double_trefoil(), search_bound=10**9)
     monkeypatch.undo()
     assert outcome.certificate == dict(

@@ -83,6 +83,9 @@ def test_parse_and_format():
         with pytest.raises(ValueError):
             parse_slope(text)
     assert slope_str(Slope(-1, 1)) == "-1/1"
+    # an entry str() refuses for its length is a budget, not an input error
+    with pytest.raises(OverflowError, match="^a slope entry passes the digit limit$"):
+        slope_str(Slope(1, 10**5000))
 
 
 def test_intersection_number_examples():
