@@ -16,8 +16,8 @@ cross-validate each other:
   sum vanishes (the kernel of the quotient is generated by Delta^2, which
   has exponent sum 6);
 * Dehornoy-style handle reduction, which rewrites a word into one in which
-  s1 occurs with a single sign only (or not at all); it raises ValueError
-  past ``STEP_CAP`` rewriting steps.
+  s1 occurs with a single sign only (or not at all); it raises
+  OverflowError past ``STEP_CAP`` rewriting steps.
 
 Handle reduction also decides the Dubrovina-Dubrovin left ordering of B3:
 a braid is DD-positive iff it admits a 1-positive representative (s1 only
@@ -229,7 +229,7 @@ def handle_reduce(word: Word) -> Word:
     start; random words of 512 to 8192 letters take 2 to 4 passes in all
     on average.
 
-    Raises ValueError past ``STEP_CAP`` rewriting steps.  Termination is a
+    Raises OverflowError past ``STEP_CAP`` rewriting steps.  Termination is a
     theorem, but it does not bound the step count by ``STEP_CAP``.
     """
     step_cap = STEP_CAP
@@ -253,7 +253,7 @@ def handle_reduce(word: Word) -> Word:
         while True:
             steps += 1
             if steps > step_cap:
-                raise ValueError(
+                raise OverflowError(
                     f"handle reduction exceeded {step_cap} steps on a word of "
                     f"{len(word)} letters"
                 )

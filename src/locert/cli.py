@@ -7,11 +7,12 @@ Every subcommand prints a result envelope
 in JSON mode (the default), or a readable text rendering with ``--format
 text``.  The payload is deterministic for fixed inputs and seeds; only
 ``runtime_ms`` varies between runs.  Exit codes: 0 on success; 2 when the
-answer is unknown or inconclusive (among others, ``verify
-proposition-4-3`` whose sampled conjugators would pass the letter cap, and
-``splice cert`` or ``splice verify`` on a tree whose record would hold an
-integer past the digit budget); 1 on input errors, with a diagnostic on
-stderr (a braid word past handle reduction's step cap or ``delta_floor``'s
+answer is unknown or inconclusive (among others, a braid word past handle
+reduction's step cap, ``verify proposition-4-3`` whose sampled conjugators
+or grid words would pass their letter caps, ``verify nonapplicability``
+past its slope-bound cap, and ``splice cert`` or ``splice verify`` on a
+tree whose record would hold an integer past the digit budget); 1 on input
+errors, with a diagnostic on stderr (a braid word past ``delta_floor``'s
 bound counts as one), and on a failed ``verify proposition-4-3`` check,
 whose envelope has status ``error``.
 
@@ -49,6 +50,13 @@ EXIT_UNKNOWN = 2
 # proposition-4-3`` its sampled conjugators; past this many letters each
 # answers inconclusive instead.
 _MAX_LETTERS = 1_000_000
+# ``verify proposition-4-3`` hands handle reduction at most (samples + 1)
+# ((2B + 1)^2 - 1) (2 max_len + 7B) letters for grid bound B; past this many
+# it answers inconclusive before sampling.
+_MAX_GRID_LETTERS = 2_000_000
+# ``verify nonapplicability`` surveys O(B^2) slopes for slope bound B; past
+# this bound it answers inconclusive.
+_MAX_SLOPE_BOUND = 100
 
 
 class _UsageError(Exception):
@@ -72,12 +80,18 @@ def _load_json(path: str) -> dict:
 # --- subcommand handlers: return (status, payload, citations) ----------------
 
 
+# A braid handler past handle reduction's step cap answers inconclusive: its
+# result keys stay None and ``reason`` carries the cap's message.
 def _braid_sign(args) -> tuple[str, dict, list[str]]:
     from . import braid
 
     word = braid.parse_word(args.word)
-    sign = braid.dd_sign(word)
-    return "ok", {"word": braid.word_str(word), "sign": sign.value}, [
+    status, payload = "ok", {"word": braid.word_str(word), "sign": None}
+    try:
+        payload["sign"] = braid.dd_sign(word).value
+    except OverflowError as exc:
+        status, payload["reason"] = "inconclusive", str(exc)
+    return status, payload, [
         "Dubrovina-Dubrovin 2001: the positive-cone ordering of B3"
     ]
 
@@ -87,26 +101,38 @@ def _braid_compare(args):
 
     u = braid.parse_word(args.u)
     v = braid.parse_word(args.v)
-    return "ok", {"comparison": braid.dd_compare(u, v).value}, []
+    status, payload = "ok", {"comparison": None}
+    try:
+        payload["comparison"] = braid.dd_compare(u, v).value
+    except OverflowError as exc:
+        status, payload["reason"] = "inconclusive", str(exc)
+    return status, payload, []
 
 
 def _braid_reduce(args):
     from . import braid
 
     word = braid.parse_word(args.word)
-    reduced = braid.handle_reduce(word)
-    return "ok", {
-        "word": braid.word_str(word),
-        "reduced": braid.word_str(reduced),
-        "trivial": not reduced,
-    }, ["Dehornoy: handle reduction decides 1-positivity"]
+    status, payload = "ok", {"word": braid.word_str(word), "reduced": None,
+                             "trivial": None}
+    try:
+        reduced = braid.handle_reduce(word)
+        payload.update(reduced=braid.word_str(reduced), trivial=not reduced)
+    except OverflowError as exc:
+        status, payload["reason"] = "inconclusive", str(exc)
+    return status, payload, ["Dehornoy: handle reduction decides 1-positivity"]
 
 
 def _braid_floor(args):
     from . import braid
 
     word = braid.parse_word(args.word)
-    return "ok", {"floor": braid.delta_floor(word)}, [
+    status, payload = "ok", {"floor": None}
+    try:
+        payload["floor"] = braid.delta_floor(word)
+    except OverflowError as exc:
+        status, payload["reason"] = "inconclusive", str(exc)
+    return status, payload, [
         "Malyutin: Delta^2 is cofinal in every left ordering of B3"
     ]
 
@@ -327,7 +353,8 @@ def _verify_compat(args):
         raise ValueError("--samples must be >= 1")
     if args.max_len < 0:
         raise ValueError("--max-len must be >= 0")
-    if args.samples * (args.max_len + 1) > _MAX_LETTERS:
+
+    def inconclusive(reason: str):
         return "inconclusive", {
             "seed": args.seed,
             "samples": args.samples,
@@ -335,25 +362,39 @@ def _verify_compat(args):
             "total_failures": None,
             "wrong_ordering_control_failures": None,
             "cases": None,
-            "reason": "the sampled conjugators would pass the "
-            f"{_MAX_LETTERS}-letter cap",
+            "reason": reason,
         }, list(compat.REFERENCES)
+
+    if args.samples * (args.max_len + 1) > _MAX_LETTERS:
+        return inconclusive(
+            f"the sampled conjugators would pass the {_MAX_LETTERS}-letter cap"
+        )
+    b = max(args.grid_bound, 0)  # below 1, verify_compatibility rejects it
+    points = (args.samples + 1) * ((2 * b + 1) ** 2 - 1)
+    if points * (2 * args.max_len + 7 * b) > _MAX_GRID_LETTERS:
+        return inconclusive(
+            "the conjugated grid words would pass the "
+            f"{_MAX_GRID_LETTERS}-letter cap"
+        )
     samples = random_braid_words(args.seed, args.samples, args.max_len)
     failures = 0
     cases = []
-    for word in samples:
-        report = compat.verify_compatibility(word, args.grid_bound)
-        failures += len(report.failures)
-        cases.append(
-            {
-                "conjugator": report.conjugator,
-                "ordering": report.ordering.value,
-                "failures": len(report.failures),
-            }
+    try:
+        for word in samples:
+            report = compat.verify_compatibility(word, args.grid_bound)
+            failures += len(report.failures)
+            cases.append(
+                {
+                    "conjugator": report.conjugator,
+                    "ordering": report.ordering.value,
+                    "failures": len(report.failures),
+                }
+            )
+        control = compat.verify_compatibility(
+            braid.SIGMA1, args.grid_bound, force_ordering=klein.KleinOrderingId.O1
         )
-    control = compat.verify_compatibility(
-        braid.SIGMA1, args.grid_bound, force_ordering=klein.KleinOrderingId.O1
-    )
+    except OverflowError as exc:  # handle reduction's step cap
+        return inconclusive(str(exc))
     payload = {
         "seed": args.seed,
         "samples": args.samples,
@@ -369,6 +410,15 @@ def _verify_compat(args):
 def _verify_nonapplicability(args):
     from . import compat
 
+    if args.slope_bound > _MAX_SLOPE_BOUND:
+        return "inconclusive", {
+            "klein_slopes": None,
+            "lo_slopes": None,
+            "pullback_slope": None,
+            "b3_quotient_index": None,
+            "conclusion": None,
+            "reason": f"the slope bound passes the survey's cap of {_MAX_SLOPE_BOUND}",
+        }, list(compat.REFERENCES)
     payload = compat.jsjlo_nonapplicability_report(args.slope_bound)
     return "ok", payload, list(compat.REFERENCES)
 
@@ -583,7 +633,7 @@ def _drop_unprintable(value):
     return value
 
 
-def _render_text(payload, indent: int = 0) -> list[str]:
+def _render_text(payload: dict | list, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines = []
     if isinstance(payload, dict):
@@ -594,14 +644,12 @@ def _render_text(payload, indent: int = 0) -> list[str]:
                 lines.extend(_render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {value}")
-    elif isinstance(payload, list):
+    else:
         for value in payload:
             if isinstance(value, (dict, list)):
                 lines.extend(_render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}- {value}")
-    else:
-        lines.append(f"{pad}{payload}")
     return lines
 
 

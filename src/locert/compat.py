@@ -80,7 +80,7 @@ class CompatReport:
 
 def verify_compatibility(
     conjugator: Word,
-    grid_bound: int = 5,
+    grid_bound: int,
     force_ordering: KleinOrderingId | None = None,
 ) -> CompatReport:
     """Check, on the grid (k, l) in [-B, B]^2 minus the origin, that every
@@ -122,7 +122,7 @@ def verify_compatibility(
     )
 
 
-def jsjlo_nonapplicability_report(slope_bound: int = 5) -> dict:
+def jsjlo_nonapplicability_report(slope_bound: int) -> dict:
     """Survey every primitive Klein-side slope with |m|, |n| <= bound,
     exhibit y as the unique left-orderable one, pull it back through the
     gluing to the meridian s2, and certify that B3 / <<s2>> is trivial by

@@ -296,8 +296,8 @@ def _column(letter: int) -> int:
 
 def enumerate_table(
     p: Presentation,
-    subgroup: Sequence[GroupWord] = (),
-    max_cosets: int = 100_000,
+    subgroup: Sequence[GroupWord],
+    max_cosets: int,
 ) -> ClosedTable | None:
     """HLT coset enumeration for the given subgroup; None if the table does
     not close within ``max_cosets`` defined cosets.

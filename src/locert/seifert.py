@@ -214,7 +214,16 @@ class SpliceTree:
     nodes: tuple[Piece, ...]
     edges: tuple[SpliceEdge, ...]
 
-    def validate(self) -> None:
+    def components(self) -> list[tuple[list[int], int | None]]:
+        """Check the tree and split it into components, by first node.
+
+        Each node has as many edges as boundary tori, at most one, so a
+        component is a closed node ``([i], None)`` or the two exteriors of
+        an edge ``(sorted((a, b)), edge index)``.  InvalidSpliceTree names
+        the first defect: per edge, an endpoint out of range, a self-gluing,
+        a matrix that is not unimodular, or a glued manifold that is not an
+        integer homology sphere; then a node with more edges than boundary
+        tori; then an exterior with no edge."""
         degree = [0] * len(self.nodes)
         for e in self.edges:
             for end in (e.a, e.b):
@@ -241,38 +250,9 @@ class SpliceTree:
                 raise InvalidSpliceTree(
                     f"{piece.describe()} is an exterior but has no gluing edge"
                 )
-        # With at most one boundary per piece the edge set is automatically
-        # acyclic; components are single nodes or exterior pairs.
-
-    def components(self) -> list[tuple[list[int], list[int]]]:
-        """Connected components as (node indices, edge indices), in
-        deterministic order."""
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
-        for ei, e in enumerate(self.edges):
-            adj[e.a].append(ei)
-            adj[e.b].append(ei)
-        seen: set[int] = set()
-        out = []
-        for start in range(len(self.nodes)):
-            if start in seen:
-                continue
-            nodes = [start]
-            seen.add(start)
-            edge_ids = []
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for ei in adj[v]:
-                    e = self.edges[ei]
-                    w = e.b if e.a == v else e.a
-                    if ei not in edge_ids:
-                        edge_ids.append(ei)
-                    if w not in seen:
-                        seen.add(w)
-                        nodes.append(w)
-                        stack.append(w)
-            out.append((sorted(nodes), sorted(edge_ids)))
-        return out
+        closed = [([i], None) for i, d in enumerate(degree) if not d]
+        glued = [(sorted((e.a, e.b)), ei) for ei, e in enumerate(self.edges)]
+        return sorted(closed + glued)  # no two components share a node
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpliceTree":
@@ -410,7 +390,6 @@ class MoserKind(Enum):
 class MoserResult:
     kind: MoserKind
     multiplicities: tuple[int, ...] | None
-    h1_order: int  # 0 means infinite
 
 
 def _effective_slope(k: TorusKnotPiece, alpha: Slope) -> Slope:
@@ -427,10 +406,10 @@ def moser_surgery(k: TorusKnotPiece, alpha: Slope) -> MoserResult:
     rs = k.r * k.s
     d = eff.p - eff.q * rs
     if d == 0:
-        return MoserResult(MoserKind.REDUCIBLE, None, abs(eff.p))
+        return MoserResult(MoserKind.REDUCIBLE, None)
     if abs(d) == 1:
-        return MoserResult(MoserKind.LENS, None, abs(eff.p))
-    return MoserResult(MoserKind.SFS, (k.r, k.s, abs(d)), abs(eff.p))
+        return MoserResult(MoserKind.LENS, None)
+    return MoserResult(MoserKind.SFS, (k.r, k.s, abs(d)))
 
 
 def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict:
@@ -643,7 +622,7 @@ def _certify_edge(tree: SpliceTree, edge_index: int, bound: int) -> tuple | None
     return None
 
 
-def certificate_search(tree: SpliceTree, search_bound: int = 3) -> SearchOutcome:
+def certificate_search(tree: SpliceTree, search_bound: int) -> SearchOutcome:
     """Search for a left-orderability certificate on the splice forest.
 
     Components (prime summands) are certified independently.  A two-piece
@@ -653,13 +632,12 @@ def certificate_search(tree: SpliceTree, search_bound: int = 3) -> SearchOutcome
     and the slope search is bounded.
     """
     _expect(search_bound >= 0, f"search_bound must be >= 0, got {search_bound}")
-    tree.validate()
     components = []
-    for node_ids, edge_ids in tree.components():
-        if not edge_ids:
+    for node_ids, edge in tree.components():
+        if edge is None:
             verdict = zhs_lo_status(tree.nodes[node_ids[0]])
             components.append(_component(tree, node_ids, verdict.status, verdict))
-        elif pair := _certify_edge(tree, edge_ids[0], search_bound):
+        elif pair := _certify_edge(tree, edge, search_bound):
             components.append(_component(tree, node_ids, LOStatus.LO, pair=pair))
         else:
             note = (
@@ -681,7 +659,7 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
     certificate's edge and alpha, and the search bound.  The image is
     parsed, not used.
 
-    The tree must validate, the record must claim exactly its components,
+    The tree must be valid, the record must claim exactly its components,
     each edge certificate must cite an edge of its component, and every
     closed component and cited pair (alpha, f(alpha)) must re-derive as
     left-orderable.  The certificate rebuilt from the witnesses must then
@@ -715,21 +693,19 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
         report.append("FAIL " + msg)
 
     try:
-        tree.validate()
-        report.append("tree valid: all edges glue to integer homology spheres")
+        actual = {tuple(nodes): edge for nodes, edge in tree.components()}
     except InvalidSpliceTree as exc:
         fail(f"tree invalid: {exc}")
         return False, report
-
-    actual = {tuple(nodes): edges for nodes, edges in tree.components()}
+    report.append("tree valid: all edges glue to integer homology spheres")
     if set(actual) != set(claimed):
         fail("certificate components do not match the tree's components")
         return False, report
 
     components = []
-    for nodes, edge_ids in actual.items():
+    for nodes, edge in actual.items():
         witness = claimed[nodes]
-        if not edge_ids:
+        if edge is None:
             verdict = zhs_lo_status(tree.nodes[nodes[0]])
             if verdict.status is not LOStatus.LO:
                 fail(f"closed component {list(nodes)} re-derives as "
@@ -745,7 +721,7 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
             fail(f"component {list(nodes)} lacks an edge certificate")
             continue
         edge_index, alpha = witness
-        if edge_index not in edge_ids:
+        if edge_index != edge:
             fail(f"edge {edge_index} does not belong to component {list(nodes)}")
             continue
         va, image, vb = _pair(tree, tree.edges[edge_index], alpha)

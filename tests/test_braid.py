@@ -102,7 +102,7 @@ def test_handle_reduce_output_shape_and_soundness():
 def test_handle_reduce_step_cap(monkeypatch):
     monkeypatch.setattr(braid, "STEP_CAP", 0)
     with pytest.raises(
-        ValueError, match=r"^handle reduction exceeded 0 steps on a word of 3 letters$"
+        OverflowError, match=r"^handle reduction exceeded 0 steps on a word of 3 letters$"
     ):
         handle_reduce(parse_word("abA"))
 
@@ -464,7 +464,7 @@ def test_handle_reduce_step_count_matches_oracle(monkeypatch):
             monkeypatch.setattr(braid, "STEP_CAP", steps - 1)
             message = (f"^handle reduction exceeded {steps - 1} steps on a word "
                        f"of {len(word)} letters$")
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(OverflowError, match=message):
                 handle_reduce(word)
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from bundled import data_file, data_path
-from locert import braid
+from locert import braid, compat, sampling
 from locert.cli import run
-from test_cli_golden import _RUNTIME, INPUTS, capture
+from test_cli_golden import _RUNTIME, CASES, INPUTS, capture
 
 
 def _run(argv):
@@ -217,6 +218,43 @@ def test_braid_caps_are_input_errors(monkeypatch, capsys, layer, command):
     monkeypatch.setattr(braid, layer, _raiser(ValueError("cap hit")))
     assert run(["braid", command, "ab"]) == 1
     assert capsys.readouterr().err == "error: cap hit\n"
+
+
+_STEP_CAPPED = {
+    "braid sign": (["braid", "sign", "abA"], {"word": "abA", "sign": None}),
+    "braid compare": (["braid", "compare", "A", "bA"], {"comparison": None}),
+    "braid reduce": (["braid", "reduce", "abA"],
+                     {"word": "abA", "reduced": None, "trivial": None}),
+    "braid floor": (["braid", "floor", "abA"], {"floor": None}),
+    "verify proposition-4-3": (
+        ["verify", "proposition-4-3", "--samples", "1", "--grid-bound", "1"],
+        {"seed": 0, "samples": 1, "grid_bound": 1, "total_failures": None,
+         "wrong_ordering_control_failures": None, "cases": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STEP_CAPPED))
+def test_step_cap_is_inconclusive(monkeypatch, command):
+    # a compute budget, not bad input: the result keys are null and the
+    # reason is the cap's message
+    argv, payload = _STEP_CAPPED[command]
+    monkeypatch.setattr(braid, "STEP_CAP", 0)
+    code, result = _run(argv)
+    assert code == 2 and result["status"] == "inconclusive"
+    reason = result["payload"].pop("reason")
+    assert re.fullmatch(r"handle reduction exceeded 0 steps on a word of \d+ letters",
+                        reason)
+    assert result["payload"] == payload
+
+
+@pytest.mark.parametrize("case", ["verify_prop43_too_many_grid_letters",
+                                  "verify_nonapplicability_too_large"])
+def test_caps_answer_before_the_work(monkeypatch, case):
+    for module, name in ((sampling, "random_braid_words"), (braid, "handle_reduce"),
+                         (compat, "klein_fill")):
+        monkeypatch.setattr(module, name, _raiser(RuntimeError(name)))
+    assert run(CASES[case], out=io.StringIO()) == 2
 
 
 def test_other_runtime_errors_surface(monkeypatch):

@@ -214,12 +214,20 @@ CASES: dict[str, list[str]] = {
                                      "--slope-bound", "2"],
     "verify_nonapplicability_zero_bound": ["verify", "nonapplicability",
                                            "--slope-bound", "0"],
+    # one past the slope-bound cap: answered before the survey
+    "verify_nonapplicability_too_large": ["verify", "nonapplicability",
+                                          "--slope-bound", "101"],
     "verify_prop43_zero_samples": ["verify", "proposition-4-3", "--samples", "0"],
     "verify_prop43_negative_samples": ["verify", "proposition-4-3", "--samples", "-3"],
     "verify_prop43_negative_max_len": ["verify", "proposition-4-3", "--max-len", "-1"],
     # 1 x (10^6 + 1) letters, one past the cap: answered before any sampling
     "verify_prop43_too_many_letters": ["verify", "proposition-4-3", "--samples", "1",
                                        "--max-len", "1000000"],
+    # 2 conjugators x 8 grid points, words of at most 2 x 62497 + 7 letters:
+    # 2000016 letters, 16 past the grid cap, answered before any sampling
+    "verify_prop43_too_many_grid_letters": ["verify", "proposition-4-3",
+                                            "--samples", "1", "--grid-bound", "1",
+                                            "--max-len", "62497"],
     # usage errors
     "usage_unknown_command": ["nonsense"],
     "usage_missing_subcommand": ["braid"],

@@ -13,8 +13,9 @@ alone do not count.  The tests are not readers: an export only they read
 must back a claim or a cross-check named in ``TEST_ONLY_EXPORTS``.  Every
 exception class the package defines must be caught by type somewhere in it
 or in ``perfbench``, and every defaulted parameter of a package function
-must be passed by some call in those same readers: a knob only the tests
-turn is a constant.
+must be passed by some call in those same readers and omitted by another: a
+knob only the tests turn is a constant, and a default every caller
+overrides is a required parameter.
 """
 
 from __future__ import annotations
@@ -253,25 +254,33 @@ def _passes(call: ast.Call, param: str, index: int | None) -> bool:
     return len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args)
 
 
-def unset_defaults() -> list[str]:
+def default_passes() -> dict[str, list[bool]]:
+    """"module: function(parameter)" -> whether each call of that function
+    in the readers passes the parameter."""
     calls: dict[str, list[ast.Call]] = {}
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(callee, []).append(node)
-    return sorted(
-        where
+    return {
+        where: [_passes(call, param, index) for call in calls.get(function, [])]
         for where, (function, param, index) in defaulted_parameters().items()
-        if not any(_passes(call, param, index) for call in calls.get(function, []))
-    )
+    }
 
 
 def test_every_default_is_passed_by_a_reader():
     # A default that no product or benchmark call overrides is a constant in
     # disguise; tests that need another value monkeypatch a module constant.
     assert "cli.py: run(out)" in defaulted_parameters()
-    assert unset_defaults() == []
+    assert sorted(where for where, passes in default_passes().items() if not any(passes)) == []
+
+
+def test_every_default_is_omitted_by_a_reader():
+    # A default that every product or benchmark call overrides is a required
+    # parameter in disguise, and a second copy of a value its callers own.
+    assert "cli.py: run(argv)" in defaulted_parameters()
+    assert sorted(where for where, passes in default_passes().items() if all(passes)) == []
 
 
 def _fresh(probe: str, *argv: str) -> str:

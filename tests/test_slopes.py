@@ -15,7 +15,6 @@ from locert.slopes import (
     slope_str,
     union_homology_order,
 )
-from locert.seifert import TorusKnotPiece, moser_surgery
 
 MERIDIAN = Slope(1, 0)
 LONGITUDE_SLOPE = Slope(0, 1)
@@ -160,15 +159,6 @@ def test_splice_matrix_swaps_p_and_q():
     for _ in range(60):
         s = _random_slope(rng)
         assert apply_gluing(SPLICE_MATRIX, s) == make_slope(s.q, s.p)
-
-
-def test_filling_homology_order():
-    # |H1| of the p/q filling is |p|, with 0 meaning infinite
-    for knot in (TorusKnotPiece(2, 3), TorusKnotPiece(3, 4, -1)):
-        assert moser_surgery(knot, LONGITUDE_SLOPE).h1_order == 0
-        for n in range(-4, 5):
-            assert moser_surgery(knot, make_slope(1, abs(n) + 1)).h1_order == 1
-        assert moser_surgery(knot, make_slope(4, 1)).h1_order == 4
 
 
 def test_union_homology_order():
