@@ -132,10 +132,8 @@ def _ascending_coeffs(poly: IntLaurentPoly) -> list[int]:
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free exact determinant."""
+    """Fraction-free exact determinant of a nonempty square matrix."""
     n = len(m)
-    if n == 0:
-        return 1
     m = [row[:] for row in m]
     sign = 1
     prev = 1
@@ -156,13 +154,11 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 
 def _resultant(f: list[int], g: list[int]) -> int:
-    """Sylvester resultant of two integer polynomials (ascending coeffs)."""
+    """Sylvester resultant of two integer polynomials (ascending coeffs),
+    ``f`` of degree at least 1 and ``g`` nonzero, so the Sylvester matrix
+    has at least one row."""
     df = len(f) - 1
     dg = len(g) - 1
-    if df < 0 or dg < 0:
-        raise ValueError("resultant of the zero polynomial")
-    if df == 0:
-        return f[0] ** dg
     if dg == 0:
         return g[0] ** df
     size = df + dg

@@ -7,14 +7,11 @@ Every subcommand prints a result envelope
 in JSON mode (the default), or a readable text rendering with ``--format
 text``.  The payload is deterministic for fixed inputs and seeds; only
 ``runtime_ms`` varies between runs.  Exit codes: 0 on success; 2 when the
-answer is unknown or inconclusive (among others, a braid word past handle
-reduction's step cap, ``verify proposition-4-3`` whose sampled conjugators
-or grid words would pass their letter caps, ``verify nonapplicability``
-past its slope-bound cap, and ``splice cert`` or ``splice verify`` on a
-tree whose record would hold an integer past the digit budget); 1 on input
-errors, with a diagnostic on stderr (a braid word past ``delta_floor``'s
-bound counts as one), and on a failed ``verify proposition-4-3`` check,
-whose envelope has status ``error``.
+answer is unknown or inconclusive, as past a budget (README, "Output and
+exit codes", lists the budgets); 1 on input errors, with a diagnostic on
+stderr (a braid word past ``delta_floor``'s bound counts as one, as does a
+``verify proposition-4-3 --grid-bound`` below 1); 3 on a failed ``verify
+proposition-4-3`` check, whose envelope has status ``error``.
 
 Property-style commands (``verify proposition-4-3``) take ``--seed`` and
 ``--samples``; defaults are seed 0 and 200 samples, and all randomness is
@@ -45,10 +42,10 @@ __all__ = ["main", "run"]
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNKNOWN = 2
+EXIT_CHECK_FAILED = 3
 
-# ``group fill`` writes out its relator mu^p lambda^q, and ``verify
-# proposition-4-3`` its sampled conjugators; past this many letters each
-# answers inconclusive instead.
+# ``group fill`` writes out its relator mu^p lambda^q; past this many letters
+# it answers inconclusive instead.
 _MAX_LETTERS = 1_000_000
 # ``verify proposition-4-3`` hands handle reduction at most (samples + 1)
 # ((2B + 1)^2 - 1) (2 max_len + 7B) letters for grid bound B; past this many
@@ -67,6 +64,15 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract here is 1.
     def error(self, message):  # noqa: D102
         raise _UsageError(message)
+
+    # argparse drops a "--" that is an argument's whole value, as in ``slope
+    # delta -- 0 --`` or ``--poly=--``, and hands on an empty list; keep it.
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def _load_json(path: str) -> dict:
@@ -141,23 +147,19 @@ def _klein_fill(args):
     from . import klein
 
     slope = klein.KleinPeripheral(args.m, args.n)
+    status, payload = "ok", {"slope": [slope.m, slope.n], "classification": None,
+                             "abelianization": None, "note": None}
     try:
         result = klein.klein_fill(slope)
+        ab = result.abelianization
+        payload.update(
+            classification=result.kind.value,
+            abelianization={"free_rank": ab.free_rank, "torsion": list(ab.torsion)},
+            note=result.note,
+        )
     except OverflowError:
-        return "inconclusive", {
-            "slope": [slope.m, slope.n],
-            "classification": None,
-            "abelianization": None,
-            "note": None,
-            "reason": _over_budget(),
-        }, []
-    ab = result.abelianization
-    return "ok", {
-        "slope": [slope.m, slope.n],
-        "classification": result.kind.value,
-        "abelianization": {"free_rank": ab.free_rank, "torsion": list(ab.torsion)},
-        "note": result.note,
-    }, []
+        status, payload["reason"] = "inconclusive", _over_budget()
+    return status, payload, []
 
 
 def _klein_sign(args):
@@ -249,14 +251,10 @@ def _group_enumerate(args):
         fpgroup.parse_group_word(w, p.generators) for w in (args.subgroup or [])
     ]
     closed = fpgroup.enumerate_table(p, subgroup, args.max_cosets)
-    if closed is None:
-        return "inconclusive", {
-            "index": None,
-            "max_cosets": args.max_cosets,
-        }, ["Todd-Coxeter: a closed coset table certifies the index"]
-    return "ok", {"index": closed.index, "max_cosets": args.max_cosets}, [
-        "Todd-Coxeter: a closed coset table certifies the index"
-    ]
+    status, payload = "inconclusive", {"index": None, "max_cosets": args.max_cosets}
+    if closed is not None:
+        status, payload["index"] = "ok", closed.index
+    return status, payload, ["Todd-Coxeter: a closed coset table certifies the index"]
 
 
 _SPLICE_CITATIONS = [
@@ -273,36 +271,28 @@ def _splice_cert(args):
     from . import seifert
 
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
+    payload = {"status": None, "components": None, "certificate": None}
     try:
-        status, components, certificate = seifert.certificate_search(tree, args.bound)
+        verdict, components, certificate = seifert.certificate_search(tree, args.bound)
+        payload.update(status=verdict.value, components=components,
+                       certificate=certificate)
+        status = "unknown" if certificate is None else "ok"
     except OverflowError:
-        return "inconclusive", {
-            "status": None,
-            "components": None,
-            "certificate": None,
-            "reason": _over_budget(),
-        }, _SPLICE_CITATIONS
-    payload = {
-        "status": status.value,
-        "components": components,
-        "certificate": certificate,
-    }
-    return "unknown" if certificate is None else "ok", payload, _SPLICE_CITATIONS
+        status, payload["reason"] = "inconclusive", _over_budget()
+    return status, payload, _SPLICE_CITATIONS
 
 
 def _splice_verify(args):
     from . import seifert
 
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
+    status, payload = "ok", {"valid": None, "report": None}
     try:
-        ok, report = seifert.verify_certificate(tree, _load_json(args.certificate))
+        record = _load_json(args.certificate)
+        payload["valid"], payload["report"] = seifert.verify_certificate(tree, record)
     except OverflowError:
-        return "inconclusive", {
-            "valid": None,
-            "report": None,
-            "reason": _over_budget(),
-        }, _SPLICE_CITATIONS
-    return "ok", {"valid": ok, "report": report}, _SPLICE_CITATIONS
+        status, payload["reason"] = "inconclusive", _over_budget()
+    return status, payload, _SPLICE_CITATIONS
 
 
 def _hf_rank(args):
@@ -353,57 +343,41 @@ def _verify_compat(args):
         raise ValueError("--samples must be >= 1")
     if args.max_len < 0:
         raise ValueError("--max-len must be >= 0")
-
-    def inconclusive(reason: str):
-        return "inconclusive", {
-            "seed": args.seed,
-            "samples": args.samples,
-            "grid_bound": args.grid_bound,
-            "total_failures": None,
-            "wrong_ordering_control_failures": None,
-            "cases": None,
-            "reason": reason,
-        }, list(compat.REFERENCES)
-
-    if args.samples * (args.max_len + 1) > _MAX_LETTERS:
-        return inconclusive(
-            f"the sampled conjugators would pass the {_MAX_LETTERS}-letter cap"
-        )
-    b = max(args.grid_bound, 0)  # below 1, verify_compatibility rejects it
-    points = (args.samples + 1) * ((2 * b + 1) ** 2 - 1)
-    if points * (2 * args.max_len + 7 * b) > _MAX_GRID_LETTERS:
-        return inconclusive(
-            "the conjugated grid words would pass the "
-            f"{_MAX_GRID_LETTERS}-letter cap"
-        )
-    samples = random_braid_words(args.seed, args.samples, args.max_len)
-    failures = 0
-    cases = []
-    try:
-        for word in samples:
-            report = compat.verify_compatibility(word, args.grid_bound)
-            failures += len(report.failures)
-            cases.append(
-                {
-                    "conjugator": report.conjugator,
-                    "ordering": report.ordering.value,
-                    "failures": len(report.failures),
-                }
-            )
-        control = compat.verify_compatibility(
-            braid.SIGMA1, args.grid_bound, force_ordering=klein.KleinOrderingId.O1
-        )
-    except OverflowError as exc:  # handle reduction's step cap
-        return inconclusive(str(exc))
-    payload = {
+    b = args.grid_bound
+    if b < 1:
+        raise ValueError("grid_bound must be >= 1")
+    status, payload = "inconclusive", {
         "seed": args.seed,
         "samples": args.samples,
-        "grid_bound": args.grid_bound,
-        "total_failures": failures,
-        "wrong_ordering_control_failures": len(control.failures),
-        "cases": cases if args.verbose_cases else None,
+        "grid_bound": b,
+        "total_failures": None,
+        "wrong_ordering_control_failures": None,
+        "cases": None,
     }
-    status = "ok" if failures == 0 and control.failures else "error"
+    points = (args.samples + 1) * ((2 * b + 1) ** 2 - 1)
+    if points * (2 * args.max_len + 7 * b) > _MAX_GRID_LETTERS:
+        payload["reason"] = (
+            f"the conjugated grid words would pass the {_MAX_GRID_LETTERS}-letter cap"
+        )
+        return status, payload, list(compat.REFERENCES)
+    failures = 0
+    cases = [] if args.verbose_cases else None
+    try:
+        for word in random_braid_words(args.seed, args.samples, args.max_len):
+            report = compat.verify_compatibility(word, b)
+            failures += len(report.failures)
+            if cases is not None:
+                cases.append({"conjugator": report.conjugator,
+                              "ordering": report.ordering.value,
+                              "failures": len(report.failures)})
+        control = compat.verify_compatibility(
+            braid.SIGMA1, b, force_ordering=klein.KleinOrderingId.O1
+        )
+        payload.update(total_failures=failures, cases=cases,
+                       wrong_ordering_control_failures=len(control.failures))
+        status = "ok" if failures == 0 and control.failures else "error"
+    except OverflowError as exc:  # handle reduction's step cap
+        payload["reason"] = str(exc)
     return status, payload, list(compat.REFERENCES)
 
 
@@ -559,7 +533,7 @@ _STATUS_EXIT = {
     "ok": EXIT_OK,
     "unknown": EXIT_UNKNOWN,
     "inconclusive": EXIT_UNKNOWN,
-    "error": EXIT_INPUT_ERROR,
+    "error": EXIT_CHECK_FAILED,
 }
 
 

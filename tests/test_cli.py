@@ -1,5 +1,6 @@
 """CLI round-trips, exit codes, determinism, bundled data."""
 
+import dataclasses
 import io
 import json
 import os
@@ -174,6 +175,29 @@ def test_verify_commands():
     assert code == 0
     assert result["payload"]["lo_slopes"] == [[1, 0]]
     assert result["payload"]["b3_quotient_index"] == 1
+
+
+@pytest.mark.parametrize("failing", ["samples", "control"])
+def test_failed_check_is_not_an_input_error(monkeypatch, capsys, failing):
+    # a sample that fails the check, or a wrong-ordering control that finds
+    # no failure, is a failed check: status error, exit 3
+    real = compat.verify_compatibility
+
+    def verify(conjugator, grid_bound, force_ordering=None):
+        report = real(conjugator, grid_bound, force_ordering)
+        if (force_ordering is not None) == (failing == "control"):
+            failures = () if failing == "control" else ((1, 1),)
+            report = dataclasses.replace(report, failures=failures)
+        return report
+
+    monkeypatch.setattr(compat, "verify_compatibility", verify)
+    code, result = _run(["verify", "proposition-4-3", "--samples", "2",
+                         "--grid-bound", "1"])
+    assert code == 3 and result["status"] == "error"
+    assert capsys.readouterr().err == ""
+    payload = result["payload"]
+    assert payload["total_failures"] == (2 if failing == "samples" else 0)
+    assert (payload["wrong_ordering_control_failures"] == 0) == (failing == "control")
 
 
 def test_verify_compat_alias():

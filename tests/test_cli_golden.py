@@ -45,6 +45,8 @@ CASES: dict[str, list[str]] = {
     "braid_sign": ["braid", "sign", "aB"],
     "braid_sign_text": ["--format", "text", "braid", "sign", "B"],
     "braid_compare": ["braid", "compare", "b", ""],
+    # the second "--" is the word v: argparse used to drop it, so v was empty
+    "braid_compare_double_dash": ["braid", "compare", "--", "a", "--"],
     "braid_reduce": ["braid", "reduce", "abAbaBBAbaBabA"],
     # pins the handle order: the strictly leftmost order gives "ABBBBBA"
     "braid_reduce_order": ["braid", "reduce", "BABABAbAbaBBAbB"],
@@ -69,6 +71,8 @@ CASES: dict[str, list[str]] = {
     "slope_delta_not_primitive": ["slope", "delta", "2/4", "1/1"],
     # after a slash the denominator must be an integer
     "slope_delta_empty_denominator": ["slope", "delta", "1/", "2/1"],
+    # the second "--" is the slope beta: argparse used to drop it, a traceback
+    "slope_delta_double_dash": ["slope", "delta", "--", "0", "--"],
     "slope_delta_too_large": ["slope", "delta", "--", f"{_HUGE}/1", f"1/{_HUGE}"],
     "slope_delta_too_large_text": ["--format", "text", "slope", "delta", "--",
                                    f"{_HUGE}/1", f"1/{_HUGE}"],
@@ -191,6 +195,8 @@ CASES: dict[str, list[str]] = {
     "cover_order": ["cover", "order", "--poly", "t^2 - 3t + 1", "--n", "7"],
     "cover_order_even": ["cover", "order", "--poly", "t^2 - t + 1", "--n", "6"],
     "cover_order_not_normalized": ["cover", "order", "--poly", "t^2 + 1", "--n", "3"],
+    # an option value of "--": argparse used to drop it, a traceback
+    "cover_order_double_dash": ["cover", "order", "--poly=--", "--n", "3"],
     "cover_order_figure_eight_400": ["cover", "order", "--poly", "t^2 - 3t + 1",
                                      "--n", "400"],
     # L_24000 - 2 has 5016 digits, past the 4300-digit budget
@@ -220,9 +226,13 @@ CASES: dict[str, list[str]] = {
     "verify_prop43_zero_samples": ["verify", "proposition-4-3", "--samples", "0"],
     "verify_prop43_negative_samples": ["verify", "proposition-4-3", "--samples", "-3"],
     "verify_prop43_negative_max_len": ["verify", "proposition-4-3", "--max-len", "-1"],
-    # 1 x (10^6 + 1) letters, one past the cap: answered before any sampling
+    # 2 conjugators x 120 grid points, words of at most 2 x 10^6 + 35 letters:
+    # far past the grid cap, answered before any sampling
     "verify_prop43_too_many_letters": ["verify", "proposition-4-3", "--samples", "1",
                                        "--max-len", "1000000"],
+    # an input error, though 10^7 samples would pass the grid cap
+    "verify_prop43_zero_grid_bound": ["verify", "proposition-4-3", "--grid-bound", "0",
+                                      "--samples", "10000000"],
     # 2 conjugators x 8 grid points, words of at most 2 x 62497 + 7 letters:
     # 2000016 letters, 16 past the grid cap, answered before any sampling
     "verify_prop43_too_many_grid_letters": ["verify", "proposition-4-3",
@@ -276,6 +286,23 @@ def test_corpus_covers_every_exit_code():
         for name in CASES
     }
     assert codes == {0, 1, 2}
+
+
+def test_inconclusive_payload_is_the_answer_plus_a_reason():
+    # An exit-2 payload has the keys of some exit-0 payload of its command,
+    # its result fields null, and at most a `reason` more.
+    keys: dict[int, dict[tuple, list[set]]] = {0: {}, 2: {}}
+    for name, argv in CASES.items():
+        case = json.loads(_case_path(name).read_text(encoding="utf-8"))
+        if argv[0] != "--format" and case["exit"] in keys:
+            payload = set(json.loads(case["stdout"])["payload"])
+            if case["exit"] == 2:
+                payload.discard("reason")
+            keys[case["exit"]].setdefault(tuple(argv[:2]), []).append(payload)
+    assert keys[2] and set(keys[2]) <= set(keys[0])
+    for command, payloads in keys[2].items():
+        for payload in payloads:
+            assert payload in keys[0][command], command
 
 
 def _splice_cert_cases() -> list[str]:
