@@ -8,9 +8,10 @@ Modules by subject:
                   peripheral subgroup of the trefoil exterior
 * ``klein``     - the Klein-bottle group, its two distinguished
                   orderings, and fillings of the twisted I-bundle
-* ``slopes``    - slope calculus on torus boundaries, and the walk over
+* ``slopes``    - slope calculus on torus boundaries, the walk over
                   primitive slopes that the splice search and the
-                  Klein-bottle survey share
+                  Klein-bottle survey share, and ``int_str``, which prints
+                  an integer or raises OverflowError past the digit limit
 * ``fpgroup``   - presentations, Smith-normal-form abelianization,
                   Dehn-filling relators, amalgams, Todd-Coxeter, and
                   the group-word helpers (inversion, free reduction,

@@ -17,12 +17,14 @@ Property-style commands (``verify proposition-4-3``) take ``--seed`` and
 ``--samples``; defaults are seed 0 and 200 samples, and all randomness is
 derived from the seed.
 
-Import rule: this module imports no ``locert`` layer at module level.  Each
-handler imports the layers it calls, so a process loads only what its
+Each handler fills a payload dict that ``run`` owns and returns the status;
+its citations are a parser default.  It imports the layers it calls, and this
+module imports none at module level, so a process loads only what its
 subcommand runs (``slope delta`` loads ``slopes`` alone).  A layer raises
 ``ValueError`` on bad input, which ``run`` maps to exit 1 as it does
-``OSError``, and ``OverflowError`` past a budget, which a handler answers as
-``inconclusive``; any other exception propagates.
+``OSError``, and ``OverflowError`` past a budget (a cap, or the digit limit of
+``slopes.int_str``), which ``run`` answers as ``inconclusive`` with the
+message as ``reason``; any other exception propagates.
 
 The argument parser is built once per process, on the first ``run``, and
 reused by every later call; importing this module builds none.
@@ -54,6 +56,10 @@ _MAX_GRID_LETTERS = 2_000_000
 # ``verify nonapplicability`` surveys O(B^2) slopes for slope bound B; past
 # this bound it answers inconclusive.
 _MAX_SLOPE_BOUND = 100
+# ``group enumerate`` stops a table at this many entries (cosets x 2
+# generators, about 40 bytes each), and answers inconclusive when that, not
+# ``--max-cosets``, stopped it.
+_MAX_TABLE_ENTRIES = 2_000_000
 
 
 class _UsageError(Exception):
@@ -83,145 +89,134 @@ def _load_json(path: str) -> dict:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-# --- subcommand handlers: return (status, payload, citations) ----------------
+# --- subcommand handlers: fill ``payload``, return the status ----------------
+# Result keys are set to None before they are computed, so an answer cut short
+# by an OverflowError keeps them, null, next to ``reason``.
 
 
-# A braid handler past handle reduction's step cap answers inconclusive: its
-# result keys stay None and ``reason`` carries the cap's message.
-def _braid_sign(args) -> tuple[str, dict, list[str]]:
+def _braid_sign(args, payload) -> str:
     from . import braid
 
     word = braid.parse_word(args.word)
-    status, payload = "ok", {"word": braid.word_str(word), "sign": None}
-    try:
-        payload["sign"] = braid.dd_sign(word).value
-    except OverflowError as exc:
-        status, payload["reason"] = "inconclusive", str(exc)
-    return status, payload, [
-        "Dubrovina-Dubrovin 2001: the positive-cone ordering of B3"
-    ]
+    payload.update(word=braid.word_str(word), sign=None)
+    payload["sign"] = braid.dd_sign(word).value
+    return "ok"
 
 
-def _braid_compare(args):
+def _braid_compare(args, payload):
     from . import braid
 
     u = braid.parse_word(args.u)
     v = braid.parse_word(args.v)
-    status, payload = "ok", {"comparison": None}
-    try:
-        payload["comparison"] = braid.dd_compare(u, v).value
-    except OverflowError as exc:
-        status, payload["reason"] = "inconclusive", str(exc)
-    return status, payload, []
+    payload["comparison"] = None
+    payload["comparison"] = braid.dd_compare(u, v).value
+    return "ok"
 
 
-def _braid_reduce(args):
+def _braid_reduce(args, payload):
     from . import braid
 
     word = braid.parse_word(args.word)
-    status, payload = "ok", {"word": braid.word_str(word), "reduced": None,
-                             "trivial": None}
-    try:
-        reduced = braid.handle_reduce(word)
-        payload.update(reduced=braid.word_str(reduced), trivial=not reduced)
-    except OverflowError as exc:
-        status, payload["reason"] = "inconclusive", str(exc)
-    return status, payload, ["Dehornoy: handle reduction decides 1-positivity"]
+    payload.update(word=braid.word_str(word), reduced=None, trivial=None)
+    reduced = braid.handle_reduce(word)
+    payload.update(reduced=braid.word_str(reduced), trivial=not reduced)
+    return "ok"
 
 
-def _braid_floor(args):
+def _braid_floor(args, payload):
     from . import braid
 
     word = braid.parse_word(args.word)
-    status, payload = "ok", {"floor": None}
-    try:
-        payload["floor"] = braid.delta_floor(word)
-    except OverflowError as exc:
-        status, payload["reason"] = "inconclusive", str(exc)
-    return status, payload, [
-        "Malyutin: Delta^2 is cofinal in every left ordering of B3"
-    ]
+    payload["floor"] = None
+    payload["floor"] = braid.delta_floor(word)
+    return "ok"
 
 
-def _klein_fill(args):
+def _klein_fill(args, payload):
     from . import klein
 
     slope = klein.KleinPeripheral(args.m, args.n)
-    status, payload = "ok", {"slope": [slope.m, slope.n], "classification": None,
-                             "abelianization": None, "note": None}
-    try:
-        result = klein.klein_fill(slope)
-        ab = result.abelianization
-        payload.update(
-            classification=result.kind.value,
-            abelianization={"free_rank": ab.free_rank, "torsion": list(ab.torsion)},
-            note=result.note,
-        )
-    except OverflowError:
-        status, payload["reason"] = "inconclusive", _over_budget()
-    return status, payload, []
+    payload.update(slope=[slope.m, slope.n], classification=None,
+                   abelianization=None, note=None)
+    result = klein.klein_fill(slope)
+    ab = result.abelianization
+    payload.update(
+        classification=result.kind.value,
+        abelianization={"free_rank": ab.free_rank, "torsion": list(ab.torsion)},
+        note=result.note,
+    )
+    return "ok"
 
 
-def _klein_sign(args):
+def _klein_sign(args, payload):
     from . import klein
 
     g = klein.parse_element(args.element)
     ordering = klein.KleinOrderingId(args.ordering)
-    return "ok", {
-        "element": klein.element_str(g),
-        "ordering": ordering.value,
-        "sign": klein.k_sign(g, ordering).value,
-    }, []
+    payload.update(element=klein.element_str(g), ordering=ordering.value,
+                   sign=klein.k_sign(g, ordering).value)
+    return "ok"
 
 
-def _slope_delta(args):
+def _slope_delta(args, payload):
     from . import slopes
 
     a = slopes.parse_slope(args.alpha)
     b = slopes.parse_slope(args.beta)
-    return "ok", {"delta": slopes.intersection_number(a, b)}, []
+    payload["delta"] = slopes.intersection_number(a, b)
+    return "ok"
 
 
-def _slope_glue(args):
+def _ints(text: str, message: str) -> list[int]:
+    """The comma-separated integers of ``text``; ValueError(message) when an
+    entry is not one."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(message) from None
+
+
+def _slope_glue(args, payload):
     from . import slopes
 
-    parts = [int(x) for x in args.matrix.split(",")]
+    message = "matrix must be 4 comma-separated integers, row-major"
+    parts = _ints(args.matrix, message)
     if len(parts) != 4:
-        raise ValueError("matrix must be 4 comma-separated integers, row-major")
+        raise ValueError(message)
     alpha = slopes.parse_slope(args.slope)
     image = slopes.apply_gluing(slopes.GluingMatrix(*parts), alpha)
-    try:
-        return "ok", {"slope": slopes.slope_str(image)}, []
-    except OverflowError:
-        return "inconclusive", {"slope": None, "reason": _over_budget()}, []
+    payload["slope"] = None
+    payload["slope"] = slopes.slope_str(image)
+    return "ok"
 
 
-def _group_abelianize(args):
+def _group_abelianize(args, payload):
     from . import fpgroup
 
     p = fpgroup.Presentation.from_json(_load_json(args.presentation))
     ab = fpgroup.abelianization(p)
-    return "ok", {"free_rank": ab.free_rank, "torsion": list(ab.torsion)}, []
+    payload.update(free_rank=ab.free_rank, torsion=list(ab.torsion))
+    return "ok"
 
 
-def _group_fill(args):
+def _group_fill(args, payload):
     from . import fpgroup, slopes
 
     p = fpgroup.Presentation.from_json(_load_json(args.presentation))
     mu = fpgroup.parse_group_word(args.mu, p.generators)
     lam = fpgroup.parse_group_word(args.longitude, p.generators)
     slope = slopes.parse_slope(args.slope)
+    payload["presentation"] = None
     if abs(slope.p) * len(mu) + abs(slope.q) * len(lam) > _MAX_LETTERS:
-        return "inconclusive", {
-            "presentation": None,
-            "reason": "the relator mu^p lambda^q would pass the "
-            f"{_MAX_LETTERS}-letter cap",
-        }, []
+        raise OverflowError(
+            f"the relator mu^p lambda^q would pass the {_MAX_LETTERS}-letter cap"
+        )
     filled = fpgroup.dehn_fill(p, mu, lam, (slope.p, slope.q))
-    return "ok", {"presentation": filled.to_json()}, []
+    payload["presentation"] = filled.to_json()
+    return "ok"
 
 
-def _group_amalgam(args):
+def _group_amalgam(args, payload):
     from . import fpgroup
 
     p1 = fpgroup.Presentation.from_json(_load_json(args.presentation1))
@@ -237,102 +232,84 @@ def _group_amalgam(args):
                 fpgroup.parse_group_word(right.strip(), p2.generators),
             )
         )
-    merged = fpgroup.amalgam(p1, p2, pairs)
-    return "ok", {"presentation": merged.to_json()}, [
-        "Seifert-Van Kampen: the fundamental group of a union"
-    ]
+    payload["presentation"] = fpgroup.amalgam(p1, p2, pairs).to_json()
+    return "ok"
 
 
-def _group_enumerate(args):
+def _group_enumerate(args, payload):
     from . import fpgroup
 
     p = fpgroup.Presentation.from_json(_load_json(args.presentation))
     subgroup = [
         fpgroup.parse_group_word(w, p.generators) for w in (args.subgroup or [])
     ]
-    closed = fpgroup.enumerate_table(p, subgroup, args.max_cosets)
-    status, payload = "inconclusive", {"index": None, "max_cosets": args.max_cosets}
-    if closed is not None:
-        status, payload["index"] = "ok", closed.index
-    return status, payload, ["Todd-Coxeter: a closed coset table certifies the index"]
+    payload.update(index=None, max_cosets=args.max_cosets)
+    width = max(2 * len(p.generators), 1)  # entries per coset
+    cap = min(args.max_cosets, max(_MAX_TABLE_ENTRIES // width, 1))
+    closed = fpgroup.enumerate_table(p, subgroup, cap)
+    if closed is None:
+        if cap < args.max_cosets:
+            raise OverflowError(
+                f"the coset table would pass the {_MAX_TABLE_ENTRIES}-entry cap"
+            )
+        return "inconclusive"
+    payload["index"] = closed.index
+    return "ok"
 
 
-_SPLICE_CITATIONS = [
-    "Boyer-Rolfsen-Wiest: left-orderability from a nontrivial homomorphism "
-    "to a left-orderable group; classification of Seifert fibred homology "
-    "spheres",
-    "Boyer-Gordon-Watson: Seifert fibred L-spaces are exactly the "
-    "non-left-orderable ones",
-    "Moser: surgery on torus knots",
-]
-
-
-def _splice_cert(args):
+def _splice_cert(args, payload):
     from . import seifert
 
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
-    payload = {"status": None, "components": None, "certificate": None}
-    try:
-        verdict, components, certificate = seifert.certificate_search(tree, args.bound)
-        payload.update(status=verdict.value, components=components,
-                       certificate=certificate)
-        status = "unknown" if certificate is None else "ok"
-    except OverflowError:
-        status, payload["reason"] = "inconclusive", _over_budget()
-    return status, payload, _SPLICE_CITATIONS
+    payload.update(status=None, components=None, certificate=None)
+    verdict, components, certificate = seifert.certificate_search(tree, args.bound)
+    payload.update(status=verdict.value, components=components, certificate=certificate)
+    return "unknown" if certificate is None else "ok"
 
 
-def _splice_verify(args):
+def _splice_verify(args, payload):
     from . import seifert
 
     tree = seifert.SpliceTree.from_json(_load_json(args.tree))
-    status, payload = "ok", {"valid": None, "report": None}
-    try:
-        record = _load_json(args.certificate)
-        payload["valid"], payload["report"] = seifert.verify_certificate(tree, record)
-    except OverflowError:
-        status, payload["reason"] = "inconclusive", _over_budget()
-    return status, payload, _SPLICE_CITATIONS
+    payload.update(valid=None, report=None)
+    record = _load_json(args.certificate)
+    payload["valid"], payload["report"] = seifert.verify_certificate(tree, record)
+    return "ok"
 
 
-def _hf_rank(args):
+def _hf_rank(args, payload):
     from . import seifert
 
-    ranks = tuple(int(x) for x in args.ranks.split(","))
-    return "ok", {"rank": seifert.hf_surgery_rank(args.p, args.q, args.nu, ranks)}, [
-        "rational surgery formula for the total Heegaard Floer rank"
-    ]
+    ranks = tuple(_ints(args.ranks, "ranks must be comma-separated integers"))
+    payload["rank"] = seifert.hf_surgery_rank(args.p, args.q, args.nu, ranks)
+    return "ok"
 
 
-def _cover_order(args):
+def _cover_order(args, payload):
     from . import alexander
 
     poly = alexander.parse_poly(args.poly)
     failed = alexander.validate_alexander(poly)
     if failed:
         raise ValueError("not a normalized Alexander polynomial: " + "; ".join(failed))
-    payload = {"polynomial": alexander.poly_str(poly), "n": args.n}
+    payload.update(polynomial=alexander.poly_str(poly), n=args.n)
     status = "ok"
+    # answered here, not in ``run``, as the text output prints reason before note
     try:
         order = alexander.branched_cover_order(poly, args.n)
         payload["order"] = order if order is not None else "infinite"
     except OverflowError as exc:
-        status = "inconclusive"
-        payload["order"] = None
-        payload["reason"] = str(exc)
+        status, payload["order"], payload["reason"] = "inconclusive", None, str(exc)
     if args.n % 2 == 0:
         payload["note"] = (
             "n is even: the n-fold branched cover admits a nontrivial "
             "homomorphism onto the fundamental group of the 2-fold one, so "
             "left-orderability descends from the double branched cover"
         )
-    return status, payload, [
-        "Fox (after Weber): branched-cover homology from Alexander "
-        "polynomial values at roots of unity"
-    ]
+    return status
 
 
-def _verify_compat(args):
+def _verify_compat(args, payload):
     # Mechanized check of the orderings-compatibility proposition for the
     # trefoil / Klein-bottle gluing (the +4-surgery-on-figure-eight graph
     # manifold), over seeded random conjugators.
@@ -346,58 +323,61 @@ def _verify_compat(args):
     b = args.grid_bound
     if b < 1:
         raise ValueError("grid_bound must be >= 1")
-    status, payload = "inconclusive", {
-        "seed": args.seed,
-        "samples": args.samples,
-        "grid_bound": b,
-        "total_failures": None,
-        "wrong_ordering_control_failures": None,
-        "cases": None,
-    }
+    payload.update(seed=args.seed, samples=args.samples, grid_bound=b,
+                   total_failures=None, wrong_ordering_control_failures=None,
+                   cases=None)
     points = (args.samples + 1) * ((2 * b + 1) ** 2 - 1)
     if points * (2 * args.max_len + 7 * b) > _MAX_GRID_LETTERS:
-        payload["reason"] = (
+        raise OverflowError(
             f"the conjugated grid words would pass the {_MAX_GRID_LETTERS}-letter cap"
         )
-        return status, payload, list(compat.REFERENCES)
     failures = 0
     cases = [] if args.verbose_cases else None
-    try:
-        for word in random_braid_words(args.seed, args.samples, args.max_len):
-            report = compat.verify_compatibility(word, b)
-            failures += len(report.failures)
-            if cases is not None:
-                cases.append({"conjugator": report.conjugator,
-                              "ordering": report.ordering.value,
-                              "failures": len(report.failures)})
-        control = compat.verify_compatibility(
-            braid.SIGMA1, b, force_ordering=klein.KleinOrderingId.O1
-        )
-        payload.update(total_failures=failures, cases=cases,
-                       wrong_ordering_control_failures=len(control.failures))
-        status = "ok" if failures == 0 and control.failures else "error"
-    except OverflowError as exc:  # handle reduction's step cap
-        payload["reason"] = str(exc)
-    return status, payload, list(compat.REFERENCES)
+    for word in random_braid_words(args.seed, args.samples, args.max_len):
+        report = compat.verify_compatibility(word, b)
+        failures += len(report.failures)
+        if cases is not None:
+            cases.append({"conjugator": report.conjugator,
+                          "ordering": report.ordering.value,
+                          "failures": len(report.failures)})
+    control = compat.verify_compatibility(
+        braid.SIGMA1, b, force_ordering=klein.KleinOrderingId.O1
+    )
+    payload.update(total_failures=failures, cases=cases,
+                   wrong_ordering_control_failures=len(control.failures))
+    return "ok" if failures == 0 and control.failures else "error"
 
 
-def _verify_nonapplicability(args):
+def _verify_nonapplicability(args, payload):
     from . import compat
 
+    payload.update(dict.fromkeys(("klein_slopes", "lo_slopes", "pullback_slope",
+                                  "b3_quotient_index", "conclusion")))
     if args.slope_bound > _MAX_SLOPE_BOUND:
-        return "inconclusive", {
-            "klein_slopes": None,
-            "lo_slopes": None,
-            "pullback_slope": None,
-            "b3_quotient_index": None,
-            "conclusion": None,
-            "reason": f"the slope bound passes the survey's cap of {_MAX_SLOPE_BOUND}",
-        }, list(compat.REFERENCES)
-    payload = compat.jsjlo_nonapplicability_report(args.slope_bound)
-    return "ok", payload, list(compat.REFERENCES)
+        raise OverflowError(
+            f"the slope bound passes the survey's cap of {_MAX_SLOPE_BOUND}"
+        )
+    payload.update(compat.jsjlo_nonapplicability_report(args.slope_bound))
+    return "ok"
 
 
 # --- wiring -------------------------------------------------------------------
+
+_SPLICE_CITATIONS = [
+    "Boyer-Rolfsen-Wiest: left-orderability from a nontrivial homomorphism "
+    "to a left-orderable group; classification of Seifert fibred homology "
+    "spheres",
+    "Boyer-Gordon-Watson: Seifert fibred L-spaces are exactly the "
+    "non-left-orderable ones",
+    "Moser: surgery on torus knots",
+]
+_COMPAT_CITATIONS = [
+    "Bludov-Glass: amalgams are left-orderable iff compatible normal "
+    "families of orderings exist",
+    "Dubrovina-Dubrovin: the positive-cone ordering of B3",
+    "Boyer-Gordon-Watson: +4-surgery on the figure-eight knot",
+]
+
 
 
 @functools.cache
@@ -410,23 +390,27 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
     )
+    parser.set_defaults(citations=[])
     sub = parser.add_subparsers(dest="command", required=True)
 
     braid_p = sub.add_parser("braid", help="B3 word problem and DD ordering")
     braid_sub = braid_p.add_subparsers(dest="subcommand", required=True)
     p = braid_sub.add_parser("sign", help="DD sign of a braid word")
     p.add_argument("word")
-    p.set_defaults(handler=_braid_sign)
+    p.set_defaults(handler=_braid_sign, citations=[
+        "Dubrovina-Dubrovin 2001: the positive-cone ordering of B3"])
     p = braid_sub.add_parser("compare", help="DD comparison of two words")
     p.add_argument("u")
     p.add_argument("v")
     p.set_defaults(handler=_braid_compare)
     p = braid_sub.add_parser("reduce", help="handle reduction")
     p.add_argument("word")
-    p.set_defaults(handler=_braid_reduce)
+    p.set_defaults(handler=_braid_reduce, citations=[
+        "Dehornoy: handle reduction decides 1-positivity"])
     p = braid_sub.add_parser("floor", help="Delta^2 floor in the DD ordering")
     p.add_argument("word")
-    p.set_defaults(handler=_braid_floor)
+    p.set_defaults(handler=_braid_floor, citations=[
+        "Malyutin: Delta^2 is cofinal in every left ordering of B3"])
 
     klein_p = sub.add_parser("klein", help="Klein-bottle group computations")
     klein_sub = klein_p.add_subparsers(dest="subcommand", required=True)
@@ -469,25 +453,27 @@ def _build_parser() -> _Parser:
         action="append",
         help="identification 'word-in-first = word-in-second' (repeatable)",
     )
-    p.set_defaults(handler=_group_amalgam)
+    p.set_defaults(handler=_group_amalgam, citations=[
+        "Seifert-Van Kampen: the fundamental group of a union"])
     p = group_sub.add_parser("enumerate", help="Todd-Coxeter coset enumeration")
     p.add_argument("presentation")
     p.add_argument(
         "--subgroup", action="append", help="subgroup generator word (repeatable)"
     )
     p.add_argument("--max-cosets", type=int, default=100_000)
-    p.set_defaults(handler=_group_enumerate)
+    p.set_defaults(handler=_group_enumerate, citations=[
+        "Todd-Coxeter: a closed coset table certifies the index"])
 
     splice_p = sub.add_parser("splice", help="splice-tree certificates")
     splice_sub = splice_p.add_subparsers(dest="subcommand", required=True)
     p = splice_sub.add_parser("cert", help="search for a certificate")
     p.add_argument("tree", help="splice tree JSON file")
     p.add_argument("--bound", type=int, default=3, help="slope search bound")
-    p.set_defaults(handler=_splice_cert)
+    p.set_defaults(handler=_splice_cert, citations=_SPLICE_CITATIONS)
     p = splice_sub.add_parser("verify", help="re-derive a certificate")
     p.add_argument("tree")
     p.add_argument("certificate")
-    p.set_defaults(handler=_splice_verify)
+    p.set_defaults(handler=_splice_verify, citations=_SPLICE_CITATIONS)
 
     hf_p = sub.add_parser("hf", help="Heegaard Floer surgery rank")
     hf_sub = hf_p.add_subparsers(dest="subcommand", required=True)
@@ -496,14 +482,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--ranks", required=True, help="comma-separated ranks, all >= 1")
-    p.set_defaults(handler=_hf_rank)
+    p.set_defaults(handler=_hf_rank, citations=[
+        "rational surgery formula for the total Heegaard Floer rank"])
 
     cover_p = sub.add_parser("cover", help="cyclic branched covers")
     cover_sub = cover_p.add_subparsers(dest="subcommand", required=True)
     p = cover_sub.add_parser("order", help="|H1| of the n-fold branched cover")
     p.add_argument("--poly", required=True, help="Alexander polynomial in t")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cover_order)
+    p.set_defaults(handler=_cover_order, citations=[
+        "Fox (after Weber): branched-cover homology from Alexander "
+        "polynomial values at roots of unity"])
 
     verify_p = sub.add_parser("verify", help="mechanized verifications")
     verify_sub = verify_p.add_subparsers(dest="subcommand", required=True)
@@ -518,13 +507,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid-bound", type=int, default=5)
     p.add_argument("--max-len", type=int, default=10)
     p.add_argument("--verbose-cases", action="store_true")
-    p.set_defaults(handler=_verify_compat)
+    p.set_defaults(handler=_verify_compat, citations=_COMPAT_CITATIONS)
     p = verify_sub.add_parser(
         "nonapplicability",
         help="why no slope pair certifies the trefoil / Klein-bottle gluing",
     )
     p.add_argument("--slope-bound", type=int, default=5)
-    p.set_defaults(handler=_verify_nonapplicability)
+    p.set_defaults(handler=_verify_nonapplicability, citations=_COMPAT_CITATIONS)
 
     return parser
 
@@ -547,20 +536,29 @@ def run(argv: list[str] | None = None, out=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     start = time.perf_counter()
+    payload: dict = {}
     try:
-        status, payload, citations = args.handler(args)
+        status = args.handler(args, payload)
+    except OverflowError as exc:  # a budget: the answer is unknown
+        status, payload["reason"] = "inconclusive", str(exc)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     runtime_ms = round((time.perf_counter() - start) * 1000.0, 3)
     try:
-        text = _render(args.format, status, payload, citations, runtime_ms)
+        text = _render(args.format, status, payload, args.citations, runtime_ms)
     except ValueError:
-        # str() refuses an int past the interpreter's digit limit.
-        printable = _drop_unprintable(payload)
-        status = "inconclusive"
-        printable["reason"] = _over_budget()
-        text = _render(args.format, status, printable, citations, runtime_ms)
+        # str() refuses an int past the interpreter's digit limit: each such
+        # int prints as null, and int_str gives the reason.
+        from .slopes import int_str
+
+        refused: list[int] = []
+        printable = _drop_unprintable(payload, refused)
+        try:
+            int_str(refused[0])
+        except OverflowError as exc:
+            status, printable["reason"] = "inconclusive", str(exc)
+        text = _render(args.format, status, printable, args.citations, runtime_ms)
     try:
         print(text, file=out)
         out.flush()
@@ -587,22 +585,18 @@ def _render(
     return "\n".join(lines)
 
 
-def _over_budget() -> str:
-    """Why a result holding an int that ``str`` refuses is inconclusive."""
-    digits = sys.get_int_max_str_digits()
-    return f"an integer in the result exceeds the {digits}-digit budget"
-
-
-def _drop_unprintable(value):
-    """``value`` with every int that ``str`` refuses replaced by None."""
+def _drop_unprintable(value, refused: list[int]):
+    """``value`` with every int that ``str`` refuses replaced by None; each
+    such int is appended to ``refused``."""
     if isinstance(value, dict):
-        return {key: _drop_unprintable(v) for key, v in value.items()}
+        return {key: _drop_unprintable(v, refused) for key, v in value.items()}
     if isinstance(value, list):
-        return [_drop_unprintable(v) for v in value]
+        return [_drop_unprintable(v, refused) for v in value]
     if isinstance(value, int):
         try:
             str(value)
         except ValueError:
+            refused.append(value)
             return None
     return value
 

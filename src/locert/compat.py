@@ -47,14 +47,6 @@ __all__ = [
     "jsjlo_nonapplicability_report",
 ]
 
-REFERENCES = (
-    "Bludov-Glass: amalgams are left-orderable iff compatible normal "
-    "families of orderings exist",
-    "Dubrovina-Dubrovin: the positive-cone ordering of B3",
-    "Boyer-Gordon-Watson: +4-surgery on the figure-eight knot",
-)
-
-
 def phi_peripheral(pe: braid.PeripheralElement) -> KleinElement:
     """Image of s2^k Delta^(2l) under the gluing: y^-k (y^-1 x^2)^l, which
     normalizes to x^(2l) y^(-k-l) since x^2 is central."""

@@ -28,6 +28,7 @@ from .fpgroup import (
     relation_matrix_invariants,
     word_power,
 )
+from .slopes import int_str
 
 __all__ = [
     "KleinElement",
@@ -140,8 +141,8 @@ def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
     infinite dihedral group Z/2 * Z/2 (set x^2 = 1: then (xy)^2 = 1 as
     well), which has torsion.  Every other primitive slope gives a finite
     group: killing y^m x^(2n) with m, n nonzero forces x^(4n) = 1 and
-    y^(2m) = 1, leaving a quotient of order 4|mn|.  OverflowError is
-    raised when that order has too many digits to print.
+    y^(2m) = 1, leaving a quotient of order 4|mn|, which ``slopes.int_str``
+    prints (OverflowError past the digit limit).
     """
     m, n = slope
     if gcd(m, n) != 1:
@@ -161,14 +162,10 @@ def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
             "quotient is Z/2 * Z/2 (infinite dihedral); torsion "
             "obstructs left-orderability",
         )
-    try:
-        order = str(4 * abs(m * n))
-    except ValueError:  # str() refuses an int past the digit limit
-        raise OverflowError("the order 4|mn| passes the digit limit") from None
     return KleinFillResult(
         KleinFillKind.FINITE_NOT_LO,
         ab,
-        f"finite quotient of order {order} (elliptic filling); "
+        f"finite quotient of order {int_str(4 * abs(m * n))} (elliptic filling); "
         "finite nontrivial groups are not left-orderable",
     )
 

@@ -47,6 +47,7 @@ from .slopes import (
     GluingMatrix,
     Slope,
     apply_gluing,
+    int_str,
     invert_gluing,
     make_slope,
     parse_slope,
@@ -141,7 +142,7 @@ class BrieskornZHS:
         return 0
 
     def describe(self) -> str:
-        inner = ",".join(_digits(m, "a multiplicity") for m in self.multiplicities)
+        inner = ",".join(int_str(m) for m in self.multiplicities)
         return f"Sigma({inner})"
 
 
@@ -345,15 +346,6 @@ def _json_int(value: object, what: str) -> int:
 # --- classification rules -----------------------------------------------------
 
 
-def _digits(n: int, what: str) -> str:
-    """``str(n)`` for an integer derived from the input; OverflowError when
-    ``str`` refuses it for its length."""
-    try:
-        return str(n)
-    except ValueError:  # str() refuses an int past the digit limit
-        raise OverflowError(f"{what} passes the digit limit") from None
-
-
 def zhs_lo_status(z: BrieskornZHS) -> LOSlopeVerdict:
     """Boyer-Rolfsen-Wiest: among Seifert fibred integer homology spheres
     exactly S^3 (trivial group, not left-orderable by convention) and the
@@ -430,7 +422,7 @@ def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict
     # p/q >= threshold with q >= 0, as the exact integer inequality.
     not_lo = eff.p >= threshold * eff.q
     where = f"{slope_str(eff)} on the positive T({k.r},{k.s})"
-    bar = f"rs - r - s = {_digits(threshold, 'rs - r - s')}"
+    bar = f"rs - r - s = {int_str(threshold)}"
     if not_lo:
         return LOSlopeVerdict(
             LOStatus.NOT_LO,

@@ -15,10 +15,14 @@ cases.
 bound in the order (max(|p|, q), q, p), one shell max(|p|, q) = m at a
 time, lazily; the splice certificate search tries them in that order, and
 the Klein-bottle survey sorts them into (p, q) order.
+
+``int_str(n)`` writes an input-derived integer into a string; past
+``sys.get_int_max_str_digits()`` its OverflowError carries the CLI's reason.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from math import gcd
 from typing import NamedTuple
@@ -29,6 +33,7 @@ __all__ = [
     "make_slope",
     "parse_slope",
     "slope_str",
+    "int_str",
     "primitive_slopes",
     "intersection_number",
     "apply_gluing",
@@ -70,15 +75,27 @@ def make_slope(p: int, q: int) -> Slope:
 
 def parse_slope(text: str) -> Slope:
     p_txt, slash, q_txt = text.partition("/")
-    return make_slope(int(p_txt), int(q_txt) if slash else 1)
+    try:
+        p, q = int(p_txt), int(q_txt) if slash else 1
+    except ValueError:
+        raise ValueError(f"cannot parse slope {text!r}: expected p/q or p") from None
+    return make_slope(p, q)
+
+
+def int_str(n: int) -> str:
+    """``str(n)``; OverflowError when ``str`` refuses ``n`` for its length."""
+    try:
+        return str(n)
+    except ValueError:  # str() refuses an int past the digit limit
+        digits = sys.get_int_max_str_digits()
+        raise OverflowError(
+            f"an integer in the result exceeds the {digits}-digit budget"
+        ) from None
 
 
 def slope_str(s: Slope) -> str:
-    """``p/q``; OverflowError when ``str`` refuses an entry for its length."""
-    try:
-        return f"{s.p}/{s.q}"
-    except ValueError:  # str() refuses an int past the digit limit
-        raise OverflowError("a slope entry passes the digit limit") from None
+    """``p/q``; OverflowError (``int_str``) past the digit limit."""
+    return f"{int_str(s.p)}/{int_str(s.q)}"
 
 
 def primitive_slopes(bound: int) -> Iterator[Slope]:

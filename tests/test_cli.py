@@ -1,5 +1,6 @@
 """CLI round-trips, exit codes, determinism, bundled data."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from bundled import data_file, data_path
-from locert import braid, compat, sampling
-from locert.cli import run
+from locert import alexander, braid, compat, fpgroup, klein, sampling, seifert, slopes
+from locert.cli import _build_parser, run
 from test_cli_golden import _RUNTIME, CASES, INPUTS, capture
 
 
@@ -270,6 +271,73 @@ def test_step_cap_is_inconclusive(monkeypatch, command):
     assert re.fullmatch(r"handle reduction exceeded 0 steps on a word of \d+ letters",
                         reason)
     assert result["payload"] == payload
+
+
+_S3 = str(INPUTS / "s3.json")
+_B3 = data_path("b3_presentation.json")
+_TREE = data_path("double_trefoil_splice.json")
+# One answering command per subcommand, and one layer call it makes.
+_PROBES = {
+    "braid sign": (["braid", "sign", "aB"], braid, "dd_sign"),
+    "braid compare": (["braid", "compare", "a", "b"], braid, "dd_compare"),
+    "braid reduce": (["braid", "reduce", "abA"], braid, "handle_reduce"),
+    "braid floor": (["braid", "floor", "abA"], braid, "delta_floor"),
+    "klein fill": (["klein", "fill", "2", "3"], klein, "klein_fill"),
+    "klein sign": (["klein", "sign", "x y"], klein, "k_sign"),
+    "slope delta": (["slope", "delta", "2/1", "1/1"], slopes, "intersection_number"),
+    "slope glue": (["slope", "glue", "--matrix", "0,1,1,0", "2/1"], slopes,
+                   "apply_gluing"),
+    "group abelianize": (["group", "abelianize", _S3], fpgroup, "abelianization"),
+    "group fill": (["group", "fill", _B3, "--mu", "s2", "--longitude", "s1",
+                    "--slope", "1/0"], fpgroup, "dehn_fill"),
+    "group amalgam": (["group", "amalgam", _B3,
+                       data_path("klein_bottle_presentation.json"), "--pair", "s2 = Y"],
+                      fpgroup, "amalgam"),
+    "group enumerate": (["group", "enumerate", _S3], fpgroup, "enumerate_table"),
+    "splice cert": (["splice", "cert", _TREE], seifert, "certificate_search"),
+    "splice verify": (["splice", "verify", _TREE,
+                       str(INPUTS / "double_trefoil_cert.json")], seifert,
+                      "verify_certificate"),
+    "hf rank": (["hf", "rank", "--p", "5", "--q", "1", "--nu", "1", "--ranks", "1"],
+                seifert, "hf_surgery_rank"),
+    "cover order": (["cover", "order", "--poly", "t^2 - 3t + 1", "--n", "3"],
+                    alexander, "branched_cover_order"),
+    "verify proposition-4-3": (["verify", "proposition-4-3", "--samples", "1",
+                                "--grid-bound", "1"], compat, "verify_compatibility"),
+    "verify nonapplicability": (["verify", "nonapplicability", "--slope-bound", "1"],
+                                compat, "jsjlo_nonapplicability_report"),
+}
+
+
+def _commands(parser, prefix=""):
+    """Each subcommand of ``parser``, an alias once."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            names = {}
+            for name, sub in action.choices.items():
+                names.setdefault(sub, name)
+            for sub, name in names.items():
+                yield from _commands(sub, f"{prefix} {name}".strip())
+            return
+    yield prefix
+
+
+def test_probes_cover_every_subcommand():
+    assert sorted(_commands(_build_parser())) == sorted(_PROBES)
+
+
+@pytest.mark.parametrize("command", sorted(_PROBES))
+def test_a_layer_overflow_is_inconclusive(monkeypatch, command):
+    # ``run`` answers a budget for every handler: exit 2 with the layer's
+    # message as reason and the command's own citations
+    argv, module, name = _PROBES[command]
+    code, ok = _run(argv)
+    assert code == 0
+    monkeypatch.setattr(module, name, _raiser(OverflowError("probe")))
+    code, result = _run(argv)
+    assert code == 2 and result["status"] == "inconclusive"
+    assert result["payload"]["reason"] == "probe"
+    assert result["citations"] == ok["citations"]
 
 
 @pytest.mark.parametrize("case", ["verify_prop43_too_many_grid_letters",

@@ -79,6 +79,7 @@ CASES: dict[str, list[str]] = {
     "slope_glue": ["slope", "glue", "--matrix", "0,1,1,0", "2/1"],
     "slope_glue_shear": ["slope", "glue", "--matrix", "1,1,0,1", "0/1"],
     "slope_glue_bad_matrix": ["slope", "glue", "--matrix", "1,2,3", "1/1"],
+    "slope_glue_bad_entry": ["slope", "glue", "--matrix", "1,a,0,1", "1/1"],
     # a unimodular matrix whose image slope has 4401-digit entries
     "slope_glue_too_large": ["slope", "glue", "--matrix", _HUGE_GLUE, "--",
                              f"{_HUGE}/1"],
@@ -116,6 +117,10 @@ CASES: dict[str, list[str]] = {
     "group_enumerate_inconclusive": ["group", "enumerate", "dihedral.json",
                                      "--max-cosets", "200"],
     "group_enumerate_zero_cap": ["group", "enumerate", "s3.json", "--max-cosets", "0"],
+    # the free group on 40 generators never closes: 80 columns stop the table
+    # at 25000 cosets, far below the --max-cosets the memory could not hold
+    "group_enumerate_table_cap": ["group", "enumerate", "free_group_40.json",
+                                  "--max-cosets", "100000000"],
     # splice
     "splice_cert_double_trefoil": ["splice", "cert", DATA + "double_trefoil_splice.json"],
     "splice_cert_double_trefoil_text": ["--format", "text", "splice", "cert",
@@ -191,6 +196,8 @@ CASES: dict[str, list[str]] = {
     # hf
     "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
     "hf_rank_bad_q": ["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"],
+    "hf_rank_bad_ranks": ["hf", "rank", "--p", "1", "--q", "1", "--nu", "0",
+                          "--ranks", "1,,2"],
     # cover
     "cover_order": ["cover", "order", "--poly", "t^2 - 3t + 1", "--n", "7"],
     "cover_order_even": ["cover", "order", "--poly", "t^2 - t + 1", "--n", "6"],

@@ -326,11 +326,11 @@ _DATA = str(SRC / "data")
 
 # One run per subcommand family -> the locert modules beyond locert.cli it
 # loads.  A layer's own imports count: braid binds fpgroup's word helpers,
-# klein imports braid and fpgroup, seifert and compat import slopes.
+# klein imports braid, fpgroup and slopes, seifert and compat import slopes.
 _FAMILY_MODULES = {
     "slope": (["slope", "delta", "2/1", "1/1"], "slopes"),
     "braid": (["braid", "sign", "aB"], "braid fpgroup"),
-    "klein": (["klein", "fill", "1", "0"], "braid fpgroup klein"),
+    "klein": (["klein", "fill", "1", "0"], "braid fpgroup klein slopes"),
     "group": (["group", "fill", f"{_DATA}/b3_presentation.json", "--mu", "s2",
                "--longitude", "s1", "--slope", "1/0"], "fpgroup slopes"),
     "splice": (["splice", "cert", f"{_DATA}/double_trefoil_splice.json"],

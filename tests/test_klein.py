@@ -169,7 +169,7 @@ def test_fill_abelianization_evidence():
     assert big == (0, (4 * 10**7,))
     # an order 4|mn| too long to print is past the budget, not bad input
     with pytest.raises(
-        OverflowError, match=r"^the order 4\|mn\| passes the digit limit$"
+        OverflowError, match=r"^an integer in the result exceeds the 4300-digit budget$"
     ):
         klein_fill(KleinPeripheral(10**2200 + 1, 10**2200))
 

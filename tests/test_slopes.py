@@ -77,13 +77,15 @@ def test_parse_and_format():
     assert parse_slope("3/2") == Slope(3, 2)
     assert parse_slope("-1/1") == Slope(-1, 1)
     assert parse_slope("5") == Slope(5, 1)
-    # after a slash the denominator must be an integer
-    for text in ("1/", "1/ ", "/1", "1/x"):
-        with pytest.raises(ValueError):
+    # after a slash the denominator must be an integer; the message names
+    # the text and the expected form
+    for text in ("1/", "1/ ", "/1", "1/x", "x", "1/2/3"):
+        with pytest.raises(ValueError, match=r"^cannot parse slope .*: expected p/q or p$"):
             parse_slope(text)
     assert slope_str(Slope(-1, 1)) == "-1/1"
     # an entry str() refuses for its length is a budget, not an input error
-    with pytest.raises(OverflowError, match="^a slope entry passes the digit limit$"):
+    budget = r"^an integer in the result exceeds the 4300-digit budget$"
+    with pytest.raises(OverflowError, match=budget):
         slope_str(Slope(1, 10**5000))
 
 
