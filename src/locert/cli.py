@@ -18,9 +18,11 @@ Property-style commands (``verify proposition-4-3``) take ``--seed`` and
 derived from the seed.
 
 Each handler fills a payload dict that ``run`` owns and returns the status;
-its citations are a parser default.  It imports the layers it calls, and this
-module imports none at module level, so a process loads only what its
-subcommand runs (``slope delta`` loads ``slopes`` alone).  A layer raises
+its citations are a parser default.  A handler holds no cap: each cap lives in
+the layer whose work it bounds, so a direct caller of that layer meets it too.
+A handler imports the layers it calls, and this module imports none at module
+level, so a process loads only what its subcommand runs (``slope delta``
+loads ``slopes`` alone).  A layer raises
 ``ValueError`` on bad input, which ``run`` maps to exit 1 as it does
 ``OSError``, and ``OverflowError`` past a budget (a cap, or the digit limit of
 ``slopes.int_str``), which ``run`` answers as ``inconclusive`` with the
@@ -45,21 +47,6 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNKNOWN = 2
 EXIT_CHECK_FAILED = 3
-
-# ``group fill`` writes out its relator mu^p lambda^q; past this many letters
-# it answers inconclusive instead.
-_MAX_LETTERS = 1_000_000
-# ``verify proposition-4-3`` hands handle reduction at most (samples + 1)
-# ((2B + 1)^2 - 1) (2 max_len + 7B) letters for grid bound B; past this many
-# it answers inconclusive before sampling.
-_MAX_GRID_LETTERS = 2_000_000
-# ``verify nonapplicability`` surveys O(B^2) slopes for slope bound B; past
-# this bound it answers inconclusive.
-_MAX_SLOPE_BOUND = 100
-# ``group enumerate`` stops a table at this many entries (cosets x 2
-# generators, about 40 bytes each), and answers inconclusive when that, not
-# ``--max-cosets``, stopped it.
-_MAX_TABLE_ENTRIES = 2_000_000
 
 
 class _UsageError(Exception):
@@ -168,12 +155,25 @@ def _slope_delta(args, payload):
 
 
 def _ints(text: str, message: str) -> list[int]:
-    """The comma-separated integers of ``text``; ValueError(message) when an
-    entry is not one."""
+    """The comma-separated integers of ``text``; ``slopes.parse_int``'s
+    ValueError when an entry is not one."""
+    from .slopes import parse_int
+
+    return [parse_int(x, message) for x in text.split(",")]
+
+
+def _int(text: str) -> int:
+    """``int`` as an argparse type, with argparse's diagnostic, or with
+    ``slopes.parse_int``'s for an integer too long to read."""
     try:
-        return [int(x) for x in text.split(",")]
+        return int(text)
     except ValueError:
-        raise ValueError(message) from None
+        from .slopes import parse_int  # a valid argument loads no layer
+
+        try:
+            return parse_int(text, f"invalid int value: {text!r}")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _slope_glue(args, payload):
@@ -207,10 +207,6 @@ def _group_fill(args, payload):
     lam = fpgroup.parse_group_word(args.longitude, p.generators)
     slope = slopes.parse_slope(args.slope)
     payload["presentation"] = None
-    if abs(slope.p) * len(mu) + abs(slope.q) * len(lam) > _MAX_LETTERS:
-        raise OverflowError(
-            f"the relator mu^p lambda^q would pass the {_MAX_LETTERS}-letter cap"
-        )
     filled = fpgroup.dehn_fill(p, mu, lam, (slope.p, slope.q))
     payload["presentation"] = filled.to_json()
     return "ok"
@@ -244,14 +240,8 @@ def _group_enumerate(args, payload):
         fpgroup.parse_group_word(w, p.generators) for w in (args.subgroup or [])
     ]
     payload.update(index=None, max_cosets=args.max_cosets)
-    width = max(2 * len(p.generators), 1)  # entries per coset
-    cap = min(args.max_cosets, max(_MAX_TABLE_ENTRIES // width, 1))
-    closed = fpgroup.enumerate_table(p, subgroup, cap)
+    closed = fpgroup.enumerate_table(p, subgroup, args.max_cosets)
     if closed is None:
-        if cap < args.max_cosets:
-            raise OverflowError(
-                f"the coset table would pass the {_MAX_TABLE_ENTRIES}-entry cap"
-            )
         return "inconclusive"
     payload["index"] = closed.index
     return "ok"
@@ -310,42 +300,14 @@ def _cover_order(args, payload):
 
 
 def _verify_compat(args, payload):
-    # Mechanized check of the orderings-compatibility proposition for the
-    # trefoil / Klein-bottle gluing (the +4-surgery-on-figure-eight graph
-    # manifold), over seeded random conjugators.
-    from . import braid, compat, klein
-    from .sampling import random_braid_words
+    from . import compat
 
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
-    if args.max_len < 0:
-        raise ValueError("--max-len must be >= 0")
-    b = args.grid_bound
-    if b < 1:
-        raise ValueError("grid_bound must be >= 1")
-    payload.update(seed=args.seed, samples=args.samples, grid_bound=b,
-                   total_failures=None, wrong_ordering_control_failures=None,
-                   cases=None)
-    points = (args.samples + 1) * ((2 * b + 1) ** 2 - 1)
-    if points * (2 * args.max_len + 7 * b) > _MAX_GRID_LETTERS:
-        raise OverflowError(
-            f"the conjugated grid words would pass the {_MAX_GRID_LETTERS}-letter cap"
-        )
-    failures = 0
-    cases = [] if args.verbose_cases else None
-    for word in random_braid_words(args.seed, args.samples, args.max_len):
-        report = compat.verify_compatibility(word, b)
-        failures += len(report.failures)
-        if cases is not None:
-            cases.append({"conjugator": report.conjugator,
-                          "ordering": report.ordering.value,
-                          "failures": len(report.failures)})
-    control = compat.verify_compatibility(
-        braid.SIGMA1, b, force_ordering=klein.KleinOrderingId.O1
-    )
-    payload.update(total_failures=failures, cases=cases,
-                   wrong_ordering_control_failures=len(control.failures))
-    return "ok" if failures == 0 and control.failures else "error"
+    payload.update(seed=args.seed, samples=args.samples, grid_bound=args.grid_bound,
+                   total_failures=None, wrong_ordering_control_failures=None, cases=None)
+    payload.update(compat.proposition_4_3_report(
+        args.seed, args.samples, args.max_len, args.grid_bound, args.verbose_cases))
+    failed = payload["total_failures"] or not payload["wrong_ordering_control_failures"]
+    return "error" if failed else "ok"
 
 
 def _verify_nonapplicability(args, payload):
@@ -353,10 +315,6 @@ def _verify_nonapplicability(args, payload):
 
     payload.update(dict.fromkeys(("klein_slopes", "lo_slopes", "pullback_slope",
                                   "b3_quotient_index", "conclusion")))
-    if args.slope_bound > _MAX_SLOPE_BOUND:
-        raise OverflowError(
-            f"the slope bound passes the survey's cap of {_MAX_SLOPE_BOUND}"
-        )
     payload.update(compat.jsjlo_nonapplicability_report(args.slope_bound))
     return "ok"
 
@@ -377,7 +335,6 @@ _COMPAT_CITATIONS = [
     "Dubrovina-Dubrovin: the positive-cone ordering of B3",
     "Boyer-Gordon-Watson: +4-surgery on the figure-eight knot",
 ]
-
 
 
 @functools.cache
@@ -415,8 +372,8 @@ def _build_parser() -> _Parser:
     klein_p = sub.add_parser("klein", help="Klein-bottle group computations")
     klein_sub = klein_p.add_subparsers(dest="subcommand", required=True)
     p = klein_sub.add_parser("fill", help="classify a filling of the twisted I-bundle")
-    p.add_argument("m", type=int, help="y-exponent of the slope")
-    p.add_argument("n", type=int, help="x^2-exponent of the slope")
+    p.add_argument("m", type=_int, help="y-exponent of the slope")
+    p.add_argument("n", type=_int, help="x^2-exponent of the slope")
     p.set_defaults(handler=_klein_fill)
     p = klein_sub.add_parser("sign", help="sign of x^a y^b in O1 or O2")
     p.add_argument("element", help="element such as 'x^2 y^-3'")
@@ -460,7 +417,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--subgroup", action="append", help="subgroup generator word (repeatable)"
     )
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=_int, default=100_000)
     p.set_defaults(handler=_group_enumerate, citations=[
         "Todd-Coxeter: a closed coset table certifies the index"])
 
@@ -468,7 +425,7 @@ def _build_parser() -> _Parser:
     splice_sub = splice_p.add_subparsers(dest="subcommand", required=True)
     p = splice_sub.add_parser("cert", help="search for a certificate")
     p.add_argument("tree", help="splice tree JSON file")
-    p.add_argument("--bound", type=int, default=3, help="slope search bound")
+    p.add_argument("--bound", type=_int, default=3, help="slope search bound")
     p.set_defaults(handler=_splice_cert, citations=_SPLICE_CITATIONS)
     p = splice_sub.add_parser("verify", help="re-derive a certificate")
     p.add_argument("tree")
@@ -478,9 +435,9 @@ def _build_parser() -> _Parser:
     hf_p = sub.add_parser("hf", help="Heegaard Floer surgery rank")
     hf_sub = hf_p.add_subparsers(dest="subcommand", required=True)
     p = hf_sub.add_parser("rank", help="total rank of the p/q surgery")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--nu", type=int, required=True)
+    p.add_argument("--p", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
+    p.add_argument("--nu", type=_int, required=True)
     p.add_argument("--ranks", required=True, help="comma-separated ranks, all >= 1")
     p.set_defaults(handler=_hf_rank, citations=[
         "rational surgery formula for the total Heegaard Floer rank"])
@@ -489,7 +446,7 @@ def _build_parser() -> _Parser:
     cover_sub = cover_p.add_subparsers(dest="subcommand", required=True)
     p = cover_sub.add_parser("order", help="|H1| of the n-fold branched cover")
     p.add_argument("--poly", required=True, help="Alexander polynomial in t")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(handler=_cover_order, citations=[
         "Fox (after Weber): branched-cover homology from Alexander "
         "polynomial values at roots of unity"])
@@ -502,17 +459,17 @@ def _build_parser() -> _Parser:
         help="orderings-compatibility check for the trefoil / Klein-bottle "
         "gluing on sampled conjugators",
     )
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-bound", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=10)
+    p.add_argument("--samples", type=_int, default=200)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--grid-bound", type=_int, default=5)
+    p.add_argument("--max-len", type=_int, default=10)
     p.add_argument("--verbose-cases", action="store_true")
     p.set_defaults(handler=_verify_compat, citations=_COMPAT_CITATIONS)
     p = verify_sub.add_parser(
         "nonapplicability",
         help="why no slope pair certifies the trefoil / Klein-bottle gluing",
     )
-    p.add_argument("--slope-bound", type=int, default=5)
+    p.add_argument("--slope-bound", type=_int, default=5)
     p.set_defaults(handler=_verify_nonapplicability, citations=_COMPAT_CITATIONS)
 
     return parser

@@ -21,6 +21,9 @@ must map to a positive element of K in the matching ordering, which is O2
 when the conjugator does not commute with s2 and O1 when it does.  The
 quantifier over the peripheral subgroup factors through the sign pattern
 of (k, l), so a grid that hits every sign class covers the general case.
+
+Both reports raise OverflowError past a cap: 2,000,000 conjugated grid
+letters in all (before sampling), and a Klein-slope survey bound past 100.
 """
 
 from __future__ import annotations
@@ -38,14 +41,23 @@ from .klein import (
     k_sign,
     klein_fill,
 )
+from .sampling import random_braid_words
 from .slopes import primitive_slopes
 
 __all__ = [
     "CompatReport",
     "phi_peripheral",
     "verify_compatibility",
+    "proposition_4_3_report",
     "jsjlo_nonapplicability_report",
 ]
+
+# The caps: ``proposition_4_3_report`` hands handle reduction at most
+# (samples + 1) ((2B + 1)^2 - 1) (2 max_len + 7B) letters for grid bound B,
+# and ``jsjlo_nonapplicability_report`` surveys O(B^2) slopes for bound B.
+_MAX_GRID_LETTERS = 2_000_000
+_MAX_SLOPE_BOUND = 100
+
 
 def phi_peripheral(pe: braid.PeripheralElement) -> KleinElement:
     """Image of s2^k Delta^(2l) under the gluing: y^-k (y^-1 x^2)^l, which
@@ -114,6 +126,40 @@ def verify_compatibility(
     )
 
 
+def proposition_4_3_report(
+    seed: int, samples: int, max_len: int, grid_bound: int, verbose_cases: bool
+) -> dict:
+    """``verify_compatibility`` on ``samples`` random conjugators of at most
+    ``max_len`` letters drawn from ``seed``, and on s1 with O1 forced (the
+    wrong-ordering control, which must fail); with ``verbose_cases``, one
+    case per conjugator."""
+    if samples < 1:
+        raise ValueError("--samples must be >= 1")
+    if max_len < 0:
+        raise ValueError("--max-len must be >= 0")
+    if grid_bound < 1:
+        raise ValueError("grid_bound must be >= 1")
+    points = (samples + 1) * ((2 * grid_bound + 1) ** 2 - 1)
+    if points * (2 * max_len + 7 * grid_bound) > _MAX_GRID_LETTERS:
+        raise OverflowError(
+            f"the conjugated grid words would pass the {_MAX_GRID_LETTERS}-letter cap"
+        )
+    failures = 0
+    cases = [] if verbose_cases else None
+    for word in random_braid_words(seed, samples, max_len):
+        report = verify_compatibility(word, grid_bound)
+        failures += len(report.failures)
+        if cases is not None:
+            cases.append({"conjugator": report.conjugator,
+                          "ordering": report.ordering.value,
+                          "failures": len(report.failures)})
+    control = verify_compatibility(
+        braid.SIGMA1, grid_bound, force_ordering=KleinOrderingId.O1
+    )
+    return {"total_failures": failures, "cases": cases,
+            "wrong_ordering_control_failures": len(control.failures)}
+
+
 def jsjlo_nonapplicability_report(slope_bound: int) -> dict:
     """Survey every primitive Klein-side slope with |m|, |n| <= bound,
     exhibit y as the unique left-orderable one, pull it back through the
@@ -123,6 +169,10 @@ def jsjlo_nonapplicability_report(slope_bound: int) -> dict:
     # A bound below 1 surveys no slope, not even y = (1, 0).
     if slope_bound < 1:
         raise ValueError("slope_bound must be >= 1")
+    if slope_bound > _MAX_SLOPE_BOUND:
+        raise OverflowError(
+            f"the slope bound passes the survey's cap of {_MAX_SLOPE_BOUND}"
+        )
 
     survey = []
     lo_slopes = []

@@ -15,11 +15,13 @@ Provides:
 * abelianization by exact integer Smith normal form (no modular
   shortcuts; the matrices here are tiny and certificates demand exact
   invariant factors);
-* Dehn-filling relators mu^p lambda^q;
+* Dehn-filling relators mu^p lambda^q, written out up to a cap of
+  1,000,000 letters (OverflowError past it);
 * amalgamated products via Seifert-Van Kampen style identification pairs;
 * bounded HLT-style Todd-Coxeter coset enumeration with deterministic
   scheduling, where failing to close within the coset cap is the
-  first-class answer ``None`` (never a wrong finite index).
+  first-class answer ``None`` (never a wrong finite index); a table that
+  would pass 2,000,000 entries below that cap raises OverflowError.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ __all__ = [
 ]
 
 GroupWord = tuple[int, ...]
+
+# The caps: letters of a ``dehn_fill`` relator, and entries of an
+# ``enumerate_table`` table (cosets x 2 columns per generator, ~40 bytes each).
+_MAX_LETTERS = 1_000_000
+_MAX_TABLE_ENTRIES = 2_000_000
 
 
 class AbelianInvariants(NamedTuple):
@@ -241,8 +248,12 @@ def relation_matrix_invariants(
 def dehn_fill(
     p: Presentation, mu: GroupWord, lam: GroupWord, slope: tuple[int, int]
 ) -> Presentation:
-    """Adjoin the filling relator mu^p lam^q."""
+    """Adjoin the filling relator mu^p lam^q; OverflowError past the letter cap."""
     pp, q = slope
+    if abs(pp) * len(mu) + abs(q) * len(lam) > _MAX_LETTERS:
+        raise OverflowError(
+            f"the relator mu^p lambda^q would pass the {_MAX_LETTERS}-letter cap"
+        )
     relator = word_power(mu, pp) + word_power(lam, q)
     return Presentation(p.generators, p.relators + (free_reduce_word(relator),))
 
@@ -300,7 +311,8 @@ def enumerate_table(
     max_cosets: int,
 ) -> ClosedTable | None:
     """HLT coset enumeration for the given subgroup; None if the table does
-    not close within ``max_cosets`` defined cosets.
+    not close within ``max_cosets`` defined cosets, and OverflowError if the
+    entry cap, not ``max_cosets``, stops it.
 
     Deterministic: cosets are processed in increasing order, relators in
     presentation order, and undefined entries filled column by column, so
@@ -311,6 +323,7 @@ def enumerate_table(
     ncols = 2 * len(p.generators)
     if not p.generators:
         return ClosedTable(1, [[]])
+    cap = min(max_cosets, max(_MAX_TABLE_ENTRIES // ncols, 1))
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
 
@@ -323,7 +336,7 @@ def enumerate_table(
         return root
 
     def define(alpha: int, col: int) -> int:
-        if len(table) >= max_cosets:
+        if len(table) >= cap:
             raise _CapHit
         beta = len(table)
         table.append([None] * ncols)
@@ -398,6 +411,10 @@ def enumerate_table(
                             define(alpha, col)
             alpha += 1
     except _CapHit:
+        if cap < max_cosets:
+            raise OverflowError(
+                f"the coset table would pass the {_MAX_TABLE_ENTRIES}-entry cap"
+            ) from None
         return None
 
     live = [c for c in range(len(table)) if rep(c) == c]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from math import gcd
 from typing import NamedTuple
 
 from .braid import Sign3
@@ -28,7 +27,7 @@ from .fpgroup import (
     relation_matrix_invariants,
     word_power,
 )
-from .slopes import int_str
+from .slopes import int_str, make_slope
 
 __all__ = [
     "KleinElement",
@@ -145,8 +144,7 @@ def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
     prints (OverflowError past the digit limit).
     """
     m, n = slope
-    if gcd(m, n) != 1:
-        raise ValueError(f"slope ({m}, {n}) is not primitive")
+    make_slope(m, n)  # ValueError unless primitive
     # exponent sums in (x, y) of x y x^-1 y and of y^m x^(2n)
     ab = relation_matrix_invariants([[0, 2], [2 * n, m]], 2)
     if n == 0:

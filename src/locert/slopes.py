@@ -18,6 +18,8 @@ the Klein-bottle survey sorts them into (p, q) order.
 
 ``int_str(n)`` writes an input-derived integer into a string; past
 ``sys.get_int_max_str_digits()`` its OverflowError carries the CLI's reason.
+``parse_int(text, message)`` reads one, and says when ``text`` is too long
+for that limit, echoing only its start.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "GluingMatrix",
     "make_slope",
     "parse_slope",
+    "parse_int",
     "slope_str",
     "int_str",
     "primitive_slopes",
@@ -75,11 +78,21 @@ def make_slope(p: int, q: int) -> Slope:
 
 def parse_slope(text: str) -> Slope:
     p_txt, slash, q_txt = text.partition("/")
+    message = f"cannot parse slope {text!r}: expected p/q or p"
+    p = parse_int(p_txt, message)
+    return make_slope(p, parse_int(q_txt, message) if slash else 1)
+
+
+def parse_int(text: str, message: str) -> int:
+    """``int(text)``; ValueError(message) when ``text`` is not an integer, or
+    one that echoes only its start when it is too long to be read as one."""
     try:
-        p, q = int(p_txt), int(q_txt) if slash else 1
+        return int(text)
     except ValueError:
-        raise ValueError(f"cannot parse slope {text!r}: expected p/q or p") from None
-    return make_slope(p, q)
+        limit = sys.get_int_max_str_digits()
+        if len(text) > limit:
+            message = f"integer {text[:20] + '...'!r} is too long: over {limit} digits"
+        raise ValueError(message) from None
 
 
 def int_str(n: int) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from bundled import data_file, data_path
-from locert import alexander, braid, compat, fpgroup, klein, sampling, seifert, slopes
+from locert import alexander, braid, compat, fpgroup, klein, seifert, slopes
 from locert.cli import _build_parser, run
 from test_cli_golden import _RUNTIME, CASES, INPUTS, capture
 
@@ -343,7 +343,7 @@ def test_a_layer_overflow_is_inconclusive(monkeypatch, command):
 @pytest.mark.parametrize("case", ["verify_prop43_too_many_grid_letters",
                                   "verify_nonapplicability_too_large"])
 def test_caps_answer_before_the_work(monkeypatch, case):
-    for module, name in ((sampling, "random_braid_words"), (braid, "handle_reduce"),
+    for module, name in ((compat, "random_braid_words"), (braid, "handle_reduce"),
                          (compat, "klein_fill")):
         monkeypatch.setattr(module, name, _raiser(RuntimeError(name)))
     assert run(CASES[case], out=io.StringIO()) == 2

@@ -39,6 +39,9 @@ _PROP43 = ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
 _HUGE = "1" + "0" * 2200
 _HUGE_GLUE = f"{_HUGE},{'9' * 2200},1{'0' * 2199}1,{_HUGE}"
 _HUGE_PLUS_ONE = "1" + "0" * 2199 + "1"
+# 10^4400: int() refuses its 4401 digits, so it is reported as too long, and
+# only its start is echoed
+_LONG = "1" + "0" * 4400
 
 CASES: dict[str, list[str]] = {
     # braid
@@ -60,6 +63,7 @@ CASES: dict[str, list[str]] = {
     "klein_fill_large": ["klein", "fill", "10000001", "10000000"],
     # the order 4|mn| of the note has 4401 digits
     "klein_fill_too_large": ["klein", "fill", _HUGE_PLUS_ONE, _HUGE],
+    "klein_fill_too_long": ["klein", "fill", _LONG, "1"],
     "klein_sign": ["klein", "sign", "x^2 y^-3", "--ordering", "O2"],
     "klein_sign_kernel": ["klein", "sign", "y^-4"],
     # a caret needs an integer after it; "1" is how the identity prints
@@ -76,6 +80,7 @@ CASES: dict[str, list[str]] = {
     "slope_delta_too_large": ["slope", "delta", "--", f"{_HUGE}/1", f"1/{_HUGE}"],
     "slope_delta_too_large_text": ["--format", "text", "slope", "delta", "--",
                                    f"{_HUGE}/1", f"1/{_HUGE}"],
+    "slope_delta_too_long": ["slope", "delta", f"{_LONG}/1", "1/1"],
     "slope_glue": ["slope", "glue", "--matrix", "0,1,1,0", "2/1"],
     "slope_glue_shear": ["slope", "glue", "--matrix", "1,1,0,1", "0/1"],
     "slope_glue_bad_matrix": ["slope", "glue", "--matrix", "1,2,3", "1/1"],
@@ -198,6 +203,8 @@ CASES: dict[str, list[str]] = {
     "hf_rank_bad_q": ["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"],
     "hf_rank_bad_ranks": ["hf", "rank", "--p", "1", "--q", "1", "--nu", "0",
                           "--ranks", "1,,2"],
+    "hf_rank_ranks_too_long": ["hf", "rank", "--p", "1", "--q", "1", "--nu", "0",
+                               "--ranks", f"1,{_LONG}"],
     # cover
     "cover_order": ["cover", "order", "--poly", "t^2 - 3t + 1", "--n", "7"],
     "cover_order_even": ["cover", "order", "--poly", "t^2 - t + 1", "--n", "6"],

@@ -5,6 +5,9 @@ import json
 import random
 from math import gcd
 
+import pytest
+
+from locert import compat
 from locert.braid import (
     DELTA_SQ,
     SIGMA1,
@@ -18,6 +21,7 @@ from locert.cli import run
 from locert.compat import (
     jsjlo_nonapplicability_report,
     phi_peripheral,
+    proposition_4_3_report,
     verify_compatibility,
 )
 from locert.klein import KleinElement, KleinOrderingId, k_multiply
@@ -126,3 +130,30 @@ def test_nonapplicability_survey_lists_each_slope_once_in_order():
         }
         surveyed = jsjlo_nonapplicability_report(bound)["klein_slopes"]
         assert [tuple(s["slope"]) for s in surveyed] == sorted(normalized)
+
+
+def _refuse(*args):
+    raise AssertionError("the work started")
+
+
+def test_nonapplicability_slope_bound_cap(monkeypatch):
+    # answered before the survey calls klein_fill
+    monkeypatch.setattr(compat, "klein_fill", _refuse)
+    with pytest.raises(OverflowError, match="^the slope bound passes the survey's cap of 100$"):
+        jsjlo_nonapplicability_report(101)
+
+
+def test_proposition_4_3_report_checks_input_then_its_cap(monkeypatch):
+    # each input check answers before the cap, which every one of these
+    # requests would pass, and the cap answers before any sampling
+    monkeypatch.setattr(compat, "random_braid_words", _refuse)
+    for args, message in (((0, 1, 10**6), "--samples must be >= 1"),
+                          ((1, -1, 10**6), "--max-len must be >= 0"),
+                          ((1, 10**22, -(10**21)), "grid_bound must be >= 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            proposition_4_3_report(0, *args, False)
+    # 2 conjugators x 8 grid points x (2 x 62497 + 7) letters: 16 past the cap
+    with pytest.raises(OverflowError, match="^the conjugated grid words would pass "
+                                            "the 2000000-letter cap$"):
+        proposition_4_3_report(0, 1, 62497, 1, False)
+

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from locert import fpgroup
 from locert.fpgroup import (
     AbelianInvariants,
     ClosedTable,
@@ -129,6 +130,22 @@ def test_dehn_fill():
     assert dehn_fill(B3, (), MERIDIAN, (10**30, 1)).relators[-1] == MERIDIAN
 
 
+def test_dehn_fill_letter_cap(monkeypatch):
+    # 10^6 + 12 letters: the cap answers before the relator is written out
+    def refuse(word, n):
+        raise AssertionError("word_power reached")
+
+    cap = r"^the relator mu\^p lambda\^q would pass the 1000000-letter cap$"
+    with monkeypatch.context() as patched:
+        patched.setattr(fpgroup, "word_power", refuse)
+        with pytest.raises(OverflowError, match=cap):
+            dehn_fill(B3, MERIDIAN, LONGITUDE, (10**6, 1))
+    monkeypatch.setattr(fpgroup, "_MAX_LETTERS", 13)
+    assert len(dehn_fill(B3, MERIDIAN, LONGITUDE, (1, 1)).relators[-1]) == 13
+    with pytest.raises(OverflowError, match="would pass the 13-letter cap$"):
+        dehn_fill(B3, MERIDIAN, LONGITUDE, (-2, 1))
+
+
 def test_amalgam():
     union = _paper_union()
     assert union.generators == ("s1", "s2", "x", "y")
@@ -159,6 +176,19 @@ def test_coset_cap_below_one_is_an_input_error():
         with pytest.raises(ValueError, match=f"^max_cosets must be >= 1, got {cap}$"):
             enumerate_table(p, [], cap)
     assert enumerate_table(Presentation.parse([], []), [], 1).index == 1
+
+
+def test_coset_table_entry_cap(monkeypatch):
+    # A free group never closes.  With the cap at 100 entries, 25 cosets of 4
+    # columns: past them the cap answers, unless max_cosets stops the table.
+    free = Presentation.parse(["a", "b"], [])
+    monkeypatch.setattr(fpgroup, "_MAX_TABLE_ENTRIES", 100)
+    with pytest.raises(
+        OverflowError, match="^the coset table would pass the 100-entry cap$"
+    ):
+        enumerate_table(free, [], 10**8)
+    assert enumerate_table(free, [], 25) is None
+    assert enumerate_table(free, [], 24) is None
 
 
 def test_coset_enumeration_subgroup_index():

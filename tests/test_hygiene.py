@@ -2,7 +2,7 @@
 entry names something the module binds and something the code reads, and
 the CLI's import path stays free of modules that only slow start-up:
 ``cli`` imports no layer at module level and builds no parser on import,
-and each subcommand loads only the layers it runs.
+and each subcommand loads only the layers it runs; the CLI holds no cap.
 
 The first three checks read the source with ``ast``; nothing is imported.
 A name listed in ``__all__`` counts as used, so deliberate re-exports (such
@@ -316,6 +316,24 @@ def test_cli_has_no_module_level_layer_import():
     assert [node.lineno for node in tree.body if imports_locert(node)] == []
 
 
+def test_cli_holds_no_cap():
+    # A cap lives in the layer whose work it bounds, so a direct caller of
+    # the layer meets it too: the CLI's only integer constants are its exit
+    # codes, and it raises no OverflowError.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    constants = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+            node.value, ast.Constant
+        ) and type(node.value.value) is int:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            constants |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert constants == {"EXIT_OK", "EXIT_INPUT_ERROR", "EXIT_UNKNOWN", "EXIT_CHECK_FAILED"}
+    raised = [ast.unparse(node.exc) for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None]
+    assert [exc for exc in raised if exc.startswith("OverflowError")] == []
+
+
 _LOADED = (
     "import io, sys, locert.cli\n"
     "if sys.argv[1:]:\n"
@@ -326,7 +344,8 @@ _DATA = str(SRC / "data")
 
 # One run per subcommand family -> the locert modules beyond locert.cli it
 # loads.  A layer's own imports count: braid binds fpgroup's word helpers,
-# klein imports braid, fpgroup and slopes, seifert and compat import slopes.
+# klein imports braid, fpgroup and slopes, seifert and compat import slopes,
+# and compat imports sampling.
 _FAMILY_MODULES = {
     "slope": (["slope", "delta", "2/1", "1/1"], "slopes"),
     "braid": (["braid", "sign", "aB"], "braid fpgroup"),

@@ -11,6 +11,7 @@ from locert.slopes import (
     intersection_number,
     invert_gluing,
     make_slope,
+    parse_int,
     parse_slope,
     slope_str,
     union_homology_order,
@@ -87,6 +88,20 @@ def test_parse_and_format():
     budget = r"^an integer in the result exceeds the 4300-digit budget$"
     with pytest.raises(OverflowError, match=budget):
         slope_str(Slope(1, 10**5000))
+
+
+def test_an_integer_past_the_digit_limit_is_too_long():
+    # 4300 digits still parse; past them the message says so and echoes 20
+    # characters, not the whole text
+    assert parse_int("9" * 4300, "bad") == 10**4300 - 1
+    assert parse_slope(f"1/{'9' * 4300}") == Slope(1, 10**4300 - 1)
+    too_long = r"^integer '1{20}\.\.\.' is too long: over 4300 digits$"
+    for text in ("1" * 4301, f"1/{'1' * 4301}", f"{'1' * 4301}/x"):
+        with pytest.raises(ValueError, match=too_long):
+            parse_slope(text)
+    # a bad text of at most 4300 characters gets the caller's message
+    with pytest.raises(ValueError, match="^bad$"):
+        parse_int("1" * 4299 + "x", "bad")
 
 
 def test_intersection_number_examples():
