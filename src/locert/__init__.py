@@ -10,16 +10,16 @@ Modules by subject:
                   orderings, and fillings of the twisted I-bundle
 * ``slopes``    - slope calculus on torus boundaries, the walk over
                   primitive slopes that the splice search and the
-                  Klein-bottle survey share, and ``int_str``, which prints
-                  an integer or raises OverflowError past the digit limit
+                  Klein-bottle survey share, ``int_str``, which prints
+                  an integer or raises OverflowError past the digit limit,
+                  and the Heegaard Floer surgery-rank calculator
+* ``words``     - the group-word helpers (inversion, free reduction,
+                  powers); ``fpgroup`` re-exports them, ``braid`` binds
+                  inversion and powers, and ``klein`` powers
 * ``fpgroup``   - presentations, Smith-normal-form abelianization,
-                  Dehn-filling relators, amalgams, Todd-Coxeter, and
-                  the group-word helpers (inversion, free reduction,
-                  powers); ``braid`` binds inversion and powers, and
-                  ``klein`` powers
+                  Dehn-filling relators, amalgams and Todd-Coxeter
 * ``seifert``   - Brieskorn recognition, Moser surgery, left-orderable-
-                  slope verdict rules, splice-tree certificates, and the
-                  Heegaard Floer surgery-rank calculator
+                  slope verdict rules and splice-tree certificates
 * ``alexander`` - branched-cover homology orders by exact resultants
 * ``compat``    - the mechanized orderings-compatibility check for the
                   trefoil / Klein-bottle gluing

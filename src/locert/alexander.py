@@ -81,16 +81,27 @@ def parse_poly(text: str) -> IntLaurentPoly:
         sign = -1 if sign_txt == "-" else 1
         coeff_txt = m.group("coeff")
         if coeff_txt is not None:
-            coeff = sign * int(coeff_txt)
+            coeff = sign * _read_int(coeff_txt)
             has_t = "t" in text[m.start() : m.end()]
-            exp = int(m.group("exp1")) if m.group("exp1") else (1 if has_t else 0)
+            exp = _read_int(m.group("exp1")) if m.group("exp1") else (1 if has_t else 0)
         else:
             coeff = sign
-            exp = int(m.group("exp2")) if m.group("exp2") else 1
+            exp = _read_int(m.group("exp2")) if m.group("exp2") else 1
         out[exp] = out.get(exp, 0) + coeff
         pos = m.end()
         first = False
     return {e: c for e, c in out.items() if c}
+
+
+def _read_int(digits: str) -> int:
+    """``int`` of a digit run that ``_TERM_RE`` matched; past the digit limit,
+    the only way that can fail, ``slopes.parse_int``'s "too long" ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        from .slopes import parse_int  # a valid polynomial loads no other layer
+
+        return parse_int(digits, f"invalid integer {digits!r}")
 
 
 def poly_str(poly: IntLaurentPoly) -> str:

@@ -4,8 +4,8 @@ Words are tuples of nonzero integers: +1 for s1, -1 for s1^-1, +2 for s2,
 -2 for s2^-1.  The ASCII syntax is ``a`` = s1, ``A`` = s1^-1, ``b`` = s2,
 ``B`` = s2^-1, with whitespace ignored, so words round-trip bit-exactly
 through the CLI.  Words concatenate with tuple ``+``.  A braid word is a
-group word over (s1, s2), so inversion and powers are ``fpgroup``'s word
-helpers, bound here under the names ``inverse`` and ``power``.
+group word over (s1, s2), so inversion and powers are the ``words``
+layer's helpers, bound here under the names ``inverse`` and ``power``.
 
 Two independent decision procedures for the word problem are provided and
 cross-validate each other:
@@ -29,8 +29,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .fpgroup import invert_word as inverse
-from .fpgroup import word_power as power
+from .words import invert_word as inverse
+from .words import word_power as power
 
 __all__ = [
     "Word",

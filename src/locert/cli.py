@@ -268,10 +268,10 @@ def _splice_verify(args, payload):
 
 
 def _hf_rank(args, payload):
-    from . import seifert
+    from . import slopes
 
     ranks = tuple(_ints(args.ranks, "ranks must be comma-separated integers"))
-    payload["rank"] = seifert.hf_surgery_rank(args.p, args.q, args.nu, ranks)
+    payload["rank"] = slopes.hf_surgery_rank(args.p, args.q, args.nu, ranks)
     return "ok"
 
 

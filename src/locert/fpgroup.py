@@ -9,9 +9,9 @@ name is the generator and its all-uppercase form is the inverse, e.g.
 
 Provides:
 
-* the only group-word helpers (inversion, free reduction, powers);
-  ``braid`` uses inversion and powers for its words too, and ``klein``
-  powers;
+* presentations, whose relators are ``words`` group words; the word
+  helpers (inversion, free reduction, powers) live in ``words`` and are
+  re-exported here;
 * abelianization by exact integer Smith normal form (no modular
   shortcuts; the matrices here are tiny and certificates demand exact
   invariant factors);
@@ -27,8 +27,9 @@ Provides:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+from .words import GroupWord, free_reduce_word, invert_word, word_power
 
 __all__ = [
     "GroupWord",
@@ -49,8 +50,6 @@ __all__ = [
     "check_closed_table",
 ]
 
-GroupWord = tuple[int, ...]
-
 # The caps: letters of a ``dehn_fill`` relator, and entries of an
 # ``enumerate_table`` table (cosets x 2 columns per generator, ~40 bytes each).
 _MAX_LETTERS = 1_000_000
@@ -64,16 +63,24 @@ class AbelianInvariants(NamedTuple):
     torsion: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _PresentationFields(NamedTuple):
     generators: tuple[str, ...]
     relators: tuple[GroupWord, ...]
 
-    def __post_init__(self) -> None:
-        lowered = [g.lower() for g in self.generators]
+
+class Presentation(_PresentationFields):
+    """Generator names and relator words: an immutable value, equal and
+    hashed by its fields, and checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, generators: tuple[str, ...], relators: tuple[GroupWord, ...]
+    ) -> "Presentation":
+        lowered = [g.lower() for g in generators]
         if len(set(lowered)) != len(lowered):
             raise ValueError("generator names must differ case-insensitively")
-        for g in self.generators:
+        for g in generators:
             if not g or g == g.upper():
                 raise ValueError(
                     f"generator name {g!r} must contain a lowercase letter "
@@ -81,18 +88,19 @@ class Presentation:
                 )
         # "ß" and "ss" differ case-insensitively, but both inverses spell "SS".
         named: dict[str, str] = {}
-        for g in self.generators:
+        for g in generators:
             other = named.setdefault(g.upper(), g)
             if other != g:
                 raise ValueError(
                     f"generator names {other!r} and {g!r} have the same "
                     f"uppercase form {g.upper()!r}, which spells an inverse"
                 )
-        n = len(self.generators)
-        for rel in self.relators:
+        n = len(generators)
+        for rel in relators:
             for x in rel:
                 if x == 0 or abs(x) > n:
                     raise ValueError(f"relator letter {x} out of range")
+        return super().__new__(cls, generators, relators)
 
     @classmethod
     def parse(cls, generators: Sequence[str], relators: Sequence[str]) -> "Presentation":
@@ -136,20 +144,6 @@ def group_word_str(word: GroupWord, generators: Sequence[str]) -> str:
     return " ".join(
         generators[x - 1] if x > 0 else generators[-x - 1].upper() for x in word
     )
-
-
-def invert_word(word: GroupWord) -> GroupWord:
-    return tuple(-x for x in reversed(word))
-
-
-def free_reduce_word(word: GroupWord) -> GroupWord:
-    stack: list[int] = []
-    for x in word:
-        if stack and stack[-1] == -x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -258,14 +252,6 @@ def dehn_fill(
     return Presentation(p.generators, p.relators + (free_reduce_word(relator),))
 
 
-def word_power(word: GroupWord, n: int) -> GroupWord:
-    if not word:  # () * n overflows for an n past sys.maxsize
-        return ()
-    if n < 0:
-        return invert_word(word) * (-n)
-    return word * n
-
-
 def amalgam(
     p1: Presentation,
     p2: Presentation,
@@ -292,8 +278,7 @@ def amalgam(
 
 # --- Todd-Coxeter coset enumeration ------------------------------------------
 
-@dataclass
-class ClosedTable:
+class ClosedTable(NamedTuple):
     """A complete, collapsed coset table: table[c][col] is the target coset,
     with column 2(i-1) for generator i and 2(i-1)+1 for its inverse."""
 

@@ -21,13 +21,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from .braid import Sign3
-from .fpgroup import (
-    AbelianInvariants,
-    Presentation,
-    relation_matrix_invariants,
-    word_power,
-)
-from .slopes import int_str, make_slope
+from .fpgroup import AbelianInvariants, Presentation, relation_matrix_invariants
+from .slopes import int_str, make_slope, parse_int
+from .words import word_power
 
 __all__ = [
     "KleinElement",
@@ -173,14 +169,19 @@ _ELEMENT_RE = re.compile(r"\s*(?:(x)(?:\^(-?\d+))?)?\s*(?:(y)(?:\^(-?\d+))?)?\s*
 
 def parse_element(text: str) -> KleinElement:
     """Parse ``x^a y^b``: either factor or both may be omitted, a bare x or
-    y means exponent 1, and ``1`` is the identity."""
+    y means exponent 1, and ``1`` is the identity.  An exponent past the
+    digit limit gets ``slopes.parse_int``'s "too long" ValueError."""
     if text.strip() == "1":
         return IDENTITY
+    message = f"cannot parse Klein element {text!r}"
     match = _ELEMENT_RE.fullmatch(text)
     if not match:
-        raise ValueError(f"cannot parse Klein element {text!r}")
+        raise ValueError(message)
     x, a, y, b = match.groups()
-    return KleinElement(int(a or 1) if x else 0, int(b or 1) if y else 0)
+    return KleinElement(
+        parse_int(a or "1", message) if x else 0,
+        parse_int(b or "1", message) if y else 0,
+    )
 
 
 def element_str(g: KleinElement) -> str:

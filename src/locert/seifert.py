@@ -75,7 +75,6 @@ __all__ = [
     "slope_lo_verdict",
     "certificate_search",
     "verify_certificate",
-    "hf_surgery_rank",
     "enumerate_slopes",
 ]
 
@@ -485,31 +484,6 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
     return LOSlopeVerdict(
         LOStatus.UNKNOWN, None, f"no rule applies at {slope_str(alpha)}"
     )
-
-
-# --- Heegaard Floer surgery rank calculator ------------------------------------
-
-
-def hf_surgery_rank(p: int, q: int, nu: int, ranks: tuple[int, ...]) -> int:
-    """Total Heegaard Floer rank of the p/q surgery (q > 0) on a knot with
-    the nonnegative invariant nu and large-surgery homology ranks ``ranks``
-    (all >= 1).
-
-    For nu > 0 the formula reads
-        p + 2 max(0, (2 nu - 1) q - p) + q * sum(rank - 1),
-    and for nu = 0 it collapses to |p| + q * sum(rank - 1).  The value is
-    always >= |p|, with equality characterizing L-space surgeries.
-    """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    if any(r < 1 for r in ranks):
-        raise ValueError("all ranks must be >= 1")
-    extra = q * sum(r - 1 for r in ranks)
-    if nu == 0:
-        return abs(p) + extra
-    return p + 2 * max(0, (2 * nu - 1) * q - p) + extra
 
 
 # --- certificates ---------------------------------------------------------------

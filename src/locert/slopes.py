@@ -20,6 +20,10 @@ the Klein-bottle survey sorts them into (p, q) order.
 ``sys.get_int_max_str_digits()`` its OverflowError carries the CLI's reason.
 ``parse_int(text, message)`` reads one, and says when ``text`` is too long
 for that limit, echoing only its start.
+
+``hf_surgery_rank(p, q, nu, ranks)`` is the rational surgery formula for
+the total Heegaard Floer rank of the p/q surgery on a knot; it is at least
+|p|, with equality exactly at the L-space slopes.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "apply_gluing",
     "invert_gluing",
     "union_homology_order",
+    "hf_surgery_rank",
 ]
 
 
@@ -155,3 +160,25 @@ def union_homology_order(f: GluingMatrix, lambda1: Slope, lambda2: Slope) -> int
     meaning positive first Betti number and 1 certifying an integer
     homology sphere."""
     return intersection_number(apply_gluing(f, lambda1), lambda2)
+
+
+def hf_surgery_rank(p: int, q: int, nu: int, ranks: tuple[int, ...]) -> int:
+    """Total Heegaard Floer rank of the p/q surgery (q > 0) on a knot with
+    the nonnegative invariant nu and large-surgery homology ranks ``ranks``
+    (all >= 1).
+
+    For nu > 0 the formula reads
+        p + 2 max(0, (2 nu - 1) q - p) + q * sum(rank - 1),
+    and for nu = 0 it collapses to |p| + q * sum(rank - 1).  The value is
+    always >= |p|, with equality characterizing L-space surgeries.
+    """
+    if q <= 0:
+        raise ValueError("q must be positive")
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
+    if any(r < 1 for r in ranks):
+        raise ValueError("all ranks must be >= 1")
+    extra = q * sum(r - 1 for r in ranks)
+    if nu == 0:
+        return abs(p) + extra
+    return p + 2 * max(0, (2 * nu - 1) * q - p) + extra

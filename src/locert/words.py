@@ -1,0 +1,41 @@
+"""Group words: tuples of nonzero integers, +i / -i meaning the i-th
+generator (1-based) or its inverse.
+
+The one word layer: inversion, free reduction and powers.  ``fpgroup``
+writes its relators with them, ``braid`` binds inversion and powers for its
+B3 words, and ``klein`` powers.  This module imports no other ``locert``
+module, so a layer that needs only these helpers loads nothing more.
+"""
+
+from __future__ import annotations
+
+__all__ = [
+    "GroupWord",
+    "invert_word",
+    "free_reduce_word",
+    "word_power",
+]
+
+GroupWord = tuple[int, ...]
+
+
+def invert_word(word: GroupWord) -> GroupWord:
+    return tuple(-x for x in reversed(word))
+
+
+def free_reduce_word(word: GroupWord) -> GroupWord:
+    stack: list[int] = []
+    for x in word:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    return tuple(stack)
+
+
+def word_power(word: GroupWord, n: int) -> GroupWord:
+    if not word:  # () * n overflows for an n past sys.maxsize
+        return ()
+    if n < 0:
+        return invert_word(word) * (-n)
+    return word * n

@@ -47,14 +47,13 @@ from locert.seifert import (
     SpliceTree,
     TorusKnotPiece,
     certificate_search,
-    hf_surgery_rank,
     moser_surgery,
     slope_lo_verdict,
     torus_knot_lspace_verdict,
     verify_certificate,
     zhs_lo_status,
 )
-from locert.slopes import make_slope
+from locert.slopes import hf_surgery_rank, make_slope
 
 
 @contextmanager

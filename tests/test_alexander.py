@@ -108,6 +108,12 @@ def test_parse_poly():
         parse_poly("u^2")
     with pytest.raises(ValueError):
         parse_poly("")
+    # each digit run past the 4300-digit limit of int() is too long: a
+    # coefficient, an exponent after it, and a bare t's exponent
+    long = "1" + "0" * 4400
+    for text in (f"{long}t + 1", f"2t^{long} + 1", f"t^-{long}"):
+        with pytest.raises(ValueError, match=r"^integer '-?10+\.\.\.' is too long: over 4300"):
+            parse_poly(text)
 
 
 def test_poly_str_round_trip():

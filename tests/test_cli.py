@@ -299,7 +299,7 @@ _PROBES = {
                        str(INPUTS / "double_trefoil_cert.json")], seifert,
                       "verify_certificate"),
     "hf rank": (["hf", "rank", "--p", "5", "--q", "1", "--nu", "1", "--ranks", "1"],
-                seifert, "hf_surgery_rank"),
+                slopes, "hf_surgery_rank"),
     "cover order": (["cover", "order", "--poly", "t^2 - 3t + 1", "--n", "3"],
                     alexander, "branched_cover_order"),
     "verify proposition-4-3": (["verify", "proposition-4-3", "--samples", "1",

@@ -69,6 +69,7 @@ CASES: dict[str, list[str]] = {
     # a caret needs an integer after it; "1" is how the identity prints
     "klein_sign_dangling_caret": ["klein", "sign", "x^"],
     "klein_sign_identity": ["klein", "sign", "1"],
+    "klein_sign_too_long": ["klein", "sign", f"x^{_LONG}"],
     # slope
     "slope_delta": ["slope", "delta", "2/1", "1/1"],
     "slope_delta_integer": ["slope", "delta", "3", "1/2"],
@@ -224,6 +225,8 @@ CASES: dict[str, list[str]] = {
                                        "t^100000000 - t + 1", "--n", "2"],
     "cover_order_wide": ["cover", "order", "--poly",
                          "t^100000000 - t^50000000 + 1", "--n", "2"],
+    "cover_order_too_long": ["cover", "order", "--poly", f"t^{_LONG} - t + 1",
+                             "--n", "2"],
     # verify
     "verify_prop43": [*_PROP43, "--verbose-cases"],
     "verify_prop43_text": ["--format", "text", *_PROP43],

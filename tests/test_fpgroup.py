@@ -52,12 +52,29 @@ def test_word_parsing():
 
 
 def test_presentation_validation():
-    with pytest.raises(ValueError):
-        Presentation(("x", "X"), ())
-    with pytest.raises(ValueError):
-        Presentation(("G",), ())
-    with pytest.raises(ValueError):
-        Presentation(("x",), ((2,),))
+    for generators, relators, message in (
+        (("x", "X"), (), "generator names must differ case-insensitively"),
+        (("G",), (), "generator name 'G' must contain a lowercase letter "
+                     "(uppercase marks inverses)"),
+        (("ß", "ss"), (), "generator names 'ß' and 'ss' have the same uppercase "
+                          "form 'SS', which spells an inverse"),
+        (("x",), ((1,), (0,)), "relator letter 0 out of range"),
+        (("x",), ((2,),), "relator letter 2 out of range"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Presentation(generators, relators)
+        assert str(info.value) == message
+
+
+def test_presentation_is_an_immutable_value():
+    p = Presentation(("x", "y"), ((1, 2, -1, 2),))
+    q = Presentation(generators=("x", "y"), relators=((1, 2, -1, 2),))
+    assert p == q and hash(p) == hash(q) and len({p, q, KLEIN, B3}) == 2
+    assert p != Presentation(("x", "y"), ())
+    for name in ("generators", "relators", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+    assert p == q
 
 
 @pytest.mark.parametrize("names", [("ß", "ss"), ("s", "ſ"), ("x", "ß", "ss")])

@@ -2,11 +2,13 @@
 entry names something the module binds and something the code reads, and
 the CLI's import path stays free of modules that only slow start-up:
 ``cli`` imports no layer at module level and builds no parser on import,
-and each subcommand loads only the layers it runs; the CLI holds no cap.
+each module imports only its pinned layers, each subcommand loads only the
+layers it runs, and only ``splice`` and ``verify`` load ``dataclasses``; the
+CLI holds no cap.
 
 The first three checks read the source with ``ast``; nothing is imported.
 A name listed in ``__all__`` counts as used, so deliberate re-exports (such
-as ``braid.inverse``, bound from ``fpgroup``) pass.  An ``__all__`` entry
+as ``braid.inverse``, bound from ``words``) pass.  An ``__all__`` entry
 is read when some module of ``src/locert`` or ``perfbench`` loads it as a
 name or an attribute; its definition, its ``__all__`` string and an import
 alone do not count.  The tests are not readers: an export only they read
@@ -303,19 +305,6 @@ def test_cli_import_loads_no_fractions_or_decimal():
     assert _fresh(probe) == "[]"
 
 
-def test_cli_has_no_module_level_layer_import():
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-
-    def imports_locert(node) -> bool:
-        if isinstance(node, ast.ImportFrom):
-            return node.level > 0 or (node.module or "").startswith("locert")
-        if isinstance(node, ast.Import):
-            return any(alias.name.startswith("locert") for alias in node.names)
-        return False
-
-    assert [node.lineno for node in tree.body if imports_locert(node)] == []
-
-
 def test_cli_holds_no_cap():
     # A cap lives in the layer whose work it bounds, so a direct caller of
     # the layer meets it too: the CLI's only integer constants are its exit
@@ -343,22 +332,22 @@ _LOADED = (
 _DATA = str(SRC / "data")
 
 # One run per subcommand family -> the locert modules beyond locert.cli it
-# loads.  A layer's own imports count: braid binds fpgroup's word helpers,
-# klein imports braid, fpgroup and slopes, seifert and compat import slopes,
-# and compat imports sampling.
+# loads.  A layer's own imports count (``_LAYER_IMPORTS`` lists them): braid
+# and fpgroup bind the word helpers of words, klein adds braid, fpgroup and
+# slopes, and compat klein and sampling.
 _FAMILY_MODULES = {
     "slope": (["slope", "delta", "2/1", "1/1"], "slopes"),
-    "braid": (["braid", "sign", "aB"], "braid fpgroup"),
-    "klein": (["klein", "fill", "1", "0"], "braid fpgroup klein slopes"),
+    "braid": (["braid", "sign", "aB"], "braid words"),
+    "klein": (["klein", "fill", "1", "0"], "braid fpgroup klein slopes words"),
     "group": (["group", "fill", f"{_DATA}/b3_presentation.json", "--mu", "s2",
-               "--longitude", "s1", "--slope", "1/0"], "fpgroup slopes"),
+               "--longitude", "s1", "--slope", "1/0"], "fpgroup slopes words"),
     "splice": (["splice", "cert", f"{_DATA}/double_trefoil_splice.json"],
                "seifert slopes"),
     "hf": (["hf", "rank", "--p", "5", "--q", "1", "--nu", "1", "--ranks", "1"],
-           "seifert slopes"),
+           "slopes"),
     "cover": (["cover", "order", "--poly", "t^2 - t + 1", "--n", "7"], "alexander"),
     "verify": (["verify", "proposition-4-3", "--samples", "1", "--grid-bound", "1"],
-               "braid compat fpgroup klein sampling slopes"),
+               "braid compat fpgroup klein sampling slopes words"),
 }
 
 
@@ -397,11 +386,56 @@ def test_subcommand_loads_only_its_layers(family):
     assert set(_fresh(_LOADED, *argv).split()) == expected
 
 
-def test_cover_order_loads_no_dataclasses():
-    # dataclasses brings inspect, ast, dis and tokenize into a process's start-up
+@pytest.mark.parametrize("family", ["slope", "braid", "klein", "group", "hf", "cover"])
+def test_subcommand_loads_no_dataclasses(family):
+    # dataclasses brings inspect, ast, dis and tokenize into a process's
+    # start-up; only seifert and compat, which these families never load,
+    # define dataclasses
     probe = (
         "import io, sys, locert.cli\n"
         "locert.cli.run(sys.argv[1:], out=io.StringIO())\n"
-        "print('dataclasses' in sys.modules)"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
-    assert _fresh(probe, *_FAMILY_MODULES["cover"][0]) == "False"
+    assert _fresh(probe, *_FAMILY_MODULES[family][0]) == "[]"
+
+
+# Each module of the package -> the package modules it imports at module
+# level.  cli imports none: each handler imports its own layers.  words sits
+# at the bottom: braid takes its word helpers from there, not from fpgroup,
+# so a braid query never compiles fpgroup, and fpgroup needs nothing from
+# braid.
+_LAYER_IMPORTS = {
+    "__init__": set(),
+    "alexander": set(),
+    "braid": {"words"},
+    "cli": set(),
+    "compat": {"braid", "fpgroup", "klein", "sampling", "slopes"},
+    "fpgroup": {"words"},
+    "klein": {"braid", "fpgroup", "slopes", "words"},
+    "sampling": {"braid"},
+    "seifert": {"slopes"},
+    "slopes": set(),
+    "words": set(),
+}
+
+
+def module_level_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports in its top-level statements,
+    by relative or absolute name."""
+    found = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("locert" if node.level else "", node.module)))
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("locert.")}
+    return found
+
+
+def test_layer_imports_are_pinned():
+    # A static check: a new edge, such as braid importing fpgroup again,
+    # fails here without starting a process.
+    assert {path.stem: module_level_imports(path) for path in MODULES} == _LAYER_IMPORTS

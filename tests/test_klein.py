@@ -207,3 +207,8 @@ def test_element_parsing():
     for text in ("z^2", "x^", "x^y", "xy^", "x2", "y x", "11"):
         with pytest.raises(ValueError):
             parse_element(text)
+    # an exponent past the 4300-digit limit of int() is too long, on either factor
+    long = "1" + "0" * 4400
+    for text in (f"x^{long}", f"x y^-{long}"):
+        with pytest.raises(ValueError, match=r"^integer '-?10+\.\.\.' is too long: over 4300"):
+            parse_element(text)

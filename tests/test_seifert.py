@@ -19,14 +19,13 @@ from locert.seifert import (
     UserPiece,
     certificate_search,
     enumerate_slopes,
-    hf_surgery_rank,
     moser_surgery,
     slope_lo_verdict,
     torus_knot_lspace_verdict,
     verify_certificate,
     zhs_lo_status,
 )
-from locert.slopes import GluingMatrix, Slope, make_slope
+from locert.slopes import GluingMatrix, Slope, hf_surgery_rank, make_slope
 
 TREFOIL = TorusKnotPiece(2, 3)
 SPLICE = GluingMatrix(0, 1, 1, 0)
