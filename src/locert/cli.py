@@ -24,9 +24,11 @@ A handler imports the layers it calls, and this module imports none at module
 level, so a process loads only what its subcommand runs (``slope delta``
 loads ``slopes`` alone).  A layer raises
 ``ValueError`` on bad input, which ``run`` maps to exit 1 as it does
-``OSError``, and ``OverflowError`` past a budget (a cap, or the digit limit of
-``slopes.int_str``), which ``run`` answers as ``inconclusive`` with the
-message as ``reason``; any other exception propagates.
+``OSError``, and ``OverflowError`` past a budget (a cap, ``--max-cosets``, or
+the digit limit of ``slopes.int_str``), which ``run`` answers as
+``inconclusive`` with the message as ``reason``; any other exception
+propagates.  No handler answers a budget itself, so every stopped computation
+takes that one path.
 
 The argument parser is built once per process, on the first ``run``, and
 reused by every later call; importing this module builds none.
@@ -74,6 +76,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # --- subcommand handlers: fill ``payload``, return the status ----------------
@@ -240,10 +244,7 @@ def _group_enumerate(args, payload):
         fpgroup.parse_group_word(w, p.generators) for w in (args.subgroup or [])
     ]
     payload.update(index=None, max_cosets=args.max_cosets)
-    closed = fpgroup.enumerate_table(p, subgroup, args.max_cosets)
-    if closed is None:
-        return "inconclusive"
-    payload["index"] = closed.index
+    payload["index"] = fpgroup.enumerate_table(p, subgroup, args.max_cosets).index
     return "ok"
 
 
@@ -282,21 +283,16 @@ def _cover_order(args, payload):
     failed = alexander.validate_alexander(poly)
     if failed:
         raise ValueError("not a normalized Alexander polynomial: " + "; ".join(failed))
-    payload.update(polynomial=alexander.poly_str(poly), n=args.n)
-    status = "ok"
-    # answered here, not in ``run``, as the text output prints reason before note
-    try:
-        order = alexander.branched_cover_order(poly, args.n)
-        payload["order"] = order if order is not None else "infinite"
-    except OverflowError as exc:
-        status, payload["order"], payload["reason"] = "inconclusive", None, str(exc)
+    payload.update(polynomial=alexander.poly_str(poly), n=args.n, order=None)
     if args.n % 2 == 0:
         payload["note"] = (
             "n is even: the n-fold branched cover admits a nontrivial "
             "homomorphism onto the fundamental group of the 2-fold one, so "
             "left-orderability descends from the double branched cover"
         )
-    return status
+    order = alexander.branched_cover_order(poly, args.n)
+    payload["order"] = order if order is not None else "infinite"
+    return "ok"
 
 
 def _verify_compat(args, payload):

@@ -185,12 +185,11 @@ def jsjlo_nonapplicability_report(slope_bound: int) -> dict:
     # phi(s2^k Delta^2l) = y^(-k-l) x^2l, so the class of y pulls back to
     # the class of s2, the meridian of the trefoil.
     b3 = Presentation.parse(["s1", "s2"], ["s1 s2 s1 S2 S1 S2", "s2"])
-    closed = enumerate_table(b3, [], max_cosets=1000)
     return {
         "klein_slopes": survey,
         "lo_slopes": lo_slopes,
         "pullback_slope": "s2 (the trefoil meridian)",
-        "b3_quotient_index": None if closed is None else closed.index,
+        "b3_quotient_index": enumerate_table(b3, [], max_cosets=1000).index,
         "conclusion": (
             "the unique left-orderable slope on the Klein-bottle side is y; its "
             "pullback through the gluing is the meridian s2, and B3/<<s2>> is "

@@ -19,9 +19,9 @@ Provides:
   1,000,000 letters (OverflowError past it);
 * amalgamated products via Seifert-Van Kampen style identification pairs;
 * bounded HLT-style Todd-Coxeter coset enumeration with deterministic
-  scheduling, where failing to close within the coset cap is the
-  first-class answer ``None`` (never a wrong finite index); a table that
-  would pass 2,000,000 entries below that cap raises OverflowError.
+  scheduling, which raises OverflowError (never a wrong finite index) when
+  the table does not close within the coset cap, or would pass 2,000,000
+  entries below it.
 """
 
 from __future__ import annotations
@@ -294,10 +294,10 @@ def enumerate_table(
     p: Presentation,
     subgroup: Sequence[GroupWord],
     max_cosets: int,
-) -> ClosedTable | None:
-    """HLT coset enumeration for the given subgroup; None if the table does
-    not close within ``max_cosets`` defined cosets, and OverflowError if the
-    entry cap, not ``max_cosets``, stops it.
+) -> ClosedTable:
+    """HLT coset enumeration for the given subgroup; OverflowError, with the
+    reason as its message, if the table does not close within ``max_cosets``
+    defined cosets or the entry cap stops it first.
 
     Deterministic: cosets are processed in increasing order, relators in
     presentation order, and undefined entries filled column by column, so
@@ -309,6 +309,10 @@ def enumerate_table(
     if not p.generators:
         return ClosedTable(1, [[]])
     cap = min(max_cosets, max(_MAX_TABLE_ENTRIES // ncols, 1))
+    if cap < max_cosets:
+        stop = f"the coset table would pass the {_MAX_TABLE_ENTRIES}-entry cap"
+    else:
+        stop = f"the coset table did not close within {max_cosets} cosets"
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
 
@@ -322,7 +326,7 @@ def enumerate_table(
 
     def define(alpha: int, col: int) -> int:
         if len(table) >= cap:
-            raise _CapHit
+            raise OverflowError(stop)
         beta = len(table)
         table.append([None] * ncols)
         parent.append(beta)
@@ -380,27 +384,20 @@ def enumerate_table(
             define(f, _column(word[i]))
 
     relators = [free_reduce_word(r) for r in p.relators]
-    try:
-        for w in subgroup:
-            scan_and_fill(0, free_reduce_word(w))
-        alpha = 0
-        while alpha < len(table):
+    for w in subgroup:
+        scan_and_fill(0, free_reduce_word(w))
+    alpha = 0
+    while alpha < len(table):
+        if rep(alpha) == alpha:
+            for w in relators:
+                scan_and_fill(alpha, w)
+                if rep(alpha) != alpha:
+                    break
             if rep(alpha) == alpha:
-                for w in relators:
-                    scan_and_fill(alpha, w)
-                    if rep(alpha) != alpha:
-                        break
-                if rep(alpha) == alpha:
-                    for col in range(ncols):
-                        if table[alpha][col] is None:
-                            define(alpha, col)
-            alpha += 1
-    except _CapHit:
-        if cap < max_cosets:
-            raise OverflowError(
-                f"the coset table would pass the {_MAX_TABLE_ENTRIES}-entry cap"
-            ) from None
-        return None
+                for col in range(ncols):
+                    if table[alpha][col] is None:
+                        define(alpha, col)
+        alpha += 1
 
     live = [c for c in range(len(table)) if rep(c) == c]
     renumber = {c: i for i, c in enumerate(live)}
@@ -408,10 +405,6 @@ def enumerate_table(
         [renumber[rep(table[c][col])] for col in range(ncols)] for c in live
     ]
     return ClosedTable(len(live), compact)
-
-
-class _CapHit(Exception):
-    pass
 
 
 def check_closed_table(

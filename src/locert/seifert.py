@@ -287,7 +287,8 @@ class SpliceTree:
                         _json_str(nd.get("name", ""), "name"),
                         _json_str(nd.get("description", ""), "description"),
                         tuple(
-                            (parse_slope(s), LOStatus(v)) for s, v in asserted.items()
+                            (parse_slope(s), _asserted_status(s, v))
+                            for s, v in asserted.items()
                         ),
                         prime,
                     )
@@ -332,6 +333,16 @@ def _json_object(value: object, what: str) -> dict:
 def _json_str(value: object, what: str) -> str:
     _expect(isinstance(value, str), f"{what} must be a string, got {value!r}")
     return value
+
+
+def _asserted_status(slope: str, value: object) -> LOStatus:
+    accepted = [status.value for status in LOStatus]
+    _expect(
+        value in accepted,
+        f"the status asserted at slope {slope!r} must be one of "
+        f"{', '.join(accepted)}, got {value!r}",
+    )
+    return LOStatus(value)
 
 
 def _json_int(value: object, what: str) -> int:

@@ -118,6 +118,10 @@ CASES: dict[str, list[str]] = {
     "group_amalgam": ["group", "amalgam", DATA + "b3_presentation.json",
                       DATA + "klein_bottle_presentation.json",
                       "--pair", "s2 = Y", "--pair", "s1 s2 s1 s1 s2 s1 = Y x x"],
+    # the second file is the malformed one: the diagnostic names it
+    "group_amalgam_malformed": ["group", "amalgam", DATA + "b3_presentation.json",
+                                "truncated.json", "--pair", "s2 = x"],
+    "group_abelianize_not_utf8": ["group", "abelianize", "not_utf8.json"],
     "group_enumerate": ["group", "enumerate", "s3.json"],
     "group_enumerate_subgroup": ["group", "enumerate", "s3.json", "--subgroup", "x"],
     "group_enumerate_inconclusive": ["group", "enumerate", "dihedral.json",
@@ -156,6 +160,8 @@ CASES: dict[str, list[str]] = {
     "splice_cert_missing_matrix": ["splice", "cert", "missing_matrix_tree.json"],
     # a user piece's name and description must be strings
     "splice_cert_user_fields": ["splice", "cert", "user_fields_tree.json"],
+    # a user piece may assert lo, not_lo or unknown, and nothing else
+    "splice_cert_bad_status": ["splice", "cert", "bad_status_tree.json"],
     # 3000 nested lists: json.load hits the recursion limit
     "splice_cert_deep_nesting": ["splice", "cert", "deep_nesting.json"],
     "splice_cert_negative_bound": ["splice", "cert", DATA + "double_trefoil_splice.json",
@@ -177,6 +183,9 @@ CASES: dict[str, list[str]] = {
     "splice_verify_int_components": ["splice", "verify",
                                      DATA + "double_trefoil_splice.json",
                                      "int_components_cert.json"],
+    "splice_verify_malformed_cert": ["splice", "verify",
+                                     DATA + "double_trefoil_splice.json",
+                                     "truncated.json"],
     "splice_verify_null": ["splice", "verify", DATA + "double_trefoil_splice.json",
                            "null_cert.json"],
     # alpha edited to an L-space slope and to the reducible slope

@@ -184,7 +184,10 @@ def test_coset_enumeration_klein_quotients():
     filled = Presentation.parse(["x", "y"], ["x y X y", "y x x"])
     assert enumerate_table(filled, [], 1000).index == 4
     dihedral = Presentation.parse(["x", "y"], ["x y X y", "x x"])
-    assert enumerate_table(dihedral, [], 300) is None
+    with pytest.raises(
+        OverflowError, match="^the coset table did not close within 300 cosets$"
+    ):
+        enumerate_table(dihedral, [], 300)
 
 
 def test_coset_cap_below_one_is_an_input_error():
@@ -200,12 +203,17 @@ def test_coset_table_entry_cap(monkeypatch):
     # columns: past them the cap answers, unless max_cosets stops the table.
     free = Presentation.parse(["a", "b"], [])
     monkeypatch.setattr(fpgroup, "_MAX_TABLE_ENTRIES", 100)
-    with pytest.raises(
-        OverflowError, match="^the coset table would pass the 100-entry cap$"
-    ):
-        enumerate_table(free, [], 10**8)
-    assert enumerate_table(free, [], 25) is None
-    assert enumerate_table(free, [], 24) is None
+    for max_cosets in (10**8, 26):
+        with pytest.raises(
+            OverflowError, match="^the coset table would pass the 100-entry cap$"
+        ):
+            enumerate_table(free, [], max_cosets)
+    for max_cosets in (25, 24):
+        with pytest.raises(
+            OverflowError,
+            match=f"^the coset table did not close within {max_cosets} cosets$",
+        ):
+            enumerate_table(free, [], max_cosets)
 
 
 def test_coset_enumeration_subgroup_index():

@@ -4,7 +4,7 @@ the CLI's import path stays free of modules that only slow start-up:
 ``cli`` imports no layer at module level and builds no parser on import,
 each module imports only its pinned layers, each subcommand loads only the
 layers it runs, and only ``splice`` and ``verify`` load ``dataclasses``; the
-CLI holds no cap.
+CLI holds no cap, and only ``run`` answers a budget.
 
 The first three checks read the source with ``ast``; nothing is imported.
 A name listed in ``__all__`` counts as used, so deliberate re-exports (such
@@ -321,6 +321,34 @@ def test_cli_holds_no_cap():
     raised = [ast.unparse(node.exc) for node in ast.walk(tree)
               if isinstance(node, ast.Raise) and node.exc is not None]
     assert [exc for exc in raised if exc.startswith("OverflowError")] == []
+
+
+def test_only_run_answers_a_budget():
+    # A stopped computation is an OverflowError whose message is the reason,
+    # and run alone turns it into "inconclusive": no handler returns that
+    # status or catches OverflowError, and only run and the exit-code table
+    # name the status.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    mentions, returns, catches = set(), set(), set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            name = top.name
+        else:
+            name = ast.unparse(top.targets[0] if isinstance(top, ast.Assign) else top)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value == "inconclusive":
+                mentions.add(name)
+            if isinstance(node, ast.Return) and node.value is not None and any(
+                isinstance(c, ast.Constant) and c.value == "inconclusive"
+                for c in ast.walk(node.value)
+            ):
+                returns.add(name)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(n, ast.Name) and n.id == "OverflowError"
+                for n in ast.walk(node.type)
+            ):
+                catches.add(name)
+    assert (returns, catches, mentions) == (set(), {"run"}, {"run", "_STATUS_EXIT"})
 
 
 _LOADED = (

@@ -184,13 +184,17 @@ def test_fill_agrees_with_coset_enumeration():
                 continue
             slope = KleinPeripheral(m, n)
             result = klein_fill(slope)
-            closed = enumerate_table(filled_presentation(slope), [], 3000)
+            filled = filled_presentation(slope)
             if result.kind is KleinFillKind.FINITE_NOT_LO:
-                assert closed is not None
+                closed = enumerate_table(filled, [], 3000)
                 assert closed.index == 4 * abs(m * n)
-                assert check_closed_table(filled_presentation(slope), [], closed)
+                assert check_closed_table(filled, [], closed)
             else:
-                assert closed is None
+                with pytest.raises(
+                    OverflowError,
+                    match="^the coset table did not close within 3000 cosets$",
+                ):
+                    enumerate_table(filled, [], 3000)
 
 
 def test_element_parsing():
