@@ -21,7 +21,9 @@ Provides:
 * bounded HLT-style Todd-Coxeter coset enumeration with deterministic
   scheduling, which raises OverflowError (never a wrong finite index) when
   the table does not close within the coset cap, or would pass 2,000,000
-  entries below it.
+  entries below it, and ValueError on a subgroup letter that names no
+  generator (0 or past the generator count), as ``Presentation`` does on
+  a relator letter.
 """
 
 from __future__ import annotations
@@ -297,16 +299,26 @@ def enumerate_table(
 ) -> ClosedTable:
     """HLT coset enumeration for the given subgroup; OverflowError, with the
     reason as its message, if the table does not close within ``max_cosets``
-    defined cosets or the entry cap stops it first.
+    defined cosets or the entry cap stops it first; ValueError on a
+    ``max_cosets`` below 1 or an out-of-range subgroup letter.
 
     Deterministic: cosets are processed in increasing order, relators in
     presentation order, and undefined entries filled column by column, so
     a run is reproducible bit for bit.
+
+    Each relator and subgroup word is freely reduced and compiled once per
+    call to a list of table columns; a backward scan reads column ``c ^ 1``.
+    So a scan costs one table read per letter it passes.
     """
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
-    ncols = 2 * len(p.generators)
-    if not p.generators:
+    n = len(p.generators)
+    for w in subgroup:
+        for x in w:
+            if x == 0 or abs(x) > n:
+                raise ValueError(f"subgroup letter {x} out of range")
+    ncols = 2 * n
+    if not n:
         return ClosedTable(1, [[]])
     cap = min(max_cosets, max(_MAX_TABLE_ENTRIES // ncols, 1))
     if cap < max_cosets:
@@ -360,40 +372,51 @@ def enumerate_table(
             parent[b] = a
             queue.append(b)
 
-    def scan_and_fill(alpha: int, word: GroupWord) -> None:
+    def scan_and_fill(alpha: int, word: list[int]) -> None:
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and table[f][_column(word[i])] is not None:
-                f = table[f][_column(word[i])]
+            while i <= j:
+                nxt = table[f][word[i]]
+                if nxt is None:
+                    break
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][_column(-word[j])] is not None:
-                b = table[b][_column(-word[j])]
+            while j >= i:
+                nxt = table[b][word[j] ^ 1]
+                if nxt is None:
+                    break
+                b = nxt
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
+            col = word[i]
             if j == i:
-                table[f][_column(word[i])] = b
-                table[b][_column(-word[i])] = f
+                table[f][col] = b
+                table[b][col ^ 1] = f
                 return
-            define(f, _column(word[i]))
+            define(f, col)
 
-    relators = [free_reduce_word(r) for r in p.relators]
+    def columns(word: GroupWord) -> list[int]:
+        return [_column(x) for x in free_reduce_word(word)]
+
+    relators = [columns(r) for r in p.relators]
     for w in subgroup:
-        scan_and_fill(0, free_reduce_word(w))
+        scan_and_fill(0, columns(w))
     alpha = 0
     while alpha < len(table):
-        if rep(alpha) == alpha:
+        # Only a root is its own parent, whatever path compression did.
+        if parent[alpha] == alpha:
             for w in relators:
                 scan_and_fill(alpha, w)
-                if rep(alpha) != alpha:
+                if parent[alpha] != alpha:
                     break
-            if rep(alpha) == alpha:
+            if parent[alpha] == alpha:
                 for col in range(ncols):
                     if table[alpha][col] is None:
                         define(alpha, col)

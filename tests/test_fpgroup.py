@@ -175,6 +175,17 @@ def test_amalgam():
         amalgam(B3, B3, [])
 
 
+def _symmetric(n: int) -> Presentation:
+    """The Coxeter presentation of S_n on s1 .. s(n-1): every si si, then
+    every (si si+1)^3, then every si sj si sj with j >= i + 2.  The order
+    is the benchmark reference's; the definition counts pinned below hold
+    for this order only."""
+    relators = [(i, i) for i in range(1, n)]
+    relators += [(i, i + 1) * 3 for i in range(1, n - 1)]
+    relators += [(i, j, i, j) for i in range(1, n) for j in range(i + 2, n)]
+    return Presentation(tuple(f"s{i}" for i in range(1, n)), tuple(relators))
+
+
 def test_coset_enumeration_b3_meridian_quotient():
     filled = dehn_fill(B3, MERIDIAN, LONGITUDE, (1, 0))
     assert enumerate_table(filled, [], 1000).index == 1
@@ -225,23 +236,64 @@ def test_coset_enumeration_subgroup_index():
 
 
 def test_closed_table_soundness():
-    for pres, subgroup in [
-        (dehn_fill(B3, MERIDIAN, LONGITUDE, (1, 0)), []),
-        (Presentation.parse(["x", "y"], ["x y X y", "y x x"]), []),
+    s5 = _symmetric(5)
+    for pres, subgroup, index in [
+        (dehn_fill(B3, MERIDIAN, LONGITUDE, (1, 0)), [], 1),
+        (Presentation.parse(["x", "y"], ["x y X y", "y x x"]), [], 4),
         (
             Presentation.parse(["x", "y"], ["x x x", "y y y", "X Y x y"]),
             [parse_group_word("x", ("x", "y"))],
+            3,
         ),
+        # S5 over its parabolic subgroups <>, <s1>, <s1, s2>, <s1, s2, s3>
+        (s5, [], 120),
+        (s5, [(1,)], 60),
+        (s5, [(1,), (2,)], 20),
+        (s5, [(1,), (2,), (3,)], 5),
     ]:
         closed = enumerate_table(pres, subgroup, 1000)
-        assert closed is not None
+        assert closed.index == index
         assert check_closed_table(pres, subgroup, closed)
+
+
+@pytest.mark.parametrize(
+    "p, subgroup, defined",
+    [
+        (_symmetric(4), [], 35),
+        (_symmetric(5), [], 220),
+        (_symmetric(6), [], 1513),
+        (dehn_fill(B3, MERIDIAN, LONGITUDE, (1, 0)), [], 10),  # B3/<<s2>>
+    ],
+)
+def test_coset_enumeration_defines_a_pinned_number_of_cosets(p, subgroup, defined):
+    # The cap counts defined cosets, dead ones included, so the smallest cap
+    # that closes pins the HLT definition order, not only the index.
+    enumerate_table(p, subgroup, defined)
+    with pytest.raises(
+        OverflowError,
+        match=f"^the coset table did not close within {defined - 1} cosets$",
+    ):
+        enumerate_table(p, subgroup, defined - 1)
+
+
+def test_out_of_range_subgroup_letter_is_an_input_error():
+    # Checked before the shortcut for a presentation with no generators, and
+    # before free reduction, which would cancel the 5 in (5, -5).
+    for p, word, letter in (
+        (KLEIN, (5,), 5),
+        (KLEIN, (1, 0), 0),
+        (KLEIN, (5, -5), 5),
+        (KLEIN, (-3,), -3),
+        (Presentation.parse([], []), (1,), 1),
+    ):
+        with pytest.raises(ValueError, match=f"^subgroup letter {letter} out of range$"):
+            enumerate_table(p, [(1,), word], 10)
 
 
 def test_check_closed_table_rejects_tampering():
     p = Presentation.parse(["x"], ["x x x"])
     closed = enumerate_table(p, [], 100)
-    assert closed is not None and closed.index == 3
+    assert closed.index == 3
     bad = ClosedTable(closed.index, [row[:] for row in closed.table])
     bad.table[0][0] = 0
     assert not check_closed_table(p, [], bad)
