@@ -21,7 +21,9 @@ cross-validate each other:
 
 Handle reduction also decides the Dubrovina-Dubrovin left ordering of B3:
 a braid is DD-positive iff it admits a 1-positive representative (s1 only
-with positive exponents) or equals s2^k with k < 0.
+with positive exponents) or equals s2^k with k < 0.  The reduction works
+on syllables (maximal powers of one generator), and the DD sign is read
+from the reduced syllables; only ``handle_reduce`` expands them to letters.
 """
 
 from __future__ import annotations
@@ -170,7 +172,6 @@ def is_trivial(word: Word) -> bool:
 
 # --- handle reduction ------------------------------------------------------
 
-_GEN_EXP = {1: (1, 1), -1: (1, -1), 2: (2, 1), -2: (2, -1)}
 _NO_SYLLABLE = [0, 0]  # stands for the top of an empty stack; gen 0 never merges
 
 
@@ -179,15 +180,28 @@ def _syllables(word: Word) -> list[list[int]]:
     exp != 0, and adjacent generators distinct."""
     stack: list[list[int]] = []
     top = _NO_SYLLABLE
+    gen = 0  # top[0], kept in a local
     for x in word:
-        gen, exp = _GEN_EXP[x]
-        if top[0] == gen:
-            top[1] += exp
+        if x > 0:
+            if x == gen:
+                top[1] += 1
+                if not top[1]:
+                    stack.pop()
+                    top = stack[-1] if stack else _NO_SYLLABLE
+                    gen = top[0]
+            else:
+                gen = x
+                top = [x, 1]
+                stack.append(top)
+        elif -x == gen:
+            top[1] -= 1
             if not top[1]:
                 stack.pop()
                 top = stack[-1] if stack else _NO_SYLLABLE
+                gen = top[0]
         else:
-            top = [gen, exp]
+            gen = -x
+            top = [gen, -1]
             stack.append(top)
     return stack
 
@@ -199,8 +213,9 @@ def _letters(sylls: list[list[int]]) -> Word:
     return tuple(out)
 
 
-def handle_reduce(word: Word) -> Word:
-    """Dehornoy handle reduction, specialized to B3.
+def _reduce(word: Word) -> list[list[int]]:
+    """Dehornoy handle reduction, specialized to B3, on syllables: the
+    reduced word in the syllable form of ``_syllables``.
 
     After free reduction, an s1-handle is a subword s1^e s2^m s1^-e whose
     interior (a power of s2, since the word is freely reduced) contains no
@@ -244,7 +259,7 @@ def handle_reduce(word: Word) -> Word:
                 found = i
                 break
         if found < 0:
-            return _letters(left)
+            return left
         right = left[found + 3:]
         right.reverse()
         del left[found + 3:]
@@ -304,6 +319,14 @@ def handle_reduce(word: Word) -> Word:
                     break  # no handle at or after the resume triple
 
 
+def handle_reduce(word: Word) -> Word:
+    """The handle-reduced word as letters: ``_reduce`` expanded by
+    ``_letters``.  Costs the reduction plus O(letters out) for the
+    expansion; the DD functions below read ``_reduce`` and skip the
+    expansion.  Raises OverflowError past ``STEP_CAP`` rewriting steps."""
+    return _letters(_reduce(word))
+
+
 # --- the Dubrovina-Dubrovin ordering ---------------------------------------
 
 def dd_sign(word: Word) -> Sign3:
@@ -311,16 +334,20 @@ def dd_sign(word: Word) -> Sign3:
 
     Positive iff the handle-reduced word is 1-positive or a negative power
     of s2; the reduced word's shape (s1-uniform or s1-free) makes the
-    trichotomy exact.
+    trichotomy exact.  The sign is read from the reduced syllables: s1
+    and s2 syllables alternate, so the first s1 syllable, if any, is at
+    index 0 or 1, and an s1-free reduced word is one s2 syllable.
     """
-    reduced = handle_reduce(word)
-    if not reduced:
+    sylls = _reduce(word)
+    if not sylls:
         return Sign3.TRIVIAL
-    for x in reduced:
-        if abs(x) == 1:
-            return Sign3.POSITIVE if x > 0 else Sign3.NEGATIVE
-    # A pure power of s2: positive iff the exponent is negative.
-    return Sign3.POSITIVE if reduced[0] < 0 else Sign3.NEGATIVE
+    gen, exp = sylls[0]
+    if gen == 2:
+        if len(sylls) == 1:
+            # A pure power of s2: positive iff the exponent is negative.
+            return Sign3.POSITIVE if exp < 0 else Sign3.NEGATIVE
+        exp = sylls[1][1]
+    return Sign3.POSITIVE if exp > 0 else Sign3.NEGATIVE
 
 
 def dd_compare(u: Word, v: Word) -> Ordering:
@@ -351,12 +378,17 @@ def delta_floor(word: Word) -> int:
     letters, median |m| 4 and maximum 19), so the comparisons against the
     long words Delta^+-2L happen only if the doubling reaches them.
     ValueError is raised when the range is exhausted without a flip.
+
+    The word is handle-reduced once, and every comparison runs against the
+    reduced word: the same braid, never longer.  The range and the
+    ValueError text come from the input word.
     """
     bound = len(word)
+    reduced = handle_reduce(word)
 
     def at_most(m: int) -> bool:
         # Delta^2m <= word
-        return dd_compare(power(DELTA_SQ, m), word) is not Ordering.GREATER
+        return dd_compare(power(DELTA_SQ, m), reduced) is not Ordering.GREATER
 
     up = at_most(0)
     limit = bound + 1 if up else -bound

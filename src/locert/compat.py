@@ -94,6 +94,9 @@ def verify_compatibility(
     ``force_ordering`` overrides the case split; forcing the wrong
     ordering is expected to produce failures and guards the test suite
     against sign-convention drift.
+
+    The 2B + 1 powers of s2 and of Delta^2 are built once per call, and
+    each grid point costs one ``braid.conj_sign``, so one handle reduction.
     """
     if grid_bound < 1:
         raise ValueError("grid_bound must be >= 1")
@@ -105,12 +108,15 @@ def verify_compatibility(
     failures = []
     checked = 0
     positives = 0
-    for k in range(-grid_bound, grid_bound + 1):
-        for l in range(-grid_bound, grid_bound + 1):
+    span = range(-grid_bound, grid_bound + 1)
+    delta_sq_powers = [braid.power(braid.DELTA_SQ, l) for l in span]
+    for k in span:
+        s2_power = braid.power(braid.SIGMA2, k)
+        for l, delta_sq_power in zip(span, delta_sq_powers):
             if k == 0 and l == 0:
                 continue
             checked += 1
-            word = braid.power(braid.SIGMA2, k) + braid.power(braid.DELTA_SQ, l)
+            word = s2_power + delta_sq_power
             if braid.conj_sign(word, conjugator) is not Sign3.POSITIVE:
                 continue
             positives += 1

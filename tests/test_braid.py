@@ -1,6 +1,7 @@
 """B3 word problem, handle reduction, and the DD ordering."""
 
 import random
+from itertools import groupby
 
 import pytest
 
@@ -506,3 +507,90 @@ def test_peripheral_parse_matches_oracle():
             word = tuple(word)
             assert peripheral_parse(word) == PeripheralElement(k, l)
             assert _oracle_peripheral_parse(word) == PeripheralElement(k, l)
+
+
+# --- the syllable-level DD functions against letter-level references ------
+
+
+def _reference_syllables(word):
+    # free reduction, then each run of one generator is a syllable
+    reduced = free_reduce_word(word)
+    return [[gen, sum(1 if x > 0 else -1 for x in run)]
+            for gen, run in groupby(reduced, abs)]
+
+
+def _reference_dd_sign(word):
+    # the letter-level definition: scan the reduced letters for s1
+    reduced = handle_reduce(word)
+    if not reduced:
+        return Sign3.TRIVIAL
+    for x in reduced:
+        if abs(x) == 1:
+            return Sign3.POSITIVE if x > 0 else Sign3.NEGATIVE
+    return Sign3.POSITIVE if reduced[0] < 0 else Sign3.NEGATIVE
+
+
+def _unreduced_delta_floor(word):
+    # delta_floor's doubling search, comparing against the input word itself
+    bound = len(word)
+
+    def at_most(m):
+        return dd_compare(power(DELTA_SQ, m), word) is not Ordering.GREATER
+
+    up = at_most(0)
+    limit = bound + 1 if up else -bound
+    inside, step = 0, 1
+    while True:
+        m = min(step, limit) if up else max(-step, limit)
+        if at_most(m) is not up:
+            break
+        assert m != limit, "range exhausted"
+        inside, step = m, 2 * step
+    lo, hi = (inside, m) if up else (m, inside)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_most(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _grid_words(conjugators, bound):
+    for g in conjugators:
+        for k in range(-bound, bound + 1):
+            for l in range(-bound, bound + 1):
+                yield inverse(g) + power(SIGMA2, k) + power(DELTA_SQ, l) + g
+
+
+def _sign_test_words():
+    rng = random.Random(2007)
+    words = [random_braid_word(rng, 60) for _ in range(1500)]
+    words += [_random_word(rng, 512, 8192) for _ in range(12)]
+    words += [_planted_trivial(rng, rng.randint(512, 8192)) for _ in range(12)]
+    words += list(_grid_words(random_braid_words(2008, 8, 10) + [(), SIGMA1], 4))
+    # pure powers of s2, the reduced words without an s1 syllable
+    words += [power(SIGMA2, k) for k in range(-5, 6)]
+    words += [parse_word("aA") + power(SIGMA2, k) + parse_word("Bb") for k in range(-5, 6)]
+    return words
+
+
+def test_syllables_match_free_reduction_by_runs():
+    for word in _sign_test_words():
+        assert braid._syllables(word) == _reference_syllables(word), word_str(word)
+
+
+def test_dd_sign_matches_letter_level_definition():
+    signs = set()
+    for word in _sign_test_words():
+        sign = dd_sign(word)
+        assert sign is _reference_dd_sign(word), word_str(word)
+        signs.add(sign)
+    assert signs == set(Sign3)
+
+
+def test_delta_floor_matches_search_on_unreduced_word():
+    rng = random.Random(2009)
+    for _ in range(100):
+        word = _random_word(rng, 64, 1024)
+        assert delta_floor(word) == _unreduced_delta_floor(word), word_str(word)

@@ -343,7 +343,7 @@ def test_a_layer_overflow_is_inconclusive(monkeypatch, command):
 @pytest.mark.parametrize("case", ["verify_prop43_too_many_grid_letters",
                                   "verify_nonapplicability_too_large"])
 def test_caps_answer_before_the_work(monkeypatch, case):
-    for module, name in ((compat, "random_braid_words"), (braid, "handle_reduce"),
+    for module, name in ((compat, "random_braid_words"), (braid, "_reduce"),
                          (compat, "klein_fill")):
         monkeypatch.setattr(module, name, _raiser(RuntimeError(name)))
     assert run(CASES[case], out=io.StringIO()) == 2

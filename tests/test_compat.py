@@ -11,9 +11,16 @@ from locert import compat
 from locert.braid import (
     DELTA_SQ,
     SIGMA1,
+    SIGMA2,
     PeripheralElement,
+    Sign3,
     commutes_with_sigma2,
+    conj_sign,
+    delta_floor,
+    inverse,
+    is_trivial,
     parse_word,
+    power,
     restricted_order_type,
     PeripheralOrderType,
 )
@@ -24,7 +31,7 @@ from locert.compat import (
     proposition_4_3_report,
     verify_compatibility,
 )
-from locert.klein import KleinElement, KleinOrderingId, k_multiply
+from locert.klein import KleinElement, KleinOrderingId, k_multiply, k_sign
 from locert.sampling import random_braid_words
 from locert.slopes import make_slope
 
@@ -83,6 +90,46 @@ def test_wrong_ordering_control():
     # and for a commuting conjugator the wrong choice is O2
     report = verify_compatibility((), 4, force_ordering=KleinOrderingId.O2)
     assert report.failures
+
+
+def _row_signs(conjugator, bound):
+    """The grid's signs by rows: g^-1 s2^k Delta^2l g = x_k Delta^2l with
+    x_k = g^-1 s2^k g, since Delta^2 is central.  With m the Delta^2 floor
+    of x_k, x_k Delta^2l is positive iff l > -m, or l = -m and x_k is not
+    Delta^2m itself, and trivial iff l = -m and it is."""
+    signs = {}
+    for k in range(-bound, bound + 1):
+        row = inverse(conjugator) + power(SIGMA2, k) + conjugator
+        m = delta_floor(row)
+        exact = is_trivial(row + power(DELTA_SQ, -m))
+        for l in range(-bound, bound + 1):
+            if k == 0 and l == 0:
+                continue
+            if l == -m:
+                signs[k, l] = Sign3.TRIVIAL if exact else Sign3.POSITIVE
+            else:
+                signs[k, l] = Sign3.POSITIVE if l > -m else Sign3.NEGATIVE
+    return signs
+
+
+def test_row_floors_reproduce_the_grid():
+    bound = 5
+    conjugators = random_braid_words(6004, 24, 12) + [(), SIGMA1, SIGMA2]
+    cases = [(g, None) for g in conjugators] + [(SIGMA1, KleinOrderingId.O1)]
+    for conjugator, forced in cases:
+        signs = _row_signs(conjugator, bound)
+        for (k, l), sign in signs.items():
+            word = power(SIGMA2, k) + power(DELTA_SQ, l)
+            assert conj_sign(word, conjugator) is sign, (conjugator, k, l)
+        report = verify_compatibility(conjugator, bound, force_ordering=forced)
+        positive = [point for point, sign in signs.items() if sign is Sign3.POSITIVE]
+        failures = tuple(
+            point for point in positive
+            if k_sign(phi_peripheral(PeripheralElement(*point)), report.ordering)
+            is not Sign3.POSITIVE
+        )
+        assert (report.checked, report.positives, report.failures) == (
+            len(signs), len(positive), failures)
 
 
 def test_report_serialization():
