@@ -4,8 +4,9 @@ fundamental groups.
 Modules by subject:
 
 * ``braid``     - B3 word problem, handle reduction, the Dubrovina-
-                  Dubrovin ordering and its conjugates, and the
-                  peripheral subgroup of the trefoil exterior
+                  Dubrovin ordering (read from the lifted SL(2, Z) action)
+                  and its conjugates, and the peripheral subgroup of the
+                  trefoil exterior
 * ``klein``     - the Klein-bottle group, its two distinguished
                   orderings, and fillings of the twisted I-bundle
 * ``slopes``    - slope calculus on torus boundaries, the walk over

@@ -7,23 +7,33 @@ through the CLI.  Words concatenate with tuple ``+``.  A braid word is a
 group word over (s1, s2), so inversion and powers are the ``words``
 layer's helpers, bound here under the names ``inverse`` and ``power``.
 
-Two independent decision procedures for the word problem are provided and
-cross-validate each other:
+Three procedures decide the word problem, and they cross-validate each
+other:
 
 * the quotient of B3 by its center is Z/2 * Z/3 (s1 -> b^2 a, s2 -> a b^2,
   where a is the image of Delta = s1 s2 s1 and b of s1 s2); a word is
   trivial iff its image reduces to the empty normal form AND its exponent
   sum vanishes (the kernel of the quotient is generated by Delta^2, which
-  has exponent sum 6);
+  has exponent sum 6).  ``is_trivial`` reads it; no command does, and
+  the tests and the benchmark's verdict references check the others
+  against it;
 * Dehornoy-style handle reduction, which rewrites a word into one in which
   s1 occurs with a single sign only (or not at all); it raises
-  OverflowError past ``STEP_CAP`` rewriting steps.
+  OverflowError past ``STEP_CAP`` rewriting steps.  ``handle_reduce``
+  runs it, and ``braid reduce`` is the one command that reads it;
+* the lift of the action of SL(2, Z) on the circle of rays (``_lift``): B3
+  is the preimage of SL(2, Z) in the universal cover of SL(2, R), so a
+  braid is determined by its image matrix and a count of half-turns.  The
+  Dubrovina-Dubrovin (DD) left ordering of B3 is the order this action
+  induces at the ray (0, 1): ``dd_sign``, ``dd_compare``, ``conj_sign``,
+  ``delta_floor``, ``commutes_with_sigma2`` and ``peripheral_parse`` read
+  it, and through them ``braid sign``, ``compare`` and ``floor`` and
+  ``verify proposition-4-3``.  It costs one integer step per letter and
+  has no step cap.
 
-Handle reduction also decides the Dubrovina-Dubrovin left ordering of B3:
-a braid is DD-positive iff it admits a 1-positive representative (s1 only
-with positive exponents) or equals s2^k with k < 0.  The reduction works
-on syllables (maximal powers of one generator), and the DD sign is read
-from the reduced syllables; only ``handle_reduce`` expands them to letters.
+A braid is DD-positive iff it admits a 1-positive representative (s1 only
+with positive exponents) or equals s2^k with k < 0; handle reduction finds
+such a representative, which makes it the lift's cross-check.
 """
 
 from __future__ import annotations
@@ -213,9 +223,10 @@ def _letters(sylls: list[list[int]]) -> Word:
     return tuple(out)
 
 
-def _reduce(word: Word) -> list[list[int]]:
-    """Dehornoy handle reduction, specialized to B3, on syllables: the
-    reduced word in the syllable form of ``_syllables``.
+def handle_reduce(word: Word) -> Word:
+    """Dehornoy handle reduction, specialized to B3: the reduced word.  The
+    reduction runs on the syllables of ``_syllables`` and expands them to
+    letters once, at the end.
 
     After free reduction, an s1-handle is a subword s1^e s2^m s1^-e whose
     interior (a power of s2, since the word is freely reduced) contains no
@@ -259,7 +270,7 @@ def _reduce(word: Word) -> list[list[int]]:
                 found = i
                 break
         if found < 0:
-            return left
+            return _letters(left)
         right = left[found + 3:]
         right.reverse()
         del left[found + 3:]
@@ -319,35 +330,61 @@ def _reduce(word: Word) -> list[list[int]]:
                     break  # no handle at or after the resume triple
 
 
-def handle_reduce(word: Word) -> Word:
-    """The handle-reduced word as letters: ``_reduce`` expanded by
-    ``_letters``.  Costs the reduction plus O(letters out) for the
-    expansion; the DD functions below read ``_reduce`` and skip the
-    expansion.  Raises OverflowError past ``STEP_CAP`` rewriting steps."""
-    return _letters(_reduce(word))
-
-
 # --- the Dubrovina-Dubrovin ordering ---------------------------------------
 
-def dd_sign(word: Word) -> Sign3:
-    """Sign in the Dubrovina-Dubrovin ordering.
+def _lift(word: Word) -> tuple[int, int, int]:
+    """The image (x, y) of the ray (0, 1) under the left action of ``word``,
+    with s1 -> [[1, 1], [0, 1]] and s2 -> [[1, 0], [-1, 1]], and the count h
+    of half-turns on the lifted line.
 
-    Positive iff the handle-reduced word is 1-positive or a negative power
-    of s2; the reduced word's shape (s1-uniform or s1-free) makes the
-    trichotomy exact.  The sign is read from the reduced syllables: s1
-    and s2 syllables alternate, so the first s1 syllable, if any, is at
-    index 0 or 1, and an s1-free reduced word is one s2 syllable.
+    Both positive generators turn every ray they move clockwise, by less
+    than a half-turn, and Delta^2 maps to -I, a clockwise half-turn.  With
+    the angle t measured clockwise from (0, 1), h = floor(t / pi), so the
+    ray sits on the base line x = 0 exactly when t = h pi.  The word is read
+    right to left: s2^+-1 sets y -= +-x and fixes the base line, so it
+    never changes h; s1^+-1 sets x += +-y, and h moves by +-1 when x crosses
+    the base line by the half-open rule (s1 onto or across it, s1^-1 off
+    or across it).  One integer step per letter.  Each generator matrix has
+    norm (1 + sqrt 5) / 2, so the operands grow by at most 0.7 bits a
+    letter: the cost is O(L^2) bit operations at worst, which (s1 s2^-1)^n
+    reaches, and far less on words whose matrices stay small.
     """
-    sylls = _reduce(word)
-    if not sylls:
-        return Sign3.TRIVIAL
-    gen, exp = sylls[0]
-    if gen == 2:
-        if len(sylls) == 1:
-            # A pure power of s2: positive iff the exponent is negative.
-            return Sign3.POSITIVE if exp < 0 else Sign3.NEGATIVE
-        exp = sylls[1][1]
-    return Sign3.POSITIVE if exp > 0 else Sign3.NEGATIVE
+    x, y, h = 0, 1, 0
+    for letter in reversed(word):
+        if letter == 2:
+            y -= x
+        elif letter == -2:
+            y += x
+        elif letter == 1:
+            new = x + y
+            if x < 0 <= new or new <= 0 < x:
+                h += 1
+            x = new
+        else:
+            new = x - y
+            if x <= 0 < new or new < 0 <= x:
+                h -= 1
+            x = new
+    return x, y, h
+
+
+def dd_sign(word: Word) -> Sign3:
+    """Sign in the Dubrovina-Dubrovin ordering, read from ``_lift``.
+
+    The word is positive iff it turns the base ray clockwise: h > 0, or
+    h = 0 off the base line.  It is negative iff h < 0.  Otherwise it fixes
+    the ray, and the braids that do are the powers of s2; s2^k, with k the
+    exponent sum, is positive iff k < 0.
+    """
+    x, _, h = _lift(word)
+    if h > 0 or (h == 0 and x):
+        return Sign3.POSITIVE
+    if h < 0:
+        return Sign3.NEGATIVE
+    k = exponent_sum(word)
+    if k < 0:
+        return Sign3.POSITIVE
+    return Sign3.NEGATIVE if k else Sign3.TRIVIAL
 
 
 def dd_compare(u: Word, v: Word) -> Ordering:
@@ -369,83 +406,49 @@ def conj_sign(word: Word, conjugator: Word) -> Sign3:
 def delta_floor(word: Word) -> int:
     """The integer m with Delta^2m <=_DD word <_DD Delta^(2m+2).
 
-    Each letter g satisfies Delta^-2 <_DD g <_DD Delta^2, so by the
-    Malyutin product inequalities a word of L letters lies strictly between
-    Delta^-2L and Delta^2(L+1).  Whether Delta^2m <=_DD word is monotone in
-    m, so the search tests m = 0, then m = +-1, +-2, +-4, ... away from 0
-    (clamped to that range) until the answer flips, and bisects the last
-    gap.  Floors are small next to L (on 150 random words of 512 to 1024
-    letters, median |m| 4 and maximum 19), so the comparisons against the
-    long words Delta^+-2L happen only if the doubling reaches them.
-    ValueError is raised when the range is exhausted without a flip.
-
-    The word is handle-reduced once, and every comparison runs against the
-    reduced word: the same braid, never longer.  The range and the
-    ValueError text come from the input word.
+    Delta^2 turns every ray by a half-turn, so Delta^-2m word has half-turn
+    count h - m: the floor is h, the count of ``_lift``.  On the base line
+    Delta^-2h word is s2^k with k = exponent sum - 6h, which lies below 1
+    iff k > 0, and then the floor is h - 1.
     """
-    bound = len(word)
-    reduced = handle_reduce(word)
-
-    def at_most(m: int) -> bool:
-        # Delta^2m <= word
-        return dd_compare(power(DELTA_SQ, m), reduced) is not Ordering.GREATER
-
-    up = at_most(0)
-    limit = bound + 1 if up else -bound
-    inside, step = 0, 1
-    while True:
-        m = min(step, limit) if up else max(-step, limit)
-        if at_most(m) is not up:
-            break
-        if m == limit:
-            raise ValueError(
-                f"no Delta^2 floor within |m| <= {bound} for word {word_str(word)!r}"
-            )
-        inside, step = m, 2 * step
-    lo, hi = (inside, m) if up else (m, inside)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if at_most(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    x, _, h = _lift(word)
+    if x == 0 and exponent_sum(word) - 6 * h > 0:
+        return h - 1
+    return h
 
 
 def commutes_with_sigma2(word: Word) -> bool:
-    """Exact commutator check against s2."""
-    return is_trivial(word + SIGMA2 + inverse(word) + power(SIGMA2, -1))
+    """Exact commutator check against s2: the centralizer of s2 is
+    <s2, Delta^2>, the braids that map the base line x = 0 of ``_lift`` to
+    itself."""
+    return _lift(word)[0] == 0
 
 
 def peripheral_parse(word: Word) -> PeripheralElement | None:
     """Recognize membership in <s2, Delta^2>.
 
-    If word = s2^k Delta^(2l) then its central-quotient image equals the
-    image of s2^k, which is (a b^2)^k for k >= 0 and (b a)^-k for k < 0
-    with no merging, so the image alone fixes the only candidate k.  Then
-    l = (exponent_sum - k) / 6 must be an integer, and the candidate is
-    confirmed by the word problem.  O(L).
+    The word lies there iff it maps the base line of ``_lift`` to itself,
+    after h half-turns; then Delta^-2h word fixes the base ray, so it is
+    s2^k with k = exponent_sum - 6h.  O(L).
     """
-    img = modular_image(word)
-    k = -(len(img) // 2) if img[:1] == (("b", 1),) else len(img) // 2
-    if img != modular_image(power(SIGMA2, k)):
+    x, _, h = _lift(word)
+    if x:
         return None
-    esum = exponent_sum(word)
-    if (esum - k) % 6 != 0:
-        return None
-    l = (esum - k) // 6
-    if is_trivial(word + power(DELTA_SQ, -l) + power(SIGMA2, -k)):
-        return PeripheralElement(k, l)
-    return None
+    return PeripheralElement(exponent_sum(word) - 6 * h, h)
 
 
 def restricted_order_type(conjugator: Word) -> PeripheralOrderType:
     """Restriction of the conjugated DD ordering to <s2, Delta^2>.
 
-    A conjugator commuting with s2 leaves s2^k positive iff k < 0, as in
-    the DD ordering itself; a non-commuting conjugator flips the k-sign
-    rule (by Property S the conjugated power s2^k is 1-positive iff k > 0).
-    Delta^2 is cofinal, so l > 0 dominates in either case.
+    A conjugator g commuting with s2 leaves s2^k positive iff k < 0, as in
+    the DD ordering itself.  Any other g flips the k-sign rule.  The lemma,
+    in the terms of ``_lift``: the lift of s2 fixes the base line and turns
+    every other ray clockwise by less than a half-turn, and the lift of g is
+    monotone, so for g outside <s2, Delta^2> the conjugate g^-1 s2^k g
+    moves the base ray by an amount strictly between 0 and pi for k > 0,
+    and strictly between -pi and 0 for k < 0; it is positive iff k > 0, and
+    its Delta^2 floor is 0 or -1.  Delta^2 is central and turns by pi, so
+    l > 0 dominates in either case.
     """
     if commutes_with_sigma2(conjugator):
         return PeripheralOrderType.NEG_K

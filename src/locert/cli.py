@@ -9,9 +9,9 @@ text``.  The payload is deterministic for fixed inputs and seeds; only
 ``runtime_ms`` varies between runs.  Exit codes: 0 on success; 2 when the
 answer is unknown or inconclusive, as past a budget (README, "Output and
 exit codes", lists the budgets); 1 on input errors, with a diagnostic on
-stderr (a braid word past ``delta_floor``'s bound counts as one, as does a
-``verify proposition-4-3 --grid-bound`` below 1); 3 on a failed ``verify
-proposition-4-3`` check, whose envelope has status ``error``.
+stderr (a ``verify proposition-4-3 --grid-bound`` below 1 counts as one); 3
+on a failed ``verify proposition-4-3`` check, whose envelope has status
+``error``.
 
 Property-style commands (``verify proposition-4-3``) take ``--seed`` and
 ``--samples``; defaults are seed 0 and 200 samples, and all randomness is

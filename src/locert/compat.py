@@ -52,7 +52,7 @@ __all__ = [
     "jsjlo_nonapplicability_report",
 ]
 
-# The caps: ``proposition_4_3_report`` hands handle reduction at most
+# The caps: ``proposition_4_3_report`` hands ``braid.conj_sign`` at most
 # (samples + 1) ((2B + 1)^2 - 1) (2 max_len + 7B) letters for grid bound B,
 # and ``jsjlo_nonapplicability_report`` surveys O(B^2) slopes for bound B.
 _MAX_GRID_LETTERS = 2_000_000
@@ -96,7 +96,8 @@ def verify_compatibility(
     against sign-convention drift.
 
     The 2B + 1 powers of s2 and of Delta^2 are built once per call, and
-    each grid point costs one ``braid.conj_sign``, so one handle reduction.
+    each grid point costs one ``braid.conj_sign``, so one walk of the
+    conjugated grid word.
     """
     if grid_bound < 1:
         raise ValueError("grid_bound must be >= 1")

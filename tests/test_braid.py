@@ -115,6 +115,17 @@ def test_word_problem_cross_check():
         assert is_trivial(word) == (handle_reduce(free_reduce_word(word)) == ())
 
 
+def test_lift_examples():
+    # (x, y, h): the image of the ray (0, 1) and the half-turns
+    assert braid._lift(()) == (0, 1, 0)
+    assert braid._lift(SIGMA1) == (1, 1, 0)
+    assert braid._lift(power(SIGMA1, -1)) == (-1, 1, -1)
+    assert braid._lift(power(SIGMA2, 3)) == (0, 1, 0)
+    assert braid._lift(DELTA) == (1, 0, 0)
+    assert braid._lift(DELTA_SQ) == (0, -1, 1)
+    assert braid._lift(power(DELTA_SQ, -2)) == (0, 1, -2)
+
+
 def test_dd_sign_examples():
     assert dd_sign(parse_word("B")) is Sign3.POSITIVE
     assert dd_sign(SIGMA1) is Sign3.POSITIVE
@@ -293,9 +304,10 @@ def test_sampler_determinism():
 # The oracles are simple, slower versions of handle_reduce, delta_floor and
 # peripheral_parse: a handle reduction that rebuilds the syllable list on
 # every step (same handle order, so the same words and step counts), a
-# floor search that brackets at m = -L and L + 1, and a recognizer that
-# tries all 2L+1 exponents.  The order itself is pinned by the golden case
-# braid_reduce_order.
+# floor search that brackets at m = -L and L + 1 and decides each
+# comparison by handle reduction, and a recognizer that tries all 2L+1
+# exponents through the central quotient.  The handle order itself is
+# pinned by the golden case braid_reduce_order.
 
 
 def _oracle_syllables(word):
@@ -372,13 +384,28 @@ def _oracle_handle_reduce(word, step_cap=STEP_CAP):
         scan_from = max(0, low - 2)
 
 
+def _reference_dd_sign(word):
+    # the letter-level definition: scan the handle-reduced letters for s1;
+    # an s1-free reduced word is a power of s2, positive iff negative
+    reduced = handle_reduce(word)
+    if not reduced:
+        return Sign3.TRIVIAL
+    for x in reduced:
+        if abs(x) == 1:
+            return Sign3.POSITIVE if x > 0 else Sign3.NEGATIVE
+    return Sign3.POSITIVE if reduced[0] < 0 else Sign3.NEGATIVE
+
+
+def _reduced_at_most(m, word):
+    # Delta^2m <= word, decided by handle reduction
+    return _reference_dd_sign(power(DELTA_SQ, -m) + word) is not Sign3.NEGATIVE
+
+
 def _oracle_delta_floor(word):
-    # The search under test; comparisons go through the current dd_compare,
-    # whose handle reduction is checked against the oracle above.
     bound = len(word)
 
     def at_most(m):
-        return dd_compare(power(DELTA_SQ, m), word) is not Ordering.GREATER
+        return _reduced_at_most(m, word)
 
     lo, hi = -bound, bound + 1
     if not at_most(lo) or at_most(hi):
@@ -509,7 +536,7 @@ def test_peripheral_parse_matches_oracle():
             assert _oracle_peripheral_parse(word) == PeripheralElement(k, l)
 
 
-# --- the syllable-level DD functions against letter-level references ------
+# --- the lift against handle reduction ------------------------------------
 
 
 def _reference_syllables(word):
@@ -519,23 +546,13 @@ def _reference_syllables(word):
             for gen, run in groupby(reduced, abs)]
 
 
-def _reference_dd_sign(word):
-    # the letter-level definition: scan the reduced letters for s1
-    reduced = handle_reduce(word)
-    if not reduced:
-        return Sign3.TRIVIAL
-    for x in reduced:
-        if abs(x) == 1:
-            return Sign3.POSITIVE if x > 0 else Sign3.NEGATIVE
-    return Sign3.POSITIVE if reduced[0] < 0 else Sign3.NEGATIVE
-
-
 def _unreduced_delta_floor(word):
-    # delta_floor's doubling search, comparing against the input word itself
+    # the doubling search from m = 0 that delta_floor ran before the lift,
+    # each comparison decided by handle reduction on the input word
     bound = len(word)
 
     def at_most(m):
-        return dd_compare(power(DELTA_SQ, m), word) is not Ordering.GREATER
+        return _reduced_at_most(m, word)
 
     up = at_most(0)
     limit = bound + 1 if up else -bound
@@ -565,10 +582,12 @@ def _grid_words(conjugators, bound):
 
 def _sign_test_words():
     rng = random.Random(2007)
-    words = [random_braid_word(rng, 60) for _ in range(1500)]
+    words = [random_braid_word(rng, 50) for _ in range(3000)]
     words += [_random_word(rng, 512, 8192) for _ in range(12)]
+    words += [_planted_trivial(rng, 400) for _ in range(200)]
     words += [_planted_trivial(rng, rng.randint(512, 8192)) for _ in range(12)]
-    words += list(_grid_words(random_braid_words(2008, 8, 10) + [(), SIGMA1], 4))
+    conjugators = random_braid_words(2008, 24, 10) + [(), SIGMA1, SIGMA2, DELTA_SQ]
+    words += list(_grid_words(conjugators, 4))
     # pure powers of s2, the reduced words without an s1 syllable
     words += [power(SIGMA2, k) for k in range(-5, 6)]
     words += [parse_word("aA") + power(SIGMA2, k) + parse_word("Bb") for k in range(-5, 6)]
@@ -589,8 +608,60 @@ def test_dd_sign_matches_letter_level_definition():
     assert signs == set(Sign3)
 
 
+def test_delta_floor_brackets_by_handle_reduction():
+    # Delta^2m <= word < Delta^(2m+2), both comparisons by handle reduction
+    floors = set()
+    for word in _sign_test_words():
+        if len(word) > 1024:
+            continue
+        m = delta_floor(word)
+        assert _reduced_at_most(m, word), word_str(word)
+        assert not _reduced_at_most(m + 1, word), word_str(word)
+        floors.add(m)
+    assert {-1, 0, 1} <= floors
+
+
 def test_delta_floor_matches_search_on_unreduced_word():
     rng = random.Random(2009)
     for _ in range(100):
         word = _random_word(rng, 64, 1024)
         assert delta_floor(word) == _unreduced_delta_floor(word), word_str(word)
+
+
+def test_commutes_with_sigma2_matches_the_commutator():
+    # the lift's base-line test against the word problem on [word, s2]
+    rng = random.Random(2010)
+    words = [random_braid_word(rng, 30) for _ in range(1000)]
+    words += list(_grid_words(random_braid_words(2011, 4, 6) + [SIGMA2], 2))
+    commuting = 0
+    for word in words:
+        commutator = word + SIGMA2 + inverse(word) + power(SIGMA2, -1)
+        expected = is_trivial(commutator)
+        assert commutes_with_sigma2(word) is expected, word_str(word)
+        commuting += expected
+    assert commuting >= 25
+
+
+def _planted_central(rng, n):
+    """w r^-1 rotated, with r = w with n // 16 pairs Delta^2 ... Delta^-2
+    inserted at random places: trivial, since Delta^2 is central."""
+    w = list(_random_word(rng, n // 2, n // 2))
+    r = w[:]
+    for _ in range(n // 16):
+        lo, hi = sorted(rng.randrange(len(r) + 1) for _ in range(2))
+        r[hi:hi] = power(DELTA_SQ, -1)
+        r[lo:lo] = DELTA_SQ
+    word = tuple(w) + inverse(tuple(r))
+    cut = rng.randrange(len(word))
+    return word[cut:] + word[:cut]
+
+
+def test_planted_trivial_word_past_the_step_cap():
+    word = _planted_central(random.Random(2012), 48000)
+    assert len(word) == 84000
+    with pytest.raises(OverflowError, match="handle reduction exceeded"):
+        handle_reduce(word)
+    assert dd_sign(word) is Sign3.TRIVIAL
+    assert is_trivial(word)
+    assert delta_floor(word) == 0
+    assert dd_sign(word + SIGMA1) is Sign3.POSITIVE

@@ -245,17 +245,10 @@ def test_braid_caps_are_input_errors(monkeypatch, capsys, layer, command):
     assert capsys.readouterr().err == "error: cap hit\n"
 
 
+# ``braid reduce`` is the one command that runs handle reduction
 _STEP_CAPPED = {
-    "braid sign": (["braid", "sign", "abA"], {"word": "abA", "sign": None}),
-    "braid compare": (["braid", "compare", "A", "bA"], {"comparison": None}),
     "braid reduce": (["braid", "reduce", "abA"],
                      {"word": "abA", "reduced": None, "trivial": None}),
-    "braid floor": (["braid", "floor", "abA"], {"floor": None}),
-    "verify proposition-4-3": (
-        ["verify", "proposition-4-3", "--samples", "1", "--grid-bound", "1"],
-        {"seed": 0, "samples": 1, "grid_bound": 1, "total_failures": None,
-         "wrong_ordering_control_failures": None, "cases": None},
-    ),
 }
 
 
@@ -271,6 +264,30 @@ def test_step_cap_is_inconclusive(monkeypatch, command):
     assert re.fullmatch(r"handle reduction exceeded 0 steps on a word of \d+ letters",
                         reason)
     assert result["payload"] == payload
+
+
+_ORDER_QUERIES = {
+    "braid sign": ["braid", "sign", "abA"],
+    "braid compare": ["braid", "compare", "A", "bA"],
+    "braid floor": ["braid", "floor", "abA"],
+    "verify proposition-4-3": ["verify", "proposition-4-3", "--samples", "1",
+                               "--grid-bound", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ORDER_QUERIES))
+def test_step_cap_does_not_reach_the_order(monkeypatch, command):
+    # the DD order is read from the lift, which has no step cap: a word that
+    # handle reduction gives up on still gets its answer
+    argv = _ORDER_QUERIES[command]
+    code, uncapped = _run(argv)
+    monkeypatch.setattr(braid, "STEP_CAP", 0)
+    assert _run(["braid", "reduce", "abA"])[0] == 2
+    capped_code, capped = _run(argv)
+    assert code == capped_code == 0
+    for result in (uncapped, capped):
+        del result["runtime_ms"]
+    assert capped == uncapped
 
 
 _S3 = str(INPUTS / "s3.json")
@@ -343,7 +360,7 @@ def test_a_layer_overflow_is_inconclusive(monkeypatch, command):
 @pytest.mark.parametrize("case", ["verify_prop43_too_many_grid_letters",
                                   "verify_nonapplicability_too_large"])
 def test_caps_answer_before_the_work(monkeypatch, case):
-    for module, name in ((compat, "random_braid_words"), (braid, "_reduce"),
+    for module, name in ((compat, "random_braid_words"), (braid, "_lift"),
                          (compat, "klein_fill")):
         monkeypatch.setattr(module, name, _raiser(RuntimeError(name)))
     assert run(CASES[case], out=io.StringIO()) == 2
