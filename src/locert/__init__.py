@@ -14,9 +14,9 @@ Modules by subject:
                   Klein-bottle survey share, ``int_str``, which prints
                   an integer or raises OverflowError past the digit limit,
                   and the Heegaard Floer surgery-rank calculator
-* ``words``     - the group-word helpers (inversion, free reduction,
-                  powers); ``fpgroup`` re-exports them, ``braid`` binds
-                  inversion and powers, and ``klein`` powers
+* ``words``     - the names several layers share: group words with
+                  their helpers (inversion, free reduction, powers), and
+                  ``Sign3``, the sign of an element in a left ordering
 * ``fpgroup``   - presentations, Smith-normal-form abelianization,
                   Dehn-filling relators, amalgams and Todd-Coxeter
 * ``seifert``   - Brieskorn recognition, Moser surgery, left-orderable-

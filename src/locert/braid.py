@@ -4,8 +4,9 @@ Words are tuples of nonzero integers: +1 for s1, -1 for s1^-1, +2 for s2,
 -2 for s2^-1.  The ASCII syntax is ``a`` = s1, ``A`` = s1^-1, ``b`` = s2,
 ``B`` = s2^-1, with whitespace ignored, so words round-trip bit-exactly
 through the CLI.  Words concatenate with tuple ``+``.  A braid word is a
-group word over (s1, s2), so inversion and powers are the ``words``
-layer's helpers, bound here under the names ``inverse`` and ``power``.
+group word over (s1, s2), so its type, inversion and powers are the
+``words`` layer's, bound here under the names ``Word``, ``inverse`` and
+``power``; a sign in the DD ordering is a ``words.Sign3``.
 
 Three procedures decide the word problem, and they cross-validate each
 other:
@@ -41,12 +42,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from .words import GroupWord as Word
+from .words import Sign3
 from .words import invert_word as inverse
 from .words import word_power as power
 
 __all__ = [
     "Word",
-    "Sign3",
     "Ordering",
     "PeripheralElement",
     "PeripheralOrderType",
@@ -71,18 +73,10 @@ __all__ = [
     "restricted_order_type",
 ]
 
-Word = tuple[int, ...]
-
 STEP_CAP = 1_000_000
 
 _LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
 _CHAR_OF_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
-
-
-class Sign3(Enum):
-    POSITIVE = "positive"
-    TRIVIAL = "trivial"
-    NEGATIVE = "negative"
 
 
 class Ordering(Enum):

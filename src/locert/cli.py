@@ -73,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_read_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
@@ -129,12 +129,11 @@ def _klein_fill(args, payload):
     slope = klein.KleinPeripheral(args.m, args.n)
     payload.update(slope=[slope.m, slope.n], classification=None,
                    abelianization=None, note=None)
-    result = klein.klein_fill(slope)
-    ab = result.abelianization
+    kind, free_rank, torsion, note = klein.klein_fill(slope)
     payload.update(
-        classification=result.kind.value,
-        abelianization={"free_rank": ab.free_rank, "torsion": list(ab.torsion)},
-        note=result.note,
+        classification=kind.value,
+        abelianization={"free_rank": free_rank, "torsion": list(torsion)},
+        note=note,
     )
     return "ok"
 
@@ -166,18 +165,23 @@ def _ints(text: str, message: str) -> list[int]:
     return [parse_int(x, message) for x in text.split(",")]
 
 
-def _int(text: str) -> int:
-    """``int`` as an argparse type, with argparse's diagnostic, or with
-    ``slopes.parse_int``'s for an integer too long to read."""
+def _read_int(text: str) -> int:
+    """``int(text)``, with ``slopes.parse_int``'s diagnostic for an integer
+    too long to read; ``_int`` and ``json.load`` read integers with it."""
     try:
         return int(text)
     except ValueError:
-        from .slopes import parse_int  # a valid argument loads no layer
+        from .slopes import parse_int  # a valid integer loads no layer
 
-        try:
-            return parse_int(text, f"invalid int value: {text!r}")
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        return parse_int(text, f"invalid int value: {text!r}")
+
+
+def _int(text: str) -> int:
+    """``_read_int`` as an argparse type, with argparse's diagnostic."""
+    try:
+        return _read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _slope_glue(args, payload):

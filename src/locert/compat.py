@@ -28,10 +28,10 @@ letters in all (before sampling), and a Klein-slope survey bound past 100.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import braid
-from .braid import Sign3, Word
+from .braid import Word
 from .fpgroup import Presentation, enumerate_table
 from .klein import (
     KleinElement,
@@ -43,6 +43,7 @@ from .klein import (
 )
 from .sampling import random_braid_words
 from .slopes import primitive_slopes
+from .words import Sign3
 
 __all__ = [
     "CompatReport",
@@ -73,8 +74,7 @@ _KLEIN_ORDERING = {
 }
 
 
-@dataclass(frozen=True)
-class CompatReport:
+class CompatReport(NamedTuple):
     conjugator: str
     ordering: KleinOrderingId
     checked: int

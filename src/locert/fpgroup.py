@@ -9,9 +9,8 @@ name is the generator and its all-uppercase form is the inverse, e.g.
 
 Provides:
 
-* presentations, whose relators are ``words`` group words; the word
-  helpers (inversion, free reduction, powers) live in ``words`` and are
-  re-exported here;
+* presentations, whose relators are ``words`` group words, written with
+  that layer's inversion, free reduction and powers;
 * abelianization by exact integer Smith normal form (no modular
   shortcuts; the matrices here are tiny and certificates demand exact
   invariant factors);
@@ -34,17 +33,12 @@ from typing import Iterable, NamedTuple, Sequence
 from .words import GroupWord, free_reduce_word, invert_word, word_power
 
 __all__ = [
-    "GroupWord",
     "Presentation",
     "AbelianInvariants",
     "ClosedTable",
     "parse_group_word",
     "group_word_str",
-    "invert_word",
-    "free_reduce_word",
-    "word_power",
     "abelianization",
-    "relation_matrix_invariants",
     "smith_normal_form",
     "dehn_fill",
     "amalgam",
@@ -218,8 +212,8 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Invariant factors of the abelianized group, from the exponent-sum
-    relation matrix."""
+    """Invariant factors of the abelianized group: Z^n modulo the rows of
+    the exponent-sum relation matrix, with the factors 1 dropped."""
     n = len(p.generators)
     rows = []
     for rel in p.relators:
@@ -227,16 +221,8 @@ def abelianization(p: Presentation) -> AbelianInvariants:
         for x in rel:
             row[abs(x) - 1] += 1 if x > 0 else -1
         rows.append(row)
-    return relation_matrix_invariants(rows, n)
-
-
-def relation_matrix_invariants(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> AbelianInvariants:
-    """The abelian group Z^ncols modulo the rows of an integer matrix."""
-    factors = smith_normal_form(rows, ncols)
-    torsion = tuple(d for d in factors if d > 1)
-    return AbelianInvariants(ncols - len(factors), torsion)
+    factors = smith_normal_form(rows, n)
+    return AbelianInvariants(n - len(factors), tuple(d for d in factors if d > 1))
 
 
 # --- Dehn filling and amalgams ----------------------------------------------

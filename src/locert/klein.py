@@ -12,6 +12,9 @@ y is positive in the first ordering and negative in the second.  The pair
 is closed under conjugation: conjugating by x^a y^b swaps the two
 orderings exactly when a is odd (x inverts y; y-conjugation and the
 central x^2 fix both cones).
+
+This layer imports only ``slopes`` and ``words``: its orderings meet those
+of B3 only in ``compat``, through the gluing.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .braid import Sign3
-from .fpgroup import AbelianInvariants, Presentation, relation_matrix_invariants
 from .slopes import int_str, make_slope, parse_int
-from .words import word_power
+from .words import Sign3
 
 __all__ = [
     "KleinElement",
@@ -36,8 +37,6 @@ __all__ = [
     "k_sign",
     "k_conjugate_ordering",
     "klein_fill",
-    "klein_presentation",
-    "filled_presentation",
     "parse_element",
     "element_str",
 ]
@@ -69,8 +68,11 @@ class KleinFillKind(Enum):
 
 
 class KleinFillResult(NamedTuple):
+    """Kind, abelian invariants (Z^free_rank plus torsion) and a note."""
+
     kind: KleinFillKind
-    abelianization: AbelianInvariants
+    free_rank: int
+    torsion: tuple[int, ...]
     note: str
 
 
@@ -116,18 +118,6 @@ def k_conjugate_ordering(
     )
 
 
-def klein_presentation() -> Presentation:
-    """<x, y | x y x^-1 y>."""
-    return Presentation(("x", "y"), ((1, 2, -1, 2),))
-
-
-def filled_presentation(slope: KleinPeripheral) -> Presentation:
-    """The quotient K / <<y^m x^(2n)>> as a presentation."""
-    relator = word_power((2,), slope.m) + word_power((1, 1), slope.n)
-    base = klein_presentation()
-    return Presentation(base.generators, base.relators + (relator,))
-
-
 def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
     """Classify the Dehn filling of the twisted I-bundle along y^m x^(2n).
 
@@ -138,27 +128,28 @@ def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
     group: killing y^m x^(2n) with m, n nonzero forces x^(4n) = 1 and
     y^(2m) = 1, leaving a quotient of order 4|mn|, which ``slopes.int_str``
     prints (OverflowError past the digit limit).
+
+    The abelianization is Z^2 modulo the exponent sums in (x, y) of the
+    relators x y x^-1 y and y^m x^(2n), the rows [0, 2] and [2n, m].  For
+    n = 0 (so m = +-1) that leaves Z.  Otherwise the matrix has determinant
+    -4n and content gcd(2, m): Z/2 + Z/2|n| for even m, Z/4|n| for odd m.
     """
     m, n = slope
     make_slope(m, n)  # ValueError unless primitive
-    # exponent sums in (x, y) of x y x^-1 y and of y^m x^(2n)
-    ab = relation_matrix_invariants([[0, 2], [2 * n, m]], 2)
     if n == 0:
         return KleinFillResult(
-            KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO,
-            ab,
+            KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO, 1, (),
             "quotient is the infinite cyclic group <x>; surjects onto Z",
         )
+    torsion = (2, 2 * abs(n)) if m % 2 == 0 else (4 * abs(n),)
     if m == 0:
         return KleinFillResult(
-            KleinFillKind.FREE_PRODUCT_OF_FINITE_NOT_LO,
-            ab,
+            KleinFillKind.FREE_PRODUCT_OF_FINITE_NOT_LO, 0, torsion,
             "quotient is Z/2 * Z/2 (infinite dihedral); torsion "
             "obstructs left-orderability",
         )
     return KleinFillResult(
-        KleinFillKind.FINITE_NOT_LO,
-        ab,
+        KleinFillKind.FINITE_NOT_LO, 0, torsion,
         f"finite quotient of order {int_str(4 * abs(m * n))} (elliptic filling); "
         "finite nontrivial groups are not left-orderable",
     )

@@ -6,16 +6,16 @@ from __future__ import annotations
 
 import random
 
-from .braid import Word
+from .words import GroupWord
 
 _LETTERS = (1, -1, 2, -2)
 
 
-def random_braid_word(rng: random.Random, max_len: int) -> Word:
+def random_braid_word(rng: random.Random, max_len: int) -> GroupWord:
     length = rng.randint(0, max_len)
     return tuple(rng.choice(_LETTERS) for _ in range(length))
 
 
-def random_braid_words(seed: int, count: int, max_len: int) -> list[Word]:
+def random_braid_words(seed: int, count: int, max_len: int) -> list[GroupWord]:
     rng = random.Random(seed)
     return [random_braid_word(rng, max_len) for _ in range(count)]

@@ -78,6 +78,10 @@ __all__ = [
     "enumerate_slopes",
 ]
 
+# The cap of the slope walk: a search finds its pair within this bound or
+# stops.  A walk to bound B tries O(B^2) slopes.
+_MAX_SEARCH_BOUND = 400
+
 
 class InvalidSpliceTree(ValueError):
     """Structural defect in a splice tree."""
@@ -606,19 +610,25 @@ def certificate_search(tree: SpliceTree, search_bound: int) -> SearchOutcome:
     component has one edge, certified by exhibiting a slope pair
     left-orderable on both sides; single closed nodes are classified
     directly.  Unknown is a first-class result: the rule table is partial
-    and the slope search is bounded.
+    and the slope search is bounded.  The walk stops at
+    ``_MAX_SEARCH_BOUND``; a pair found by then certifies at any
+    ``search_bound``.  An edge with no pair short of ``search_bound`` raises
+    OverflowError, unless a NOT_LO component decides the answer.
     """
     _expect(search_bound >= 0, f"search_bound must be >= 0, got {search_bound}")
+    walked = min(search_bound, _MAX_SEARCH_BOUND)
+    stopped = False
     components = []
     for node_ids, edge in tree.components():
         if edge is None:
             verdict = zhs_lo_status(tree.nodes[node_ids[0]])
             components.append(_component(tree, node_ids, verdict.status, verdict))
-        elif pair := _certify_edge(tree, edge, search_bound):
+        elif pair := _certify_edge(tree, edge, walked):
             components.append(_component(tree, node_ids, LOStatus.LO, pair=pair))
         else:
+            stopped = walked < search_bound
             note = (
-                f"no slope pair with |p|, q <= {search_bound} verified "
+                f"no slope pair with |p|, q <= {walked} verified "
                 "left-orderable on both sides"
             )
             components.append(_component(tree, node_ids, LOStatus.UNKNOWN, note=note))
@@ -627,6 +637,11 @@ def certificate_search(tree: SpliceTree, search_bound: int) -> SearchOutcome:
         certificate = _certificate(components, search_bound)
         return SearchOutcome(LOStatus.LO, components, certificate)
     status = LOStatus.NOT_LO if LOStatus.NOT_LO in statuses else LOStatus.UNKNOWN
+    if stopped and status is LOStatus.UNKNOWN:
+        raise OverflowError(
+            f"no slope pair with |p|, q <= {walked} verified left-orderable "
+            "on both sides, and the search stops at that cap"
+        )
     return SearchOutcome(status, components, None)
 
 

@@ -18,7 +18,6 @@ from locert.braid import (
     SIGMA2,
     Ordering,
     PeripheralElement,
-    Sign3,
     conj_sign,
     dd_compare,
     dd_sign,
@@ -54,6 +53,7 @@ from locert.seifert import (
     zhs_lo_status,
 )
 from locert.slopes import hf_surgery_rank, make_slope
+from locert.words import Sign3
 
 
 @contextmanager

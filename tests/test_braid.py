@@ -15,7 +15,6 @@ from locert.braid import (
     Ordering,
     PeripheralElement,
     PeripheralOrderType,
-    Sign3,
     commutes_with_sigma2,
     conj_sign,
     dd_compare,
@@ -32,8 +31,8 @@ from locert.braid import (
     restricted_order_type,
     word_str,
 )
-from locert.fpgroup import free_reduce_word
 from locert.sampling import random_braid_word, random_braid_words
+from locert.words import Sign3, free_reduce_word
 
 BRAID_RELATOR = parse_word("abaBAB")
 

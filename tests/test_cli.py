@@ -1,7 +1,6 @@
 """CLI round-trips, exit codes, determinism, bundled data."""
 
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -188,7 +187,7 @@ def test_failed_check_is_not_an_input_error(monkeypatch, capsys, failing):
         report = real(conjugator, grid_bound, force_ordering)
         if (force_ordering is not None) == (failing == "control"):
             failures = () if failing == "control" else ((1, 1),)
-            report = dataclasses.replace(report, failures=failures)
+            report = report._replace(failures=failures)
         return report
 
     monkeypatch.setattr(compat, "verify_compatibility", verify)

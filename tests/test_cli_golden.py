@@ -138,6 +138,9 @@ CASES: dict[str, list[str]] = {
     "splice_cert_no_answer": ["splice", "cert", "no_answer_tree.json", "--bound", "4"],
     "splice_cert_no_answer_text": ["--format", "text", "splice", "cert",
                                    "no_answer_tree.json", "--bound", "2"],
+    # one past the slope walk's cap: the walk stops at 400 with no pair
+    "splice_cert_no_answer_past_cap": ["splice", "cert", "no_answer_tree.json",
+                                       "--bound", "401"],
     "splice_cert_user_splice": ["splice", "cert", "user_splice_tree.json"],
     "splice_cert_user_splice_text": ["--format", "text", "splice", "cert",
                                      "user_splice_tree.json"],
@@ -162,6 +165,8 @@ CASES: dict[str, list[str]] = {
     "splice_cert_user_fields": ["splice", "cert", "user_fields_tree.json"],
     # a user piece may assert lo, not_lo or unknown, and nothing else
     "splice_cert_bad_status": ["splice", "cert", "bad_status_tree.json"],
+    # r has 5000 digits: json.load cannot read it past the 4300-digit limit
+    "splice_cert_int_too_long": ["splice", "cert", "long_int_tree.json"],
     # 3000 nested lists: json.load hits the recursion limit
     "splice_cert_deep_nesting": ["splice", "cert", "deep_nesting.json"],
     "splice_cert_negative_bound": ["splice", "cert", DATA + "double_trefoil_splice.json",

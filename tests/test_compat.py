@@ -13,7 +13,6 @@ from locert.braid import (
     SIGMA1,
     SIGMA2,
     PeripheralElement,
-    Sign3,
     commutes_with_sigma2,
     conj_sign,
     delta_floor,
@@ -34,6 +33,7 @@ from locert.compat import (
 from locert.klein import KleinElement, KleinOrderingId, k_multiply, k_sign
 from locert.sampling import random_braid_words
 from locert.slopes import make_slope
+from locert.words import Sign3
 
 
 def test_phi_peripheral_examples():

@@ -16,13 +16,12 @@ from locert.fpgroup import (
     dehn_fill,
     enumerate_table,
     group_word_str,
-    invert_word,
     parse_group_word,
     smith_normal_form,
-    word_power,
 )
 from locert.seifert import LORule, LOStatus, TorusKnotPiece, UserPiece, slope_lo_verdict
 from locert.slopes import Slope
+from locert.words import invert_word, word_power
 
 B3 = Presentation.parse(["s1", "s2"], ["s1 s2 s1 S2 S1 S2"])
 KLEIN = Presentation.parse(["x", "y"], ["x y X y"])

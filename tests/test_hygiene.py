@@ -3,7 +3,7 @@ entry names something the module binds and something the code reads, and
 the CLI's import path stays free of modules that only slow start-up:
 ``cli`` imports no layer at module level and builds no parser on import,
 each module imports only its pinned layers, each subcommand loads only the
-layers it runs, and only ``splice`` and ``verify`` load ``dataclasses``; the
+layers it runs, and only ``splice`` loads ``dataclasses``; the
 CLI holds no cap, and only ``run`` answers a budget.
 
 The first three checks read the source with ``ast``; nothing is imported.
@@ -45,8 +45,6 @@ TEST_ONLY_EXPORTS = {
     "klein.py: k_multiply",
     "klein.py: k_inverse",
     "klein.py: k_conjugate_ordering",
-    # the written-out filling, reference for klein_fill's exponent-sum shortcut
-    "klein.py: filled_presentation",
     # the independent soundness check on every closed coset table
     "fpgroup.py: check_closed_table",
     # |Delta(-1)|, the 2-fold cover order by direct evaluation
@@ -361,12 +359,12 @@ _DATA = str(SRC / "data")
 
 # One run per subcommand family -> the locert modules beyond locert.cli it
 # loads.  A layer's own imports count (``_LAYER_IMPORTS`` lists them): braid
-# and fpgroup bind the word helpers of words, klein adds braid, fpgroup and
-# slopes, and compat klein and sampling.
+# and fpgroup bind the word helpers of words, klein adds slopes and words,
+# and compat braid, fpgroup, klein and sampling.
 _FAMILY_MODULES = {
     "slope": (["slope", "delta", "2/1", "1/1"], "slopes"),
     "braid": (["braid", "sign", "aB"], "braid words"),
-    "klein": (["klein", "fill", "1", "0"], "braid fpgroup klein slopes words"),
+    "klein": (["klein", "fill", "1", "0"], "klein slopes words"),
     "group": (["group", "fill", f"{_DATA}/b3_presentation.json", "--mu", "s2",
                "--longitude", "s1", "--slope", "1/0"], "fpgroup slopes words"),
     "splice": (["splice", "cert", f"{_DATA}/double_trefoil_splice.json"],
@@ -414,11 +412,13 @@ def test_subcommand_loads_only_its_layers(family):
     assert set(_fresh(_LOADED, *argv).split()) == expected
 
 
-@pytest.mark.parametrize("family", ["slope", "braid", "klein", "group", "hf", "cover"])
+@pytest.mark.parametrize(
+    "family", ["slope", "braid", "klein", "group", "hf", "cover", "verify"]
+)
 def test_subcommand_loads_no_dataclasses(family):
     # dataclasses brings inspect, ast, dis and tokenize into a process's
-    # start-up; only seifert and compat, which these families never load,
-    # define dataclasses
+    # start-up; only seifert, which these families never load, defines
+    # dataclasses
     probe = (
         "import io, sys, locert.cli\n"
         "locert.cli.run(sys.argv[1:], out=io.StringIO())\n"
@@ -429,18 +429,19 @@ def test_subcommand_loads_no_dataclasses(family):
 
 # Each module of the package -> the package modules it imports at module
 # level.  cli imports none: each handler imports its own layers.  words sits
-# at the bottom: braid takes its word helpers from there, not from fpgroup,
-# so a braid query never compiles fpgroup, and fpgroup needs nothing from
-# braid.
+# at the bottom and holds the shared names: braid takes its word helpers
+# there, not from fpgroup, so a braid query never compiles fpgroup, and
+# fpgroup needs nothing from braid; klein takes Sign3 there, so it loads
+# neither braid nor fpgroup, and meets B3 only in compat.
 _LAYER_IMPORTS = {
     "__init__": set(),
     "alexander": set(),
     "braid": {"words"},
     "cli": set(),
-    "compat": {"braid", "fpgroup", "klein", "sampling", "slopes"},
+    "compat": {"braid", "fpgroup", "klein", "sampling", "slopes", "words"},
     "fpgroup": {"words"},
-    "klein": {"braid", "fpgroup", "slopes", "words"},
-    "sampling": {"braid"},
+    "klein": {"slopes", "words"},
+    "sampling": {"words"},
     "seifert": {"slopes"},
     "slopes": set(),
     "words": set(),

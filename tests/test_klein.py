@@ -5,8 +5,13 @@ from math import gcd, prod
 
 import pytest
 
-from locert.braid import Sign3
-from locert.fpgroup import abelianization, check_closed_table, enumerate_table
+from locert.fpgroup import (
+    Presentation,
+    abelianization,
+    check_closed_table,
+    enumerate_table,
+    smith_normal_form,
+)
 from locert.klein import (
     IDENTITY,
     KleinElement,
@@ -14,18 +19,35 @@ from locert.klein import (
     KleinOrderingId,
     KleinPeripheral,
     element_str,
-    filled_presentation,
     k_conjugate_ordering,
     k_inverse,
     k_multiply,
     k_sign,
     klein_fill,
-    klein_presentation,
     parse_element,
 )
+from locert.words import Sign3, word_power
 
 O1 = KleinOrderingId.O1
 O2 = KleinOrderingId.O2
+
+
+def klein_presentation() -> Presentation:
+    """<x, y | x y x^-1 y>."""
+    return Presentation(("x", "y"), ((1, 2, -1, 2),))
+
+
+def filled_presentation(slope: KleinPeripheral) -> Presentation:
+    """The quotient K / <<y^m x^(2n)>> written out: the reference for
+    ``klein_fill``'s closed-form invariants and its coset-enumeration check."""
+    relator = word_power((2,), slope.m) + word_power((1, 1), slope.n)
+    base = klein_presentation()
+    return Presentation(base.generators, base.relators + (relator,))
+
+
+def _invariants(slope: KleinPeripheral) -> tuple[int, tuple[int, ...]]:
+    result = klein_fill(slope)
+    return result.free_rank, result.torsion
 
 
 def _oracle_multiply(g: KleinElement, h: KleinElement) -> KleinElement:
@@ -145,8 +167,8 @@ def test_fill_classification():
     )
     result = klein_fill(KleinPeripheral(1, 1))
     assert result.kind is KleinFillKind.FINITE_NOT_LO
-    assert result.abelianization.free_rank == 0
-    assert prod(result.abelianization.torsion) == 4
+    assert result.free_rank == 0
+    assert prod(result.torsion) == 4
     with pytest.raises(ValueError, match=r"^slope \(2, 2\) is not primitive$"):
         klein_fill(KleinPeripheral(2, 2))
     with pytest.raises(ValueError, match=r"^slope \(0, 0\) is not primitive$"):
@@ -155,23 +177,40 @@ def test_fill_classification():
 
 def test_fill_abelianization_evidence():
     assert abelianization(klein_presentation()).free_rank == 1
-    assert klein_fill(KleinPeripheral(1, 0)).abelianization.free_rank == 1
-    assert klein_fill(KleinPeripheral(0, 1)).abelianization.torsion == (2, 2)
-    # the exponent-sum matrix klein_fill reduces is that of the presentation
+    assert _invariants(KleinPeripheral(1, 0)) == (1, ())
+    assert _invariants(KleinPeripheral(0, 1)) == (0, (2, 2))
+    # the exponent-sum matrix of klein_fill's closed form is that of the
+    # presentation
     for m in range(-12, 13):
         for n in range(-12, 13):
             if gcd(m, n) == 1:
                 slope = KleinPeripheral(m, n)
                 expected = abelianization(filled_presentation(slope))
-                assert klein_fill(slope).abelianization == expected, slope
+                assert _invariants(slope) == expected, slope
     # no relator is written out, so a large slope costs no more than a small one
-    big = klein_fill(KleinPeripheral(10**7 + 1, 10**7)).abelianization
-    assert big == (0, (4 * 10**7,))
+    assert _invariants(KleinPeripheral(10**7 + 1, 10**7)) == (0, (4 * 10**7,))
     # an order 4|mn| too long to print is past the budget, not bad input
     with pytest.raises(
         OverflowError, match=r"^an integer in the result exceeds the 4300-digit budget$"
     ):
         klein_fill(KleinPeripheral(10**2200 + 1, 10**2200))
+
+
+def test_fill_invariants_match_smith_normal_form():
+    # The closed form against the general Smith normal form of the relation
+    # matrix [[0, 2], [2n, m]], on seeded primitive slopes of every size up
+    # to 10^40, of both signs, and on the axis slopes.
+    rng = random.Random(2203)
+    slopes = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    while len(slopes) < 300:
+        m, n = (rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 40))
+                for _ in range(2))
+        if gcd(m, n) == 1:
+            slopes.append((m, n))
+    for m, n in slopes:
+        factors = smith_normal_form([[0, 2], [2 * n, m]], 2)
+        expected = (2 - len(factors), tuple(d for d in factors if d > 1))
+        assert _invariants(KleinPeripheral(m, n)) == expected, (m, n)
 
 
 def test_fill_agrees_with_coset_enumeration():

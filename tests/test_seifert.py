@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from locert import seifert
 from locert.seifert import (
     BrieskornZHS,
     InvalidSpliceTree,
@@ -198,6 +199,35 @@ def test_search_generates_slopes_lazily(monkeypatch):
         certificate_search(_double_trefoil(), search_bound=3).certificate,
         search_bound=10**9,
     )
+
+
+def test_slope_walk_stops_at_its_cap(monkeypatch):
+    # The user piece asserts no slope, so no pair exists: the walk runs to
+    # its bound, and a bound past the cap stops instead of walking on.
+    tree = SpliceTree.from_json({
+        "nodes": [{"kind": "user", "name": "mystery"},
+                  {"kind": "torus_knot", "r": 2, "s": 3}],
+        "edges": [{"a": 0, "b": 1, "matrix": [0, 1, 1, 0]}],
+    })
+    monkeypatch.setattr("locert.seifert._MAX_SEARCH_BOUND", 3)
+    assert certificate_search(tree, search_bound=3).status is LOStatus.UNKNOWN
+    walked = []
+    real_walk = seifert.primitive_slopes
+    monkeypatch.setattr(seifert, "primitive_slopes",
+                        lambda bound: walked.append(bound) or real_walk(bound))
+    with pytest.raises(OverflowError, match=(
+        r"^no slope pair with \|p\|, q <= 3 verified left-orderable on both "
+        r"sides, and the search stops at that cap$"
+    )):
+        certificate_search(tree, search_bound=4)
+    assert walked == [3]
+    # a component that is not left-orderable still decides the forest
+    forest = SpliceTree(tree.nodes + (BrieskornZHS((2, 3, 5)),), tree.edges)
+    assert certificate_search(forest, search_bound=4).status is LOStatus.NOT_LO
+    # a pair within the cap certifies at any bound, and records that bound
+    outcome = certificate_search(_double_trefoil(), search_bound=4)
+    assert outcome.status is LOStatus.LO
+    assert outcome.certificate["search_bound"] == 4
 
 
 def test_certificate_search_double_trefoil():
