@@ -21,7 +21,7 @@ other:
 * Dehornoy-style handle reduction, which rewrites a word into one in which
   s1 occurs with a single sign only (or not at all); it raises
   OverflowError past ``STEP_CAP`` rewriting steps.  ``handle_reduce``
-  runs it, and ``braid reduce`` is the one command that reads it;
+  runs it, and ``braid reduce`` reads it for every braid outside <s2>;
 * the lift of the action of SL(2, Z) on the circle of rays (``_lift``): B3
   is the preimage of SL(2, Z) in the universal cover of SL(2, R), so a
   braid is determined by its image matrix and a count of half-turns.  The
@@ -29,7 +29,10 @@ other:
   induces at the ray (0, 1): ``dd_sign``, ``dd_compare``, ``conj_sign``,
   ``delta_floor``, ``commutes_with_sigma2`` and ``peripheral_parse`` read
   it, and through them ``braid sign``, ``compare`` and ``floor`` and
-  ``verify proposition-4-3``.  It costs one integer step per letter and
+  ``verify proposition-4-3``.  ``braid reduce`` reads ``peripheral_parse``
+  first and answers a braid s2^k as the word s2^k, where handle reduction
+  ends: a word in which s1 occurs with one sign only is not a power of s2
+  (Dehornoy's trichotomy).  The lift costs one integer step per letter and
   has no step cap.
 
 A braid is DD-positive iff it admits a 1-positive representative (s1 only

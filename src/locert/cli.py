@@ -109,7 +109,13 @@ def _braid_reduce(args, payload):
 
     word = braid.parse_word(args.word)
     payload.update(word=braid.word_str(word), reduced=None, trivial=None)
-    reduced = braid.handle_reduce(word)
+    peripheral = braid.peripheral_parse(word)
+    if peripheral is not None and peripheral.l == 0:
+        # s2^k: no word of it holds s1 with one sign only (Dehornoy's
+        # trichotomy), so handle reduction ends at s2^k itself
+        reduced = braid.power(braid.SIGMA2, peripheral.k)
+    else:
+        reduced = braid.handle_reduce(word)
     payload.update(reduced=braid.word_str(reduced), trivial=not reduced)
     return "ok"
 

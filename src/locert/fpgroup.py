@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
+from .slopes import brief_repr
 from .words import GroupWord, free_reduce_word, invert_word, word_power
 
 __all__ = [
@@ -79,8 +80,8 @@ class Presentation(_PresentationFields):
         for g in generators:
             if not g or g == g.upper():
                 raise ValueError(
-                    f"generator name {g!r} must contain a lowercase letter "
-                    "(uppercase marks inverses)"
+                    f"generator name {brief_repr(g)} must contain a lowercase "
+                    "letter (uppercase marks inverses)"
                 )
         # "ß" and "ss" differ case-insensitively, but both inverses spell "SS".
         named: dict[str, str] = {}
@@ -88,8 +89,9 @@ class Presentation(_PresentationFields):
             other = named.setdefault(g.upper(), g)
             if other != g:
                 raise ValueError(
-                    f"generator names {other!r} and {g!r} have the same "
-                    f"uppercase form {g.upper()!r}, which spells an inverse"
+                    f"generator names {brief_repr(other)} and {brief_repr(g)} "
+                    f"have the same uppercase form {brief_repr(g.upper())}, "
+                    "which spells an inverse"
                 )
         n = len(generators)
         for rel in relators:
@@ -113,7 +115,9 @@ class Presentation(_PresentationFields):
                 raise ValueError(f"{key} is missing")
             value = obj[key]
             if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-                raise ValueError(f"{key} must be a JSON list of strings, got {value!r}")
+                raise ValueError(
+                    f"{key} must be a JSON list of strings, got {brief_repr(value)}"
+                )
         return cls.parse(obj["generators"], obj["relators"])
 
     def to_json(self) -> dict:
@@ -131,7 +135,7 @@ def parse_group_word(text: str, generators: Sequence[str]) -> GroupWord:
     word = []
     for token in text.split():
         if token not in table:
-            raise ValueError(f"unknown generator token {token!r}")
+            raise ValueError(f"unknown generator token {brief_repr(token)}")
         word.append(table[token])
     return tuple(word)
 

@@ -47,6 +47,7 @@ from .slopes import (
     GluingMatrix,
     Slope,
     apply_gluing,
+    brief_repr,
     int_str,
     invert_gluing,
     make_slope,
@@ -137,8 +138,8 @@ class BrieskornZHS:
             for j in range(i + 1, len(nontrivial)):
                 if gcd(nontrivial[i], nontrivial[j]) != 1:
                     raise ValueError(
-                        f"multiplicities {nontrivial[i]} and {nontrivial[j]} "
-                        "share a factor"
+                        f"multiplicities {brief_repr(nontrivial[i])} and "
+                        f"{brief_repr(nontrivial[j])} share a factor"
                     )
 
     def boundary_count(self) -> int:
@@ -232,7 +233,9 @@ class SpliceTree:
         for e in self.edges:
             for end in (e.a, e.b):
                 if not 0 <= end < len(self.nodes):
-                    raise InvalidSpliceTree(f"edge endpoint {end} out of range")
+                    raise InvalidSpliceTree(
+                        f"edge endpoint {brief_repr(end)} out of range"
+                    )
                 degree[end] += 1
             if e.a == e.b:
                 raise InvalidSpliceTree("self-gluings are not supported")
@@ -263,7 +266,8 @@ class SpliceTree:
         _expect(isinstance(obj, dict), "a splice tree must be a JSON object")
         nodes: list[Piece] = []
         for nd in _json_list(_required(obj, "nodes"), "nodes"):
-            _expect(isinstance(nd, dict), f"node {nd!r} must be a JSON object")
+            _expect(isinstance(nd, dict),
+                    f"node {brief_repr(nd)} must be a JSON object")
             kind = _required(nd, "kind")
             if kind == "torus_knot":
                 nodes.append(
@@ -284,7 +288,8 @@ class SpliceTree:
                 prime = nd.get("prime_zero_filling", False)
                 _expect(
                     isinstance(prime, bool),
-                    f"prime_zero_filling must be true or false, got {prime!r}",
+                    "prime_zero_filling must be true or false, "
+                    f"got {brief_repr(prime)}",
                 )
                 nodes.append(
                     UserPiece(
@@ -298,10 +303,11 @@ class SpliceTree:
                     )
                 )
             else:
-                raise InvalidSpliceTree(f"unknown node kind {kind!r}")
+                raise InvalidSpliceTree(f"unknown node kind {brief_repr(kind)}")
         edges = []
         for e in _json_list(obj.get("edges", []), "edges"):
-            _expect(isinstance(e, dict), f"edge {e!r} must be a JSON object")
+            _expect(isinstance(e, dict),
+                    f"edge {brief_repr(e)} must be a JSON object")
             matrix = _json_list(_required(e, "matrix"), "matrix")
             _expect(len(matrix) == 4, "matrix must have 4 entries, row-major")
             edges.append(
@@ -325,17 +331,20 @@ def _required(obj: dict, key: str) -> object:
 
 
 def _json_list(value: object, what: str) -> list:
-    _expect(isinstance(value, list), f"{what} must be a JSON list, got {value!r}")
+    _expect(isinstance(value, list),
+            f"{what} must be a JSON list, got {brief_repr(value)}")
     return value
 
 
 def _json_object(value: object, what: str) -> dict:
-    _expect(isinstance(value, dict), f"{what} must be a JSON object, got {value!r}")
+    _expect(isinstance(value, dict),
+            f"{what} must be a JSON object, got {brief_repr(value)}")
     return value
 
 
 def _json_str(value: object, what: str) -> str:
-    _expect(isinstance(value, str), f"{what} must be a string, got {value!r}")
+    _expect(isinstance(value, str),
+            f"{what} must be a string, got {brief_repr(value)}")
     return value
 
 
@@ -343,8 +352,8 @@ def _asserted_status(slope: str, value: object) -> LOStatus:
     accepted = [status.value for status in LOStatus]
     _expect(
         value in accepted,
-        f"the status asserted at slope {slope!r} must be one of "
-        f"{', '.join(accepted)}, got {value!r}",
+        f"the status asserted at slope {brief_repr(slope)} must be one of "
+        f"{', '.join(accepted)}, got {brief_repr(value)}",
     )
     return LOStatus(value)
 
@@ -352,7 +361,7 @@ def _asserted_status(slope: str, value: object) -> LOStatus:
 def _json_int(value: object, what: str) -> int:
     _expect(
         isinstance(value, int) and not isinstance(value, bool),
-        f"{what} must be an integer, got {value!r}",
+        f"{what} must be an integer, got {brief_repr(value)}",
     )
     return value
 
@@ -615,7 +624,8 @@ def certificate_search(tree: SpliceTree, search_bound: int) -> SearchOutcome:
     ``search_bound``.  An edge with no pair short of ``search_bound`` raises
     OverflowError, unless a NOT_LO component decides the answer.
     """
-    _expect(search_bound >= 0, f"search_bound must be >= 0, got {search_bound}")
+    _expect(search_bound >= 0,
+            f"search_bound must be >= 0, got {brief_repr(search_bound)}")
     walked = min(search_bound, _MAX_SEARCH_BOUND)
     stopped = False
     components = []
@@ -661,7 +671,8 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
     _expect(isinstance(record, dict), "a certificate must be a JSON object")
     claimed = {}
     for c in _json_list(record.get("components"), "components"):
-        _expect(isinstance(c, dict), f"component {c!r} must be a JSON object")
+        _expect(isinstance(c, dict),
+                f"component {brief_repr(c)} must be a JSON object")
         witness = None
         if c.get("edge_certificate") is not None:
             ec = _json_object(c["edge_certificate"], "edge_certificate")
@@ -674,7 +685,8 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
         nodes = tuple(sorted(_json_int(v, "a component node") for v in nodes))
         claimed[nodes] = witness
     search_bound = _json_int(record.get("search_bound"), "search_bound")
-    _expect(search_bound >= 0, f"search_bound must be >= 0, got {search_bound}")
+    _expect(search_bound >= 0,
+            f"search_bound must be >= 0, got {brief_repr(search_bound)}")
 
     report: list[str] = []
     ok = True

@@ -19,7 +19,8 @@ the Klein-bottle survey sorts them into (p, q) order.
 ``int_str(n)`` writes an input-derived integer into a string; past
 ``sys.get_int_max_str_digits()`` its OverflowError carries the CLI's reason.
 ``parse_int(text, message)`` reads one, and says when ``text`` is too long
-for that limit, echoing only its start.
+for that limit, echoing only its start.  ``brief_repr(value)`` is how a
+diagnostic echoes any other input value: its repr, cut to its start.
 
 ``hf_surgery_rank(p, q, nu, ranks)`` is the rational surgery formula for
 the total Heegaard Floer rank of the p/q surgery on a knot; it is at least
@@ -39,6 +40,7 @@ __all__ = [
     "make_slope",
     "parse_slope",
     "parse_int",
+    "brief_repr",
     "slope_str",
     "int_str",
     "primitive_slopes",
@@ -83,7 +85,7 @@ def make_slope(p: int, q: int) -> Slope:
 
 def parse_slope(text: str) -> Slope:
     p_txt, slash, q_txt = text.partition("/")
-    message = f"cannot parse slope {text!r}: expected p/q or p"
+    message = f"cannot parse slope {brief_repr(text)}: expected p/q or p"
     p = parse_int(p_txt, message)
     return make_slope(p, parse_int(q_txt, message) if slash else 1)
 
@@ -98,6 +100,16 @@ def parse_int(text: str, message: str) -> int:
         if len(text) > limit:
             message = f"integer {text[:20] + '...'!r} is too long: over {limit} digits"
         raise ValueError(message) from None
+
+
+_ECHO_CHARS = 40
+
+
+def brief_repr(value: object) -> str:
+    """``repr(value)``, cut to its first ``_ECHO_CHARS`` characters and
+    ``...`` when it is longer."""
+    text = repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
 
 
 def int_str(n: int) -> str:

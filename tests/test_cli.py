@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import pytest
 from bundled import data_file, data_path
 from locert import alexander, braid, compat, fpgroup, klein, seifert, slopes
 from locert.cli import _build_parser, run
+from locert.sampling import random_braid_word
+from test_braid import _planted_central
 from test_cli_golden import _RUNTIME, CASES, INPUTS, capture
 
 
@@ -287,6 +290,77 @@ def test_step_cap_does_not_reach_the_order(monkeypatch, command):
     for result in (uncapped, capped):
         del result["runtime_ms"]
     assert capped == uncapped
+
+
+def _reduce_calls(monkeypatch):
+    """Record each word ``braid reduce`` hands to handle reduction."""
+    calls = []
+    real = braid.handle_reduce
+
+    def spy(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(braid, "handle_reduce", spy)
+    return calls
+
+
+def _reduced(word):
+    code, result = _run(["braid", "reduce", braid.word_str(word)])
+    assert code == 0, result
+    return result["payload"]["reduced"]
+
+
+def test_reduce_answers_powers_of_sigma2_from_the_lift(monkeypatch):
+    # planted-trivial words times s2^k: the lift's s2^k is the word handle
+    # reduction ends at, and handle reduction is not run
+    rng = random.Random(2013)
+    words = [_planted_central(rng, rng.randint(0, 1142))
+             + braid.power(braid.SIGMA2, k)
+             for k in range(-5, 6) for _ in range(6)]
+    assert max(len(w) for w in words) <= 2005
+    expected = [braid.word_str(braid.handle_reduce(w)) for w in words]
+    calls = _reduce_calls(monkeypatch)
+    assert [_reduced(w) for w in words] == expected
+    assert calls == []
+
+
+def test_reduce_runs_handle_reduction_outside_sigma2(monkeypatch):
+    # s2^k Delta^2l with l != 0 lies in <s2, Delta^2> but not in <s2>
+    rng = random.Random(2014)
+    words = [_planted_central(rng, rng.randint(0, 200))
+             + braid.power(braid.SIGMA2, k) + braid.power(braid.DELTA_SQ, l)
+             for k in range(-5, 6) for l in (-2, -1, 1, 2)]
+    expected = [braid.word_str(braid.handle_reduce(w)) for w in words]
+    calls = _reduce_calls(monkeypatch)
+    assert [_reduced(w) for w in words] == expected
+    assert calls == words
+
+
+def test_reduce_matches_handle_reduction_on_random_words():
+    rng = random.Random(2015)
+    words = [random_braid_word(rng, 40) for _ in range(1000)]
+    in_sigma2 = [braid.peripheral_parse(w) for w in words]
+    assert sum(p is not None and p.l == 0 for p in in_sigma2) >= 50
+    for word in words:
+        assert _reduced(word) == braid.word_str(braid.handle_reduce(word))
+
+
+def test_reduce_answers_sigma2_powers_past_the_step_cap(monkeypatch):
+    # a documented correctness change: a word in <s2> past the step cap used
+    # to answer inconclusive; a word outside <s2> still does
+    word = _planted_central(random.Random(2012), 48000)
+    assert len(word) == 84000
+    with pytest.raises(OverflowError, match="handle reduction exceeded"):
+        braid.handle_reduce(word)
+    code, result = _run(["braid", "reduce", braid.word_str(word)])
+    assert code == 0 and result["status"] == "ok"
+    assert result["payload"]["reduced"] == "" and result["payload"]["trivial"]
+    monkeypatch.setattr(braid, "STEP_CAP", 0)
+    code, result = _run(["braid", "reduce", "abaBA"])
+    assert code == 0 and result["payload"]["reduced"] == "b"
+    code, result = _run(["braid", "reduce", "abA"])
+    assert code == 2 and result["status"] == "inconclusive"
 
 
 _S3 = str(INPUTS / "s3.json")

@@ -53,6 +53,10 @@ CASES: dict[str, list[str]] = {
     "braid_reduce": ["braid", "reduce", "abAbaBBAbaBabA"],
     # pins the handle order: the strictly leftmost order gives "ABBBBBA"
     "braid_reduce_order": ["braid", "reduce", "BABABAbAbaBBAbB"],
+    # braids in <s2>: handle reduction ends at the power of s2 the lift reads
+    "braid_reduce_sigma2": ["braid", "reduce", "abaBA"],
+    "braid_reduce_relator": ["braid", "reduce", "abaBAB"],
+    "braid_reduce_sigma2_cubed": ["braid", "reduce", "abaBAbb"],
     "braid_floor": ["braid", "floor", "abABab" * 3],
     "braid_bad_letter": ["braid", "sign", "xyz"],
     # klein
@@ -99,6 +103,8 @@ CASES: dict[str, list[str]] = {
                                            "string_generators.json"],
     "group_abelianize_missing_relators": ["group", "abelianize",
                                           "missing_relators.json"],
+    # a 4000-digit relator: the diagnostic echoes only the start of the list
+    "group_abelianize_long_relator": ["group", "abelianize", "long_relator.json"],
     "group_fill": ["group", "fill", DATA + "b3_presentation.json", "--mu", "s2",
                    "--longitude", "s1 s2 s1 s1 s2 s1 S2 S2 S2 S2 S2 S2",
                    "--slope", "1/0"],
@@ -158,6 +164,8 @@ CASES: dict[str, list[str]] = {
                                         "string_multiplicity_tree.json"],
     # the string "false" is truthy: it used to supply the B1 rule's primeness
     "splice_cert_string_prime_flag": ["splice", "cert", "string_prime_flag_tree.json"],
+    # "nodes" is a 5000-letter string: the diagnostic echoes only its start
+    "splice_cert_long_nodes": ["splice", "cert", "long_nodes_tree.json"],
     "splice_cert_missing_kind": ["splice", "cert", "missing_kind_tree.json"],
     "splice_cert_missing_s": ["splice", "cert", "missing_s_tree.json"],
     "splice_cert_missing_matrix": ["splice", "cert", "missing_matrix_tree.json"],

@@ -91,6 +91,19 @@ def test_presentation_json_round_trip():
     assert Presentation.from_json(B3.to_json()) == B3
 
 
+@pytest.mark.parametrize("obj", [
+    {"generators": ["a"], "relators": ["a", int("7" * 4000)]},
+    {"generators": "x" * 5000, "relators": []},
+    {"generators": ["A" * 5000], "relators": []},
+    {"generators": ["a"], "relators": ["b" * 5000]},
+])
+def test_json_diagnostics_echo_only_the_start(obj):
+    # the message quotes at most 40 characters of the input value
+    with pytest.raises(ValueError) as info:
+        Presentation.from_json(obj)
+    assert len(str(info.value)) < 120 and "..." in str(info.value)
+
+
 def test_abelianization_examples():
     assert abelianization(B3) == AbelianInvariants(1, ())
     assert abelianization(KLEIN) == AbelianInvariants(1, (2,))

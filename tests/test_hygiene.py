@@ -39,8 +39,6 @@ READERS = MODULES + sorted(ROOT.glob("perfbench/*.py"))
 # Exports that only the tests read, each with the claim or cross-check it
 # backs.
 TEST_ONLY_EXPORTS = {
-    # membership in the peripheral subgroup <s2, Delta^2>, a ROADMAP layer
-    "braid.py: peripheral_parse",
     # {O1, O2} is a normal family: closed under conjugation in K
     "klein.py: k_multiply",
     "klein.py: k_inverse",
@@ -432,14 +430,16 @@ def test_subcommand_loads_no_dataclasses(family):
 # at the bottom and holds the shared names: braid takes its word helpers
 # there, not from fpgroup, so a braid query never compiles fpgroup, and
 # fpgroup needs nothing from braid; klein takes Sign3 there, so it loads
-# neither braid nor fpgroup, and meets B3 only in compat.
+# neither braid nor fpgroup, and meets B3 only in compat.  fpgroup and
+# seifert take ``brief_repr`` from slopes, which echoes an input value in a
+# diagnostic.
 _LAYER_IMPORTS = {
     "__init__": set(),
     "alexander": set(),
     "braid": {"words"},
     "cli": set(),
     "compat": {"braid", "fpgroup", "klein", "sampling", "slopes", "words"},
-    "fpgroup": {"words"},
+    "fpgroup": {"slopes", "words"},
     "klein": {"slopes", "words"},
     "sampling": {"words"},
     "seifert": {"slopes"},

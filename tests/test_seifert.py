@@ -456,6 +456,49 @@ def test_tree_and_certificate_json_round_trip():
     assert parsed == tree
 
 
+_HUGE = 10**4000
+_TREFOIL = {"kind": "torus_knot", "r": 2, "s": 3}
+_MALFORMED_TREES = [
+    {"nodes": "z" * 5000},
+    {"nodes": ["z" * 5000]},
+    {"nodes": [{"kind": "k" * 5000}]},
+    {"nodes": [{"kind": "torus_knot", "r": "2" * 5000, "s": 3}]},
+    {"nodes": [{"kind": "brieskorn", "multiplicities": {"m": "m" * 5000}}]},
+    {"nodes": [{"kind": "user", "name": ["n"] * 2000}]},
+    {"nodes": [{"kind": "user", "prime_zero_filling": "f" * 5000}]},
+    {"nodes": [{"kind": "user", "asserted": {"1/0": "m" * 5000}}]},
+    {"nodes": [{"kind": "user", "asserted": {"z" * 1000: "lo"}}]},
+    {"nodes": [_TREFOIL], "edges": ["e" * 5000]},
+]
+
+
+@pytest.mark.parametrize("obj", _MALFORMED_TREES)
+def test_tree_diagnostics_echo_only_the_start(obj):
+    # the message quotes at most 40 characters of the input value
+    with pytest.raises(ValueError) as info:
+        SpliceTree.from_json(obj)
+    assert len(str(info.value)) < 130 and "..." in str(info.value)
+
+
+def test_validation_diagnostics_echo_only_the_start():
+    edge = {"a": _HUGE, "b": 0, "matrix": [0, 1, 1, 0]}
+    tree = SpliceTree.from_json({"nodes": [_TREFOIL, _TREFOIL], "edges": [edge]})
+    brieskorn = {"kind": "brieskorn", "multiplicities": [2 * _HUGE, 3 * _HUGE]}
+    record = json.loads(json.dumps(
+        certificate_search(_double_trefoil(), search_bound=3).certificate))
+    checks = [
+        tree.components,
+        lambda: SpliceTree.from_json({"nodes": [brieskorn]}),
+        lambda: certificate_search(_double_trefoil(), search_bound=-_HUGE),
+        lambda: verify_certificate(_double_trefoil(), {**record, "search_bound": -_HUGE}),
+        lambda: verify_certificate(_double_trefoil(), {"components": ["c" * 5000]}),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError) as info:
+            check()
+        assert len(str(info.value)) < 130 and "..." in str(info.value)
+
+
 def test_user_piece_name_and_description_are_strings():
     def user(**fields):
         node = {"kind": "user", "asserted": {"1/0": "lo"}, **fields}

@@ -8,6 +8,7 @@ from locert.slopes import (
     GluingMatrix,
     Slope,
     apply_gluing,
+    brief_repr,
     intersection_number,
     invert_gluing,
     make_slope,
@@ -189,3 +190,13 @@ def test_union_homology_order():
         union_homology_order(GluingMatrix(1, 2, 0, 1), LONGITUDE_SLOPE, LONGITUDE_SLOPE)
         == 2
     )
+
+
+def test_brief_repr_echoes_only_the_start():
+    assert brief_repr("maybe") == "'maybe'"
+    assert brief_repr([1, "x"]) == "[1, 'x']"
+    assert brief_repr("z" * 38) == "'" + "z" * 38 + "'"  # 40 characters
+    assert brief_repr("z" * 39) == "'" + "z" * 39 + "..."
+    assert brief_repr(-(10**4000)) == "-" + "1" + "0" * 38 + "..."
+    with pytest.raises(ValueError, match=r"^cannot parse slope 'zzz.*z\.\.\.: "):
+        parse_slope("z" * 1000)
