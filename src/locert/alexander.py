@@ -64,7 +64,9 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(text: str) -> IntLaurentPoly:
-    """Parse strings like ``t^2 - t + 1``, ``3t^-1 + 2``, ``1``."""
+    """Parse strings like ``t^2 - t + 1``, ``3t^-1 + 2``, ``1``.  Like terms
+    merge; a merged coefficient past MAX_ORDER_DIGITS digits, which ``str``
+    could not print, is a ValueError."""
     out: IntLaurentPoly = {}
     pos = 0
     text = text.strip()
@@ -90,6 +92,11 @@ def parse_poly(text: str) -> IntLaurentPoly:
         out[exp] = out.get(exp, 0) + coeff
         pos = m.end()
         first = False
+    if any(abs(c) >= _ORDER_CEILING for c in out.values()):
+        raise ValueError(
+            f"a coefficient is too long: over {MAX_ORDER_DIGITS} digits once "
+            "like terms merge"
+        )
     return {e: c for e, c in out.items() if c}
 
 

@@ -177,9 +177,9 @@ def _read_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        from .slopes import parse_int  # a valid integer loads no layer
+        from .slopes import brief_repr, parse_int  # a valid integer loads no layer
 
-        return parse_int(text, f"invalid int value: {text!r}")
+        return parse_int(text, f"invalid int value: {brief_repr(text)}")
 
 
 def _int(text: str) -> int:
@@ -228,6 +228,7 @@ def _group_fill(args, payload):
 
 def _group_amalgam(args, payload):
     from . import fpgroup
+    from .slopes import brief_repr
 
     p1 = fpgroup.Presentation.from_json(_load_json(args.presentation1))
     p2 = fpgroup.Presentation.from_json(_load_json(args.presentation2))
@@ -235,7 +236,7 @@ def _group_amalgam(args, payload):
     for text in args.pair or []:
         left, sep, right = text.partition("=")
         if not sep:
-            raise ValueError(f"pair {text!r} must look like 'word = word'")
+            raise ValueError(f"pair {brief_repr(text)} must look like 'word = word'")
         pairs.append(
             (
                 fpgroup.parse_group_word(left.strip(), p1.generators),

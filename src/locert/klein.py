@@ -23,7 +23,7 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .slopes import int_str, make_slope, parse_int
+from .slopes import brief_repr, int_str, make_slope, parse_int
 from .words import Sign3
 
 __all__ = [
@@ -164,7 +164,7 @@ def parse_element(text: str) -> KleinElement:
     digit limit gets ``slopes.parse_int``'s "too long" ValueError."""
     if text.strip() == "1":
         return IDENTITY
-    message = f"cannot parse Klein element {text!r}"
+    message = f"cannot parse Klein element {brief_repr(text)}"
     match = _ELEMENT_RE.fullmatch(text)
     if not match:
         raise ValueError(message)

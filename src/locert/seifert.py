@@ -37,7 +37,6 @@ nontrivial factor is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from math import gcd
@@ -101,15 +100,10 @@ class LORule(Enum):
     USER_ASSERTED = "UserAsserted"
 
 
-@dataclass(frozen=True)
-class LOSlopeVerdict:
+class LOSlopeVerdict(NamedTuple):
     status: LOStatus
     rule: LORule | None
     evidence: str
-
-    def __post_init__(self) -> None:
-        if self.status is not LOStatus.UNKNOWN and self.rule is None:
-            raise ValueError("a definite verdict must carry a rule tag")
 
     def to_json(self) -> dict:
         return {
@@ -122,18 +116,20 @@ class LOSlopeVerdict:
 # --- pieces -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrieskornZHS:
+class _BrieskornFields(NamedTuple):
+    multiplicities: tuple[int, ...]
+
+
+class BrieskornZHS(_BrieskornFields):
     """Closed Brieskorn integer homology sphere with pairwise coprime
     multiplicities; entries equal to 1 are normalization padding."""
 
-    multiplicities: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ms = self.multiplicities
-        if not ms or any(m < 1 for m in ms):
+    def __new__(cls, multiplicities: tuple[int, ...]) -> "BrieskornZHS":
+        if not multiplicities or any(m < 1 for m in multiplicities):
             raise ValueError("multiplicities must be integers >= 1")
-        nontrivial = [m for m in ms if m > 1]
+        nontrivial = [m for m in multiplicities if m > 1]
         for i in range(len(nontrivial)):
             for j in range(i + 1, len(nontrivial)):
                 if gcd(nontrivial[i], nontrivial[j]) != 1:
@@ -141,6 +137,7 @@ class BrieskornZHS:
                         f"multiplicities {brief_repr(nontrivial[i])} and "
                         f"{brief_repr(nontrivial[j])} share a factor"
                     )
+        return super().__new__(cls, multiplicities)
 
     def boundary_count(self) -> int:
         return 0
@@ -150,20 +147,24 @@ class BrieskornZHS:
         return f"Sigma({inner})"
 
 
-@dataclass(frozen=True)
-class TorusKnotPiece:
+class _TorusKnotFields(NamedTuple):
+    r: int
+    s: int
+    chirality: int
+
+
+class TorusKnotPiece(_TorusKnotFields):
     """Exterior of the (r, s) torus knot in S^3; chirality +1 is the
     positive (right-handed) torus knot and -1 its mirror."""
 
-    r: int
-    s: int
-    chirality: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 2 or self.s < 2 or gcd(self.r, self.s) != 1:
+    def __new__(cls, r: int, s: int, chirality: int = 1) -> "TorusKnotPiece":
+        if r < 2 or s < 2 or gcd(r, s) != 1:
             raise ValueError("torus knot needs coprime r, s >= 2")
-        if self.chirality not in (1, -1):
+        if chirality not in (1, -1):
             raise ValueError("chirality must be +1 or -1")
+        return super().__new__(cls, r, s, chirality)
 
     def boundary_count(self) -> int:
         return 1
@@ -173,8 +174,7 @@ class TorusKnotPiece:
         return f"T({self.r},{self.s}) chirality {sign}1"
 
 
-@dataclass(frozen=True)
-class UserPiece:
+class UserPiece(NamedTuple):
     """Knot exterior with caller-supplied slope verdicts.
 
     ``asserted`` maps normalized slopes to statuses; the meridian entry
@@ -204,8 +204,7 @@ class UserPiece:
 Piece = BrieskornZHS | TorusKnotPiece | UserPiece
 
 
-@dataclass(frozen=True)
-class SpliceEdge:
+class SpliceEdge(NamedTuple):
     """Gluing of node a's boundary to node b's, as a unimodular matrix in
     the two (meridian, longitude) framings, acting a-side -> b-side."""
 
@@ -214,8 +213,7 @@ class SpliceEdge:
     matrix: GluingMatrix
 
 
-@dataclass(frozen=True)
-class SpliceTree:
+class SpliceTree(NamedTuple):
     nodes: tuple[Piece, ...]
     edges: tuple[SpliceEdge, ...]
 
@@ -401,8 +399,7 @@ class MoserKind(Enum):
     REDUCIBLE = "reducible"
 
 
-@dataclass(frozen=True)
-class MoserResult:
+class MoserResult(NamedTuple):
     kind: MoserKind
     multiplicities: tuple[int, ...] | None
 

@@ -77,7 +77,7 @@ def make_slope(p: int, q: int) -> Slope:
         raise ValueError("slope (0, 0) is not primitive")
     g = gcd(p, q)
     if g != 1:
-        raise ValueError(f"slope ({p}, {q}) is not primitive")
+        raise ValueError(f"slope {brief_repr((p, q))} is not primitive")
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
     return Slope(p, q)
@@ -92,12 +92,16 @@ def parse_slope(text: str) -> Slope:
 
 def parse_int(text: str, message: str) -> int:
     """``int(text)``; ValueError(message) when ``text`` is not an integer, or
-    one that echoes only its start when it is too long to be read as one."""
+    one that echoes only its start when ``text`` is a sign and digits that
+    ``int`` refuses, which it does only past the digit limit."""
     try:
         return int(text)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if len(text) > limit:
+        digits = text.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        if digits.isdecimal():
+            limit = sys.get_int_max_str_digits()
             message = f"integer {text[:20] + '...'!r} is too long: over {limit} digits"
         raise ValueError(message) from None
 
@@ -107,8 +111,12 @@ _ECHO_CHARS = 40
 
 def brief_repr(value: object) -> str:
     """``repr(value)``, cut to its first ``_ECHO_CHARS`` characters and
-    ``...`` when it is longer."""
-    text = repr(value)
+    ``...`` when it is longer; ``<over N digits>`` when ``repr`` refuses an
+    int in ``value`` past the digit limit N."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<over {sys.get_int_max_str_digits()} digits>"
     return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
 
 
@@ -153,7 +161,9 @@ def intersection_number(alpha: Slope, beta: Slope) -> int:
 
 def _require_unimodular(m: GluingMatrix) -> None:
     if abs(m.det()) != 1:
-        raise ValueError(f"matrix {tuple(m)} has determinant {m.det()}")
+        raise ValueError(
+            f"matrix {brief_repr(tuple(m))} has determinant {brief_repr(m.det())}"
+        )
 
 
 def apply_gluing(m: GluingMatrix, alpha: Slope) -> Slope:

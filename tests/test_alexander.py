@@ -116,6 +116,17 @@ def test_parse_poly():
             parse_poly(text)
 
 
+def test_a_merged_coefficient_past_the_digit_limit_is_too_long():
+    # each coefficient reads, but like terms merge past what str() prints
+    nines = "9" * MAX_ORDER_DIGITS
+    assert parse_poly(f"{nines}t - 1 + 1") == {1: 10**MAX_ORDER_DIGITS - 1}
+    merged = (f"{nines}t + t", f"-{nines} - 1", f"{nines}t^2 - {nines}t - {nines}t + 1")
+    for text in merged:
+        with pytest.raises(ValueError, match=r"^a coefficient is too long: over 4300 "
+                                             r"digits once like terms merge$"):
+            parse_poly(text)
+
+
 def test_poly_str_round_trip():
     for poly in (TREFOIL, FIGURE_EIGHT, {0: -1}, {3: 2, -1: -5}):
         assert parse_poly(poly_str(poly)) == poly

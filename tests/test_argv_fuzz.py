@@ -3,8 +3,8 @@
 Braid words, Alexander polynomials, Klein elements, slopes and gluing
 matrices, well formed or not, go to the commands that parse them.  Each run
 must end in a well-formed envelope (exit 0 or 2) or in one diagnostic line
-on stderr (exit 1); no exception may escape.  The examples are
-derandomized, so every run checks the same inputs.
+on stderr (exit 1) of at most 200 characters; no exception may escape.  The
+examples are derandomized, so every run checks the same inputs.
 """
 
 from __future__ import annotations

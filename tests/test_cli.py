@@ -232,6 +232,14 @@ def test_input_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_long_option_that_is_no_integer_is_echoed_briefly(capsys):
+    # argparse's "invalid int value" echoes only the start of the text
+    assert run(["klein", "fill", "z" * 5000, "0"]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: argument m: invalid int value: '{'z' * 39}...\n"
+    )
+
+
 def _raiser(exc):
     def handler(*args):
         raise exc

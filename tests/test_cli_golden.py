@@ -42,6 +42,12 @@ _HUGE_PLUS_ONE = "1" + "0" * 2199 + "1"
 # 10^4400: int() refuses its 4401 digits, so it is reported as too long, and
 # only its start is echoed
 _LONG = "1" + "0" * 4400
+# 4300 nines: the longest integer str() prints
+_NINES = "9" * 4300
+# the coefficients of t^2, t and 1 merge to 2X, 1 - 4X and 2X for X = _NINES,
+# and 1 - 4X has 4301 digits
+_MERGED = (f"{_NINES} t^2 + {_NINES} t^2 - {_NINES} t - {_NINES} t - {_NINES} t"
+           f" - {_NINES} t + t + {_NINES} + {_NINES}")
 
 CASES: dict[str, list[str]] = {
     # braid
@@ -64,6 +70,8 @@ CASES: dict[str, list[str]] = {
     "klein_fill_dihedral": ["klein", "fill", "0", "1"],
     "klein_fill_finite": ["klein", "fill", "2", "3"],
     "klein_fill_not_primitive": ["klein", "fill", "2", "4"],
+    # (10^2200, 10^2200): the diagnostic echoes only the start of the slope
+    "klein_fill_not_primitive_long": ["klein", "fill", _HUGE, _HUGE],
     "klein_fill_large": ["klein", "fill", "10000001", "10000000"],
     # the order 4|mn| of the note has 4401 digits
     "klein_fill_too_large": ["klein", "fill", _HUGE_PLUS_ONE, _HUGE],
@@ -78,6 +86,7 @@ CASES: dict[str, list[str]] = {
     "slope_delta": ["slope", "delta", "2/1", "1/1"],
     "slope_delta_integer": ["slope", "delta", "3", "1/2"],
     "slope_delta_not_primitive": ["slope", "delta", "2/4", "1/1"],
+    "slope_delta_not_primitive_long": ["slope", "delta", f"{_HUGE}/{_HUGE}", "1/1"],
     # after a slash the denominator must be an integer
     "slope_delta_empty_denominator": ["slope", "delta", "1/", "2/1"],
     # the second "--" is the slope beta: argparse used to drop it, a traceback
@@ -90,6 +99,10 @@ CASES: dict[str, list[str]] = {
     "slope_glue_shear": ["slope", "glue", "--matrix", "1,1,0,1", "0/1"],
     "slope_glue_bad_matrix": ["slope", "glue", "--matrix", "1,2,3", "1/1"],
     "slope_glue_bad_entry": ["slope", "glue", "--matrix", "1,a,0,1", "1/1"],
+    # the determinant X^2 - X, X = _NINES, has 8600 digits: str() cannot print it
+    "slope_glue_determinant_too_long": ["slope", "glue",
+                                        f"--matrix={_NINES},{_NINES},1,{_NINES}",
+                                        "1/1"],
     # a unimodular matrix whose image slope has 4401-digit entries
     "slope_glue_too_large": ["slope", "glue", "--matrix", _HUGE_GLUE, "--",
                              f"{_HUGE}/1"],
@@ -124,6 +137,10 @@ CASES: dict[str, list[str]] = {
     "group_amalgam": ["group", "amalgam", DATA + "b3_presentation.json",
                       DATA + "klein_bottle_presentation.json",
                       "--pair", "s2 = Y", "--pair", "s1 s2 s1 s1 s2 s1 = Y x x"],
+    "group_amalgam_pair_without_equals": ["group", "amalgam",
+                                          DATA + "b3_presentation.json",
+                                          DATA + "klein_bottle_presentation.json",
+                                          "--pair", "s2 Y"],
     # the second file is the malformed one: the diagnostic names it
     "group_amalgam_malformed": ["group", "amalgam", DATA + "b3_presentation.json",
                                 "truncated.json", "--pair", "s2 = x"],
@@ -166,6 +183,8 @@ CASES: dict[str, list[str]] = {
     "splice_cert_string_prime_flag": ["splice", "cert", "string_prime_flag_tree.json"],
     # "nodes" is a 5000-letter string: the diagnostic echoes only its start
     "splice_cert_long_nodes": ["splice", "cert", "long_nodes_tree.json"],
+    # a 5000-letter slope key is no slope, not a too-long integer
+    "splice_cert_long_slope_key": ["splice", "cert", "long_slope_key_tree.json"],
     "splice_cert_missing_kind": ["splice", "cert", "missing_kind_tree.json"],
     "splice_cert_missing_s": ["splice", "cert", "missing_s_tree.json"],
     "splice_cert_missing_matrix": ["splice", "cert", "missing_matrix_tree.json"],
@@ -249,6 +268,8 @@ CASES: dict[str, list[str]] = {
                          "t^100000000 - t^50000000 + 1", "--n", "2"],
     "cover_order_too_long": ["cover", "order", "--poly", f"t^{_LONG} - t + 1",
                              "--n", "2"],
+    "cover_order_merged_coefficient_too_long": ["cover", "order", "--poly", _MERGED,
+                                                "--n", "3"],
     # verify
     "verify_prop43": [*_PROP43, "--verbose-cases"],
     "verify_prop43_text": ["--format", "text", *_PROP43],

@@ -255,3 +255,9 @@ def test_element_parsing():
     for text in (f"x^{long}", f"x y^-{long}"):
         with pytest.raises(ValueError, match=r"^integer '-?10+\.\.\.' is too long: over 4300"):
             parse_element(text)
+
+
+def test_element_diagnostics_echo_only_the_start():
+    message = r"^cannot parse Klein element 'x\^z{37}\.\.\.$"
+    with pytest.raises(ValueError, match=message):
+        parse_element("x^" + "z" * 5000)

@@ -150,6 +150,24 @@ def test_rule_consistency_sweep():
                 assert zhs.status is interval.status, (chirality, slope)
 
 
+def test_definite_verdicts_carry_a_rule():
+    # Every LO or NOT_LO verdict of the rule table names the rule that gave
+    # it; only UNKNOWN may carry none.  Swept over the slopes of the search
+    # walk, on each piece kind and both chiralities.
+    asserted = tuple(zip((Slope(1, 0), Slope(2, 1), Slope(3, 1)), LOStatus))
+    pieces = [UserPiece("u", "", asserted, True), UserPiece("silent")]
+    pieces += [TorusKnotPiece(r, s, chirality)
+               for r, s in ((2, 3), (2, 5), (3, 4)) for chirality in (1, -1)]
+    verdicts = [slope_lo_verdict(piece, slope)
+                for piece in pieces for slope in enumerate_slopes(10)]
+    verdicts += [zhs_lo_status(BrieskornZHS(ms)) for ms in ((1,), (2, 3, 5), (2, 3, 7))]
+    assert {v.status for v in verdicts} == set(LOStatus)
+    assert {v.rule for v in verdicts} == set(LORule) | {None}
+    for verdict in verdicts:
+        assert type(verdict) is LOSlopeVerdict
+        assert verdict.rule is not None or verdict.status is LOStatus.UNKNOWN, verdict
+
+
 def test_small_slope_families():
     # 1/n fillings: only the trivial filling (S^3) and the +1 filling
     # (Poincare sphere) fail to be left-orderable for the positive trefoil.
@@ -369,6 +387,35 @@ def _edited(record: dict, path: tuple, value) -> dict:
     return bad
 
 
+def test_verify_fails_a_witness_that_does_not_rederive():
+    valid = "tree valid: all edges glue to integer homology spheres"
+    # a closed component that is the Poincare sphere
+    poincare = SpliceTree((BrieskornZHS((2, 3, 5)),), ())
+    record = {"version": 1, "search_bound": 3, "components": [{"nodes": [0]}],
+              "hypotheses": []}
+    assert verify_certificate(poincare, record) == (
+        False, [valid, "FAIL closed component [0] re-derives as not_lo"]
+    )
+    # an edge certificate that cites the edge of the other component
+    edges = (SpliceEdge(0, 1, SPLICE), SpliceEdge(2, 3, SPLICE))
+    forest = SpliceTree((TREFOIL,) * 4, edges)
+    record = certificate_search(forest, 3).certificate
+    edge = ("components", 0, "edge_certificate", "edge")
+    ok, report = verify_certificate(forest, _edited(record, edge, 1))
+    assert not ok and report[1] == "FAIL edge 1 does not belong to component [0, 1]"
+    # a pair left-orderable on side a only: the longitude of side a glues to
+    # the meridian of side b, whose filling is S^3
+    tree = _double_trefoil()
+    record = certificate_search(tree, 3).certificate
+    alpha = ("components", 0, "edge_certificate", "alpha")
+    assert verify_certificate(tree, _edited(record, alpha, "0/1")) == (False, [
+        valid,
+        "FAIL edge 0: slope 1/0 re-derives as not_lo on side b (1/0 filling of "
+        "T(2,3) chirality +1 closes to Sigma(1): Sigma(1) is S^3; the trivial "
+        "group is not left-orderable)",
+    ])
+
+
 def test_verify_compares_the_record_with_its_rederivation():
     tree = _user_splice()
     record = certificate_search(tree, search_bound=3).certificate
@@ -497,6 +544,17 @@ def test_validation_diagnostics_echo_only_the_start():
         with pytest.raises(ValueError) as info:
             check()
         assert len(str(info.value)) < 130 and "..." in str(info.value)
+
+
+def test_torus_knot_checks_its_fields():
+    # the JSON chirality, like the constructor's, is +1 or -1
+    for chirality in (0, 2, -3):
+        node = {"kind": "torus_knot", "r": 2, "s": 3, "chirality": chirality}
+        with pytest.raises(ValueError, match=r"^chirality must be \+1 or -1$"):
+            SpliceTree.from_json({"nodes": [node]})
+    for r, s in ((1, 3), (2, 4), (3, 3)):
+        with pytest.raises(ValueError, match=r"^torus knot needs coprime r, s >= 2$"):
+            TorusKnotPiece(r, s, 1)
 
 
 def test_user_piece_name_and_description_are_strings():

@@ -105,6 +105,19 @@ def test_an_integer_past_the_digit_limit_is_too_long():
         parse_int("1" * 4299 + "x", "bad")
 
 
+def test_a_long_text_that_is_no_integer_gets_the_callers_message():
+    # only a sign and digits, with space around them, are read as a too-long
+    # integer, however long the text is
+    for text in ("-" + "1" * 4301, " +" + "1" * 4301 + " "):
+        with pytest.raises(ValueError, match=r"^integer '[ +-]*1+\.\.\.' is too long"):
+            parse_int(text, "bad")
+    for text in ("z" * 5000, "1" * 4301 + "x", "+-" + "1" * 4301, "1_" * 2500):
+        with pytest.raises(ValueError, match="^bad$"):
+            parse_int(text, "bad")
+    with pytest.raises(ValueError, match=r"^cannot parse slope 'z{39}\.\.\.: "):
+        parse_slope("z" * 5000)
+
+
 def test_intersection_number_examples():
     assert intersection_number(MERIDIAN, LONGITUDE_SLOPE) == 1
     assert intersection_number(make_slope(2, 1), make_slope(1, 1)) == 1
@@ -128,6 +141,21 @@ def test_apply_gluing_examples():
         ValueError, match=r"^matrix \(2, 0, 0, 1\) has determinant 2$"
     ):
         apply_gluing(GluingMatrix(2, 0, 0, 1), MERIDIAN)
+
+
+def test_gluing_diagnostics_echo_only_the_start():
+    # a matrix of 2200-digit entries, and a determinant str() cannot print
+    big, nines = 10**2200, 10**4300 - 1
+    # repr refuses an int past the digit limit, alone or in a container
+    assert brief_repr(10**4300) == brief_repr([1, -(10**5000)]) == "<over 4300 digits>"
+    with pytest.raises(ValueError, match=r"^matrix \(10{38}\.\.\. has determinant "
+                                         r"9{40}\.\.\.$"):
+        apply_gluing(GluingMatrix(big, 1, 1, 1), MERIDIAN)
+    with pytest.raises(ValueError, match=r"^matrix \(9{39}\.\.\. has determinant "
+                                         r"<over 4300 digits>$"):
+        invert_gluing(GluingMatrix(nines, nines, 1, nines))
+    with pytest.raises(ValueError, match=r"^slope \(10{38}\.\.\. is not primitive$"):
+        make_slope(big, big)
 
 
 def test_gluing_preserves_delta_and_composes():

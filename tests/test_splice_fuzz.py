@@ -2,8 +2,9 @@
 
 Malformed splice trees, and certificate records made by changing or
 dropping one field of a real record, must end in a well-formed envelope
-(exit 0 or 2) or in one diagnostic line on stderr (exit 1).  No exception
-may escape.  The examples are derandomized, so every run checks the same
+(exit 0 or 2) or in one diagnostic line on stderr (exit 1), of at most 200
+characters and never Python's ``set_int_max_str_digits`` advice.  No
+exception may escape.  The examples are derandomized, so every run checks the same
 inputs.
 """
 
@@ -167,6 +168,9 @@ def _check(argv: list[str]) -> dict | None:
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        # the repo's own diagnostic, echoing only the start of an input
+        assert "set_int_max_str_digits" not in lines[0], lines
+        assert len(lines[0]) <= 200, lines
         return None
     assert err.getvalue() == ""
     envelope = json.loads(out.getvalue())
