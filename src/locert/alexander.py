@@ -76,10 +76,10 @@ def parse_poly(text: str) -> IntLaurentPoly:
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+            raise ValueError(f"cannot parse polynomial near {_echo(text[pos:])}")
         sign_txt = m.group("sign")
         if sign_txt is None and not first:
-            raise ValueError(f"missing +/- before {text[pos:]!r}")
+            raise ValueError(f"missing +/- before {_echo(text[pos:])}")
         sign = -1 if sign_txt == "-" else 1
         coeff_txt = m.group("coeff")
         if coeff_txt is not None:
@@ -98,6 +98,14 @@ def parse_poly(text: str) -> IntLaurentPoly:
             "like terms merge"
         )
     return {e: c for e, c in out.items() if c}
+
+
+def _echo(rest: str) -> str:
+    """The unparsed rest of a polynomial as a diagnostic shows it: its
+    start only, through ``slopes.brief_repr``."""
+    from .slopes import brief_repr  # a valid polynomial loads no other layer
+
+    return brief_repr(rest)
 
 
 def _read_int(digits: str) -> int:

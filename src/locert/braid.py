@@ -4,9 +4,9 @@ Words are tuples of nonzero integers: +1 for s1, -1 for s1^-1, +2 for s2,
 -2 for s2^-1.  The ASCII syntax is ``a`` = s1, ``A`` = s1^-1, ``b`` = s2,
 ``B`` = s2^-1, with whitespace ignored, so words round-trip bit-exactly
 through the CLI.  Words concatenate with tuple ``+``.  A braid word is a
-group word over (s1, s2), so its type, inversion and powers are the
-``words`` layer's, bound here under the names ``Word``, ``inverse`` and
-``power``; a sign in the DD ordering is a ``words.Sign3``.
+group word over (s1, s2), so its type and powers are the ``words``
+layer's, bound here under the names ``Word`` and ``power``; a sign in the
+DD ordering is a ``words.Sign3``.
 
 Three procedures decide the word problem, and they cross-validate each
 other:
@@ -26,9 +26,13 @@ other:
   is the preimage of SL(2, Z) in the universal cover of SL(2, R), so a
   braid is determined by its image matrix and a count of half-turns.  The
   Dubrovina-Dubrovin (DD) left ordering of B3 is the order this action
-  induces at the ray (0, 1): ``dd_sign``, ``dd_compare``, ``conj_sign``,
+  induces at the ray (0, 1), and every order is read at lifted points.
+  The lift F_g of a braid g is increasing, so g^-1 w g > 1 iff
+  F_w(F_g(0)) > F_g(0), and u < v iff F_v(0) > F_u(0); when the points
+  are equal, the quotient is a power of s2.  So no inverse or conjugated
+  word is built.  ``dd_sign``, ``dd_compare``, ``conj_sign``,
   ``delta_floor``, ``commutes_with_sigma2`` and ``peripheral_parse`` read
-  it, and through them ``braid sign``, ``compare`` and ``floor`` and
+  the lift, and through them ``braid sign``, ``compare`` and ``floor`` and
   ``verify proposition-4-3``.  ``braid reduce`` reads ``peripheral_parse``
   first and answers a braid s2^k as the word s2^k, where handle reduction
   ends: a word in which s1 occurs with one sign only is not a power of s2
@@ -47,7 +51,6 @@ from typing import NamedTuple
 
 from .words import GroupWord as Word
 from .words import Sign3
-from .words import invert_word as inverse
 from .words import word_power as power
 
 __all__ = [
@@ -61,7 +64,6 @@ __all__ = [
     "DELTA_SQ",
     "parse_word",
     "word_str",
-    "inverse",
     "power",
     "exponent_sum",
     "modular_image",
@@ -329,10 +331,16 @@ def handle_reduce(word: Word) -> Word:
 
 # --- the Dubrovina-Dubrovin ordering ---------------------------------------
 
-def _lift(word: Word) -> tuple[int, int, int]:
-    """The image (x, y) of the ray (0, 1) under the left action of ``word``,
-    with s1 -> [[1, 1], [0, 1]] and s2 -> [[1, 0], [-1, 1]], and the count h
-    of half-turns on the lifted line.
+# The ray (0, 1) at half-turn count 0: the lifted point of the identity.
+_BASE = (0, 1, 0)
+
+
+def _lift(word: Word, point: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The image of the lifted point ``point`` = (x, y, h) under the left
+    action of ``word``, with s1 -> [[1, 1], [0, 1]] and s2 -> [[1, 0], [-1, 1]]:
+    the vector (x, y) and the count h of half-turns on the lifted line.
+    ``_lift(word, _BASE)`` is the lifted point of ``word``, and walking v
+    from the lifted point of u gives the lifted point of v u.
 
     Both positive generators turn every ray they move clockwise, by less
     than a half-turn, and Delta^2 maps to -I, a clockwise half-turn.  With
@@ -346,7 +354,7 @@ def _lift(word: Word) -> tuple[int, int, int]:
     letter: the cost is O(L^2) bit operations at worst, which (s1 s2^-1)^n
     reaches, and far less on words whose matrices stay small.
     """
-    x, y, h = 0, 1, 0
+    x, y, h = point
     for letter in reversed(word):
         if letter == 2:
             y -= x
@@ -365,28 +373,54 @@ def _lift(word: Word) -> tuple[int, int, int]:
     return x, y, h
 
 
-def dd_sign(word: Word) -> Sign3:
-    """Sign in the Dubrovina-Dubrovin ordering, read from ``_lift``.
+def _order(start: tuple[int, int, int], end: tuple[int, int, int]) -> Sign3 | None:
+    """The DD sign of g^-1 b g for braids g and b with ``start`` the lifted
+    point F_g(0) and ``end`` = F_b(``start``), or None when the points are
+    equal.
 
-    The word is positive iff it turns the base ray clockwise: h > 0, or
-    h = 0 off the base line.  It is negative iff h < 0.  Otherwise it fixes
-    the ray, and the braids that do are the powers of s2; s2^k, with k the
-    exponent sum, is positive iff k < 0.
+    Lifts are increasing, so F_{g^-1 b g}(0) > 0 iff F_b(F_g(0)) > F_g(0):
+    the sign is positive iff ``end`` lies ahead of ``start``.  The larger h
+    is ahead.  At equal h both angles lie in one half-open half-turn, where
+    the cross product x y' - y x' of (x, y) = ``start`` and (x', y') =
+    ``end`` is negative iff ``end`` is ahead.  Equal points leave g^-1 b g
+    fixing the base ray, so it is a power of s2 (``_s2_power_sign``).
     """
-    x, _, h = _lift(word)
-    if h > 0 or (h == 0 and x):
-        return Sign3.POSITIVE
-    if h < 0:
-        return Sign3.NEGATIVE
-    k = exponent_sum(word)
+    x, y, h = start
+    x2, y2, h2 = end
+    if h != h2:
+        return Sign3.POSITIVE if h2 > h else Sign3.NEGATIVE
+    cross = x * y2 - y * x2
+    if cross:
+        return Sign3.POSITIVE if cross < 0 else Sign3.NEGATIVE
+    return None
+
+
+def _s2_power_sign(k: int) -> Sign3:
+    """The DD sign of s2^k: the braids fixing the base ray are the powers
+    of s2, and s2^k is positive iff k < 0."""
     if k < 0:
         return Sign3.POSITIVE
     return Sign3.NEGATIVE if k else Sign3.TRIVIAL
 
 
+def dd_sign(word: Word) -> Sign3:
+    """Sign in the Dubrovina-Dubrovin ordering: ``word``'s lifted point
+    against the base point.
+
+    The word is positive iff it turns the base ray clockwise: h > 0, or
+    h = 0 off the base line.  It is negative iff h < 0.  Otherwise it fixes
+    the ray, and is s2^k with k its exponent sum.
+    """
+    return _order(_BASE, _lift(word, _BASE)) or _s2_power_sign(exponent_sum(word))
+
+
 def dd_compare(u: Word, v: Word) -> Ordering:
-    """Compare in the DD ordering: u < v iff u^-1 v is DD-positive."""
-    sign = dd_sign(inverse(u) + v)
+    """Compare in the DD ordering: u < v iff u^-1 v is DD-positive, so iff
+    v's lifted point lies ahead of u's.  At equal points u^-1 v is s2^k,
+    with k the exponent-sum difference."""
+    sign = _order(_lift(u, _BASE), _lift(v, _BASE)) or _s2_power_sign(
+        exponent_sum(v) - exponent_sum(u)
+    )
     if sign is Sign3.POSITIVE:
         return Ordering.LESS
     if sign is Sign3.TRIVIAL:
@@ -396,8 +430,12 @@ def dd_compare(u: Word, v: Word) -> Ordering:
 
 def conj_sign(word: Word, conjugator: Word) -> Sign3:
     """Sign of ``word`` in the conjugate ordering whose positive cone is
-    {w : g^-1 w g DD-positive} for g = ``conjugator``."""
-    return dd_sign(inverse(conjugator) + word + conjugator)
+    {w : g^-1 w g DD-positive} for g = ``conjugator``: ``word`` walked from
+    g's lifted point, against that point.  |g| + |w| letters; the word
+    g^-1 w g is never built.  At equal points g^-1 w g is s2^k, with k the
+    exponent sum of ``word``."""
+    start = _lift(conjugator, _BASE)
+    return _order(start, _lift(word, start)) or _s2_power_sign(exponent_sum(word))
 
 
 def delta_floor(word: Word) -> int:
@@ -408,7 +446,7 @@ def delta_floor(word: Word) -> int:
     Delta^-2h word is s2^k with k = exponent sum - 6h, which lies below 1
     iff k > 0, and then the floor is h - 1.
     """
-    x, _, h = _lift(word)
+    x, _, h = _lift(word, _BASE)
     if x == 0 and exponent_sum(word) - 6 * h > 0:
         return h - 1
     return h
@@ -418,7 +456,7 @@ def commutes_with_sigma2(word: Word) -> bool:
     """Exact commutator check against s2: the centralizer of s2 is
     <s2, Delta^2>, the braids that map the base line x = 0 of ``_lift`` to
     itself."""
-    return _lift(word)[0] == 0
+    return _lift(word, _BASE)[0] == 0
 
 
 def peripheral_parse(word: Word) -> PeripheralElement | None:
@@ -428,7 +466,7 @@ def peripheral_parse(word: Word) -> PeripheralElement | None:
     after h half-turns; then Delta^-2h word fixes the base ray, so it is
     s2^k with k = exponent_sum - 6h.  O(L).
     """
-    x, _, h = _lift(word)
+    x, _, h = _lift(word, _BASE)
     if x:
         return None
     return PeripheralElement(exponent_sum(word) - 6 * h, h)

@@ -53,9 +53,13 @@ __all__ = [
     "jsjlo_nonapplicability_report",
 ]
 
-# The caps: ``proposition_4_3_report`` hands ``braid.conj_sign`` at most
-# (samples + 1) ((2B + 1)^2 - 1) (2 max_len + 7B) letters for grid bound B,
-# and ``jsjlo_nonapplicability_report`` surveys O(B^2) slopes for bound B.
+# The caps: ``proposition_4_3_report`` counts (samples + 1) ((2B + 1)^2 - 1)
+# (2 max_len + 7B) letters for grid bound B, the length of the conjugated
+# grid words g^-1 w g, and ``jsjlo_nonapplicability_report`` surveys O(B^2)
+# slopes for bound B.  ``braid.conj_sign`` builds no such word and walks
+# |g| + |w| letters a point, so the letter cap over-counts the walk by up
+# to max_len letters a point; the count is kept, so every request answers
+# as before.
 _MAX_GRID_LETTERS = 2_000_000
 _MAX_SLOPE_BOUND = 100
 
@@ -96,8 +100,9 @@ def verify_compatibility(
     against sign-convention drift.
 
     The 2B + 1 powers of s2 and of Delta^2 are built once per call, and
-    each grid point costs one ``braid.conj_sign``, so one walk of the
-    conjugated grid word.
+    each grid point costs one ``braid.conj_sign``: a walk of the conjugator
+    from the base point and of the grid word on from there, |g| + |w|
+    letters, with no conjugated word built.
     """
     if grid_bound < 1:
         raise ValueError("grid_bound must be >= 1")

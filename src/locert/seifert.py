@@ -159,7 +159,7 @@ class TorusKnotPiece(_TorusKnotFields):
 
     __slots__ = ()
 
-    def __new__(cls, r: int, s: int, chirality: int = 1) -> "TorusKnotPiece":
+    def __new__(cls, r: int, s: int, chirality: int) -> "TorusKnotPiece":
         if r < 2 or s < 2 or gcd(r, s) != 1:
             raise ValueError("torus knot needs coprime r, s >= 2")
         if chirality not in (1, -1):

@@ -3,7 +3,7 @@
 A group word is a tuple of nonzero integers, +i / -i meaning the i-th
 generator (1-based) or its inverse.  This is the one word layer:
 inversion, free reduction and powers.  ``fpgroup`` writes its relators with
-them, ``braid`` binds inversion and powers for its B3 words, and
+them, ``braid`` binds powers for its B3 words, and
 ``sampling`` types its words here.  ``Sign3`` is the sign of an element in
 a left ordering, which ``braid``, ``klein`` and ``compat`` all read.  This
 module imports no other ``locert`` module, so a layer that needs only

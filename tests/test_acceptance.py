@@ -22,7 +22,6 @@ from locert.braid import (
     dd_compare,
     dd_sign,
     handle_reduce,
-    inverse,
     is_trivial,
     power,
     restricted_order_type,
@@ -53,7 +52,7 @@ from locert.seifert import (
     zhs_lo_status,
 )
 from locert.slopes import hf_surgery_rank, make_slope
-from locert.words import Sign3
+from locert.words import Sign3, invert_word
 
 
 @contextmanager
@@ -101,7 +100,7 @@ def test_criterion_3_dd_ordering_suite():
         for _ in range(1000):
             w = random_braid_word(rng, 20)
             sign = dd_sign(w)
-            anti = dd_sign(inverse(w))
+            anti = dd_sign(invert_word(w))
             if sign is Sign3.TRIVIAL:
                 assert anti is Sign3.TRIVIAL and is_trivial(w)
             else:
@@ -127,7 +126,7 @@ def test_criterion_4_conjugate_bound():
     ):
         for _ in range(500):
             beta = random_braid_word(rng, 8)
-            beta_inv = inverse(beta)
+            beta_inv = invert_word(beta)
             for k in range(-5, 6):
                 conj = beta_inv + power(SIGMA2, k) + beta
                 assert dd_compare(power(DELTA_SQ, -1), conj) is Ordering.LESS
@@ -237,7 +236,7 @@ def test_criterion_10_double_trefoil_certificate():
 
 
 def test_criterion_11_slope_corollary_shapes():
-    trefoil = TorusKnotPiece(2, 3)
+    trefoil = TorusKnotPiece(2, 3, 1)
     with criterion(11, "slope families finite/cofinite and rules consistent"):
         not_lo = set()
         for n in range(-10, 11):

@@ -22,7 +22,16 @@ def _junk(alphabet: str, max_size: int = 8):
 # Words over the B3 generators, now and then with a foreign letter.
 _BRAID = st.one_of(_junk("aAbB", 24), _junk("aAbB", 24), _junk("aAbB xyz1-"))
 
-# Sums of terms, known polynomials, or loose text over the polynomial alphabet.
+# Polynomials of 200 to 400 characters, valid (a long sum or coefficient) or
+# with a long tail the parser stops in, so a diagnostic meets the length guard.
+_LONG_POLY = st.tuples(
+    st.sampled_from(["t", "t ", "t + ", "t^2 - t + "]),
+    st.sampled_from([" + t", "1", "z", "+"]),
+    st.integers(200, 400),
+).map(lambda parts: parts[0] + parts[1] * (parts[2] // len(parts[1])))
+
+# Sums of terms, known polynomials, loose text over the polynomial alphabet,
+# or long polynomials.
 _POLY = st.one_of(
     st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 6)), max_size=5).map(
         lambda terms: " + ".join(f"{c}t^{e}" for c, e in terms)
@@ -30,6 +39,7 @@ _POLY = st.one_of(
     st.sampled_from(["t^2 - t + 1", "t^2 - 3t + 1", "t^4 - t^3 + t^2 - t + 1",
                      "-t^2 + 3t - 1", "1", "t^-1 - 1 + t", "2t^2 - 3t + 2"]),
     _junk("t^0123-+ x*"),
+    _LONG_POLY,
 )
 
 _EXPONENT = st.one_of(st.integers(-4, 4), st.just("1" + "0" * 30))

@@ -22,7 +22,6 @@ from locert.braid import (
     delta_floor,
     exponent_sum,
     handle_reduce,
-    inverse,
     is_trivial,
     modular_image,
     parse_word,
@@ -32,7 +31,7 @@ from locert.braid import (
     word_str,
 )
 from locert.sampling import random_braid_word, random_braid_words
-from locert.words import Sign3, free_reduce_word
+from locert.words import Sign3, free_reduce_word, invert_word
 
 BRAID_RELATOR = parse_word("abaBAB")
 
@@ -116,13 +115,24 @@ def test_word_problem_cross_check():
 
 def test_lift_examples():
     # (x, y, h): the image of the ray (0, 1) and the half-turns
-    assert braid._lift(()) == (0, 1, 0)
-    assert braid._lift(SIGMA1) == (1, 1, 0)
-    assert braid._lift(power(SIGMA1, -1)) == (-1, 1, -1)
-    assert braid._lift(power(SIGMA2, 3)) == (0, 1, 0)
-    assert braid._lift(DELTA) == (1, 0, 0)
-    assert braid._lift(DELTA_SQ) == (0, -1, 1)
-    assert braid._lift(power(DELTA_SQ, -2)) == (0, 1, -2)
+    base = braid._BASE
+    assert braid._lift((), base) == (0, 1, 0)
+    assert braid._lift(SIGMA1, base) == (1, 1, 0)
+    assert braid._lift(power(SIGMA1, -1), base) == (-1, 1, -1)
+    assert braid._lift(power(SIGMA2, 3), base) == (0, 1, 0)
+    assert braid._lift(DELTA, base) == (1, 0, 0)
+    assert braid._lift(DELTA_SQ, base) == (0, -1, 1)
+    assert braid._lift(power(DELTA_SQ, -2), base) == (0, 1, -2)
+
+
+def test_lift_walks_on_from_any_lifted_point():
+    # walking v from the lifted point of u gives the lifted point of v u
+    rng = random.Random(2025)
+    for _ in range(300):
+        u = random_braid_word(rng, 40)
+        v = random_braid_word(rng, 40)
+        start = braid._lift(u, braid._BASE)
+        assert braid._lift(v, start) == braid._lift(v + u, braid._BASE)
 
 
 def test_dd_sign_examples():
@@ -138,7 +148,7 @@ def test_dd_trichotomy_and_inverse():
     for _ in range(300):
         word = random_braid_word(rng, 20)
         sign = dd_sign(word)
-        opposite = dd_sign(inverse(word))
+        opposite = dd_sign(invert_word(word))
         if sign is Sign3.TRIVIAL:
             assert opposite is Sign3.TRIVIAL
             assert is_trivial(word)
@@ -219,7 +229,7 @@ def test_conjugate_bound():
     for _ in range(100):
         beta = random_braid_word(rng, 12)
         for k in range(-5, 6):
-            conj = inverse(beta) + power(SIGMA2, k) + beta
+            conj = invert_word(beta) + power(SIGMA2, k) + beta
             assert dd_compare(power(DELTA_SQ, -1), conj) is Ordering.LESS
             assert dd_compare(conj, DELTA_SQ) is Ordering.LESS
 
@@ -237,7 +247,7 @@ def test_property_s_instance():
             continue
         checked += 1
         for k in (-3, -1, 1, 2):
-            conj = inverse(beta) + power(SIGMA2, k) + beta
+            conj = invert_word(beta) + power(SIGMA2, k) + beta
             assert not is_trivial(conj + power(SIGMA2, -exponent_sum(conj)))
             assert (dd_sign(conj) is Sign3.POSITIVE) == (k > 0)
 
@@ -252,7 +262,7 @@ def test_delta_squared_is_central():
     rng = random.Random(1011)
     for _ in range(60):
         word = random_braid_word(rng, 16)
-        commutator = DELTA_SQ + word + power(DELTA_SQ, -1) + inverse(word)
+        commutator = DELTA_SQ + word + power(DELTA_SQ, -1) + invert_word(word)
         assert is_trivial(commutator)
 
 
@@ -435,8 +445,8 @@ def _oracle_peripheral_parse(word):
 def _planted_trivial(rng, max_len):
     # u v u^-1 v^-1 with v a conjugate of a relator: trivial, not freely so.
     u = random_braid_word(rng, max_len // 4)
-    v = u + BRAID_RELATOR + inverse(u)
-    return u + v + inverse(u) + inverse(v)
+    v = u + BRAID_RELATOR + invert_word(u)
+    return u + v + invert_word(u) + invert_word(v)
 
 
 def _random_word(rng, min_len, max_len):
@@ -576,7 +586,7 @@ def _grid_words(conjugators, bound):
     for g in conjugators:
         for k in range(-bound, bound + 1):
             for l in range(-bound, bound + 1):
-                yield inverse(g) + power(SIGMA2, k) + power(DELTA_SQ, l) + g
+                yield invert_word(g) + power(SIGMA2, k) + power(DELTA_SQ, l) + g
 
 
 def _sign_test_words():
@@ -634,7 +644,7 @@ def test_commutes_with_sigma2_matches_the_commutator():
     words += list(_grid_words(random_braid_words(2011, 4, 6) + [SIGMA2], 2))
     commuting = 0
     for word in words:
-        commutator = word + SIGMA2 + inverse(word) + power(SIGMA2, -1)
+        commutator = word + SIGMA2 + invert_word(word) + power(SIGMA2, -1)
         expected = is_trivial(commutator)
         assert commutes_with_sigma2(word) is expected, word_str(word)
         commuting += expected
@@ -650,7 +660,7 @@ def _planted_central(rng, n):
         lo, hi = sorted(rng.randrange(len(r) + 1) for _ in range(2))
         r[hi:hi] = power(DELTA_SQ, -1)
         r[lo:lo] = DELTA_SQ
-    word = tuple(w) + inverse(tuple(r))
+    word = tuple(w) + invert_word(tuple(r))
     cut = rng.randrange(len(word))
     return word[cut:] + word[:cut]
 
@@ -664,3 +674,75 @@ def test_planted_trivial_word_past_the_step_cap():
     assert is_trivial(word)
     assert delta_floor(word) == 0
     assert dd_sign(word + SIGMA1) is Sign3.POSITIVE
+
+
+# --- orders read at lifted points against the built words -----------------
+
+_ORDERING_OF_SIGN = {
+    Sign3.POSITIVE: Ordering.LESS,
+    Sign3.TRIVIAL: Ordering.EQUAL,
+    Sign3.NEGATIVE: Ordering.GREATER,
+}
+
+
+def _alternating(n):
+    # (s1 s2^-1)^n, whose lift grows by 0.69 bits a letter
+    return power(parse_word("aB"), n)
+
+
+def _point_reading_words():
+    rng = random.Random(2026)
+    words = [random_braid_word(rng, 300) for _ in range(60)]
+    return words + [_alternating(n) for n in (1, 7, 50, 200)]
+
+
+def test_conj_sign_matches_the_conjugated_word():
+    # conj_sign walks the word on from the conjugator's lifted point; the
+    # built word g^-1 w g, walked from the base point, must agree
+    grids = [
+        [power(SIGMA2, k) + power(DELTA_SQ, l)
+         for k in range(-b, b + 1) for l in range(-b, b + 1)]
+        for b in (1, 4, 8)
+    ]
+    # conjugators in <s2, Delta^2> fix the lifted point of every s2^k
+    peripheral = [power(SIGMA2, j) + power(DELTA_SQ, i)
+                  for j in (-3, 0, 1, 4) for i in (-2, 0, 1)]
+    conjugators = random_braid_words(2027, 24, 12) + peripheral
+    conjugators += [SIGMA1, _alternating(9)]
+    pairs = [(w, g) for g in conjugators for grid in grids for w in grid]
+    long_words = _point_reading_words()
+    pairs += [(w, g) for w, g in zip(long_words, long_words[1:] + long_words[:1])]
+    pairs += [(power(SIGMA2, k), g) for g in long_words for k in (-2, 0, 3)]
+    mismatches, signs, fixed = [], set(), 0
+    for w, g in pairs:
+        sign = conj_sign(w, g)
+        if sign is not dd_sign(invert_word(g) + w + g):
+            mismatches.append((word_str(w), word_str(g)))
+        signs.add(sign)
+        start = braid._lift(g, braid._BASE)
+        fixed += exponent_sum(w) != 0 and braid._lift(w, start) == start
+    assert mismatches == []
+    assert signs == set(Sign3)
+    assert fixed >= 100  # the equal-point branch, at nonzero powers of s2
+
+
+def test_dd_compare_matches_the_quotient_word():
+    # dd_compare compares two lifted points; the built word u^-1 v, walked
+    # from the base point, must agree
+    rng = random.Random(2028)
+    words = _point_reading_words() + [random_braid_word(rng, 40) for _ in range(200)]
+    pairs = [(u, v) for u, v in zip(words, words[1:])]
+    # u^-1 v = s2^k: the lifted points are equal
+    pairs += [(u, u + power(SIGMA2, k)) for u in words for k in (-3, -1, 0, 2)]
+    pairs += [(u + power(SIGMA2, k), u + power(DELTA_SQ, l))
+              for u in words[:40] for k in (-1, 1) for l in (-1, 0, 1)]
+    pairs += [(_alternating(n), _alternating(m))
+              for n in (0, 3, 50) for m in (0, 4, 51)]
+    mismatches, seen = [], set()
+    for u, v in pairs:
+        order = dd_compare(u, v)
+        if order is not _ORDERING_OF_SIGN[dd_sign(invert_word(u) + v)]:
+            mismatches.append((word_str(u), word_str(v)))
+        seen.add(order)
+    assert mismatches == []
+    assert seen == set(Ordering)

@@ -270,6 +270,11 @@ CASES: dict[str, list[str]] = {
                              "--n", "2"],
     "cover_order_merged_coefficient_too_long": ["cover", "order", "--poly", _MERGED,
                                                 "--n", "3"],
+    # a 5000-character unparsed tail: the diagnostics echo only its start
+    "cover_order_bad_tail_long": ["cover", "order", "--poly", "t + " + "z" * 5000,
+                                  "--n", "3"],
+    "cover_order_missing_sign_long": ["cover", "order", "--poly", "t " + "1" * 5000,
+                                      "--n", "3"],
     # verify
     "verify_prop43": [*_PROP43, "--verbose-cases"],
     "verify_prop43_text": ["--format", "text", *_PROP43],

@@ -16,7 +16,6 @@ from locert.braid import (
     commutes_with_sigma2,
     conj_sign,
     delta_floor,
-    inverse,
     is_trivial,
     parse_word,
     power,
@@ -33,7 +32,7 @@ from locert.compat import (
 from locert.klein import KleinElement, KleinOrderingId, k_multiply, k_sign
 from locert.sampling import random_braid_words
 from locert.slopes import make_slope
-from locert.words import Sign3
+from locert.words import Sign3, invert_word
 
 
 def test_phi_peripheral_examples():
@@ -99,7 +98,7 @@ def _row_signs(conjugator, bound):
     Delta^2m itself, and trivial iff l = -m and it is."""
     signs = {}
     for k in range(-bound, bound + 1):
-        row = inverse(conjugator) + power(SIGMA2, k) + conjugator
+        row = invert_word(conjugator) + power(SIGMA2, k) + conjugator
         m = delta_floor(row)
         exact = is_trivial(row + power(DELTA_SQ, -m))
         for l in range(-bound, bound + 1):

@@ -338,7 +338,7 @@ def test_positive_b1_facts():
     # The B1 rule certifies a 0-filling only with primeness: Heil's theorem
     # for torus knots, the caller flag for user pieces.
     zero = Slope(0, 1)
-    assert slope_lo_verdict(TorusKnotPiece(2, 3), zero).rule is LORule.B1_RULE
+    assert slope_lo_verdict(TorusKnotPiece(2, 3, 1), zero).rule is LORule.B1_RULE
     assert slope_lo_verdict(UserPiece("u"), zero).status is LOStatus.UNKNOWN
     flagged = slope_lo_verdict(UserPiece("u", prime_zero_filling=True), zero)
     assert flagged.status is LOStatus.LO and flagged.rule is LORule.B1_RULE

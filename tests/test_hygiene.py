@@ -8,7 +8,7 @@ CLI holds no cap, and only ``run`` answers a budget.
 
 The first three checks read the source with ``ast``; nothing is imported.
 A name listed in ``__all__`` counts as used, so deliberate re-exports (such
-as ``braid.inverse``, bound from ``words``) pass.  An ``__all__`` entry
+as ``braid.power``, bound from ``words``) pass.  An ``__all__`` entry
 is read when some module of ``src/locert`` or ``perfbench`` loads it as a
 name or an attribute; its definition, its ``__all__`` string and an import
 alone do not count.  The tests are not readers: an export only they read
@@ -218,14 +218,17 @@ def test_every_exception_class_is_caught():
 
 
 def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
-    """"module: function(parameter)" -> (function, parameter, the index a
+    """"module: function(parameter)" -> (callee, parameter, the index a
     caller passes it at positionally, or None for keyword-only), for every
-    parameter with a default of a function or method in the package."""
+    parameter with a default of a function or method in the package.  The
+    callee of a class's ``__new__`` or ``__init__`` is the class: a call
+    ``TorusKnotPiece(r, s, chirality)`` runs ``TorusKnotPiece.__new__``, and
+    a ``super().__new__(...)`` call inside another class does not."""
     found = {}
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        methods = {
-            id(node)
+        owner = {
+            id(node): cls.name
             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for node in cls.body
         }
@@ -234,13 +237,18 @@ def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
                 continue
             a = node.args
             positional = [*a.posonlyargs, *a.args]
-            skip = 1 if id(node) in methods and positional else 0  # self, cls
+            cls = owner.get(id(node))
+            skip = 1 if cls and positional else 0  # self, cls
+            if cls and node.name in ("__new__", "__init__"):
+                callee, where = cls, f"{path.name}: {cls}.{node.name}"
+            else:
+                callee, where = node.name, f"{path.name}: {node.name}"
             for i in range(len(positional) - len(a.defaults), len(positional)):
                 name = positional[i].arg
-                found[f"{path.name}: {node.name}({name})"] = (node.name, name, i - skip)
+                found[f"{where}({name})"] = (callee, name, i - skip)
             for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                 if default is not None:
-                    found[f"{path.name}: {node.name}({arg.arg})"] = (node.name, arg.arg, None)
+                    found[f"{where}({arg.arg})"] = (callee, arg.arg, None)
     return found
 
 
@@ -253,8 +261,9 @@ def _passes(call: ast.Call, param: str, index: int | None) -> bool:
 
 
 def default_passes() -> dict[str, list[bool]]:
-    """"module: function(parameter)" -> whether each call of that function
-    in the readers passes the parameter."""
+    """"module: function(parameter)" -> whether each call of its callee in
+    the readers passes the parameter.  Calls match by the callee's bare
+    name."""
     calls: dict[str, list[ast.Call]] = {}
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -272,6 +281,25 @@ def test_every_default_is_passed_by_a_reader():
     # disguise; tests that need another value monkeypatch a module constant.
     assert "cli.py: run(out)" in defaulted_parameters()
     assert sorted(where for where, passes in default_passes().items() if not any(passes)) == []
+
+
+def test_constructor_defaults_match_calls_of_their_class(tmp_path, monkeypatch):
+    # Piece(1, 2) passes b; the super().__new__ calls construct a Base or a
+    # tuple and say nothing about Piece.__new__'s default.
+    module = tmp_path / "pieces.py"
+    module.write_text(
+        "class Base(tuple):\n"
+        "    def __new__(cls, a):\n"
+        "        return super().__new__(cls, (a,))\n"
+        "class Piece(Base):\n"
+        "    def __new__(cls, a, b=1):\n"
+        "        return super().__new__(cls, a)\n"
+        "Piece(1, 2)\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setitem(globals(), "MODULES", [module])
+    monkeypatch.setitem(globals(), "READERS", [module])
+    assert default_passes() == {"pieces.py: Piece.__new__(b)": [True]}
 
 
 def test_every_default_is_omitted_by_a_reader():

@@ -28,13 +28,13 @@ from locert.seifert import (
 )
 from locert.slopes import GluingMatrix, Slope, hf_surgery_rank, make_slope
 
-TREFOIL = TorusKnotPiece(2, 3)
+TREFOIL = TorusKnotPiece(2, 3, 1)
 SPLICE = GluingMatrix(0, 1, 1, 0)
 
 
 def _double_trefoil() -> SpliceTree:
     return SpliceTree(
-        (TorusKnotPiece(2, 3), TorusKnotPiece(2, 3)),
+        (TorusKnotPiece(2, 3, 1), TorusKnotPiece(2, 3, 1)),
         (SpliceEdge(0, 1, SPLICE),),
     )
 
@@ -74,7 +74,8 @@ def test_moser_surgery():
 def test_moser_homology_sphere_cross_check():
     # |p| = 1 fillings are integer homology spheres: multiplicities come
     # out pairwise coprime, so BrieskornZHS accepts them.
-    for knot in (TorusKnotPiece(2, 3), TorusKnotPiece(2, 5), TorusKnotPiece(3, 4)):
+    for knot in (TorusKnotPiece(2, 3, 1), TorusKnotPiece(2, 5, 1),
+                 TorusKnotPiece(3, 4, 1)):
         for q in range(1, 8):
             for p in (1, -1):
                 result = moser_surgery(knot, make_slope(p, q))
@@ -269,7 +270,7 @@ def test_certificate_search_corollary_branch():
         ((Slope(1, 0), LOStatus.LO),),
         prime_zero_filling=True,
     )
-    tree = SpliceTree((user, TorusKnotPiece(2, 3)), (SpliceEdge(0, 1, SPLICE),))
+    tree = SpliceTree((user, TorusKnotPiece(2, 3, 1)), (SpliceEdge(0, 1, SPLICE),))
     outcome = certificate_search(tree, search_bound=3)
     assert outcome.status is LOStatus.LO
     ec = outcome.certificate["components"][0]["edge_certificate"]
@@ -299,8 +300,8 @@ def test_certificate_search_exceptional_leaf():
 def test_certificate_search_forest_components():
     tree = SpliceTree(
         (
-            TorusKnotPiece(2, 3),
-            TorusKnotPiece(2, 3),
+            TorusKnotPiece(2, 3, 1),
+            TorusKnotPiece(2, 3, 1),
             BrieskornZHS((2, 3, 7)),
         ),
         (SpliceEdge(0, 1, SPLICE),),
@@ -321,7 +322,7 @@ def test_certificate_search_forest_components():
 
 def test_certificate_search_unknown():
     silent = UserPiece("mystery")
-    tree = SpliceTree((silent, TorusKnotPiece(2, 3)), (SpliceEdge(0, 1, SPLICE),))
+    tree = SpliceTree((silent, TorusKnotPiece(2, 3, 1)), (SpliceEdge(0, 1, SPLICE),))
     outcome = certificate_search(tree, search_bound=2)
     assert outcome.status is LOStatus.UNKNOWN
     assert outcome.certificate is None
@@ -473,7 +474,7 @@ def test_tree_validation():
     with pytest.raises(InvalidSpliceTree):
         # an exterior supports only one gluing
         SpliceTree(
-            (TREFOIL, TorusKnotPiece(2, 5), TorusKnotPiece(2, 7)),
+            (TREFOIL, TorusKnotPiece(2, 5, 1), TorusKnotPiece(2, 7, 1)),
             (SpliceEdge(0, 1, SPLICE), SpliceEdge(0, 2, SPLICE)),
         ).components()
     with pytest.raises(InvalidSpliceTree, match="exterior but has no gluing edge"):
