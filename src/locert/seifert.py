@@ -130,13 +130,20 @@ class BrieskornZHS(_BrieskornFields):
         if not multiplicities or any(m < 1 for m in multiplicities):
             raise ValueError("multiplicities must be integers >= 1")
         nontrivial = [m for m in multiplicities if m > 1]
-        for i in range(len(nontrivial)):
-            for j in range(i + 1, len(nontrivial)):
-                if gcd(nontrivial[i], nontrivial[j]) != 1:
-                    raise ValueError(
-                        f"multiplicities {brief_repr(nontrivial[i])} and "
-                        f"{brief_repr(nontrivial[j])} share a factor"
-                    )
+        # One pass from the end: entry i against the product of the later
+        # entries.  The first clashing i found from the front is the last
+        # one found from the back; its first clashing j names the pair.
+        later, clash = 1, None
+        for i in range(len(nontrivial) - 1, -1, -1):
+            if gcd(nontrivial[i], later) != 1:
+                clash = i
+            later *= nontrivial[i]
+        if clash is not None:
+            m = nontrivial[clash]
+            n = next(n for n in nontrivial[clash + 1:] if gcd(m, n) != 1)
+            raise ValueError(
+                f"multiplicities {brief_repr(m)} and {brief_repr(n)} share a factor"
+            )
         return super().__new__(cls, multiplicities)
 
     def boundary_count(self) -> int:
@@ -177,25 +184,22 @@ class TorusKnotPiece(_TorusKnotFields):
 class UserPiece(NamedTuple):
     """Knot exterior with caller-supplied slope verdicts.
 
-    ``asserted`` maps normalized slopes to statuses; the meridian entry
+    ``asserted`` maps each asserted slope, normalized, to its status, one
+    entry per slope: the order of the JSON keys does not matter, and two
+    keys that name one slope (``-1/1`` and ``1/-1``) are an input error of
+    ``SpliceTree.from_json``, whatever their statuses.  The meridian entry
     (1, 0), when LO, asserts that the ambient homology sphere has
     left-orderable fundamental group.  ``prime_zero_filling`` supplies the
     primeness hypothesis the B1 rule needs.
     """
 
-    name: str = ""
-    description: str = ""
-    asserted: tuple[tuple[Slope, LOStatus], ...] = ()
-    prime_zero_filling: bool = False
+    name: str
+    description: str
+    asserted: dict[Slope, LOStatus]
+    prime_zero_filling: bool
 
     def boundary_count(self) -> int:
         return 1
-
-    def lookup(self, alpha: Slope) -> LOStatus | None:
-        for s, status in self.asserted:
-            if s == alpha:
-                return status
-        return None
 
     def describe(self) -> str:
         return self.description or self.name or "user piece"
@@ -293,10 +297,7 @@ class SpliceTree(NamedTuple):
                     UserPiece(
                         _json_str(nd.get("name", ""), "name"),
                         _json_str(nd.get("description", ""), "description"),
-                        tuple(
-                            (parse_slope(s), _asserted_status(s, v))
-                            for s, v in asserted.items()
-                        ),
+                        _asserted_slopes(asserted),
                         prime,
                     )
                 )
@@ -344,6 +345,23 @@ def _json_str(value: object, what: str) -> str:
     _expect(isinstance(value, str),
             f"{what} must be a string, got {brief_repr(value)}")
     return value
+
+
+def _asserted_slopes(asserted: dict) -> dict[Slope, LOStatus]:
+    """A user piece's ``asserted`` object as its slope -> status map; two
+    keys that parse to one slope are an error, even at one status."""
+    statuses: dict[Slope, LOStatus] = {}
+    keys: dict[Slope, str] = {}
+    for key, value in asserted.items():
+        slope = parse_slope(key)
+        if slope in keys:
+            raise InvalidSpliceTree(
+                f"asserted slopes {brief_repr(keys[slope])} and "
+                f"{brief_repr(key)} name the same slope"
+            )
+        keys[slope] = key
+        statuses[slope] = _asserted_status(key, value)
+    return statuses
 
 
 def _asserted_status(slope: str, value: object) -> LOStatus:
@@ -460,29 +478,22 @@ def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict
 
 
 def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
-    """Dispatch over the rule table; first applicable rule wins, in the
-    order B1Rule, ZHSClassification, LSpaceInterval, UserAsserted."""
+    """Dispatch over the rule table; first applicable rule wins.  A torus
+    knot exterior tries B1Rule at 0/1, ZHSClassification at |p| = 1, then
+    LSpaceInterval; a user piece tries B1Rule at 0/1 under its primeness
+    flag, then UserAsserted, and is UNKNOWN elsewhere."""
     if isinstance(piece, BrieskornZHS):
         raise ValueError("closed pieces have no slopes to fill")
     alpha = make_slope(alpha.p, alpha.q)
 
-    if alpha.p == 0:
-        if isinstance(piece, TorusKnotPiece):
+    if isinstance(piece, TorusKnotPiece):
+        if alpha.p == 0:
             return LOSlopeVerdict(
                 LOStatus.LO,
                 LORule.B1_RULE,
                 "0-filling has infinite first homology (surjection onto Z) "
                 "and is prime and Seifert fibred (Heil)",
             )
-        if isinstance(piece, UserPiece) and piece.prime_zero_filling:
-            return LOSlopeVerdict(
-                LOStatus.LO,
-                LORule.B1_RULE,
-                "0-filling has infinite first homology (surjection onto Z); "
-                "primeness supplied by caller flag",
-            )
-
-    if isinstance(piece, TorusKnotPiece):
         if abs(alpha.p) == 1:  # a homology sphere; reducible needs p = qrs
             result = moser_surgery(piece, alpha)
             closed = BrieskornZHS(result.multiplicities or (1,))  # lens: S^3
@@ -495,7 +506,14 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
             )
         return torus_knot_lspace_verdict(piece, alpha)
 
-    status = piece.lookup(alpha)
+    if alpha.p == 0 and piece.prime_zero_filling:
+        return LOSlopeVerdict(
+            LOStatus.LO,
+            LORule.B1_RULE,
+            "0-filling has infinite first homology (surjection onto Z); "
+            "primeness supplied by caller flag",
+        )
+    status = piece.asserted.get(alpha)
     if status is not None:
         return LOSlopeVerdict(
             status,

@@ -291,6 +291,16 @@ def test_matches_sylvester_oracle_on_knots():
             assert branched_cover_order(poly, n) == oracle_cover_order(poly, n)
 
 
+def test_matches_sylvester_oracle_where_the_power_of_lc_drops():
+    # At n = 27 one reduction leaves every coefficient of H divisible by
+    # lc = 8, so _reduce_mod lowers s there; random polynomials rarely
+    # reach that branch.
+    poly = parse_poly("8t^6 + 12t^5 + 4t^4 - 47t^3 + 4t^2 + 12t + 8")
+    order = branched_cover_order(poly, 27)
+    assert order == oracle_cover_order(poly, 27)
+    assert len(str(order)) == 43
+
+
 def test_five_two_orders():
     # n = 2: |Delta(-1)| = 7
     # n = 3: Delta(w) = -5w, so the product is 25w^3 = 25

@@ -194,8 +194,18 @@ CASES: dict[str, list[str]] = {
     "splice_cert_bad_status": ["splice", "cert", "bad_status_tree.json"],
     # r has 5000 digits: json.load cannot read it past the 4300-digit limit
     "splice_cert_int_too_long": ["splice", "cert", "long_int_tree.json"],
-    # 3000 nested lists: json.load hits the recursion limit
+    # 100000 nested lists: json.load hits the recursion limit on every
+    # supported Python (3.13 reads 3000)
     "splice_cert_deep_nesting": ["splice", "cert", "deep_nesting.json"],
+    # Sigma(2,3) and Sigma(2,3,1) are S^3: two nontrivial fibres are not LO
+    "splice_cert_sigma_2_3": ["splice", "cert", "sigma_2_3_tree.json"],
+    "splice_cert_sigma_2_3_1": ["splice", "cert", "sigma_2_3_1_tree.json"],
+    # -1/1 and 1/-1 name one slope: an input error, not a first match
+    "splice_cert_duplicate_slope": ["splice", "cert", "duplicate_slope_tree.json"],
+    # the same assertions in two key orders print the same certificate
+    "splice_cert_key_order": ["splice", "cert", "key_order_tree.json"],
+    "splice_cert_key_order_reversed": ["splice", "cert",
+                                       "key_order_reversed_tree.json"],
     "splice_cert_negative_bound": ["splice", "cert", DATA + "double_trefoil_splice.json",
                                    "--bound", "-3"],
     # T(10^2200 + 1, 10^2200 + 3): the -1/1 and 1/0 fillings close to Brieskorn
@@ -242,6 +252,9 @@ CASES: dict[str, list[str]] = {
                                 "double_trefoil_cert.json"],
     # hf
     "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
+    # nu > 5
+    "hf_rank_large_nu": ["hf", "rank", "--p", "3", "--q", "1", "--nu", "7",
+                         "--ranks", "1"],
     "hf_rank_bad_q": ["hf", "rank", "--p", "1", "--q", "0", "--nu", "0", "--ranks", "1"],
     "hf_rank_bad_ranks": ["hf", "rank", "--p", "1", "--q", "1", "--nu", "0",
                           "--ranks", "1,,2"],
@@ -368,6 +381,14 @@ def test_inconclusive_payload_is_the_answer_plus_a_reason():
     for command, payloads in keys[2].items():
         for payload in payloads:
             assert payload in keys[0][command], command
+
+
+def test_assertion_key_order_does_not_change_the_answer():
+    forward, backward = (
+        json.loads(_case_path(name).read_text(encoding="utf-8"))
+        for name in ("splice_cert_key_order", "splice_cert_key_order_reversed")
+    )
+    assert forward["exit"] == 0 and forward["stdout"] == backward["stdout"]
 
 
 def _splice_cert_cases() -> list[str]:

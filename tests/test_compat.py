@@ -189,6 +189,13 @@ def test_nonapplicability_slope_bound_cap(monkeypatch):
         jsjlo_nonapplicability_report(101)
 
 
+def test_verify_compatibility_checks_its_grid_bound():
+    # its own check, not only the report's: the grid needs B >= 1
+    for grid_bound in (0, -1):
+        with pytest.raises(ValueError, match="^grid_bound must be >= 1$"):
+            verify_compatibility(SIGMA1, grid_bound)
+
+
 def test_proposition_4_3_report_checks_input_then_its_cap(monkeypatch):
     # each input check answers before the cap, which every one of these
     # requests would pass, and the cap answers before any sampling

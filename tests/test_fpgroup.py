@@ -311,6 +311,23 @@ def test_check_closed_table_rejects_tampering():
     assert not check_closed_table(p, [], bad)
 
 
+def test_check_closed_table_rejects_bad_shapes_and_relators():
+    # a row of the wrong length or with an entry out of range is no table
+    p = Presentation.parse(["x", "y"], ["x x", "y y y", "x y x y"])
+    closed = enumerate_table(p, [], 100)
+    assert closed.index == 6 and check_closed_table(p, [], closed)
+    short, high, low = ([row[:] for row in closed.table] for _ in range(3))
+    short[0] = [0, 0, 0]
+    high[0][0] = closed.index
+    low[0][0] = -1
+    for table in (short, high, low):
+        assert not check_closed_table(p, [], ClosedTable(closed.index, table))
+    # a permutation table on which y has order 2, not 3: y y y moves coset 0
+    swap = ClosedTable(2, [[0, 0, 1, 1], [1, 1, 0, 0]])
+    assert not check_closed_table(p, [], swap)
+    assert check_closed_table(Presentation.parse(["x", "y"], ["x x", "y y"]), [], swap)
+
+
 def test_abelianization_commutes_with_amalgam():
     # abelianizing the amalgam = abelianizing pieces plus the identification
     # rows; spot-check through the invariants of the assembled matrix
@@ -339,6 +356,6 @@ def test_positive_b1_facts():
     # for torus knots, the caller flag for user pieces.
     zero = Slope(0, 1)
     assert slope_lo_verdict(TorusKnotPiece(2, 3, 1), zero).rule is LORule.B1_RULE
-    assert slope_lo_verdict(UserPiece("u"), zero).status is LOStatus.UNKNOWN
-    flagged = slope_lo_verdict(UserPiece("u", prime_zero_filling=True), zero)
+    assert slope_lo_verdict(UserPiece("u", "", {}, False), zero).status is LOStatus.UNKNOWN
+    flagged = slope_lo_verdict(UserPiece("u", "", {}, True), zero)
     assert flagged.status is LOStatus.LO and flagged.rule is LORule.B1_RULE

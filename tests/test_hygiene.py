@@ -15,9 +15,10 @@ alone do not count.  The tests are not readers: an export only they read
 must back a claim or a cross-check named in ``TEST_ONLY_EXPORTS``.  Every
 exception class the package defines must be caught by type somewhere in it
 or in ``perfbench``, and every defaulted parameter of a package function
-must be passed by some call in those same readers and omitted by another: a
-knob only the tests turn is a constant, and a default every caller
-overrides is a required parameter.
+or class (a NamedTuple's field defaults count) must be passed by some call
+in those same readers and omitted by another: a knob only the tests turn
+is a constant, and a default every caller overrides is a required
+parameter.
 """
 
 from __future__ import annotations
@@ -223,7 +224,10 @@ def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
     parameter with a default of a function or method in the package.  The
     callee of a class's ``__new__`` or ``__init__`` is the class: a call
     ``TorusKnotPiece(r, s, chirality)`` runs ``TorusKnotPiece.__new__``, and
-    a ``super().__new__(...)`` call inside another class does not."""
+    a ``super().__new__(...)`` call inside another class does not.  A
+    class-body field with a value, such as ``b: int = 1`` in a NamedTuple,
+    is a defaulted parameter of its class, at the field's position among
+    the annotated fields."""
     found = {}
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -232,6 +236,17 @@ def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for node in cls.body
         }
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = [
+                node for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            ]
+            for i, field in enumerate(fields):
+                if field.value is not None:
+                    name = field.target.id
+                    found[f"{path.name}: {cls.name}({name})"] = (cls.name, name, i)
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -300,6 +315,31 @@ def test_constructor_defaults_match_calls_of_their_class(tmp_path, monkeypatch):
     monkeypatch.setitem(globals(), "MODULES", [module])
     monkeypatch.setitem(globals(), "READERS", [module])
     assert default_passes() == {"pieces.py: Piece.__new__(b)": [True]}
+
+
+def test_field_defaults_match_calls_of_their_class(tmp_path, monkeypatch):
+    # A NamedTuple's field defaults are parameters of the class: Piece(1, 2)
+    # passes b and omits c, Piece(1, c=3) the other way round, and the
+    # field without a value has no default to match.
+    module = tmp_path / "pieces.py"
+    module.write_text(
+        "from typing import NamedTuple\n"
+        "class Piece(NamedTuple):\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: int = 2\n"
+        "    def scaled(self, k: int) -> int:\n"
+        "        return k * self.a\n"
+        "Piece(1, 2)\n"
+        "Piece(1, c=3)\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setitem(globals(), "MODULES", [module])
+    monkeypatch.setitem(globals(), "READERS", [module])
+    assert default_passes() == {
+        "pieces.py: Piece(b)": [True, False],
+        "pieces.py: Piece(c)": [False, True],
+    }
 
 
 def test_every_default_is_omitted_by_a_reader():

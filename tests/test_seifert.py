@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 from math import gcd
 
 import pytest
@@ -52,6 +53,27 @@ def test_recognize_exceptional():
         BrieskornZHS((2, 4, 5))
     with pytest.raises(ValueError, match=r"^multiplicities must be integers >= 1$"):
         BrieskornZHS((0, 3))
+
+
+def test_brieskorn_names_the_first_clashing_pair():
+    # The pair is the least i, then the least j > i, with a common factor:
+    # among (3, 21), (3, 15), (5, 10), (5, 15), (7, 21) and (10, 15) it is
+    # (3, 21), though 10 is the first entry that clashes with an earlier one.
+    with pytest.raises(ValueError, match=r"^multiplicities 3 and 21 share a factor$"):
+        BrieskornZHS((1, 3, 5, 7, 10, 21, 15))
+    rng = random.Random(26)
+    for _ in range(300):
+        ms = tuple(rng.randint(1, 40) for _ in range(rng.randint(1, 7)))
+        nontrivial = [m for m in ms if m > 1]
+        pairs = [(a, b) for i, a in enumerate(nontrivial)
+                 for b in nontrivial[i + 1:] if gcd(a, b) != 1]
+        if not pairs:
+            assert BrieskornZHS(ms).multiplicities == ms
+            continue
+        with pytest.raises(ValueError) as info:
+            BrieskornZHS(ms)
+        first, second = pairs[0]
+        assert str(info.value) == f"multiplicities {first} and {second} share a factor"
 
 
 def test_zhs_lo_status():
@@ -125,10 +147,41 @@ def test_slope_verdict_dispatch_order():
     assert reducible.evidence == (
         "6/1 filling of T(2,3) chirality +1 is reducible; no rule applies"
     )
-    user = UserPiece("Y", asserted=((Slope(1, 0), LOStatus.LO),))
+    user = UserPiece("Y", "", {Slope(1, 0): LOStatus.LO}, False)
     asserted = slope_lo_verdict(user, make_slope(1, 0))
     assert asserted.status is LOStatus.LO and asserted.rule is LORule.USER_ASSERTED
     assert slope_lo_verdict(user, make_slope(3, 1)).status is LOStatus.UNKNOWN
+
+
+def test_closed_pieces_have_no_slopes():
+    with pytest.raises(ValueError, match="^closed pieces have no slopes to fill$"):
+        slope_lo_verdict(BrieskornZHS((2, 3, 7)), Slope(1, 0))
+
+
+def test_user_piece_reads_one_entry_per_slope():
+    # Keys are slopes after parsing: their order does not matter, and two
+    # spellings of one slope are an input error even at one status.
+    def tree(asserted):
+        user = {"kind": "user", "asserted": asserted}
+        return {"nodes": [user, {"kind": "torus_knot", "r": 2, "s": 3}],
+                "edges": [{"a": 0, "b": 1, "matrix": [0, 1, 1, 0]}]}
+
+    forward = {"1/0": "not_lo", "-1/1": "not_lo", "2/1": "lo", "3": "unknown"}
+    backward = dict(reversed(forward.items()))
+    assert list(backward) != list(forward)
+    parsed = SpliceTree.from_json(tree(forward))
+    assert parsed == SpliceTree.from_json(tree(backward))
+    assert parsed.nodes[0].asserted == {
+        Slope(1, 0): LOStatus.NOT_LO, Slope(-1, 1): LOStatus.NOT_LO,
+        Slope(2, 1): LOStatus.LO, Slope(3, 1): LOStatus.UNKNOWN,
+    }
+    for first, second, statuses in (("-1/1", "1/-1", ("not_lo", "lo")),
+                                    ("1/1", " 1/1", ("lo", "lo")),
+                                    ("3", "3/1", ("unknown", "lo"))):
+        asserted = dict(zip((first, second), statuses))
+        message = f"^asserted slopes {first!r} and {second!r} name the same slope$"
+        with pytest.raises(InvalidSpliceTree, match=message):
+            SpliceTree.from_json(tree(asserted))
 
 
 def test_rule_consistency_sweep():
@@ -155,8 +208,8 @@ def test_definite_verdicts_carry_a_rule():
     # Every LO or NOT_LO verdict of the rule table names the rule that gave
     # it; only UNKNOWN may carry none.  Swept over the slopes of the search
     # walk, on each piece kind and both chiralities.
-    asserted = tuple(zip((Slope(1, 0), Slope(2, 1), Slope(3, 1)), LOStatus))
-    pieces = [UserPiece("u", "", asserted, True), UserPiece("silent")]
+    asserted = dict(zip((Slope(1, 0), Slope(2, 1), Slope(3, 1)), LOStatus))
+    pieces = [UserPiece("u", "", asserted, True), UserPiece("silent", "", {}, False)]
     pieces += [TorusKnotPiece(r, s, chirality)
                for r, s in ((2, 3), (2, 5), (3, 4)) for chirality in (1, -1)]
     verdicts = [slope_lo_verdict(piece, slope)
@@ -267,8 +320,8 @@ def test_certificate_search_corollary_branch():
     user = UserPiece(
         "Y1",
         "exterior of a knot in a left-orderable homology sphere",
-        ((Slope(1, 0), LOStatus.LO),),
-        prime_zero_filling=True,
+        {Slope(1, 0): LOStatus.LO},
+        True,
     )
     tree = SpliceTree((user, TorusKnotPiece(2, 3, 1)), (SpliceEdge(0, 1, SPLICE),))
     outcome = certificate_search(tree, search_bound=3)
@@ -321,7 +374,7 @@ def test_certificate_search_forest_components():
 
 
 def test_certificate_search_unknown():
-    silent = UserPiece("mystery")
+    silent = UserPiece("mystery", "", {}, False)
     tree = SpliceTree((silent, TorusKnotPiece(2, 3, 1)), (SpliceEdge(0, 1, SPLICE),))
     outcome = certificate_search(tree, search_bound=2)
     assert outcome.status is LOStatus.UNKNOWN
@@ -375,7 +428,7 @@ def test_verify_rejects_tampered_certificates():
 def _user_splice() -> SpliceTree:
     # The b-side longitude is left-orderable only by the B1 rule, whose
     # primeness hypothesis the caller flag supplies.
-    user = UserPiece("u", prime_zero_filling=True)
+    user = UserPiece("u", "", {}, True)
     return SpliceTree((TREFOIL, user), (SpliceEdge(0, 1, GluingMatrix(1, 1, 0, 1)),))
 
 
@@ -485,7 +538,7 @@ def test_tree_and_certificate_json_round_trip():
     tree = SpliceTree(
         (
             TorusKnotPiece(2, 3, -1),
-            UserPiece("u", "desc", ((Slope(1, 0), LOStatus.LO),), True),
+            UserPiece("u", "desc", {Slope(1, 0): LOStatus.LO}, True),
         ),
         (SpliceEdge(0, 1, SPLICE),),
     )
@@ -564,7 +617,7 @@ def test_user_piece_name_and_description_are_strings():
         return {"nodes": [node], "edges": []}
 
     assert SpliceTree.from_json(user()).nodes == (
-        UserPiece(asserted=((Slope(1, 0), LOStatus.LO),)),
+        UserPiece("", "", {Slope(1, 0): LOStatus.LO}, False),
     )
     with pytest.raises(InvalidSpliceTree, match=r"^name must be a string, got 5$"):
         SpliceTree.from_json(user(name=5, description="d"))
