@@ -4,9 +4,9 @@ Words are tuples of nonzero integers: +1 for s1, -1 for s1^-1, +2 for s2,
 -2 for s2^-1.  The ASCII syntax is ``a`` = s1, ``A`` = s1^-1, ``b`` = s2,
 ``B`` = s2^-1, with whitespace ignored, so words round-trip bit-exactly
 through the CLI.  Words concatenate with tuple ``+``.  A braid word is a
-group word over (s1, s2), so its type and powers are the ``words``
-layer's, bound here under the names ``Word`` and ``power``; a sign in the
-DD ordering is a ``words.Sign3``.
+group word over (s1, s2), so its type is ``words.GroupWord`` and its
+powers are ``words.word_power``; a sign in the DD ordering is a
+``words.Sign3``.
 
 Three procedures decide the word problem, and they cross-validate each
 other:
@@ -49,12 +49,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .words import GroupWord as Word
-from .words import Sign3
-from .words import word_power as power
+from .words import GroupWord, Sign3
 
 __all__ = [
-    "Word",
     "Ordering",
     "PeripheralElement",
     "PeripheralOrderType",
@@ -64,7 +61,6 @@ __all__ = [
     "DELTA_SQ",
     "parse_word",
     "word_str",
-    "power",
     "exponent_sum",
     "modular_image",
     "is_trivial",
@@ -111,7 +107,7 @@ class PeripheralOrderType(Enum):
         return pe.k > 0 if self is PeripheralOrderType.POS_K else pe.k < 0
 
 
-def parse_word(text: str) -> Word:
+def parse_word(text: str) -> GroupWord:
     """Parse ASCII braid syntax (a/A/b/B, whitespace ignored)."""
     letters = []
     for ch in text:
@@ -124,17 +120,17 @@ def parse_word(text: str) -> Word:
     return tuple(letters)
 
 
-def word_str(word: Word) -> str:
+def word_str(word: GroupWord) -> str:
     return "".join(_CHAR_OF_LETTER[x] for x in word)
 
 
-SIGMA1: Word = (1,)
-SIGMA2: Word = (2,)
-DELTA: Word = (1, 2, 1)
-DELTA_SQ: Word = DELTA + DELTA
+SIGMA1: GroupWord = (1,)
+SIGMA2: GroupWord = (2,)
+DELTA: GroupWord = (1, 2, 1)
+DELTA_SQ: GroupWord = DELTA + DELTA
 
 
-def exponent_sum(word: Word) -> int:
+def exponent_sum(word: GroupWord) -> int:
     """Sum of letter signs; a homomorphism B3 -> Z (Delta^2 maps to 6)."""
     return sum(1 if x > 0 else -1 for x in word)
 
@@ -152,7 +148,7 @@ _MOD_IMAGE = {
 _TOKEN_ORDER = {"a": 2, "b": 3}
 
 
-def modular_image(word: Word) -> tuple[tuple[str, int], ...]:
+def modular_image(word: GroupWord) -> tuple[tuple[str, int], ...]:
     """Image in Z/2 * Z/3, as the alternating normal form.
 
     Tokens are ("a", 1), ("b", 1) or ("b", 2); the empty tuple is the
@@ -172,7 +168,7 @@ def modular_image(word: Word) -> tuple[tuple[str, int], ...]:
     return tuple(stack)
 
 
-def is_trivial(word: Word) -> bool:
+def is_trivial(word: GroupWord) -> bool:
     """Exact word problem: trivial iff the exponent sum is 0 and the
     central-quotient image is empty (the kernel of the quotient is
     <Delta^2> and exponent_sum(Delta^2) = 6)."""
@@ -184,7 +180,7 @@ def is_trivial(word: Word) -> bool:
 _NO_SYLLABLE = [0, 0]  # stands for the top of an empty stack; gen 0 never merges
 
 
-def _syllables(word: Word) -> list[list[int]]:
+def _syllables(word: GroupWord) -> list[list[int]]:
     """Freely reduced syllable form: [[gen, exp], ...] with gen in {1, 2},
     exp != 0, and adjacent generators distinct."""
     stack: list[list[int]] = []
@@ -215,14 +211,14 @@ def _syllables(word: Word) -> list[list[int]]:
     return stack
 
 
-def _letters(sylls: list[list[int]]) -> Word:
+def _letters(sylls: list[list[int]]) -> GroupWord:
     out: list[int] = []
     for gen, exp in sylls:
         out.extend([gen if exp > 0 else -gen] * abs(exp))
     return tuple(out)
 
 
-def handle_reduce(word: Word) -> Word:
+def handle_reduce(word: GroupWord) -> GroupWord:
     """Dehornoy handle reduction, specialized to B3: the reduced word.  The
     reduction runs on the syllables of ``_syllables`` and expands them to
     letters once, at the end.
@@ -335,7 +331,7 @@ def handle_reduce(word: Word) -> Word:
 _BASE = (0, 1, 0)
 
 
-def _lift(word: Word, point: tuple[int, int, int]) -> tuple[int, int, int]:
+def _lift(word: GroupWord, point: tuple[int, int, int]) -> tuple[int, int, int]:
     """The image of the lifted point ``point`` = (x, y, h) under the left
     action of ``word``, with s1 -> [[1, 1], [0, 1]] and s2 -> [[1, 0], [-1, 1]]:
     the vector (x, y) and the count h of half-turns on the lifted line.
@@ -403,7 +399,7 @@ def _s2_power_sign(k: int) -> Sign3:
     return Sign3.NEGATIVE if k else Sign3.TRIVIAL
 
 
-def dd_sign(word: Word) -> Sign3:
+def dd_sign(word: GroupWord) -> Sign3:
     """Sign in the Dubrovina-Dubrovin ordering: ``word``'s lifted point
     against the base point.
 
@@ -414,7 +410,7 @@ def dd_sign(word: Word) -> Sign3:
     return _order(_BASE, _lift(word, _BASE)) or _s2_power_sign(exponent_sum(word))
 
 
-def dd_compare(u: Word, v: Word) -> Ordering:
+def dd_compare(u: GroupWord, v: GroupWord) -> Ordering:
     """Compare in the DD ordering: u < v iff u^-1 v is DD-positive, so iff
     v's lifted point lies ahead of u's.  At equal points u^-1 v is s2^k,
     with k the exponent-sum difference."""
@@ -428,7 +424,7 @@ def dd_compare(u: Word, v: Word) -> Ordering:
     return Ordering.GREATER
 
 
-def conj_sign(word: Word, conjugator: Word) -> Sign3:
+def conj_sign(word: GroupWord, conjugator: GroupWord) -> Sign3:
     """Sign of ``word`` in the conjugate ordering whose positive cone is
     {w : g^-1 w g DD-positive} for g = ``conjugator``: ``word`` walked from
     g's lifted point, against that point.  |g| + |w| letters; the word
@@ -438,7 +434,7 @@ def conj_sign(word: Word, conjugator: Word) -> Sign3:
     return _order(start, _lift(word, start)) or _s2_power_sign(exponent_sum(word))
 
 
-def delta_floor(word: Word) -> int:
+def delta_floor(word: GroupWord) -> int:
     """The integer m with Delta^2m <=_DD word <_DD Delta^(2m+2).
 
     Delta^2 turns every ray by a half-turn, so Delta^-2m word has half-turn
@@ -452,14 +448,14 @@ def delta_floor(word: Word) -> int:
     return h
 
 
-def commutes_with_sigma2(word: Word) -> bool:
+def commutes_with_sigma2(word: GroupWord) -> bool:
     """Exact commutator check against s2: the centralizer of s2 is
     <s2, Delta^2>, the braids that map the base line x = 0 of ``_lift`` to
     itself."""
     return _lift(word, _BASE)[0] == 0
 
 
-def peripheral_parse(word: Word) -> PeripheralElement | None:
+def peripheral_parse(word: GroupWord) -> PeripheralElement | None:
     """Recognize membership in <s2, Delta^2>.
 
     The word lies there iff it maps the base line of ``_lift`` to itself,
@@ -472,7 +468,7 @@ def peripheral_parse(word: Word) -> PeripheralElement | None:
     return PeripheralElement(exponent_sum(word) - 6 * h, h)
 
 
-def restricted_order_type(conjugator: Word) -> PeripheralOrderType:
+def restricted_order_type(conjugator: GroupWord) -> PeripheralOrderType:
     """Restriction of the conjugated DD ordering to <s2, Delta^2>.
 
     A conjugator g commuting with s2 leaves s2^k positive iff k < 0, as in

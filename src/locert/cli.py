@@ -106,6 +106,7 @@ def _braid_compare(args, payload):
 
 def _braid_reduce(args, payload):
     from . import braid
+    from .words import word_power
 
     word = braid.parse_word(args.word)
     payload.update(word=braid.word_str(word), reduced=None, trivial=None)
@@ -113,7 +114,7 @@ def _braid_reduce(args, payload):
     if peripheral is not None and peripheral.l == 0:
         # s2^k: no word of it holds s1 with one sign only (Dehornoy's
         # trichotomy), so handle reduction ends at s2^k itself
-        reduced = braid.power(braid.SIGMA2, peripheral.k)
+        reduced = word_power(braid.SIGMA2, peripheral.k)
     else:
         reduced = braid.handle_reduce(word)
     payload.update(reduced=braid.word_str(reduced), trivial=not reduced)
@@ -130,10 +131,10 @@ def _braid_floor(args, payload):
 
 
 def _klein_fill(args, payload):
-    from . import klein
+    from . import klein, slopes
 
-    slope = klein.KleinPeripheral(args.m, args.n)
-    payload.update(slope=[slope.m, slope.n], classification=None,
+    slope = slopes.Slope(args.m, args.n)  # as typed, not normalized
+    payload.update(slope=list(slope), classification=None,
                    abelianization=None, note=None)
     kind, free_rank, torsion, note = klein.klein_fill(slope)
     payload.update(
@@ -266,7 +267,7 @@ def _splice_cert(args, payload):
     payload.update(status=None, components=None, certificate=None)
     verdict, components, certificate = seifert.certificate_search(tree, args.bound)
     payload.update(status=verdict.value, components=components, certificate=certificate)
-    return "unknown" if certificate is None else "ok"
+    return "unknown" if verdict is seifert.LOStatus.UNKNOWN else "ok"
 
 
 def _splice_verify(args, payload):

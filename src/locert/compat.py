@@ -31,19 +31,17 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import braid
-from .braid import Word
 from .fpgroup import Presentation, enumerate_table
 from .klein import (
     KleinElement,
     KleinFillKind,
     KleinOrderingId,
-    KleinPeripheral,
     k_sign,
     klein_fill,
 )
 from .sampling import random_braid_words
 from .slopes import primitive_slopes
-from .words import Sign3
+from .words import GroupWord, Sign3, word_power
 
 __all__ = [
     "CompatReport",
@@ -87,7 +85,7 @@ class CompatReport(NamedTuple):
 
 
 def verify_compatibility(
-    conjugator: Word,
+    conjugator: GroupWord,
     grid_bound: int,
     force_ordering: KleinOrderingId | None = None,
 ) -> CompatReport:
@@ -115,9 +113,9 @@ def verify_compatibility(
     checked = 0
     positives = 0
     span = range(-grid_bound, grid_bound + 1)
-    delta_sq_powers = [braid.power(braid.DELTA_SQ, l) for l in span]
+    delta_sq_powers = [word_power(braid.DELTA_SQ, l) for l in span]
     for k in span:
-        s2_power = braid.power(braid.SIGMA2, k)
+        s2_power = word_power(braid.SIGMA2, k)
         for l, delta_sq_power in zip(span, delta_sq_powers):
             if k == 0 and l == 0:
                 continue
@@ -188,11 +186,11 @@ def jsjlo_nonapplicability_report(slope_bound: int) -> dict:
 
     survey = []
     lo_slopes = []
-    for m, n in sorted(primitive_slopes(slope_bound)):
-        kind = klein_fill(KleinPeripheral(m, n)).kind
-        survey.append({"slope": [m, n], "classification": kind.value})
+    for slope in sorted(primitive_slopes(slope_bound)):
+        kind = klein_fill(slope).kind
+        survey.append({"slope": list(slope), "classification": kind.value})
         if kind is KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO:
-            lo_slopes.append([m, n])
+            lo_slopes.append(list(slope))
 
     # phi(s2^k Delta^2l) = y^(-k-l) x^2l, so the class of y pulls back to
     # the class of s2, the meridian of the trefoil.

@@ -11,7 +11,9 @@ to a positive power of x, and the orderings differ on the kernel, where
 y is positive in the first ordering and negative in the second.  The pair
 is closed under conjugation: conjugating by x^a y^b swaps the two
 orderings exactly when a is odd (x inverts y; y-conjugation and the
-central x^2 fix both cones).
+central x^2 fix both cones).  No command multiplies or conjugates, so
+the group law and this closure live in the tests, which check them on
+the normal form.
 
 This layer imports only ``slopes`` and ``words``: its orderings meet those
 of B3 only in ``compat``, through the gluing.
@@ -23,19 +25,15 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .slopes import brief_repr, int_str, make_slope, parse_int
+from .slopes import Slope, brief_repr, int_str, make_slope, parse_int
 from .words import Sign3
 
 __all__ = [
     "KleinElement",
     "KleinOrderingId",
-    "KleinPeripheral",
     "KleinFillKind",
     "KleinFillResult",
-    "k_multiply",
-    "k_inverse",
     "k_sign",
-    "k_conjugate_ordering",
     "klein_fill",
     "parse_element",
     "element_str",
@@ -47,13 +45,6 @@ class KleinElement(NamedTuple):
 
     a: int
     b: int
-
-
-class KleinPeripheral(NamedTuple):
-    """Peripheral class y^m (x^2)^n."""
-
-    m: int
-    n: int
 
 
 class KleinOrderingId(Enum):
@@ -79,16 +70,6 @@ class KleinFillResult(NamedTuple):
 IDENTITY = KleinElement(0, 0)
 
 
-def k_multiply(g: KleinElement, h: KleinElement) -> KleinElement:
-    sign = -1 if h.a % 2 else 1
-    return KleinElement(g.a + h.a, sign * g.b + h.b)
-
-
-def k_inverse(g: KleinElement) -> KleinElement:
-    sign = -1 if g.a % 2 else 1
-    return KleinElement(-g.a, -sign * g.b)
-
-
 def k_sign(g: KleinElement, ordering: KleinOrderingId) -> Sign3:
     """Sign of g in the chosen ordering; trichotomy is immediate from the
     normal form."""
@@ -100,26 +81,11 @@ def k_sign(g: KleinElement, ordering: KleinOrderingId) -> Sign3:
     return Sign3.POSITIVE if positive else Sign3.NEGATIVE
 
 
-def k_conjugate_ordering(
-    g: KleinElement, ordering: KleinOrderingId
-) -> KleinOrderingId:
-    """The ordering whose positive cone is g P g^-1 for the given cone P.
-
-    Closed form: conjugation by x^a y^b maps (c, d) to (c, (-1)^a d + ...)
-    with the d-sign flipped exactly when a is odd, so the pair {O1, O2} is
-    preserved and swapped iff a is odd.
-    """
-    if g.a % 2 == 0:
-        return ordering
-    return (
-        KleinOrderingId.O2
-        if ordering is KleinOrderingId.O1
-        else KleinOrderingId.O1
-    )
-
-
-def klein_fill(slope: KleinPeripheral) -> KleinFillResult:
-    """Classify the Dehn filling of the twisted I-bundle along y^m x^(2n).
+def klein_fill(slope: Slope) -> KleinFillResult:
+    """Classify the Dehn filling of the twisted I-bundle along the slope
+    (m, n), the class y^m x^(2n) of the peripheral subgroup <y, x^2>.  The
+    pair need not be normalized: (m, n) and (-m, -n) fill alike, and
+    ``slopes.make_slope`` raises ValueError unless it is primitive.
 
     The slope y gives the infinite cyclic quotient <x>, the only filling
     with left-orderable fundamental group.  The slope x^2 gives the

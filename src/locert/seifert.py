@@ -60,7 +60,6 @@ __all__ = [
     "LOStatus",
     "LORule",
     "LOSlopeVerdict",
-    "InvalidSpliceTree",
     "BrieskornZHS",
     "TorusKnotPiece",
     "UserPiece",
@@ -81,10 +80,6 @@ __all__ = [
 # The cap of the slope walk: a search finds its pair within this bound or
 # stops.  A walk to bound B tries O(B^2) slopes.
 _MAX_SEARCH_BOUND = 400
-
-
-class InvalidSpliceTree(ValueError):
-    """Structural defect in a splice tree."""
 
 
 class LOStatus(Enum):
@@ -178,7 +173,7 @@ class TorusKnotPiece(_TorusKnotFields):
 
     def describe(self) -> str:
         sign = "+" if self.chirality > 0 else "-"
-        return f"T({self.r},{self.s}) chirality {sign}1"
+        return f"T({int_str(self.r)},{int_str(self.s)}) chirality {sign}1"
 
 
 class UserPiece(NamedTuple):
@@ -226,8 +221,8 @@ class SpliceTree(NamedTuple):
 
         Each node has as many edges as boundary tori, at most one, so a
         component is a closed node ``([i], None)`` or the two exteriors of
-        an edge ``(sorted((a, b)), edge index)``.  InvalidSpliceTree names
-        the first defect: per edge, an endpoint out of range, a self-gluing,
+        an edge ``(sorted((a, b)), edge index)``.  A ValueError names the
+        first defect: per edge, an endpoint out of range, a self-gluing,
         a matrix that is not unimodular, or a glued manifold that is not an
         integer homology sphere; then a node with more edges than boundary
         tori; then an exterior with no edge."""
@@ -235,28 +230,26 @@ class SpliceTree(NamedTuple):
         for e in self.edges:
             for end in (e.a, e.b):
                 if not 0 <= end < len(self.nodes):
-                    raise InvalidSpliceTree(
-                        f"edge endpoint {brief_repr(end)} out of range"
-                    )
+                    raise ValueError(f"edge endpoint {brief_repr(end)} out of range")
                 degree[end] += 1
             if e.a == e.b:
-                raise InvalidSpliceTree("self-gluings are not supported")
+                raise ValueError("self-gluings are not supported")
             if abs(e.matrix.det()) != 1:
-                raise InvalidSpliceTree("gluing matrix must be unimodular")
-            if union_homology_order(e.matrix, Slope(0, 1), Slope(0, 1)) != 1:
-                raise InvalidSpliceTree(
+                raise ValueError("gluing matrix must be unimodular")
+            if union_homology_order(e.matrix) != 1:
+                raise ValueError(
                     "edge does not glue to an integer homology sphere "
                     "(Delta(f(lambda), lambda) != 1)"
                 )
         for i, piece in enumerate(self.nodes):
             if degree[i] > piece.boundary_count():
-                raise InvalidSpliceTree(
+                raise ValueError(
                     f"node {i} ({piece.describe()}) has {degree[i]} edges but "
                     f"{piece.boundary_count()} boundary tori"
                 )
         for i, piece in enumerate(self.nodes):
             if degree[i] < piece.boundary_count():
-                raise InvalidSpliceTree(
+                raise ValueError(
                     f"{piece.describe()} is an exterior but has no gluing edge"
                 )
         closed = [([i], None) for i, d in enumerate(degree) if not d]
@@ -302,7 +295,7 @@ class SpliceTree(NamedTuple):
                     )
                 )
             else:
-                raise InvalidSpliceTree(f"unknown node kind {brief_repr(kind)}")
+                raise ValueError(f"unknown node kind {brief_repr(kind)}")
         edges = []
         for e in _json_list(obj.get("edges", []), "edges"):
             _expect(isinstance(e, dict),
@@ -321,7 +314,7 @@ class SpliceTree(NamedTuple):
 
 def _expect(ok: bool, message: str) -> None:
     if not ok:
-        raise InvalidSpliceTree(message)
+        raise ValueError(message)
 
 
 def _required(obj: dict, key: str) -> object:
@@ -355,7 +348,7 @@ def _asserted_slopes(asserted: dict) -> dict[Slope, LOStatus]:
     for key, value in asserted.items():
         slope = parse_slope(key)
         if slope in keys:
-            raise InvalidSpliceTree(
+            raise ValueError(
                 f"asserted slopes {brief_repr(keys[slope])} and "
                 f"{brief_repr(key)} name the same slope"
             )
@@ -713,7 +706,7 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
 
     try:
         actual = {tuple(nodes): edge for nodes, edge in tree.components()}
-    except InvalidSpliceTree as exc:
+    except ValueError as exc:
         fail(f"tree invalid: {exc}")
         return False, report
     report.append("tree valid: all edges glue to integer homology spheres")

@@ -177,11 +177,13 @@ def invert_gluing(m: GluingMatrix) -> GluingMatrix:
     return GluingMatrix(e * m.d, -e * m.b, -e * m.c, e * m.a)
 
 
-def union_homology_order(f: GluingMatrix, lambda1: Slope, lambda2: Slope) -> int:
-    """|H1| of the union glued by f: Delta(f(lambda1), lambda2), with 0
-    meaning positive first Betti number and 1 certifying an integer
-    homology sphere."""
-    return intersection_number(apply_gluing(f, lambda1), lambda2)
+def union_homology_order(f: GluingMatrix) -> int:
+    """|H1| of the union of two knot exteriors glued by f: Delta(f(lambda),
+    lambda) for the longitude lambda = 0/1 of each side, with 0 meaning
+    positive first Betti number and 1 certifying an integer homology
+    sphere."""
+    lam = Slope(0, 1)
+    return intersection_number(apply_gluing(f, lam), lam)
 
 
 def hf_surgery_rank(p: int, q: int, nu: int, ranks: tuple[int, ...]) -> int:

@@ -3,11 +3,12 @@
 A group word is a tuple of nonzero integers, +i / -i meaning the i-th
 generator (1-based) or its inverse.  This is the one word layer:
 inversion, free reduction and powers.  ``fpgroup`` writes its relators with
-them, ``braid`` binds powers for its B3 words, and
-``sampling`` types its words here.  ``Sign3`` is the sign of an element in
-a left ordering, which ``braid``, ``klein`` and ``compat`` all read.  This
-module imports no other ``locert`` module, so a layer that needs only
-these names loads nothing more.
+them, ``braid``, ``compat`` and ``sampling`` type their B3 words here, and
+``compat`` and ``cli`` build powers of s2 and Delta^2 with ``word_power``.
+``Sign3`` is the sign of an element in a left ordering, which ``braid``,
+``klein`` and ``compat`` all read.  This module imports no other
+``locert`` module, so a layer that needs only these names loads nothing
+more.
 """
 
 from __future__ import annotations

@@ -23,19 +23,11 @@ from locert.braid import (
     dd_sign,
     handle_reduce,
     is_trivial,
-    power,
     restricted_order_type,
 )
 from locert.compat import verify_compatibility
 from locert.fpgroup import Presentation, check_closed_table, enumerate_table
-from locert.klein import (
-    KleinElement,
-    KleinOrderingId,
-    k_conjugate_ordering,
-    k_inverse,
-    k_multiply,
-    k_sign,
-)
+from locert.klein import KleinElement, KleinOrderingId, k_sign
 from locert.alexander import branched_cover_order, evaluate_at_int, parse_poly
 from locert.sampling import random_braid_word
 from locert.seifert import (
@@ -52,7 +44,8 @@ from locert.seifert import (
     zhs_lo_status,
 )
 from locert.slopes import hf_surgery_rank, make_slope
-from locert.words import Sign3, invert_word
+from locert.words import Sign3, invert_word, word_power
+from test_klein import k_conjugate_ordering, k_inverse, k_multiply
 
 
 @contextmanager
@@ -128,8 +121,8 @@ def test_criterion_4_conjugate_bound():
             beta = random_braid_word(rng, 8)
             beta_inv = invert_word(beta)
             for k in range(-5, 6):
-                conj = beta_inv + power(SIGMA2, k) + beta
-                assert dd_compare(power(DELTA_SQ, -1), conj) is Ordering.LESS
+                conj = beta_inv + word_power(SIGMA2, k) + beta
+                assert dd_compare(word_power(DELTA_SQ, -1), conj) is Ordering.LESS
                 assert dd_compare(conj, DELTA_SQ) is Ordering.LESS
 
 
@@ -145,7 +138,7 @@ def test_criterion_5_conjugate_restriction_grid():
                 for l in range(-4, 5):
                     if k == 0 and l == 0:
                         continue
-                    word = power(SIGMA2, k) + power(DELTA_SQ, l)
+                    word = word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
                     expected = order_type.is_positive(PeripheralElement(k, l))
                     actual = conj_sign(word, gamma) is Sign3.POSITIVE
                     assert actual == expected, (gamma, k, l)

@@ -26,12 +26,11 @@ from locert.braid import (
     modular_image,
     parse_word,
     peripheral_parse,
-    power,
     restricted_order_type,
     word_str,
 )
 from locert.sampling import random_braid_word, random_braid_words
-from locert.words import Sign3, free_reduce_word, invert_word
+from locert.words import Sign3, free_reduce_word, invert_word, word_power
 
 BRAID_RELATOR = parse_word("abaBAB")
 
@@ -61,7 +60,7 @@ def test_modular_image():
     assert modular_image(SIGMA1) == (("b", 2), ("a", 1))
     assert modular_image(BRAID_RELATOR) == ()
     # cross-check: Delta^2 = (s1 s2)^3 in B3
-    assert is_trivial(DELTA_SQ + power(parse_word("ab"), -3))
+    assert is_trivial(DELTA_SQ + word_power(parse_word("ab"), -3))
 
 
 def test_is_trivial():
@@ -76,7 +75,7 @@ def test_sigma2_power_recognition():
     assert peripheral_parse(SIGMA1) is None
     assert peripheral_parse(parse_word("Aba")) is None
     assert peripheral_parse(()) == PeripheralElement(0, 0)
-    assert peripheral_parse(power(SIGMA2, -4)) == PeripheralElement(-4, 0)
+    assert peripheral_parse(word_power(SIGMA2, -4)) == PeripheralElement(-4, 0)
 
 
 def test_handle_reduce_examples():
@@ -118,11 +117,11 @@ def test_lift_examples():
     base = braid._BASE
     assert braid._lift((), base) == (0, 1, 0)
     assert braid._lift(SIGMA1, base) == (1, 1, 0)
-    assert braid._lift(power(SIGMA1, -1), base) == (-1, 1, -1)
-    assert braid._lift(power(SIGMA2, 3), base) == (0, 1, 0)
+    assert braid._lift(word_power(SIGMA1, -1), base) == (-1, 1, -1)
+    assert braid._lift(word_power(SIGMA2, 3), base) == (0, 1, 0)
     assert braid._lift(DELTA, base) == (1, 0, 0)
     assert braid._lift(DELTA_SQ, base) == (0, -1, 1)
-    assert braid._lift(power(DELTA_SQ, -2), base) == (0, 1, -2)
+    assert braid._lift(word_power(DELTA_SQ, -2), base) == (0, 1, -2)
 
 
 def test_lift_walks_on_from_any_lifted_point():
@@ -197,8 +196,8 @@ def test_conj_identity_matches_dd():
 
 def test_delta_floor_examples():
     assert delta_floor(parse_word("B")) == 0
-    assert delta_floor(power(DELTA, 4)) == 2
-    assert delta_floor(power(DELTA_SQ, -1) + parse_word("B")) == -1
+    assert delta_floor(word_power(DELTA, 4)) == 2
+    assert delta_floor(word_power(DELTA_SQ, -1) + parse_word("B")) == -1
     assert delta_floor(()) == 0
 
 
@@ -208,8 +207,8 @@ def test_delta_floor_bracket_and_cofinality():
         word = random_braid_word(rng, 14)
         m = delta_floor(word)
         assert -len(word) <= m <= len(word)
-        assert dd_compare(power(DELTA_SQ, m), word) is not Ordering.GREATER
-        assert dd_compare(word, power(DELTA_SQ, m + 1)) is Ordering.LESS
+        assert dd_compare(word_power(DELTA_SQ, m), word) is not Ordering.GREATER
+        assert dd_compare(word, word_power(DELTA_SQ, m + 1)) is Ordering.LESS
 
 
 def test_malyutin_floor_subadditivity():
@@ -229,8 +228,8 @@ def test_conjugate_bound():
     for _ in range(100):
         beta = random_braid_word(rng, 12)
         for k in range(-5, 6):
-            conj = invert_word(beta) + power(SIGMA2, k) + beta
-            assert dd_compare(power(DELTA_SQ, -1), conj) is Ordering.LESS
+            conj = invert_word(beta) + word_power(SIGMA2, k) + beta
+            assert dd_compare(word_power(DELTA_SQ, -1), conj) is Ordering.LESS
             assert dd_compare(conj, DELTA_SQ) is Ordering.LESS
 
 
@@ -247,13 +246,13 @@ def test_property_s_instance():
             continue
         checked += 1
         for k in (-3, -1, 1, 2):
-            conj = invert_word(beta) + power(SIGMA2, k) + beta
-            assert not is_trivial(conj + power(SIGMA2, -exponent_sum(conj)))
+            conj = invert_word(beta) + word_power(SIGMA2, k) + beta
+            assert not is_trivial(conj + word_power(SIGMA2, -exponent_sum(conj)))
             assert (dd_sign(conj) is Sign3.POSITIVE) == (k > 0)
 
 
 def test_commutes_with_sigma2():
-    assert commutes_with_sigma2(power(SIGMA2, 5))
+    assert commutes_with_sigma2(word_power(SIGMA2, 5))
     assert commutes_with_sigma2(DELTA_SQ)
     assert not commutes_with_sigma2(SIGMA1)
 
@@ -262,7 +261,7 @@ def test_delta_squared_is_central():
     rng = random.Random(1011)
     for _ in range(60):
         word = random_braid_word(rng, 16)
-        commutator = DELTA_SQ + word + power(DELTA_SQ, -1) + invert_word(word)
+        commutator = DELTA_SQ + word + word_power(DELTA_SQ, -1) + invert_word(word)
         assert is_trivial(commutator)
 
 
@@ -274,7 +273,7 @@ def test_peripheral_parse():
     assert peripheral_parse(SIGMA1) is None
     assert peripheral_parse(()) == PeripheralElement(0, 0)
     # scrambled representative of s2^-1 Delta^-2
-    word = power(DELTA_SQ, -1) + power(SIGMA2, -1)
+    word = word_power(DELTA_SQ, -1) + word_power(SIGMA2, -1)
     assert peripheral_parse(word) == PeripheralElement(-1, -1)
 
 
@@ -293,7 +292,7 @@ def test_restricted_order_type_matches_conj_sign():
             for l in range(-3, 4):
                 if k == 0 and l == 0:
                     continue
-                word = power(SIGMA2, k) + power(DELTA_SQ, l)
+                word = word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
                 expected = order_type.is_positive(PeripheralElement(k, l))
                 assert (conj_sign(word, gamma) is Sign3.POSITIVE) == expected
 
@@ -301,7 +300,7 @@ def test_restricted_order_type_matches_conj_sign():
 def test_delta_floor_bound_exceeded_is_unreachable_for_valid_words():
     # The Malyutin bound always suffices; spot-check at the boundary.
     assert delta_floor(DELTA_SQ) == 1
-    assert delta_floor(power(DELTA_SQ, -1)) == -1
+    assert delta_floor(word_power(DELTA_SQ, -1)) == -1
 
 
 def test_sampler_determinism():
@@ -407,7 +406,7 @@ def _reference_dd_sign(word):
 
 def _reduced_at_most(m, word):
     # Delta^2m <= word, decided by handle reduction
-    return _reference_dd_sign(power(DELTA_SQ, -m) + word) is not Sign3.NEGATIVE
+    return _reference_dd_sign(word_power(DELTA_SQ, -m) + word) is not Sign3.NEGATIVE
 
 
 def _oracle_delta_floor(word):
@@ -432,12 +431,12 @@ def _oracle_peripheral_parse(word):
     img = modular_image(word)
     esum = exponent_sum(word)
     for k in range(-len(word), len(word) + 1):
-        if modular_image(power(SIGMA2, k)) != img:
+        if modular_image(word_power(SIGMA2, k)) != img:
             continue
         if (esum - k) % 6 != 0:
             continue
         l = (esum - k) // 6
-        if is_trivial(word + power(DELTA_SQ, -l) + power(SIGMA2, -k)):
+        if is_trivial(word + word_power(DELTA_SQ, -l) + word_power(SIGMA2, -k)):
             return PeripheralElement(k, l)
     return None
 
@@ -521,7 +520,7 @@ def test_delta_floor_matches_oracle():
         assert delta_floor(word) == _oracle_delta_floor(word)
     for m in range(-6, 7):
         for tail in ((), SIGMA1, parse_word("B"), parse_word("ab")):
-            word = power(DELTA_SQ, m) + tail
+            word = word_power(DELTA_SQ, m) + tail
             assert delta_floor(word) == _oracle_delta_floor(word)
     for _ in range(4):
         word = _random_word(rng, 200, 300)
@@ -535,7 +534,7 @@ def test_peripheral_parse_matches_oracle():
         assert peripheral_parse(word) == _oracle_peripheral_parse(word)
     for k in range(-8, 9):
         for l in range(-8, 9):
-            word = list(power(SIGMA2, k) + power(DELTA_SQ, l))
+            word = list(word_power(SIGMA2, k) + word_power(DELTA_SQ, l))
             for _ in range(3):
                 i = rng.randint(0, len(word))
                 x = rng.choice((1, -1, 2, -2))
@@ -586,7 +585,7 @@ def _grid_words(conjugators, bound):
     for g in conjugators:
         for k in range(-bound, bound + 1):
             for l in range(-bound, bound + 1):
-                yield invert_word(g) + power(SIGMA2, k) + power(DELTA_SQ, l) + g
+                yield invert_word(g) + word_power(SIGMA2, k) + word_power(DELTA_SQ, l) + g
 
 
 def _sign_test_words():
@@ -598,8 +597,8 @@ def _sign_test_words():
     conjugators = random_braid_words(2008, 24, 10) + [(), SIGMA1, SIGMA2, DELTA_SQ]
     words += list(_grid_words(conjugators, 4))
     # pure powers of s2, the reduced words without an s1 syllable
-    words += [power(SIGMA2, k) for k in range(-5, 6)]
-    words += [parse_word("aA") + power(SIGMA2, k) + parse_word("Bb") for k in range(-5, 6)]
+    words += [word_power(SIGMA2, k) for k in range(-5, 6)]
+    words += [parse_word("aA") + word_power(SIGMA2, k) + parse_word("Bb") for k in range(-5, 6)]
     return words
 
 
@@ -644,7 +643,7 @@ def test_commutes_with_sigma2_matches_the_commutator():
     words += list(_grid_words(random_braid_words(2011, 4, 6) + [SIGMA2], 2))
     commuting = 0
     for word in words:
-        commutator = word + SIGMA2 + invert_word(word) + power(SIGMA2, -1)
+        commutator = word + SIGMA2 + invert_word(word) + word_power(SIGMA2, -1)
         expected = is_trivial(commutator)
         assert commutes_with_sigma2(word) is expected, word_str(word)
         commuting += expected
@@ -658,7 +657,7 @@ def _planted_central(rng, n):
     r = w[:]
     for _ in range(n // 16):
         lo, hi = sorted(rng.randrange(len(r) + 1) for _ in range(2))
-        r[hi:hi] = power(DELTA_SQ, -1)
+        r[hi:hi] = word_power(DELTA_SQ, -1)
         r[lo:lo] = DELTA_SQ
     word = tuple(w) + invert_word(tuple(r))
     cut = rng.randrange(len(word))
@@ -687,7 +686,7 @@ _ORDERING_OF_SIGN = {
 
 def _alternating(n):
     # (s1 s2^-1)^n, whose lift grows by 0.69 bits a letter
-    return power(parse_word("aB"), n)
+    return word_power(parse_word("aB"), n)
 
 
 def _point_reading_words():
@@ -700,19 +699,19 @@ def test_conj_sign_matches_the_conjugated_word():
     # conj_sign walks the word on from the conjugator's lifted point; the
     # built word g^-1 w g, walked from the base point, must agree
     grids = [
-        [power(SIGMA2, k) + power(DELTA_SQ, l)
+        [word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
          for k in range(-b, b + 1) for l in range(-b, b + 1)]
         for b in (1, 4, 8)
     ]
     # conjugators in <s2, Delta^2> fix the lifted point of every s2^k
-    peripheral = [power(SIGMA2, j) + power(DELTA_SQ, i)
+    peripheral = [word_power(SIGMA2, j) + word_power(DELTA_SQ, i)
                   for j in (-3, 0, 1, 4) for i in (-2, 0, 1)]
     conjugators = random_braid_words(2027, 24, 12) + peripheral
     conjugators += [SIGMA1, _alternating(9)]
     pairs = [(w, g) for g in conjugators for grid in grids for w in grid]
     long_words = _point_reading_words()
     pairs += [(w, g) for w, g in zip(long_words, long_words[1:] + long_words[:1])]
-    pairs += [(power(SIGMA2, k), g) for g in long_words for k in (-2, 0, 3)]
+    pairs += [(word_power(SIGMA2, k), g) for g in long_words for k in (-2, 0, 3)]
     mismatches, signs, fixed = [], set(), 0
     for w, g in pairs:
         sign = conj_sign(w, g)
@@ -733,8 +732,8 @@ def test_dd_compare_matches_the_quotient_word():
     words = _point_reading_words() + [random_braid_word(rng, 40) for _ in range(200)]
     pairs = [(u, v) for u, v in zip(words, words[1:])]
     # u^-1 v = s2^k: the lifted points are equal
-    pairs += [(u, u + power(SIGMA2, k)) for u in words for k in (-3, -1, 0, 2)]
-    pairs += [(u + power(SIGMA2, k), u + power(DELTA_SQ, l))
+    pairs += [(u, u + word_power(SIGMA2, k)) for u in words for k in (-3, -1, 0, 2)]
+    pairs += [(u + word_power(SIGMA2, k), u + word_power(DELTA_SQ, l))
               for u in words[:40] for k in (-1, 1) for l in (-1, 0, 1)]
     pairs += [(_alternating(n), _alternating(m))
               for n in (0, 3, 50) for m in (0, 4, 51)]

@@ -16,6 +16,7 @@ from bundled import data_file, data_path
 from locert import alexander, braid, compat, fpgroup, klein, seifert, slopes
 from locert.cli import _build_parser, run
 from locert.sampling import random_braid_word
+from locert.words import word_power
 from test_braid import _planted_central
 from test_cli_golden import _RUNTIME, CASES, INPUTS, capture
 
@@ -324,7 +325,7 @@ def test_reduce_answers_powers_of_sigma2_from_the_lift(monkeypatch):
     # reduction ends at, and handle reduction is not run
     rng = random.Random(2013)
     words = [_planted_central(rng, rng.randint(0, 1142))
-             + braid.power(braid.SIGMA2, k)
+             + word_power(braid.SIGMA2, k)
              for k in range(-5, 6) for _ in range(6)]
     assert max(len(w) for w in words) <= 2005
     expected = [braid.word_str(braid.handle_reduce(w)) for w in words]
@@ -337,7 +338,7 @@ def test_reduce_runs_handle_reduction_outside_sigma2(monkeypatch):
     # s2^k Delta^2l with l != 0 lies in <s2, Delta^2> but not in <s2>
     rng = random.Random(2014)
     words = [_planted_central(rng, rng.randint(0, 200))
-             + braid.power(braid.SIGMA2, k) + braid.power(braid.DELTA_SQ, l)
+             + word_power(braid.SIGMA2, k) + word_power(braid.DELTA_SQ, l)
              for k in range(-5, 6) for l in (-2, -1, 1, 2)]
     expected = [braid.word_str(braid.handle_reduce(w)) for w in words]
     calls = _reduce_calls(monkeypatch)

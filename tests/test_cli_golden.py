@@ -69,6 +69,11 @@ CASES: dict[str, list[str]] = {
     "klein_fill_lo": ["klein", "fill", "1", "0"],
     "klein_fill_dihedral": ["klein", "fill", "0", "1"],
     "klein_fill_finite": ["klein", "fill", "2", "3"],
+    # unnormalized slopes: the payload echoes [m, n] as typed, and the
+    # classification is that of -(m, n)
+    "klein_fill_negative_y": ["klein", "fill", "--", "-1", "0"],
+    "klein_fill_negative_finite": ["klein", "fill", "--", "-3", "-2"],
+    "klein_fill_negative_dihedral": ["klein", "fill", "--", "0", "-1"],
     "klein_fill_not_primitive": ["klein", "fill", "2", "4"],
     # (10^2200, 10^2200): the diagnostic echoes only the start of the slope
     "klein_fill_not_primitive_long": ["klein", "fill", _HUGE, _HUGE],
@@ -400,13 +405,15 @@ def _splice_cert_cases() -> list[str]:
 @pytest.mark.parametrize("name", _splice_cert_cases())
 def test_printed_certificates_verify(name, tmp_path):
     # The certificate that `splice cert` prints is the record `splice verify`
-    # reads; an unknown answer prints none, and an input error no envelope.
+    # reads; an answer other than lo prints none, and an input error no
+    # envelope.
     case = json.loads(_case_path(name).read_text(encoding="utf-8"))
     if case["exit"] == 1:
         assert case["stdout"] == ""
         return
-    certificate = json.loads(case["stdout"])["payload"]["certificate"]
-    if case["exit"] == 2:
+    payload = json.loads(case["stdout"])["payload"]
+    certificate = payload["certificate"]
+    if payload["status"] != "lo":
         assert certificate is None
         return
     cert_path = tmp_path / "cert.json"
@@ -414,6 +421,19 @@ def test_printed_certificates_verify(name, tmp_path):
     result = capture(["splice", "verify", CASES[name][2], str(cert_path)])
     assert result["exit"] == 0 and result["stderr"] == ""
     assert json.loads(result["stdout"])["payload"]["valid"] is True
+
+
+def test_definite_splice_answers_exit_0():
+    # lo and not_lo are answers (exit 0): a search that found neither is
+    # unknown, and a stopped one inconclusive with a null status (exit 2).
+    statuses = set()
+    for name in _splice_cert_cases():
+        case = json.loads(_case_path(name).read_text(encoding="utf-8"))
+        if case["exit"] != 1:
+            status = json.loads(case["stdout"])["payload"]["status"]
+            assert case["exit"] == (0 if status in ("lo", "not_lo") else 2), name
+            statuses.add(status)
+    assert statuses == {"lo", "not_lo", "unknown", None}
 
 
 def _regenerate(names: list[str]) -> None:

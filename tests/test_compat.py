@@ -18,7 +18,6 @@ from locert.braid import (
     delta_floor,
     is_trivial,
     parse_word,
-    power,
     restricted_order_type,
     PeripheralOrderType,
 )
@@ -29,10 +28,11 @@ from locert.compat import (
     proposition_4_3_report,
     verify_compatibility,
 )
-from locert.klein import KleinElement, KleinOrderingId, k_multiply, k_sign
+from locert.klein import KleinElement, KleinOrderingId, k_sign
 from locert.sampling import random_braid_words
 from locert.slopes import make_slope
-from locert.words import Sign3, invert_word
+from locert.words import Sign3, invert_word, word_power
+from test_klein import k_multiply
 
 
 def test_phi_peripheral_examples():
@@ -98,9 +98,9 @@ def _row_signs(conjugator, bound):
     Delta^2m itself, and trivial iff l = -m and it is."""
     signs = {}
     for k in range(-bound, bound + 1):
-        row = invert_word(conjugator) + power(SIGMA2, k) + conjugator
+        row = invert_word(conjugator) + word_power(SIGMA2, k) + conjugator
         m = delta_floor(row)
-        exact = is_trivial(row + power(DELTA_SQ, -m))
+        exact = is_trivial(row + word_power(DELTA_SQ, -m))
         for l in range(-bound, bound + 1):
             if k == 0 and l == 0:
                 continue
@@ -118,7 +118,7 @@ def test_row_floors_reproduce_the_grid():
     for conjugator, forced in cases:
         signs = _row_signs(conjugator, bound)
         for (k, l), sign in signs.items():
-            word = power(SIGMA2, k) + power(DELTA_SQ, l)
+            word = word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
             assert conj_sign(word, conjugator) is sign, (conjugator, k, l)
         report = verify_compatibility(conjugator, bound, force_ordering=forced)
         positive = [point for point, sign in signs.items() if sign is Sign3.POSITIVE]

@@ -1,5 +1,5 @@
 """Hygiene of the package source: no unused imports, every ``__all__``
-entry names something the module binds and something the code reads, and
+entry names something the module defines and something the code reads, and
 the CLI's import path stays free of modules that only slow start-up:
 ``cli`` imports no layer at module level and builds no parser on import,
 each module imports only its pinned layers, each subcommand loads only the
@@ -7,18 +7,19 @@ layers it runs, and no subcommand loads ``dataclasses``; the
 CLI holds no cap, and only ``run`` answers a budget.
 
 The first three checks read the source with ``ast``; nothing is imported.
-A name listed in ``__all__`` counts as used, so deliberate re-exports (such
-as ``braid.power``, bound from ``words``) pass.  An ``__all__`` entry
-is read when some module of ``src/locert`` or ``perfbench`` loads it as a
-name or an attribute; its definition, its ``__all__`` string and an import
-alone do not count.  The tests are not readers: an export only they read
-must back a claim or a cross-check named in ``TEST_ONLY_EXPORTS``.  Every
-exception class the package defines must be caught by type somewhere in it
-or in ``perfbench``, and every defaulted parameter of a package function
-or class (a NamedTuple's field defaults count) must be passed by some call
-in those same readers and omitted by another: a knob only the tests turn
-is a constant, and a default every caller overrides is a required
-parameter.
+An ``__all__`` entry must be defined in its module by a ``def``, a
+``class`` or an assignment: a name bound by an import is a second name for
+something another module exports, so its readers import it from there.
+An ``__all__`` entry is read when some module of ``src/locert`` or
+``perfbench`` loads it as a name or an attribute; its definition, its
+``__all__`` string and an import alone do not count.  The tests are not
+readers: an export only they read must back a claim or a cross-check named
+in ``TEST_ONLY_EXPORTS``.  Every exception class the package defines must
+be caught by type somewhere in it or in ``perfbench``, and every defaulted
+parameter of a package function or class (a NamedTuple's field defaults
+count) must be passed by some call in those same readers and omitted by
+another: a knob only the tests turn is a constant, and a default every
+caller overrides is a required parameter.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ READERS = MODULES + sorted(ROOT.glob("perfbench/*.py"))
 # Exports that only the tests read, each with the claim or cross-check it
 # backs.
 TEST_ONLY_EXPORTS = {
-    # {O1, O2} is a normal family: closed under conjugation in K
-    "klein.py: k_multiply",
-    "klein.py: k_inverse",
-    "klein.py: k_conjugate_ordering",
     # the independent soundness check on every closed coset table
     "fpgroup.py: check_closed_table",
     # |Delta(-1)|, the 2-fold cover order by direct evaluation
@@ -104,24 +101,23 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def _top_level_bindings(tree: ast.Module) -> set[str]:
-    bound = set()
+def _top_level_definitions(tree: ast.Module) -> set[str]:
+    """Names the module's top-level statements define; an import binds a
+    name but defines none."""
+    defined = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
+            defined.add(node.name)
         elif isinstance(node, ast.Assign):
-            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            bound.add(node.target.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-    return bound
+            defined.add(node.target.id)
+    return defined
 
 
 def unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    used = _used(tree) | set(_exported(tree))
+    used = _used(tree)
     return [
         f"{path.name}:{line}: {name}"
         for name, line in sorted(_imported(tree).items(), key=lambda kv: kv[1])
@@ -131,8 +127,8 @@ def unused_imports(path: Path) -> list[str]:
 
 def unresolved_exports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    bound = _top_level_bindings(tree)
-    return [f"{path.name}: {name}" for name in _exported(tree) if name not in bound]
+    defined = _top_level_definitions(tree)
+    return [f"{path.name}: {name}" for name in _exported(tree) if name not in defined]
 
 
 def unread_exports() -> list[str]:
@@ -157,6 +153,24 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_all_entries_resolve(path):
     assert unresolved_exports(path) == []
+
+
+def test_an_export_bound_by_an_import_does_not_resolve(tmp_path):
+    # Word and power are other names for words' GroupWord and word_power;
+    # SIGMA1 and parse are defined here, and Missing is not bound at all.
+    module = tmp_path / "layer.py"
+    module.write_text(
+        "from .words import GroupWord as Word\n"
+        "from .words import word_power as power\n"
+        "__all__ = ['Word', 'SIGMA1', 'parse', 'power', 'Missing']\n"
+        "SIGMA1: Word = (1,)\n"
+        "def parse(text):\n"
+        "    return power(SIGMA1, len(text))\n",
+        encoding="utf-8",
+    )
+    assert unresolved_exports(module) == [
+        "layer.py: Word", "layer.py: power", "layer.py: Missing"
+    ]
 
 
 def test_every_export_is_read():

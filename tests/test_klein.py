@@ -17,15 +17,12 @@ from locert.klein import (
     KleinElement,
     KleinFillKind,
     KleinOrderingId,
-    KleinPeripheral,
     element_str,
-    k_conjugate_ordering,
-    k_inverse,
-    k_multiply,
     k_sign,
     klein_fill,
     parse_element,
 )
+from locert.slopes import Slope
 from locert.words import Sign3, word_power
 
 O1 = KleinOrderingId.O1
@@ -37,17 +34,49 @@ def klein_presentation() -> Presentation:
     return Presentation(("x", "y"), ((1, 2, -1, 2),))
 
 
-def filled_presentation(slope: KleinPeripheral) -> Presentation:
-    """The quotient K / <<y^m x^(2n)>> written out: the reference for
-    ``klein_fill``'s closed-form invariants and its coset-enumeration check."""
-    relator = word_power((2,), slope.m) + word_power((1, 1), slope.n)
+def filled_presentation(slope: Slope) -> Presentation:
+    """The quotient K / <<y^m x^(2n)>> for the slope (m, n), written out: the
+    reference for ``klein_fill``'s closed-form invariants and its
+    coset-enumeration check."""
+    m, n = slope
+    relator = word_power((2,), m) + word_power((1, 1), n)
     base = klein_presentation()
     return Presentation(base.generators, base.relators + (relator,))
 
 
-def _invariants(slope: KleinPeripheral) -> tuple[int, tuple[int, ...]]:
+def _invariants(slope: Slope) -> tuple[int, tuple[int, ...]]:
     result = klein_fill(slope)
     return result.free_rank, result.torsion
+
+
+# K's group law on normal forms.  No command multiplies or conjugates, so
+# these live here; they back the claim that {O1, O2} is a normal family,
+# which the compatibility check relies on, and the compat and acceptance
+# tests import them.
+
+
+def k_multiply(g: KleinElement, h: KleinElement) -> KleinElement:
+    sign = -1 if h.a % 2 else 1
+    return KleinElement(g.a + h.a, sign * g.b + h.b)
+
+
+def k_inverse(g: KleinElement) -> KleinElement:
+    sign = -1 if g.a % 2 else 1
+    return KleinElement(-g.a, -sign * g.b)
+
+
+def k_conjugate_ordering(
+    g: KleinElement, ordering: KleinOrderingId
+) -> KleinOrderingId:
+    """The ordering whose positive cone is g P g^-1 for the given cone P.
+
+    Closed form: conjugation by x^a y^b maps (c, d) to (c, (-1)^a d + ...)
+    with the d-sign flipped exactly when a is odd, so the pair {O1, O2} is
+    preserved and swapped iff a is odd.
+    """
+    if g.a % 2 == 0:
+        return ordering
+    return O2 if ordering is O1 else O1
 
 
 def _oracle_multiply(g: KleinElement, h: KleinElement) -> KleinElement:
@@ -158,42 +187,42 @@ def test_peripheral_subgroup_abelian():
 
 def test_fill_classification():
     assert (
-        klein_fill(KleinPeripheral(1, 0)).kind
+        klein_fill(Slope(1, 0)).kind
         is KleinFillKind.INFINITE_CYCLIC_QUOTIENT_LO
     )
     assert (
-        klein_fill(KleinPeripheral(0, 1)).kind
+        klein_fill(Slope(0, 1)).kind
         is KleinFillKind.FREE_PRODUCT_OF_FINITE_NOT_LO
     )
-    result = klein_fill(KleinPeripheral(1, 1))
+    result = klein_fill(Slope(1, 1))
     assert result.kind is KleinFillKind.FINITE_NOT_LO
     assert result.free_rank == 0
     assert prod(result.torsion) == 4
     with pytest.raises(ValueError, match=r"^slope \(2, 2\) is not primitive$"):
-        klein_fill(KleinPeripheral(2, 2))
+        klein_fill(Slope(2, 2))
     with pytest.raises(ValueError, match=r"^slope \(0, 0\) is not primitive$"):
-        klein_fill(KleinPeripheral(0, 0))
+        klein_fill(Slope(0, 0))
 
 
 def test_fill_abelianization_evidence():
     assert abelianization(klein_presentation()).free_rank == 1
-    assert _invariants(KleinPeripheral(1, 0)) == (1, ())
-    assert _invariants(KleinPeripheral(0, 1)) == (0, (2, 2))
+    assert _invariants(Slope(1, 0)) == (1, ())
+    assert _invariants(Slope(0, 1)) == (0, (2, 2))
     # the exponent-sum matrix of klein_fill's closed form is that of the
     # presentation
     for m in range(-12, 13):
         for n in range(-12, 13):
             if gcd(m, n) == 1:
-                slope = KleinPeripheral(m, n)
+                slope = Slope(m, n)
                 expected = abelianization(filled_presentation(slope))
                 assert _invariants(slope) == expected, slope
     # no relator is written out, so a large slope costs no more than a small one
-    assert _invariants(KleinPeripheral(10**7 + 1, 10**7)) == (0, (4 * 10**7,))
+    assert _invariants(Slope(10**7 + 1, 10**7)) == (0, (4 * 10**7,))
     # an order 4|mn| too long to print is past the budget, not bad input
     with pytest.raises(
         OverflowError, match=r"^an integer in the result exceeds the 4300-digit budget$"
     ):
-        klein_fill(KleinPeripheral(10**2200 + 1, 10**2200))
+        klein_fill(Slope(10**2200 + 1, 10**2200))
 
 
 def test_fill_invariants_match_smith_normal_form():
@@ -210,7 +239,7 @@ def test_fill_invariants_match_smith_normal_form():
     for m, n in slopes:
         factors = smith_normal_form([[0, 2], [2 * n, m]], 2)
         expected = (2 - len(factors), tuple(d for d in factors if d > 1))
-        assert _invariants(KleinPeripheral(m, n)) == expected, (m, n)
+        assert _invariants(Slope(m, n)) == expected, (m, n)
 
 
 def test_fill_agrees_with_coset_enumeration():
@@ -221,7 +250,7 @@ def test_fill_agrees_with_coset_enumeration():
         for n in range(-5, 6):
             if gcd(m, n) != 1:
                 continue
-            slope = KleinPeripheral(m, n)
+            slope = Slope(m, n)
             result = klein_fill(slope)
             filled = filled_presentation(slope)
             if result.kind is KleinFillKind.FINITE_NOT_LO:

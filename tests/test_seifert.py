@@ -10,7 +10,6 @@ import pytest
 from locert import seifert
 from locert.seifert import (
     BrieskornZHS,
-    InvalidSpliceTree,
     LORule,
     LOSlopeVerdict,
     LOStatus,
@@ -180,7 +179,7 @@ def test_user_piece_reads_one_entry_per_slope():
                                     ("3", "3/1", ("unknown", "lo"))):
         asserted = dict(zip((first, second), statuses))
         message = f"^asserted slopes {first!r} and {second!r} name the same slope$"
-        with pytest.raises(InvalidSpliceTree, match=message):
+        with pytest.raises(ValueError, match=message):
             SpliceTree.from_json(tree(asserted))
 
 
@@ -499,39 +498,53 @@ def test_verify_compares_the_record_with_its_rederivation():
     # the search bound is a witness: read, and checked to be an integer
     assert verify_certificate(tree, _edited(record, ("search_bound",), 40))[0]
     for bound in (None, True, "3", -1):
-        with pytest.raises(InvalidSpliceTree, match="search_bound"):
+        with pytest.raises(ValueError, match="search_bound"):
             verify_certificate(tree, _edited(record, ("search_bound",), bound))
     # bound 0 tries the splice pairs only; a negative bound is an input error
     assert certificate_search(tree, search_bound=0).certificate is not None
-    with pytest.raises(InvalidSpliceTree, match="search_bound must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="search_bound must be >= 0, got -1"):
         certificate_search(tree, search_bound=-1)
 
 
 def test_tree_validation():
-    with pytest.raises(InvalidSpliceTree):
+    # a bad tree is a ValueError, told apart by its message
+    with pytest.raises(ValueError, match="^gluing matrix must be unimodular$"):
         SpliceTree(
             (TREFOIL, TREFOIL), (SpliceEdge(0, 1, GluingMatrix(2, 0, 0, 1)),)
         ).components()
-    with pytest.raises(InvalidSpliceTree):
+    with pytest.raises(ValueError, match="^edge does not glue to an integer homology"):
         # identity gluing identifies longitudes: not a homology sphere
         SpliceTree(
             (TREFOIL, TREFOIL), (SpliceEdge(0, 1, GluingMatrix(1, 0, 0, 1)),)
         ).components()
-    with pytest.raises(InvalidSpliceTree):
+    with pytest.raises(ValueError, match="^self-gluings are not supported$"):
         SpliceTree((TREFOIL,), (SpliceEdge(0, 0, SPLICE),)).components()
-    with pytest.raises(InvalidSpliceTree):
+    with pytest.raises(ValueError, match="^edge endpoint 2 out of range$"):
+        SpliceTree((TREFOIL, TREFOIL), (SpliceEdge(0, 2, SPLICE),)).components()
+    with pytest.raises(ValueError, match=r"has 1 edges but 0 boundary tori$"):
         # a closed Brieskorn node cannot carry an edge
         SpliceTree(
             (BrieskornZHS((2, 3, 5)), TREFOIL), (SpliceEdge(0, 1, SPLICE),)
         ).components()
-    with pytest.raises(InvalidSpliceTree):
+    with pytest.raises(ValueError, match=r"has 2 edges but 1 boundary tori$"):
         # an exterior supports only one gluing
         SpliceTree(
             (TREFOIL, TorusKnotPiece(2, 5, 1), TorusKnotPiece(2, 7, 1)),
             (SpliceEdge(0, 1, SPLICE), SpliceEdge(0, 2, SPLICE)),
         ).components()
-    with pytest.raises(InvalidSpliceTree, match="exterior but has no gluing edge"):
+    with pytest.raises(ValueError, match="exterior but has no gluing edge"):
         SpliceTree((BrieskornZHS((2, 3, 7)), TREFOIL), ()).components()
+
+
+def test_a_piece_name_past_the_digit_limit_is_a_budget():
+    # describe() prints through int_str, so a ValueError out of components()
+    # is always a tree defect, the one thing verify_certificate reports
+    huge = TorusKnotPiece(10**4400 + 1, 3, 1)
+    with pytest.raises(OverflowError):
+        huge.describe()
+    record = {"components": [], "search_bound": 0}
+    with pytest.raises(OverflowError):
+        verify_certificate(SpliceTree((huge,), ()), record)
 
 
 def test_tree_and_certificate_json_round_trip():
@@ -619,10 +632,10 @@ def test_user_piece_name_and_description_are_strings():
     assert SpliceTree.from_json(user()).nodes == (
         UserPiece("", "", {Slope(1, 0): LOStatus.LO}, False),
     )
-    with pytest.raises(InvalidSpliceTree, match=r"^name must be a string, got 5$"):
+    with pytest.raises(ValueError, match=r"^name must be a string, got 5$"):
         SpliceTree.from_json(user(name=5, description="d"))
     with pytest.raises(
-        InvalidSpliceTree, match=r"^description must be a string, got \['x'\]$"
+        ValueError, match=r"^description must be a string, got \['x'\]$"
     ):
         SpliceTree.from_json(user(name="n", description=["x"]))
     # search -> JSON text -> verify

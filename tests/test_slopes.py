@@ -177,9 +177,9 @@ def test_splice_framing():
     assert _preferred_meridians(SPLICE_MATRIX) == (MERIDIAN, MERIDIAN)
     # the identity gluing is not a homology-sphere splice
     identity = GluingMatrix(1, 0, 0, 1)
-    assert union_homology_order(identity, LONGITUDE_SLOPE, LONGITUDE_SLOPE) == 0
+    assert union_homology_order(identity) == 0
     f = GluingMatrix(1, 1, 1, 0)
-    assert union_homology_order(f, LONGITUDE_SLOPE, LONGITUDE_SLOPE) == 1
+    assert union_homology_order(f) == 1
     mu1, mu2 = _preferred_meridians(f)
     assert intersection_number(mu1, LONGITUDE_SLOPE) == 1
     assert intersection_number(mu2, LONGITUDE_SLOPE) == 1
@@ -190,7 +190,7 @@ def test_splice_framing_duality_property():
     found = 0
     while found < 40:
         f = _random_unimodular(rng)
-        if union_homology_order(f, LONGITUDE_SLOPE, LONGITUDE_SLOPE) != 1:
+        if union_homology_order(f) != 1:
             continue
         found += 1
         mu1, mu2 = _preferred_meridians(f)
@@ -208,16 +208,10 @@ def test_splice_matrix_swaps_p_and_q():
 
 
 def test_union_homology_order():
-    assert union_homology_order(SPLICE_MATRIX, LONGITUDE_SLOPE, LONGITUDE_SLOPE) == 1
-    assert (
-        union_homology_order(GluingMatrix(1, 0, 0, 1), LONGITUDE_SLOPE, LONGITUDE_SLOPE)
-        == 0
-    )
+    assert union_homology_order(SPLICE_MATRIX) == 1
+    assert union_homology_order(GluingMatrix(1, 0, 0, 1)) == 0
     # f(lambda) = (b, d) column, so the off-diagonal b sets the order
-    assert (
-        union_homology_order(GluingMatrix(1, 2, 0, 1), LONGITUDE_SLOPE, LONGITUDE_SLOPE)
-        == 2
-    )
+    assert union_homology_order(GluingMatrix(1, 2, 0, 1)) == 2
 
 
 def test_brief_repr_echoes_only_the_start():
