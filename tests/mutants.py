@@ -8,15 +8,16 @@ cases do; that its output changes rules out an equivalent mutant.
 
 Run from the repository root (stdlib and pytest only):
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
 Each mutant is applied to a fresh temporary copy of ``src``, ``tests`` and
 ``perfbench``.  The script runs the witness before and after the edit, then
 the expected killer, and only when that passes tier-1 with ``-x`` (less
 ``tests/test_mutants.py``, whose site check any edit fails); it
-prints one line per mutant (killed, killed elsewhere, or survived) and the
-score.  It exits 1 unless every mutant is killed by its expected killer and
-every witness changes.
+prints one line per mutant (killed, killed elsewhere, survived, or an error
+when the killer run neither passes nor fails a test, as for a killer id that
+is not collected) and the score.  It exits 1 unless every mutant is killed
+by its expected killer and every witness changes.
 """
 
 from __future__ import annotations
@@ -147,8 +148,10 @@ def run_mutant(mutant: Mutant) -> tuple[str, bool]:
         changed = _witness(copy, mutant.witness) != before
         note = "" if changed else "  (witness output unchanged)"
         code, _ = _pytest(copy, mutant.killer)
-        if code != 0:
+        if code == 1:  # pytest's code for a failed test
             return f"killed    {mutant.name}  by {mutant.killer}{note}", changed
+        if code != 0:
+            return f"error     {mutant.name}  killer run exited {code}{note}", False
         # test_mutants checks the sites in the copy, and the edit moved one
         code, failed = _pytest(copy, "--continue-on-collection-errors",
                                "--ignore=tests/test_mutants.py")
@@ -157,21 +160,16 @@ def run_mutant(mutant: Mutant) -> tuple[str, bool]:
         return f"survived  {mutant.name}{note}", False
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     held = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         line, ok = run_mutant(mutant)
         held += ok
         print(line, flush=True)
-    print(f"{held} of {len(chosen)} mutants killed by their expected killer, "
+    print(f"{held} of {len(MUTANTS)} mutants killed by their expected killer, "
           "each with a changed witness")
-    return 0 if held == len(chosen) else 1
+    return 0 if held == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
