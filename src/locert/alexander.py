@@ -274,9 +274,9 @@ def branched_cover_order(poly: IntLaurentPoly, n: int) -> int | None:
 
     with G = H - lc^s of degree e.  That takes O(d^2 log n) operations on
     integers of O(n) digits and one Sylvester determinant of at most
-    2d - 1 rows.  Raises OverflowError, without computing it, when the
-    order has more than MAX_ORDER_DIGITS digits, when an intermediate
-    grows past twice that budget, or when d passes _MAX_DEGREE.
+    2d - 1 rows.  Raises OverflowError when the order has more than
+    MAX_ORDER_DIGITS digits, when an intermediate grows past twice that
+    budget, or when d passes _MAX_DEGREE.
     """
     if n < 2:
         raise ValueError("cover order n must be >= 2")
@@ -298,10 +298,8 @@ def branched_cover_order(poly: IntLaurentPoly, n: int) -> int | None:
     res = _resultant(coeffs, g)
     if not res:
         return None
+    # shift <= 0 whenever |lc| > 1, so lc^shift never grows the order.
     shift = n - (len(g) - 1) - s * d
-    # |lc|^shift alone would pass the budget
-    if abs(lc) > 1 and shift >= _ORDER_CEILING.bit_length():
-        raise OverflowError(_TOO_LARGE)
     order = abs(res * lc**shift if shift >= 0 else res // lc**-shift)
     if order >= _ORDER_CEILING:
         raise OverflowError(_TOO_LARGE)

@@ -54,7 +54,6 @@ from .words import GroupWord, Sign3
 __all__ = [
     "Ordering",
     "PeripheralElement",
-    "PeripheralOrderType",
     "SIGMA1",
     "SIGMA2",
     "DELTA",
@@ -71,7 +70,6 @@ __all__ = [
     "delta_floor",
     "commutes_with_sigma2",
     "peripheral_parse",
-    "restricted_order_type",
 ]
 
 STEP_CAP = 1_000_000
@@ -91,20 +89,6 @@ class PeripheralElement(NamedTuple):
 
     k: int
     l: int
-
-
-class PeripheralOrderType(Enum):
-    """The two possible restrictions of a conjugated DD ordering to
-    <s2, Delta^2>: s2^k Delta^(2l) is positive iff l > 0, or l = 0 and
-    k > 0 (POS_K) respectively k < 0 (NEG_K)."""
-
-    POS_K = "pos_k"
-    NEG_K = "neg_k"
-
-    def is_positive(self, pe: PeripheralElement) -> bool:
-        if pe.l != 0:
-            return pe.l > 0
-        return pe.k > 0 if self is PeripheralOrderType.POS_K else pe.k < 0
 
 
 def parse_word(text: str) -> GroupWord:
@@ -451,7 +435,19 @@ def delta_floor(word: GroupWord) -> int:
 def commutes_with_sigma2(word: GroupWord) -> bool:
     """Exact commutator check against s2: the centralizer of s2 is
     <s2, Delta^2>, the braids that map the base line x = 0 of ``_lift`` to
-    itself."""
+    itself.
+
+    It decides the restriction of the DD ordering conjugated by g to
+    <s2, Delta^2>: s2^k Delta^(2l) is positive iff l > 0, or l = 0 and
+    k < 0 when g commutes with s2, k > 0 when it does not.  The lemma, in
+    the terms of ``_lift``: the lift of s2 fixes the base line and turns
+    every other ray clockwise by less than a half-turn, and the lift of g is
+    monotone, so for g outside <s2, Delta^2> the conjugate g^-1 s2^k g
+    moves the base ray by an amount strictly between 0 and pi for k > 0,
+    and strictly between -pi and 0 for k < 0; it is positive iff k > 0, and
+    its Delta^2 floor is 0 or -1.  Delta^2 is central and turns by pi, so
+    l > 0 dominates in either case.
+    """
     return _lift(word, _BASE)[0] == 0
 
 
@@ -467,20 +463,3 @@ def peripheral_parse(word: GroupWord) -> PeripheralElement | None:
         return None
     return PeripheralElement(exponent_sum(word) - 6 * h, h)
 
-
-def restricted_order_type(conjugator: GroupWord) -> PeripheralOrderType:
-    """Restriction of the conjugated DD ordering to <s2, Delta^2>.
-
-    A conjugator g commuting with s2 leaves s2^k positive iff k < 0, as in
-    the DD ordering itself.  Any other g flips the k-sign rule.  The lemma,
-    in the terms of ``_lift``: the lift of s2 fixes the base line and turns
-    every other ray clockwise by less than a half-turn, and the lift of g is
-    monotone, so for g outside <s2, Delta^2> the conjugate g^-1 s2^k g
-    moves the base ray by an amount strictly between 0 and pi for k > 0,
-    and strictly between -pi and 0 for k < 0; it is positive iff k > 0, and
-    its Delta^2 floor is 0 or -1.  Delta^2 is central and turns by pi, so
-    l > 0 dominates in either case.
-    """
-    if commutes_with_sigma2(conjugator):
-        return PeripheralOrderType.NEG_K
-    return PeripheralOrderType.POS_K

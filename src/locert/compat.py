@@ -62,18 +62,10 @@ _MAX_GRID_LETTERS = 2_000_000
 _MAX_SLOPE_BOUND = 100
 
 
-def phi_peripheral(pe: braid.PeripheralElement) -> KleinElement:
+def phi_peripheral(k: int, l: int) -> KleinElement:
     """Image of s2^k Delta^(2l) under the gluing: y^-k (y^-1 x^2)^l, which
     normalizes to x^(2l) y^(-k-l) since x^2 is central."""
-    return KleinElement(2 * pe.l, -pe.k - pe.l)
-
-
-# The Klein ordering matching each restriction type of a conjugated DD
-# ordering: O1 for conjugators commuting with s2, O2 for all others.
-_KLEIN_ORDERING = {
-    braid.PeripheralOrderType.NEG_K: KleinOrderingId.O1,
-    braid.PeripheralOrderType.POS_K: KleinOrderingId.O2,
-}
+    return KleinElement(2 * l, -k - l)
 
 
 class CompatReport(NamedTuple):
@@ -104,11 +96,12 @@ def verify_compatibility(
     """
     if grid_bound < 1:
         raise ValueError("grid_bound must be >= 1")
-    ordering = (
-        force_ordering
-        if force_ordering is not None
-        else _KLEIN_ORDERING[braid.restricted_order_type(conjugator)]
-    )
+    if force_ordering is not None:
+        ordering = force_ordering
+    elif braid.commutes_with_sigma2(conjugator):
+        ordering = KleinOrderingId.O1
+    else:
+        ordering = KleinOrderingId.O2
     failures = []
     checked = 0
     positives = 0
@@ -124,8 +117,7 @@ def verify_compatibility(
             if braid.conj_sign(word, conjugator) is not Sign3.POSITIVE:
                 continue
             positives += 1
-            image = phi_peripheral(braid.PeripheralElement(k, l))
-            if k_sign(image, ordering) is not Sign3.POSITIVE:
+            if k_sign(phi_peripheral(k, l), ordering) is not Sign3.POSITIVE:
                 failures.append((k, l))
     return CompatReport(
         braid.word_str(conjugator),

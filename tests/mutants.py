@@ -89,6 +89,80 @@ MUTANTS = [
         ["splice", "cert", "poincare_forest_tree.json"],
         f"{_GOLDEN}[splice_cert_poincare_forest]",
     ),
+    # on the base line, s2^k with k > 0 lies below 1: Delta^2 is its own floor
+    Mutant(
+        "delta_floor_base_line",
+        "src/locert/braid.py",
+        "if x == 0 and exponent_sum(word) - 6 * h > 0:",
+        "if x == 0 and exponent_sum(word) - 6 * h >= 0:",
+        ["braid", "floor", "abaaba"],
+        "tests/test_braid.py::test_delta_floor_bound_exceeded_is_unreachable_for_valid_words",
+    ),
+    # a handle s1^e s2^m s1^-e becomes s2^-e s1^m s2^e, not s2^e s1^m s2^-e
+    Mutant(
+        "handle_rewrite_conjugator_sign",
+        "src/locert/braid.py",
+        "(1, e1 - sgn), (2, -sgn), (1, m), (2, sgn), (1, e2 + sgn)",
+        "(1, e1 - sgn), (2, sgn), (1, m), (2, -sgn), (1, e2 + sgn)",
+        ["braid", "reduce", "abAbaBBAbaBabA"],
+        f"{_GOLDEN}[braid_reduce]",
+    ),
+    # Proposition 4.3 pairs O1 with the conjugators that commute with s2
+    Mutant(
+        "prop43_swapped_klein_ordering",
+        "src/locert/compat.py",
+        "elif braid.commutes_with_sigma2(conjugator):",
+        "elif not braid.commutes_with_sigma2(conjugator):",
+        ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
+         "--grid-bound", "3", "--max-len", "6", "--verbose-cases"],
+        f"{_GOLDEN}[verify_prop43]",
+    ),
+    # phi(s2) = y^-1, so s2^k Delta^2l maps to x^2l y^(-k-l)
+    Mutant(
+        "phi_peripheral_sigma2_image",
+        "src/locert/compat.py",
+        "return KleinElement(2 * l, -k - l)",
+        "return KleinElement(2 * l, k - l)",
+        ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
+         "--grid-bound", "3", "--max-len", "6", "--verbose-cases"],
+        "tests/test_compat.py::test_phi_peripheral_examples",
+    ),
+    # a relator row holds exponent sums, so inverse letters count -1
+    Mutant(
+        "abelianize_inverse_letters",
+        "src/locert/fpgroup.py",
+        "row[abs(x) - 1] += 1 if x > 0 else -1",
+        "row[abs(x) - 1] += 1",
+        ["group", "abelianize", "../../../src/locert/data/plus4_figure_eight_pi1.json"],
+        "tests/test_fpgroup.py::test_abelianization_examples",
+    ),
+    # the backward scan walks the inverse column
+    Mutant(
+        "coset_backward_scan_column",
+        "src/locert/fpgroup.py",
+        "nxt = table[b][word[j] ^ 1]",
+        "nxt = table[b][word[j]]",
+        ["group", "enumerate", "s3.json"],
+        f"{_GOLDEN}[group_enumerate]",
+    ),
+    # G = H - lc^s, whose resultant with Delta gives the order
+    Mutant(
+        "cover_order_g_sign",
+        "src/locert/alexander.py",
+        "g[0] -= lc**s",
+        "g[0] += lc**s",
+        ["cover", "order", "--poly", "t^2 - 3t + 1", "--n", "7"],
+        f"{_GOLDEN}[cover_order]",
+    ),
+    # e is the degree of G, one less than its coefficient count
+    Mutant(
+        "cover_order_lc_shift",
+        "src/locert/alexander.py",
+        "shift = n - (len(g) - 1) - s * d",
+        "shift = n - len(g) - s * d",
+        ["cover", "order", "--poly", "2t^2 - 3t + 2", "--n", "3"],
+        "tests/test_alexander.py::test_five_two_orders",
+    ),
 ]
 
 _COPIED = ("src", "tests", "perfbench", "pyproject.toml")

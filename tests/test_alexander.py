@@ -7,6 +7,8 @@ import pytest
 
 from locert.alexander import (
     MAX_ORDER_DIGITS,
+    _ascending_coeffs,
+    _power_of_t_mod,
     branched_cover_order,
     evaluate_at_int,
     parse_poly,
@@ -299,6 +301,30 @@ def test_matches_sylvester_oracle_where_the_power_of_lc_drops():
     order = branched_cover_order(poly, 27)
     assert order == oracle_cover_order(poly, 27)
     assert len(str(order)) == 43
+
+
+def test_the_power_of_lc_never_raises_the_order():
+    # With t^n = H / lc^s modulo Delta and e = deg(H - lc^s), the shift
+    # n - e - s d is at most 0 when |lc| > 1.  A prime p dividing lc leaves
+    # a p-unit coefficient, since Delta(1) = +-1, so the p-adic Newton
+    # polygon of Delta ends in a slope sigma >= v_p(lc) / d; its root alpha
+    # has v_p(alpha) = -sigma, and lc^s alpha^n = H(alpha) gives
+    # s v_p(lc) >= (n - deg H) sigma.
+    rng = random.Random(20110603)
+    shifts = []
+    while len(shifts) < 300:
+        coeffs = _ascending_coeffs(random_alexander_like(rng))
+        lc, d = coeffs[-1], len(coeffs) - 1
+        if abs(lc) < 2:
+            continue
+        n = rng.randint(2, 120)
+        g, s = _power_of_t_mod(coeffs, n)
+        g[0] -= lc**s
+        while g and not g[-1]:
+            g.pop()
+        if g:
+            shifts.append(n - (len(g) - 1) - s * d)
+    assert max(shifts) == 0
 
 
 def test_five_two_orders():

@@ -14,7 +14,6 @@ from locert.braid import (
     STEP_CAP,
     Ordering,
     PeripheralElement,
-    PeripheralOrderType,
     commutes_with_sigma2,
     conj_sign,
     dd_compare,
@@ -26,7 +25,6 @@ from locert.braid import (
     modular_image,
     parse_word,
     peripheral_parse,
-    restricted_order_type,
     word_str,
 )
 from locert.sampling import random_braid_word, random_braid_words
@@ -275,26 +273,6 @@ def test_peripheral_parse():
     # scrambled representative of s2^-1 Delta^-2
     word = word_power(DELTA_SQ, -1) + word_power(SIGMA2, -1)
     assert peripheral_parse(word) == PeripheralElement(-1, -1)
-
-
-def test_restricted_order_type_examples():
-    assert restricted_order_type(()) is PeripheralOrderType.NEG_K
-    assert restricted_order_type(DELTA_SQ) is PeripheralOrderType.NEG_K
-    assert restricted_order_type(SIGMA1) is PeripheralOrderType.POS_K
-
-
-def test_restricted_order_type_matches_conj_sign():
-    # The closed-form restriction agrees with direct evaluation of the
-    # conjugated ordering on the peripheral grid.
-    for gamma in [(), SIGMA1, parse_word("ab"), parse_word("BaA"), parse_word("bbA")]:
-        order_type = restricted_order_type(gamma)
-        for k in range(-3, 4):
-            for l in range(-3, 4):
-                if k == 0 and l == 0:
-                    continue
-                word = word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
-                expected = order_type.is_positive(PeripheralElement(k, l))
-                assert (conj_sign(word, gamma) is Sign3.POSITIVE) == expected
 
 
 def test_delta_floor_bound_exceeded_is_unreachable_for_valid_words():

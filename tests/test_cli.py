@@ -357,9 +357,11 @@ def test_reduce_matches_handle_reduction_on_random_words():
 
 def test_reduce_answers_sigma2_powers_past_the_step_cap(monkeypatch):
     # a documented correctness change: a word in <s2> past the step cap used
-    # to answer inconclusive; a word outside <s2> still does
-    word = _planted_central(random.Random(2012), 48000)
-    assert len(word) == 84000
+    # to answer inconclusive; a word outside <s2> still does.  The cap is
+    # lowered here; test_braid runs a planted word past the real one.
+    monkeypatch.setattr(braid, "STEP_CAP", 100)
+    word = _planted_central(random.Random(2012), 480)
+    assert len(word) == 840
     with pytest.raises(OverflowError, match="handle reduction exceeded"):
         braid.handle_reduce(word)
     code, result = _run(["braid", "reduce", braid.word_str(word)])
@@ -464,6 +466,19 @@ def test_integers_at_the_digit_limit_still_print():
         ["slope", "delta", "--", "1" + "0" * 2150 + "/1", "-1/1" + "0" * 2149]
     )
     assert code == 0 and result["payload"]["delta"] == 10**4299 + 1
+
+
+def test_an_unprintable_int_nested_in_a_list_prints_as_null(monkeypatch):
+    # only the refused int is dropped; the list around it and its printable
+    # neighbours print as they are
+    result = [3, [10**4400, "x", -1, 2.5], None, {"k": 10**4299}]
+    monkeypatch.setattr(slopes, "intersection_number", lambda a, b: result)
+    code, out = _run(["slope", "delta", "2/1", "1/1"])
+    assert code == 2 and out["status"] == "inconclusive"
+    assert out["payload"]["delta"] == [3, [None, "x", -1, 2.5], None, {"k": 10**4299}]
+    with pytest.raises(OverflowError) as refused:
+        slopes.int_str(10**4400)
+    assert out["payload"]["reason"] == str(refused.value)
 
 
 def test_closed_stdout_keeps_the_exit_code():

@@ -12,14 +12,11 @@ from locert.braid import (
     DELTA_SQ,
     SIGMA1,
     SIGMA2,
-    PeripheralElement,
     commutes_with_sigma2,
     conj_sign,
     delta_floor,
     is_trivial,
     parse_word,
-    restricted_order_type,
-    PeripheralOrderType,
 )
 from locert.cli import run
 from locert.compat import (
@@ -36,20 +33,17 @@ from test_klein import k_multiply
 
 
 def test_phi_peripheral_examples():
-    assert phi_peripheral(PeripheralElement(1, 0)) == KleinElement(0, -1)
-    assert phi_peripheral(PeripheralElement(0, 1)) == KleinElement(2, -1)
-    assert phi_peripheral(PeripheralElement(0, 0)) == KleinElement(0, 0)
+    assert phi_peripheral(1, 0) == KleinElement(0, -1)
+    assert phi_peripheral(0, 1) == KleinElement(2, -1)
+    assert phi_peripheral(0, 0) == KleinElement(0, 0)
 
 
 def test_phi_peripheral_is_a_homomorphism():
     rng = random.Random(6001)
     for _ in range(100):
         k1, l1, k2, l2 = (rng.randint(-6, 6) for _ in range(4))
-        combined = phi_peripheral(PeripheralElement(k1 + k2, l1 + l2))
-        product = k_multiply(
-            phi_peripheral(PeripheralElement(k1, l1)),
-            phi_peripheral(PeripheralElement(k2, l2)),
-        )
+        combined = phi_peripheral(k1 + k2, l1 + l2)
+        product = k_multiply(phi_peripheral(k1, l1), phi_peripheral(k2, l2))
         assert combined == product
 
 
@@ -59,13 +53,9 @@ def test_klein_ordering_choice():
     assert verify_compatibility(DELTA_SQ, 1).ordering is KleinOrderingId.O1
 
 
-def test_choice_matches_restricted_order_type():
+def test_choice_is_o1_iff_commutes_with_sigma2():
     for word in random_braid_words(6002, 40, 10):
         chosen = verify_compatibility(word, 1).ordering
-        restricted = restricted_order_type(word)
-        assert (chosen is KleinOrderingId.O2) == (
-            restricted is PeripheralOrderType.POS_K
-        )
         assert (chosen is KleinOrderingId.O1) == commutes_with_sigma2(word)
 
 
@@ -124,7 +114,7 @@ def test_row_floors_reproduce_the_grid():
         positive = [point for point, sign in signs.items() if sign is Sign3.POSITIVE]
         failures = tuple(
             point for point in positive
-            if k_sign(phi_peripheral(PeripheralElement(*point)), report.ordering)
+            if k_sign(phi_peripheral(*point), report.ordering)
             is not Sign3.POSITIVE
         )
         assert (report.checked, report.positives, report.failures) == (
