@@ -19,8 +19,8 @@ Modules by subject:
                   ``Sign3``, the sign of an element in a left ordering
 * ``fpgroup``   - presentations, Smith-normal-form abelianization,
                   Dehn-filling relators, amalgams and Todd-Coxeter
-* ``seifert``   - Brieskorn recognition, Moser surgery, left-orderable-
-                  slope verdict rules and splice-tree certificates
+* ``seifert``   - Brieskorn recognition, left-orderable-slope verdict
+                  rules (Moser's p - qrs read in place), splice certificates
 * ``alexander`` - branched-cover homology orders by exact resultants
 * ``compat``    - the mechanized orderings-compatibility check for the
                   trefoil / Klein-bottle gluing

@@ -263,8 +263,8 @@ def _group_enumerate(args, payload):
 def _splice_cert(args, payload):
     from . import seifert
 
-    tree = seifert.SpliceTree.from_json(_load_json(args.tree))
     payload.update(status=None, components=None, certificate=None)
+    tree = seifert.SpliceTree.from_json(_load_json(args.tree))
     verdict, components, certificate = seifert.certificate_search(tree, args.bound)
     payload.update(status=verdict.value, components=components, certificate=certificate)
     return "unknown" if verdict is seifert.LOStatus.UNKNOWN else "ok"
@@ -273,8 +273,8 @@ def _splice_cert(args, payload):
 def _splice_verify(args, payload):
     from . import seifert
 
-    tree = seifert.SpliceTree.from_json(_load_json(args.tree))
     payload.update(valid=None, report=None)
+    tree = seifert.SpliceTree.from_json(_load_json(args.tree))
     record = _load_json(args.certificate)
     payload["valid"], payload["report"] = seifert.verify_certificate(tree, record)
     return "ok"

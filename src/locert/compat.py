@@ -21,6 +21,9 @@ must map to a positive element of K in the matching ordering, which is O2
 when the conjugator does not commute with s2 and O1 when it does.  The
 quantifier over the peripheral subgroup factors through the sign pattern
 of (k, l), so a grid that hits every sign class covers the general case.
+The grid pins phi(s2) only: phi(Delta^2) = y^-1 x^2 and its twin y x^2 give
+the same sign at every grid point, because l != 0 decides the sign on both
+sides.  Only ``test_phi_peripheral_examples`` holds phi(Delta^2).
 
 Both reports raise OverflowError past a cap: 2,000,000 conjugated grid
 letters in all (before sampling), and a Klein-slope survey bound past 100.

@@ -22,10 +22,10 @@ evidence strings, because the facts come from disparate sources:
                      (Boyer-Gordon-Watson).  Mirrors by slope negation.
 * UserAsserted:      caller-supplied verdicts, recorded verbatim.
 
-Surgeries on torus knots are classified by Moser's theorem: p/q surgery
-on T(r, s) is reducible iff p = qrs, a lens space iff |p - qrs| = 1, and
-otherwise Seifert fibred with exceptional fibres of orders r, s and
-|p - qrs|.
+Surgeries on torus knots are classified by Moser's theorem, which the rules
+read in place from d = p - qrs on the positive knot (a mirror negates p):
+p/q surgery on T(r, s) is reducible iff d = 0, a lens space iff |d| = 1,
+and otherwise Seifert fibred with exceptional fibres of orders r, s, |d|.
 
 Pieces carry at most one boundary torus (torus-knot and user-asserted
 exteriors) or none (closed Brieskorn spheres), which is all the splice
@@ -65,11 +65,8 @@ __all__ = [
     "UserPiece",
     "SpliceEdge",
     "SpliceTree",
-    "MoserKind",
-    "MoserResult",
     "SearchOutcome",
     "zhs_lo_status",
-    "moser_surgery",
     "torus_knot_lspace_verdict",
     "slope_lo_verdict",
     "certificate_search",
@@ -80,6 +77,9 @@ __all__ = [
 # The cap of the slope walk: a search finds its pair within this bound or
 # stops.  A walk to bound B tries O(B^2) slopes.
 _MAX_SEARCH_BOUND = 400
+# A BrieskornZHS of more bits in all raises OverflowError before its
+# coprimality pass, whose cost is quadratic in the bits.
+_MAX_MULTIPLICITY_BITS = 1 << 19
 
 
 class LOStatus(Enum):
@@ -124,6 +124,9 @@ class BrieskornZHS(_BrieskornFields):
     def __new__(cls, multiplicities: tuple[int, ...]) -> "BrieskornZHS":
         if not multiplicities or any(m < 1 for m in multiplicities):
             raise ValueError("multiplicities must be integers >= 1")
+        if sum(m.bit_length() for m in multiplicities) > _MAX_MULTIPLICITY_BITS:
+            raise OverflowError("a Brieskorn node's multiplicities hold more "
+                                f"than {_MAX_MULTIPLICITY_BITS} bits in all")
         nontrivial = [m for m in multiplicities if m > 1]
         # One pass from the end: entry i against the product of the later
         # entries.  The first clashing i found from the front is the last
@@ -404,51 +407,20 @@ def zhs_lo_status(z: BrieskornZHS) -> LOSlopeVerdict:
     )
 
 
-class MoserKind(Enum):
-    SFS = "sfs"
-    LENS = "lens"
-    REDUCIBLE = "reducible"
-
-
-class MoserResult(NamedTuple):
-    kind: MoserKind
-    multiplicities: tuple[int, ...] | None
-
-
-def _effective_slope(k: TorusKnotPiece, alpha: Slope) -> Slope:
-    """Mirror symmetry: the (p, q) filling of the mirror exterior is the
-    (-p, q) filling of the positive one."""
-    if k.chirality > 0:
-        return alpha
-    return make_slope(-alpha.p, alpha.q)
-
-
-def moser_surgery(k: TorusKnotPiece, alpha: Slope) -> MoserResult:
-    """Moser's classification of p/q surgery on the torus knot T(r, s)."""
-    eff = _effective_slope(k, alpha)
-    rs = k.r * k.s
-    d = eff.p - eff.q * rs
-    if d == 0:
-        return MoserResult(MoserKind.REDUCIBLE, None)
-    if abs(d) == 1:
-        return MoserResult(MoserKind.LENS, None)
-    return MoserResult(MoserKind.SFS, (k.r, k.s, abs(d)))
-
-
 def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict:
     """L-space interval rule: for the positive T(r, s), the p/q filling is
     an L-space iff p/q >= rs - r - s; by Boyer-Gordon-Watson this is
     exactly non-left-orderability among these Seifert fibred fillings.  The
-    reducible filling is covered by no rule: its verdict is UNKNOWN."""
-    result = moser_surgery(k, alpha)
-    if result.kind is MoserKind.REDUCIBLE:
+    reducible filling p = qrs is covered by no rule: its verdict is UNKNOWN;
+    a mirror's p/q filling is the -p/q filling of the positive knot."""
+    eff = make_slope(k.chirality * alpha.p, alpha.q)
+    if eff.p == eff.q * k.r * k.s:
         return LOSlopeVerdict(
             LOStatus.UNKNOWN,
             None,
             f"{slope_str(alpha)} filling of {k.describe()} is reducible; "
             "no rule applies",
         )
-    eff = _effective_slope(k, alpha)
     threshold = k.r * k.s - k.r - k.s
     # p/q >= threshold with q >= 0, as the exact integer inequality.
     not_lo = eff.p >= threshold * eff.q
@@ -488,8 +460,8 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
                 "and is prime and Seifert fibred (Heil)",
             )
         if abs(alpha.p) == 1:  # a homology sphere; reducible needs p = qrs
-            result = moser_surgery(piece, alpha)
-            closed = BrieskornZHS(result.multiplicities or (1,))  # lens: S^3
+            d = abs(piece.chirality * alpha.p - alpha.q * piece.r * piece.s)
+            closed = BrieskornZHS((piece.r, piece.s, d) if d > 1 else (1,))
             verdict = zhs_lo_status(closed)
             return LOSlopeVerdict(
                 verdict.status,

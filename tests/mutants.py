@@ -98,6 +98,33 @@ MUTANTS = [
         ["braid", "floor", "abaaba"],
         "tests/test_braid.py::test_delta_floor_bound_exceeded_is_unreachable_for_valid_words",
     ),
+    # Moser on a mirror: its p/q filling is the -p/q filling of the positive knot
+    Mutant(
+        "moser_mirror_chirality",
+        "src/locert/seifert.py",
+        "d = abs(piece.chirality * alpha.p - alpha.q * piece.r * piece.s)",
+        "d = abs(alpha.p - alpha.q * piece.r * piece.s)",
+        ["splice", "verify", "lspace_mirror_tree.json", "tampered_cert.json"],
+        "tests/test_seifert.py::test_moser_fillings",
+    ),
+    # Moser's one reducible filling is p = qrs
+    Mutant(
+        "moser_reducible_shift",
+        "src/locert/seifert.py",
+        "if eff.p == eff.q * k.r * k.s:",
+        "if eff.p == eff.q * k.r * k.s + 1:",
+        ["splice", "verify", "lspace_splice_tree.json", "lspace_reducible_cert.json"],
+        f"{_GOLDEN}[splice_verify_lspace_reducible]",
+    ),
+    # |p - qrs| = 1 is a lens space, here S^3, named Sigma(1)
+    Mutant(
+        "moser_lens_is_sigma_1",
+        "src/locert/seifert.py",
+        "if d > 1 else (1,)",
+        "if d >= 1 else (1,)",
+        ["splice", "verify", "lspace_splice_tree.json", "lspace_lens_cert.json"],
+        f"{_GOLDEN}[splice_verify_lspace_lens]",
+    ),
     # a handle s1^e s2^m s1^-e becomes s2^-e s1^m s2^e, not s2^e s1^m s2^-e
     Mutant(
         "handle_rewrite_conjugator_sign",

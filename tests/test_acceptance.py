@@ -8,7 +8,6 @@ import copy
 import random
 import time
 from contextlib import contextmanager
-from math import gcd
 
 from bundled import data_file
 from locert import braid
@@ -31,17 +30,15 @@ from locert.sampling import random_braid_word
 from locert.seifert import (
     BrieskornZHS,
     LOStatus,
-    MoserKind,
     SpliceTree,
     TorusKnotPiece,
     certificate_search,
-    moser_surgery,
     slope_lo_verdict,
     torus_knot_lspace_verdict,
     verify_certificate,
     zhs_lo_status,
 )
-from locert.slopes import hf_surgery_rank, make_slope
+from locert.slopes import hf_surgery_rank, make_slope, primitive_slopes
 from locert.words import Sign3, invert_word, word_power
 from test_klein import k_conjugate_ordering, k_inverse, k_multiply
 
@@ -230,7 +227,8 @@ def test_criterion_10_double_trefoil_certificate():
 
 def test_criterion_11_slope_corollary_shapes():
     trefoil = TorusKnotPiece(2, 3, 1)
-    with criterion(11, "slope families finite/cofinite and rules consistent"):
+    with criterion(11, "slope families finite/cofinite; rules agree with each "
+                          "other and with the HF rank"):
         not_lo = set()
         for n in range(-10, 11):
             slope = make_slope(1, n) if n >= 0 else make_slope(-1, -n)
@@ -240,24 +238,42 @@ def test_criterion_11_slope_corollary_shapes():
         assert not_lo == {0, 1}
         for n in range(-10, 0):
             assert slope_lo_verdict(trefoil, make_slope(n, 1)).status is LOStatus.LO
+        # where both the homology-sphere classification and the L-space
+        # interval apply, they agree; Moser's multiplicities (r, s, |cp - qrs|)
+        # are the oracle
         disagreements = 0
         for chirality in (1, -1):
             knot = TorusKnotPiece(2, 3, chirality)
-            for p in range(-10, 11):
+            for p in (1, -1):
                 for q in range(0, 11):
-                    if gcd(p, q) != 1 or abs(p) != 1:
+                    d = abs(chirality * p - q * 6)
+                    if d <= 1:
                         continue
-                    slope = make_slope(p, q)
-                    result = moser_surgery(knot, slope)
-                    if result.kind is not MoserKind.SFS:
-                        continue
-                    if min(result.multiplicities) <= 1:
-                        continue
-                    zhs = zhs_lo_status(BrieskornZHS(result.multiplicities))
-                    interval = torus_knot_lspace_verdict(knot, slope)
+                    zhs = zhs_lo_status(BrieskornZHS((2, 3, d)))
+                    interval = torus_knot_lspace_verdict(knot, make_slope(p, q))
                     if zhs.status is not interval.status:
                         disagreements += 1
         assert disagreements == 0
+        # Heegaard Floer: the filling is an L-space (rank |p|, with nu = g and
+        # every large-surgery rank 1) iff the rule table answers not_lo
+        checked = reducible = 0
+        for r, s in ((2, 3), (2, 5), (3, 4), (2, 7), (3, 5), (4, 5)):
+            genus = (r - 1) * (s - 1) // 2
+            for chirality in (1, -1):
+                knot = TorusKnotPiece(r, s, chirality)
+                for slope in primitive_slopes(20):
+                    if slope.q == 0:
+                        continue
+                    verdict = slope_lo_verdict(knot, slope)
+                    if verdict.status is LOStatus.UNKNOWN:
+                        reducible += 1
+                        continue
+                    rank = hf_surgery_rank(chirality * slope.p, slope.q, genus, (1,))
+                    lspace = rank == abs(slope.p)
+                    assert lspace == (verdict.status is LOStatus.NOT_LO), (knot, slope)
+                    checked += 1
+        # one reducible slope rs/1 (c rs/1 on the mirror) per knot and chirality
+        assert (checked, reducible) == (6120, 12)
 
 
 def test_criterion_12_surgery_rank_sweep():

@@ -153,6 +153,31 @@ def test_splice_unknown_exit_code(tmp_path):
     assert result["status"] == "unknown"
 
 
+def test_brieskorn_bit_budget_is_inconclusive(tmp_path):
+    # A node of the first 8,000 primes (121,750 bits) certifies.  The 40
+    # Mersenne numbers 2^e - 1 of the primes e below 14,000, pairwise coprime
+    # and each under the 4300-digit limit, hold 552,452 bits: past the 2^19
+    # budget, they stop before the coprimality pass.
+    sieve = bytearray([1]) * 82_000
+    for n in range(2, 287):
+        if sieve[n]:
+            sieve[n * n::n] = bytearray(len(range(n * n, 82_000, n)))
+    primes = [n for n in range(2, 82_000) if sieve[n]]
+    mersenne = [2**e - 1 for e in primes if e < 14_000][-40:]
+    path = tmp_path / "tree.json"
+    answers = []
+    for multiplicities in (primes[:8000], mersenne):
+        tree = {"nodes": [{"kind": "brieskorn", "multiplicities": multiplicities}]}
+        path.write_text(json.dumps(tree))
+        code, result = _run(["splice", "cert", str(path)])
+        payload = result["payload"]
+        answers.append((code, payload["status"], payload.get("reason")))
+    assert answers == [
+        (0, "lo", None),
+        (2, None, "a Brieskorn node's multiplicities hold more than 524288 bits in all"),
+    ]
+
+
 def test_hf_and_cover_commands():
     code, result = _run(
         ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"]

@@ -240,6 +240,9 @@ CASES: dict[str, list[str]] = {
                                     "lspace_not_lo_cert.json"],
     "splice_verify_lspace_reducible": ["splice", "verify", "lspace_splice_tree.json",
                                        "lspace_reducible_cert.json"],
+    # alpha edited to the meridian, whose filling is the lens space S^3
+    "splice_verify_lspace_lens": ["splice", "verify", "lspace_splice_tree.json",
+                                  "lspace_lens_cert.json"],
     # records that re-verify pair by pair but differ from their re-derivation
     "splice_verify_no_hypotheses": ["splice", "verify", "prime_flag_tree.json",
                                     "no_hypotheses_cert.json"],

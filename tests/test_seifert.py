@@ -13,14 +13,12 @@ from locert.seifert import (
     LORule,
     LOSlopeVerdict,
     LOStatus,
-    MoserKind,
     SpliceEdge,
     SpliceTree,
     TorusKnotPiece,
     UserPiece,
     certificate_search,
     enumerate_slopes,
-    moser_surgery,
     slope_lo_verdict,
     torus_knot_lspace_verdict,
     verify_certificate,
@@ -75,6 +73,15 @@ def test_brieskorn_names_the_first_clashing_pair():
         assert str(info.value) == f"multiplicities {first} and {second} share a factor"
 
 
+def test_brieskorn_bit_budget():
+    # 2 + 2 + 524284 bits is the budget of 2^19 exactly; one bit more stops
+    # before the coprimality pass (2^524284 + 1 is coprime to 2 and 3)
+    assert BrieskornZHS((2, 3, 2**524283 - 1)).multiplicities[:2] == (2, 3)
+    message = r"^a Brieskorn node's multiplicities hold more than 524288 bits in all$"
+    with pytest.raises(OverflowError, match=message):
+        BrieskornZHS((2, 3, 2**524284 + 1))
+
+
 def test_zhs_lo_status():
     assert zhs_lo_status(BrieskornZHS((2, 3, 5))).status is LOStatus.NOT_LO
     assert zhs_lo_status(BrieskornZHS((2, 3, 7))).status is LOStatus.LO
@@ -82,26 +89,40 @@ def test_zhs_lo_status():
     assert zhs_lo_status(BrieskornZHS((1,))).rule is LORule.ZHS_CLASSIFICATION
 
 
-def test_moser_surgery():
-    assert moser_surgery(TREFOIL, make_slope(1, 1)).multiplicities == (2, 3, 5)
-    assert moser_surgery(TREFOIL, make_slope(6, 1)).kind is MoserKind.REDUCIBLE
-    assert moser_surgery(TREFOIL, make_slope(5, 1)).kind is MoserKind.LENS
-    assert moser_surgery(TREFOIL, make_slope(-1, 1)).multiplicities == (2, 3, 7)
+def _closes_to(knot, p, q):
+    """The closed Brieskorn sphere a |p| = 1 verdict names, as printed."""
+    verdict = slope_lo_verdict(knot, make_slope(p, q))
+    assert verdict.rule is LORule.ZHS_CLASSIFICATION
+    return verdict.evidence.split(" closes to ")[1].split(":")[0]
+
+
+def test_moser_fillings():
+    # Moser: the p/q filling of T(r, s) is Sigma(r, s, |p - qrs|), S^3 (a
+    # lens space) at |p - qrs| = 1, and reducible at p = qrs
+    assert _closes_to(TREFOIL, 1, 1) == "Sigma(2,3,5)"
+    assert _closes_to(TREFOIL, -1, 1) == "Sigma(2,3,7)"
+    assert _closes_to(TREFOIL, 1, 0) == "Sigma(1)"
     # mirror: the (p, q) filling of the mirror is the (-p, q) filling
     mirror = TorusKnotPiece(2, 3, -1)
-    assert moser_surgery(mirror, make_slope(-1, 1)).multiplicities == (2, 3, 5)
+    assert _closes_to(mirror, -1, 1) == "Sigma(2,3,5)"
+    assert _closes_to(mirror, 1, 1) == "Sigma(2,3,7)"
+    reducible = slope_lo_verdict(TREFOIL, make_slope(6, 1))
+    assert (reducible.status, reducible.rule) == (LOStatus.UNKNOWN, None)
+    assert "is reducible" in reducible.evidence
+    lens = slope_lo_verdict(TREFOIL, make_slope(5, 1))
+    assert (lens.status, lens.rule) == (LOStatus.NOT_LO, LORule.LSPACE_INTERVAL)
 
 
 def test_moser_homology_sphere_cross_check():
-    # |p| = 1 fillings are integer homology spheres: multiplicities come
-    # out pairwise coprime, so BrieskornZHS accepts them.
-    for knot in (TorusKnotPiece(2, 3, 1), TorusKnotPiece(2, 5, 1),
-                 TorusKnotPiece(3, 4, 1)):
-        for q in range(1, 8):
-            for p in (1, -1):
-                result = moser_surgery(knot, make_slope(p, q))
-                if result.kind is MoserKind.SFS:
-                    BrieskornZHS(result.multiplicities)  # raises if not coprime
+    # |p| = 1 fillings are integer homology spheres: their multiplicities
+    # come out pairwise coprime, so the verdict never raises.
+    for r, s in ((2, 3), (2, 5), (3, 4)):
+        for chirality in (1, -1):
+            knot = TorusKnotPiece(r, s, chirality)
+            for q in range(0, 8):
+                for p in (1, -1):
+                    verdict = slope_lo_verdict(knot, make_slope(p, q))
+                    assert verdict.rule is LORule.ZHS_CLASSIFICATION
 
 
 def test_lspace_interval_rule():
@@ -181,26 +202,6 @@ def test_user_piece_reads_one_entry_per_slope():
         message = f"^asserted slopes {first!r} and {second!r} name the same slope$"
         with pytest.raises(ValueError, match=message):
             SpliceTree.from_json(tree(asserted))
-
-
-def test_rule_consistency_sweep():
-    # Wherever both the homology-sphere classification and the L-space
-    # interval apply, the verdicts agree.
-    for chirality in (1, -1):
-        knot = TorusKnotPiece(2, 3, chirality)
-        for q in range(0, 11):
-            for p in range(-10, 11):
-                if gcd(p, q) != 1 or abs(p) != 1:
-                    continue
-                slope = make_slope(p, q)
-                result = moser_surgery(knot, slope)
-                if result.kind is not MoserKind.SFS:
-                    continue
-                if min(result.multiplicities) <= 1:
-                    continue  # lens-like, the interval rule still applies
-                zhs = zhs_lo_status(BrieskornZHS(result.multiplicities))
-                interval = torus_knot_lspace_verdict(knot, slope)
-                assert zhs.status is interval.status, (chirality, slope)
 
 
 def test_definite_verdicts_carry_a_rule():
