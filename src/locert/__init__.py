@@ -11,12 +11,14 @@ Modules by subject:
                   orderings, and fillings of the twisted I-bundle
 * ``slopes``    - slope calculus on torus boundaries, the walk over
                   primitive slopes that the splice search and the
-                  Klein-bottle survey share, ``int_str``, which prints
-                  an integer or raises OverflowError past the digit limit,
-                  and the Heegaard Floer surgery-rank calculator
+                  Klein-bottle survey share, and the Heegaard Floer
+                  surgery-rank calculator
 * ``words``     - the names several layers share: group words with
-                  their helpers (inversion, free reduction, powers), and
-                  ``Sign3``, the sign of an element in a left ordering
+                  their helpers (inversion, free reduction, powers),
+                  ``Sign3``, the sign of an element in a left ordering,
+                  and ``parse_int``, ``int_str`` and ``brief_repr``, which
+                  read and print integers within the digit limit and
+                  echo input
 * ``fpgroup``   - presentations, Smith-normal-form abelianization,
                   Dehn-filling relators, amalgams and Todd-Coxeter
 * ``seifert``   - Brieskorn recognition, left-orderable-slope verdict

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import re
 
+from .words import brief_repr, parse_int
+
 __all__ = [
     "IntLaurentPoly",
     "MAX_ORDER_DIGITS",
@@ -76,10 +78,10 @@ def parse_poly(text: str) -> IntLaurentPoly:
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial near {_echo(text[pos:])}")
+            raise ValueError(f"cannot parse polynomial near {brief_repr(text[pos:])}")
         sign_txt = m.group("sign")
         if sign_txt is None and not first:
-            raise ValueError(f"missing +/- before {_echo(text[pos:])}")
+            raise ValueError(f"missing +/- before {brief_repr(text[pos:])}")
         sign = -1 if sign_txt == "-" else 1
         coeff_txt = m.group("coeff")
         if coeff_txt is not None:
@@ -100,23 +102,10 @@ def parse_poly(text: str) -> IntLaurentPoly:
     return {e: c for e, c in out.items() if c}
 
 
-def _echo(rest: str) -> str:
-    """The unparsed rest of a polynomial as a diagnostic shows it: its
-    start only, through ``slopes.brief_repr``."""
-    from .slopes import brief_repr  # a valid polynomial loads no other layer
-
-    return brief_repr(rest)
-
-
 def _read_int(digits: str) -> int:
     """``int`` of a digit run that ``_TERM_RE`` matched; past the digit limit,
-    the only way that can fail, ``slopes.parse_int``'s "too long" ValueError."""
-    try:
-        return int(digits)
-    except ValueError:
-        from .slopes import parse_int  # a valid polynomial loads no other layer
-
-        return parse_int(digits, f"invalid integer {digits!r}")
+    the only way that can fail, ``parse_int``'s "too long" ValueError."""
+    return parse_int(digits, f"invalid integer {digits!r}")
 
 
 def poly_str(poly: IntLaurentPoly) -> str:

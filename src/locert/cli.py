@@ -22,10 +22,10 @@ its citations are a parser default.  A handler holds no cap: each cap lives in
 the layer whose work it bounds, so a direct caller of that layer meets it too.
 A handler imports the layers it calls, and this module imports none at module
 level, so a process loads only what its subcommand runs (``slope delta``
-loads ``slopes`` alone).  A layer raises
+loads ``slopes`` and the ``words`` it imports).  A layer raises
 ``ValueError`` on bad input, which ``run`` maps to exit 1 as it does
 ``OSError``, and ``OverflowError`` past a budget (a cap, ``--max-cosets``, or
-the digit limit of ``slopes.int_str``), which ``run`` answers as
+the digit limit of ``words.int_str``), which ``run`` answers as
 ``inconclusive`` with the message as ``reason``; any other exception
 propagates.  No handler answers a budget itself, so every stopped computation
 takes that one path.
@@ -71,9 +71,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
+    from .words import parse_int
+
+    # json hands on a sign and digits, which parse_int refuses only past the
+    # digit limit, with its "too long" message
+    read_int = functools.partial(parse_int, message="invalid integer")
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_int=_read_int)
+            return json.load(fh, parse_int=read_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
@@ -89,8 +94,7 @@ def _braid_sign(args, payload) -> str:
     from . import braid
 
     word = braid.parse_word(args.word)
-    payload.update(word=braid.word_str(word), sign=None)
-    payload["sign"] = braid.dd_sign(word).value
+    payload.update(word=braid.word_str(word), sign=braid.dd_sign(word).value)
     return "ok"
 
 
@@ -99,7 +103,6 @@ def _braid_compare(args, payload):
 
     u = braid.parse_word(args.u)
     v = braid.parse_word(args.v)
-    payload["comparison"] = None
     payload["comparison"] = braid.dd_compare(u, v).value
     return "ok"
 
@@ -125,7 +128,6 @@ def _braid_floor(args, payload):
     from . import braid
 
     word = braid.parse_word(args.word)
-    payload["floor"] = None
     payload["floor"] = braid.delta_floor(word)
     return "ok"
 
@@ -165,28 +167,20 @@ def _slope_delta(args, payload):
 
 
 def _ints(text: str, message: str) -> list[int]:
-    """The comma-separated integers of ``text``; ``slopes.parse_int``'s
+    """The comma-separated integers of ``text``; ``words.parse_int``'s
     ValueError when an entry is not one."""
-    from .slopes import parse_int
+    from .words import parse_int
 
     return [parse_int(x, message) for x in text.split(",")]
 
 
-def _read_int(text: str) -> int:
-    """``int(text)``, with ``slopes.parse_int``'s diagnostic for an integer
-    too long to read; ``_int`` and ``json.load`` read integers with it."""
-    try:
-        return int(text)
-    except ValueError:
-        from .slopes import brief_repr, parse_int  # a valid integer loads no layer
-
-        return parse_int(text, f"invalid int value: {brief_repr(text)}")
-
-
 def _int(text: str) -> int:
-    """``_read_int`` as an argparse type, with argparse's diagnostic."""
+    """``words.parse_int`` as an argparse type, with argparse's diagnostic
+    for a text that is no integer and its own for one too long to read."""
+    from .words import brief_repr, parse_int
+
     try:
-        return _read_int(text)
+        return parse_int(text, f"invalid int value: {brief_repr(text)}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -229,7 +223,7 @@ def _group_fill(args, payload):
 
 def _group_amalgam(args, payload):
     from . import fpgroup
-    from .slopes import brief_repr
+    from .words import brief_repr
 
     p1 = fpgroup.Presentation.from_json(_load_json(args.presentation1))
     p2 = fpgroup.Presentation.from_json(_load_json(args.presentation2))
@@ -515,7 +509,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except ValueError:
         # str() refuses an int past the interpreter's digit limit: each such
         # int prints as null, and int_str gives the reason.
-        from .slopes import int_str
+        from .words import int_str
 
         refused: list[int] = []
         printable = _drop_unprintable(payload, refused)

@@ -30,8 +30,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
-from .slopes import brief_repr
-from .words import GroupWord, free_reduce_word, invert_word, word_power
+from .words import GroupWord, brief_repr, free_reduce_word, invert_word, word_power
 
 __all__ = [
     "Presentation",

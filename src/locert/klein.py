@@ -25,8 +25,8 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .slopes import Slope, brief_repr, int_str, make_slope, parse_int
-from .words import Sign3
+from .slopes import Slope, make_slope
+from .words import Sign3, brief_repr, int_str, parse_int
 
 __all__ = [
     "KleinElement",
@@ -92,7 +92,7 @@ def klein_fill(slope: Slope) -> KleinFillResult:
     infinite dihedral group Z/2 * Z/2 (set x^2 = 1: then (xy)^2 = 1 as
     well), which has torsion.  Every other primitive slope gives a finite
     group: killing y^m x^(2n) with m, n nonzero forces x^(4n) = 1 and
-    y^(2m) = 1, leaving a quotient of order 4|mn|, which ``slopes.int_str``
+    y^(2m) = 1, leaving a quotient of order 4|mn|, which ``words.int_str``
     prints (OverflowError past the digit limit).
 
     The abelianization is Z^2 modulo the exponent sums in (x, y) of the
@@ -127,7 +127,7 @@ _ELEMENT_RE = re.compile(r"\s*(?:(x)(?:\^(-?\d+))?)?\s*(?:(y)(?:\^(-?\d+))?)?\s*
 def parse_element(text: str) -> KleinElement:
     """Parse ``x^a y^b``: either factor or both may be omitted, a bare x or
     y means exponent 1, and ``1`` is the identity.  An exponent past the
-    digit limit gets ``slopes.parse_int``'s "too long" ValueError."""
+    digit limit gets ``words.parse_int``'s "too long" ValueError."""
     if text.strip() == "1":
         return IDENTITY
     message = f"cannot parse Klein element {brief_repr(text)}"

@@ -46,8 +46,6 @@ from .slopes import (
     GluingMatrix,
     Slope,
     apply_gluing,
-    brief_repr,
-    int_str,
     invert_gluing,
     make_slope,
     parse_slope,
@@ -55,6 +53,7 @@ from .slopes import (
     slope_str,
     union_homology_order,
 )
+from .words import brief_repr, int_str
 
 __all__ = [
     "LOStatus",
@@ -147,6 +146,11 @@ class BrieskornZHS(_BrieskornFields):
     def boundary_count(self) -> int:
         return 0
 
+    def is_s3(self) -> bool:
+        """S^3 is the Brieskorn sphere of fewer than three nontrivial
+        multiplicities."""
+        return sum(m > 1 for m in self.multiplicities) < 3
+
     def describe(self) -> str:
         inner = ",".join(int_str(m) for m in self.multiplicities)
         return f"Sigma({inner})"
@@ -224,11 +228,14 @@ class SpliceTree(NamedTuple):
 
         Each node has as many edges as boundary tori, at most one, so a
         component is a closed node ``([i], None)`` or the two exteriors of
-        an edge ``(sorted((a, b)), edge index)``.  A ValueError names the
-        first defect: per edge, an endpoint out of range, a self-gluing,
-        a matrix that is not unimodular, or a glued manifold that is not an
-        integer homology sphere; then a node with more edges than boundary
-        tori; then an exterior with no edge."""
+        an edge ``(sorted((a, b)), edge index)``.  A component is a prime
+        summand, so S^3 stands only alone.  A ValueError names the first
+        defect: a tree with no node; per edge, an endpoint out of range, a
+        self-gluing, a matrix that is not unimodular, or a glued manifold
+        that is not an integer homology sphere; then a node with more edges
+        than boundary tori; then an exterior with no edge; then a closed
+        node that is S^3 beside other components."""
+        _expect(bool(self.nodes), "a splice tree needs at least one node")
         degree = [0] * len(self.nodes)
         for e in self.edges:
             for end in (e.a, e.b):
@@ -257,6 +264,11 @@ class SpliceTree(NamedTuple):
                 )
         closed = [([i], None) for i, d in enumerate(degree) if not d]
         glued = [(sorted((e.a, e.b)), ei) for ei, e in enumerate(self.edges)]
+        if len(closed) + len(glued) > 1:
+            for [i], _ in closed:
+                _expect(not self.nodes[i].is_s3(),
+                        f"node {i} ({self.nodes[i].describe()}) is S^3, which is "
+                        "not a prime summand: drop it from the forest")
         return sorted(closed + glued)  # no two components share a node
 
     @classmethod
@@ -386,14 +398,13 @@ def zhs_lo_status(z: BrieskornZHS) -> LOSlopeVerdict:
     exactly S^3 (trivial group, not left-orderable by convention) and the
     Poincare sphere fail to be left-orderable.  S^3 has fewer than three
     nontrivial multiplicities; {2, 3, 5} is the Poincare sphere."""
-    nontrivial = sorted(m for m in z.multiplicities if m > 1)
-    if len(nontrivial) < 3:
+    if z.is_s3():
         return LOSlopeVerdict(
             LOStatus.NOT_LO,
             LORule.ZHS_CLASSIFICATION,
             f"{z.describe()} is S^3; the trivial group is not left-orderable",
         )
-    if nontrivial == [2, 3, 5]:
+    if sorted(m for m in z.multiplicities if m > 1) == [2, 3, 5]:
         return LOSlopeVerdict(
             LOStatus.NOT_LO,
             LORule.ZHS_CLASSIFICATION,

@@ -16,12 +16,6 @@ bound in the order (max(|p|, q), q, p), one shell max(|p|, q) = m at a
 time, lazily; the splice certificate search tries them in that order, and
 the Klein-bottle survey sorts them into (p, q) order.
 
-``int_str(n)`` writes an input-derived integer into a string; past
-``sys.get_int_max_str_digits()`` its OverflowError carries the CLI's reason.
-``parse_int(text, message)`` reads one, and says when ``text`` is too long
-for that limit, echoing only its start.  ``brief_repr(value)`` is how a
-diagnostic echoes any other input value: its repr, cut to its start.
-
 ``hf_surgery_rank(p, q, nu, ranks)`` is the rational surgery formula for
 the total Heegaard Floer rank of the p/q surgery on a knot; it is at least
 |p|, with equality exactly at the L-space slopes.
@@ -29,20 +23,18 @@ the total Heegaard Floer rank of the p/q surgery on a knot; it is at least
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator
 from math import gcd
 from typing import NamedTuple
+
+from .words import brief_repr, int_str, parse_int
 
 __all__ = [
     "Slope",
     "GluingMatrix",
     "make_slope",
     "parse_slope",
-    "parse_int",
-    "brief_repr",
     "slope_str",
-    "int_str",
     "primitive_slopes",
     "intersection_number",
     "apply_gluing",
@@ -88,47 +80,6 @@ def parse_slope(text: str) -> Slope:
     message = f"cannot parse slope {brief_repr(text)}: expected p/q or p"
     p = parse_int(p_txt, message)
     return make_slope(p, parse_int(q_txt, message) if slash else 1)
-
-
-def parse_int(text: str, message: str) -> int:
-    """``int(text)``; ValueError(message) when ``text`` is not an integer, or
-    one that echoes only its start when ``text`` is a sign and digits that
-    ``int`` refuses, which it does only past the digit limit."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = text.strip()
-        if digits[:1] in ("+", "-"):
-            digits = digits[1:]
-        if digits.isdecimal():
-            limit = sys.get_int_max_str_digits()
-            message = f"integer {text[:20] + '...'!r} is too long: over {limit} digits"
-        raise ValueError(message) from None
-
-
-_ECHO_CHARS = 40
-
-
-def brief_repr(value: object) -> str:
-    """``repr(value)``, cut to its first ``_ECHO_CHARS`` characters and
-    ``...`` when it is longer; ``<over N digits>`` when ``repr`` refuses an
-    int in ``value`` past the digit limit N."""
-    try:
-        text = repr(value)
-    except ValueError:
-        return f"<over {sys.get_int_max_str_digits()} digits>"
-    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
-
-
-def int_str(n: int) -> str:
-    """``str(n)``; OverflowError when ``str`` refuses ``n`` for its length."""
-    try:
-        return str(n)
-    except ValueError:  # str() refuses an int past the digit limit
-        digits = sys.get_int_max_str_digits()
-        raise OverflowError(
-            f"an integer in the result exceeds the {digits}-digit budget"
-        ) from None
 
 
 def slope_str(s: Slope) -> str:

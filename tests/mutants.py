@@ -49,8 +49,8 @@ MUTANTS = [
     Mutant(
         "zhs_two_fibres",
         "src/locert/seifert.py",
-        "if len(nontrivial) < 3:",
-        "if len(nontrivial) < 2:",
+        "return sum(m > 1 for m in self.multiplicities) < 3",
+        "return sum(m > 1 for m in self.multiplicities) < 2",
         ["splice", "cert", "sigma_2_3_tree.json"],
         f"{_GOLDEN}[splice_cert_sigma_2_3]",
     ),
@@ -124,6 +124,52 @@ MUTANTS = [
         "if d >= 1 else (1,)",
         ["splice", "verify", "lspace_splice_tree.json", "lspace_lens_cert.json"],
         f"{_GOLDEN}[splice_verify_lspace_lens]",
+    ),
+    # S^3 beside another component is no prime summand: an input error
+    Mutant(
+        "s3_summand_accepted",
+        "src/locert/seifert.py",
+        "if len(closed) + len(glued) > 1:",
+        "if len(closed) + len(glued) > 2:",
+        ["splice", "cert", "s3_summand_tree.json"],
+        f"{_GOLDEN}[splice_cert_s3_summand]",
+    ),
+    # the shell walk yields primitive slopes only
+    Mutant(
+        "primitive_slopes_gcd_filter",
+        "src/locert/slopes.py",
+        "if gcd(p, m) == 1:",
+        "if gcd(p, m) >= 1:",
+        ["verify", "nonapplicability", "--slope-bound", "3"],
+        "tests/test_seifert.py::test_enumerate_slopes_order",
+    ),
+    # -1/0 is the meridian 1/0
+    Mutant(
+        "make_slope_meridian_sign",
+        "src/locert/slopes.py",
+        "if q < 0 or (q == 0 and p < 0):",
+        "if q < 0:",
+        ["slope", "glue", "--matrix=-1,0,0,1", "1/0"],
+        "tests/test_slopes.py::test_normalization",
+    ),
+    # a signed run of digits past the limit is too long, not unreadable
+    Mutant(
+        "parse_int_signed_too_long",
+        "src/locert/words.py",
+        'if digits[:1] in ("+", "-"):',
+        'if digits[:1] == "+":',
+        ["slope", "delta", "--", "-" + "1" * 4301, "1/1"],
+        "tests/test_slopes.py::"
+        "test_a_long_text_that_is_no_integer_gets_the_callers_message",
+    ),
+    # an unprintable result is a budget (inconclusive), not an input error
+    Mutant(
+        "int_str_overflow",
+        "src/locert/words.py",
+        "raise OverflowError(",
+        "raise ValueError(",
+        ["slope", "delta", "--", "1" + "0" * 2200 + "/1", "1/1" + "0" * 2200],
+        f"{_GOLDEN}[slope_delta_too_large]",
     ),
     # a handle s1^e s2^m s1^-e becomes s2^-e s1^m s2^e, not s2^e s1^m s2^-e
     Mutant(

@@ -16,7 +16,7 @@ from bundled import data_file, data_path
 from locert import alexander, braid, compat, fpgroup, klein, seifert, slopes
 from locert.cli import _build_parser, run
 from locert.sampling import random_braid_word
-from locert.words import word_power
+from locert.words import int_str, word_power
 from test_braid import _planted_central
 from test_cli_golden import _RUNTIME, CASES, INPUTS, capture
 
@@ -502,7 +502,7 @@ def test_an_unprintable_int_nested_in_a_list_prints_as_null(monkeypatch):
     assert code == 2 and out["status"] == "inconclusive"
     assert out["payload"]["delta"] == [3, [None, "x", -1, 2.5], None, {"k": 10**4299}]
     with pytest.raises(OverflowError) as refused:
-        slopes.int_str(10**4400)
+        int_str(10**4400)
     assert out["payload"]["reason"] == str(refused.value)
 
 

@@ -205,6 +205,10 @@ CASES: dict[str, list[str]] = {
     # Sigma(2,3) and Sigma(2,3,1) are S^3: two nontrivial fibres are not LO
     "splice_cert_sigma_2_3": ["splice", "cert", "sigma_2_3_tree.json"],
     "splice_cert_sigma_2_3_1": ["splice", "cert", "sigma_2_3_1_tree.json"],
+    # S^3 is no prime summand: an empty forest (S^3 itself) and S^3 beside
+    # Sigma(2,3,7) are input errors, which cert refuses and verify reports
+    "splice_cert_empty_forest": ["splice", "cert", "empty_tree.json"],
+    "splice_cert_s3_summand": ["splice", "cert", "s3_summand_tree.json"],
     # -1/1 and 1/-1 name one slope: an input error, not a first match
     "splice_cert_duplicate_slope": ["splice", "cert", "duplicate_slope_tree.json"],
     # the same assertions in two key orders print the same certificate
@@ -258,6 +262,10 @@ CASES: dict[str, list[str]] = {
                                      "negative_bound_cert.json"],
     "splice_verify_too_large": ["splice", "verify", "huge_torus_knot_tree.json",
                                 "double_trefoil_cert.json"],
+    "splice_verify_empty_forest": ["splice", "verify", "empty_tree.json",
+                                   "empty_cert.json"],
+    "splice_verify_s3_summand": ["splice", "verify", "s3_summand_tree.json",
+                                 "s3_summand_cert.json"],
     # hf
     "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
     # nu > 5

@@ -438,20 +438,21 @@ _LOADED = (
 _DATA = str(SRC / "data")
 
 # One run per subcommand family -> the locert modules beyond locert.cli it
-# loads.  A layer's own imports count (``_LAYER_IMPORTS`` lists them): braid
-# and fpgroup bind the word helpers of words, klein adds slopes and words,
-# and compat braid, fpgroup, klein and sampling.
+# loads.  A layer's own imports count (``_LAYER_IMPORTS`` lists them): every
+# layer binds words, klein and seifert add slopes, and compat braid, fpgroup,
+# klein and sampling; the group fill handler reads its slope with slopes.
 _FAMILY_MODULES = {
-    "slope": (["slope", "delta", "2/1", "1/1"], "slopes"),
+    "slope": (["slope", "delta", "2/1", "1/1"], "slopes words"),
     "braid": (["braid", "sign", "aB"], "braid words"),
     "klein": (["klein", "fill", "1", "0"], "klein slopes words"),
     "group": (["group", "fill", f"{_DATA}/b3_presentation.json", "--mu", "s2",
                "--longitude", "s1", "--slope", "1/0"], "fpgroup slopes words"),
     "splice": (["splice", "cert", f"{_DATA}/double_trefoil_splice.json"],
-               "seifert slopes"),
+               "seifert slopes words"),
     "hf": (["hf", "rank", "--p", "5", "--q", "1", "--nu", "1", "--ranks", "1"],
-           "slopes"),
-    "cover": (["cover", "order", "--poly", "t^2 - t + 1", "--n", "7"], "alexander"),
+           "slopes words"),
+    "cover": (["cover", "order", "--poly", "t^2 - t + 1", "--n", "7"],
+              "alexander words"),
     "verify": (["verify", "proposition-4-3", "--samples", "1", "--grid-bound", "1"],
                "braid compat fpgroup klein sampling slopes words"),
 }
@@ -504,34 +505,36 @@ def test_subcommand_loads_no_dataclasses(family):
     assert _fresh(probe, *_FAMILY_MODULES[family][0]) == "[]"
 
 
-# Each module of the package -> the package modules it imports at module
-# level.  cli imports none: each handler imports its own layers.  words sits
-# at the bottom and holds the shared names: braid takes its word helpers
-# there, not from fpgroup, so a braid query never compiles fpgroup, and
-# fpgroup needs nothing from braid; klein takes Sign3 there, so it loads
-# neither braid nor fpgroup, and meets B3 only in compat.  fpgroup and
-# seifert take ``brief_repr`` from slopes, which echoes an input value in a
-# diagnostic.
+# Each module of the package -> the package modules it imports, in any
+# statement; cli counts only its module level, where it imports none, since
+# each handler imports its own layers.  words sits at the bottom and holds
+# the shared names: braid takes its word helpers there, not from fpgroup, so
+# a braid query never compiles fpgroup, and fpgroup needs nothing from
+# braid; klein takes Sign3 there, so it loads neither braid nor fpgroup, and
+# meets B3 only in compat.  The digit-limit helpers ``parse_int``,
+# ``int_str`` and ``brief_repr`` live there too, so alexander and fpgroup
+# read and echo input without loading slopes.
 _LAYER_IMPORTS = {
     "__init__": set(),
-    "alexander": set(),
+    "alexander": {"words"},
     "braid": {"words"},
     "cli": set(),
     "compat": {"braid", "fpgroup", "klein", "sampling", "slopes", "words"},
-    "fpgroup": {"slopes", "words"},
+    "fpgroup": {"words"},
     "klein": {"slopes", "words"},
     "sampling": {"words"},
-    "seifert": {"slopes"},
-    "slopes": set(),
+    "seifert": {"slopes", "words"},
+    "slopes": {"words"},
     "words": set(),
 }
 
 
-def module_level_imports(path: Path) -> set[str]:
-    """The package modules that ``path`` imports in its top-level statements,
-    by relative or absolute name."""
+def package_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports, by relative or absolute
+    name: in any statement, or only in its top-level statements for cli."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     found = set()
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in tree.body if path.stem == "cli" else ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -546,4 +549,4 @@ def module_level_imports(path: Path) -> set[str]:
 def test_layer_imports_are_pinned():
     # A static check: a new edge, such as braid importing fpgroup again,
     # fails here without starting a process.
-    assert {path.stem: module_level_imports(path) for path in MODULES} == _LAYER_IMPORTS
+    assert {path.stem: package_imports(path) for path in MODULES} == _LAYER_IMPORTS

@@ -418,11 +418,12 @@ def test_verify_rejects_tampered_certificates():
     assert not ok and report == [
         "FAIL tree invalid: T(2,3) chirality +1 is an exterior but has no gluing edge"
     ]
-    # empty certificate on empty forest round-trips
-    empty_tree = SpliceTree((), ())
+    # an empty forest is S^3, not LO: no empty certificate verifies on it
     empty = {"version": 1, "search_bound": 0, "components": [], "hypotheses": []}
-    ok, _ = verify_certificate(empty_tree, empty)
-    assert ok
+    ok, report = verify_certificate(SpliceTree((), ()), empty)
+    assert not ok and report == [
+        "FAIL tree invalid: a splice tree needs at least one node"
+    ]
 
 
 def _user_splice() -> SpliceTree:
@@ -535,6 +536,17 @@ def test_tree_validation():
         ).components()
     with pytest.raises(ValueError, match="exterior but has no gluing edge"):
         SpliceTree((BrieskornZHS((2, 3, 7)), TREFOIL), ()).components()
+    with pytest.raises(ValueError, match="^a splice tree needs at least one node$"):
+        SpliceTree((), ()).components()
+    # S^3 is no prime summand: it stands only alone
+    s3 = BrieskornZHS((2, 3))
+    assert SpliceTree((s3,), ()).components() == [([0], None)]
+    with pytest.raises(ValueError, match=r"^node 1 \(Sigma\(2,3\)\) is S\^3, "):
+        SpliceTree((BrieskornZHS((2, 3, 7)), s3), ()).components()
+    with pytest.raises(ValueError, match=r"^node 0 \(Sigma\(1\)\) is S\^3, "):
+        SpliceTree((BrieskornZHS((1,)), s3), ()).components()
+    with pytest.raises(ValueError, match=r"^node 2 \(Sigma\(2,3\)\) is S\^3, "):
+        SpliceTree((TREFOIL, TREFOIL, s3), (SpliceEdge(0, 1, SPLICE),)).components()
 
 
 def test_a_piece_name_past_the_digit_limit_is_a_budget():

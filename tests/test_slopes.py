@@ -8,15 +8,14 @@ from locert.slopes import (
     GluingMatrix,
     Slope,
     apply_gluing,
-    brief_repr,
     intersection_number,
     invert_gluing,
     make_slope,
-    parse_int,
     parse_slope,
     slope_str,
     union_homology_order,
 )
+from locert.words import brief_repr, parse_int
 
 MERIDIAN = Slope(1, 0)
 LONGITUDE_SLOPE = Slope(0, 1)
