@@ -175,10 +175,29 @@ MUTANTS = [
     Mutant(
         "handle_rewrite_conjugator_sign",
         "src/locert/braid.py",
-        "(1, e1 - sgn), (2, -sgn), (1, m), (2, sgn), (1, e2 + sgn)",
-        "(1, e1 - sgn), (2, sgn), (1, m), (2, -sgn), (1, e2 + sgn)",
+        "(e1 - sgn, -sgn, m, sgn, e2 + sgn)",
+        "(e1 - sgn, sgn, m, -sgn, e2 + sgn)",
         ["braid", "reduce", "abAbaBBAbaBabA"],
         f"{_GOLDEN}[braid_reduce]",
+    ),
+    # the next handle is looked for from the triple at low - 2; from low - 3
+    # it can be one that a merge into syllable low - 1 completed
+    Mutant(
+        "handle_resume_triple",
+        "src/locert/braid.py",
+        "start = low - 2 if low > 2 else 0",
+        "start = low - 3 if low > 3 else 0",
+        ["braid", "reduce", "BABABAbAbaBBAbB"],
+        f"{_GOLDEN}[braid_reduce_order]",
+    ),
+    # every str.isspace character is dropped, not only the space
+    Mutant(
+        "parse_word_split_on_space",
+        "src/locert/braid.py",
+        "text.split()",
+        'text.split(" ")',
+        ["braid", "sign", " a\tb A \n"],
+        f"{_GOLDEN}[braid_sign_whitespace]",
     ),
     # Proposition 4.3 pairs O1 with the conjugators that commute with s2
     Mutant(

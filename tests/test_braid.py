@@ -1,6 +1,8 @@
 """B3 word problem, handle reduction, and the DD ordering."""
 
 import random
+import re
+import sys
 from itertools import groupby
 
 import pytest
@@ -433,21 +435,21 @@ def _random_word(rng, min_len, max_len):
     return tuple(rng.choice((1, -1, 2, -2)) for _ in range(length))
 
 
-def _oracle_steps(word):
-    """Fewest step_cap values the oracle accepts, by bisection."""
+def _oracle_steps(word, reduce=_oracle_handle_reduce):
+    """Fewest step_cap values the oracle ``reduce`` accepts, by bisection."""
     lo, hi = -1, 1
     while True:
         try:
-            _oracle_handle_reduce(word, step_cap=hi)
+            reduce(word, step_cap=hi)
             break
-        except ValueError:
+        except (ValueError, OverflowError):
             lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _oracle_handle_reduce(word, step_cap=mid)
+            reduce(word, step_cap=mid)
             hi = mid
-        except ValueError:
+        except (ValueError, OverflowError):
             lo = mid
     return hi
 
@@ -489,6 +491,186 @@ def test_handle_reduce_long_word():
     assert exponent_sum(reduced) == exponent_sum(word)
     assert modular_image(reduced) == modular_image(word)
     assert len({x > 0 for x in reduced if abs(x) == 1}) <= 1
+
+
+# A second oracle: handle reduction on two stacks of [gen, exp] syllable
+# lists, which rewinds to the resume triple and pushes the syllables after
+# it again, where handle_reduce holds plain exponents and looks in place.
+# Same handle order and step count; it runs in O(L + steps), so it checks
+# words far longer than _oracle_handle_reduce can.
+
+_NO_SYLLABLE = [0, 0]  # stands for the top of an empty stack; gen 0 never merges
+
+
+def _two_stack_handle_reduce(word, step_cap=STEP_CAP):
+    left = _oracle_syllables(word)
+    steps = 0
+    while True:
+        # A pass from the start: s1-syllables sit at every other index.
+        found = -1
+        first = 0 if left and left[0][0] == 1 else 1
+        for i in range(first, len(left) - 2, 2):
+            if left[i][1] * left[i + 2][1] < 0:
+                found = i
+                break
+        if found < 0:
+            return _oracle_letters(left)
+        right = left[found + 3:]
+        right.reverse()
+        del left[found + 3:]
+        # The handle is the top three syllables of ``left``; the rest of
+        # the word is ``right`` read from its top down.
+        while True:
+            steps += 1
+            if steps > step_cap:
+                raise OverflowError(
+                    f"handle reduction exceeded {step_cap} steps on a word of "
+                    f"{len(word)} letters"
+                )
+            e2 = left.pop()[1]
+            m = left.pop()[1]
+            e1 = left.pop()[1]
+            sgn = 1 if e1 > 0 else -1
+            low = len(left)
+            top = left[-1] if left else _NO_SYLLABLE
+            for gen, exp in (
+                (1, e1 - sgn), (2, -sgn), (1, m), (2, sgn), (1, e2 + sgn)
+            ):
+                if not exp:
+                    continue
+                if top[0] == gen:
+                    top[1] += exp
+                    if not top[1]:
+                        left.pop()
+                        top = left[-1] if left else _NO_SYLLABLE
+                        if len(left) < low:
+                            low = len(left)
+                else:
+                    top = [gen, exp]
+                    left.append(top)
+            # Merge into the suffix; cancellations may cascade both ways.
+            while right and top[0] == right[-1][0]:
+                top[1] += right.pop()[1]
+                if top[1]:
+                    break
+                left.pop()
+                top = left[-1] if left else _NO_SYLLABLE
+                if len(left) < low:
+                    low = len(left)
+            # Resume at the triple starting at max(0, low - 2).
+            target = low + 1 if low > 2 else 3
+            while len(left) > target:
+                right.append(left.pop())
+            while len(left) < target and right:
+                left.append(right.pop())
+            if len(left) < target:
+                break
+            while right:
+                if left[-3][0] == 1 and left[-3][1] * left[-1][1] < 0:
+                    break
+                left.append(right.pop())
+            else:
+                if left[-3][0] != 1 or left[-3][1] * left[-1][1] > 0:
+                    break  # no handle at or after the resume triple
+
+
+def _long_words(rng, count, lo, hi):
+    """``count`` random words of lo to hi letters, and as many planted
+    trivial by relators and by central Delta^2 pairs."""
+    words = [_random_word(rng, lo, hi) for _ in range(count)]
+    # u v u^-1 v^-1 has 6|u| + 12 letters, and _planted_central(rng, n) 7n/4
+    for plant, size in ((_planted_trivial, 4 * hi // 6),
+                        (_planted_central, None)):
+        planted = []
+        while len(planted) < count:
+            word = plant(rng, size or rng.randint(4 * lo // 7, 4 * hi // 7))
+            if lo <= len(word) <= hi:
+                planted.append(word)
+        words += planted
+    return words
+
+
+def test_handle_reduce_matches_two_stack_kernel_on_long_words():
+    rng = random.Random(2014)
+    for word in _long_words(rng, 4, 2000, 16384):
+        assert handle_reduce(word) == _two_stack_handle_reduce(word), len(word)
+
+
+def test_handle_reduce_step_cap_matches_two_stack_kernel(monkeypatch):
+    # the same OverflowError text one step short of the oracle's count
+    rng = random.Random(2015)
+    for word in _long_words(rng, 2, 1000, 2000):
+        steps = _oracle_steps(word, _two_stack_handle_reduce)
+        monkeypatch.setattr(braid, "STEP_CAP", steps)
+        assert handle_reduce(word) == _two_stack_handle_reduce(word)
+        monkeypatch.setattr(braid, "STEP_CAP", steps - 1)
+        with pytest.raises(OverflowError) as expected:
+            _two_stack_handle_reduce(word, steps - 1)
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
+            handle_reduce(word)
+
+
+# --- the builtin parse against the per-character loop ---------------------
+
+
+def _oracle_parse_word(text):
+    # the per-character loop parse_word ran before it split on whitespace
+    letters = []
+    for ch in text:
+        if ch.isspace():
+            continue
+        try:
+            letters.append(braid._LETTER_OF_CHAR[ch])
+        except KeyError:
+            raise ValueError(f"invalid braid letter {ch!r}") from None
+    return tuple(letters)
+
+
+def _oracle_exponent_sum(word):
+    return sum(1 if x > 0 else -1 for x in word)
+
+
+# a character of each class str.isspace accepts: ASCII whitespace, the
+# information separators, NEL, the no-break, em and ideographic spaces and
+# the line separator; the stray characters include a zero-width space,
+# which is no whitespace
+_SPACES = " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000"
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_split_drops_exactly_the_isspace_characters():
+    # parse_word drops whitespace by str.split
+    assert [c for c in map(chr, range(sys.maxunicode + 1))
+            if c.isspace() != (not c.split())] == []
+
+
+def test_parse_word_matches_the_per_character_loop():
+    rng = random.Random(2016)
+    outcomes = set()
+    for stray in ("", "xc0\xe9\u200b"):
+        alphabet = "aAbB" * 3 + _SPACES + stray
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+            outcome = _parse_outcome(parse_word, text)
+            assert outcome == _parse_outcome(_oracle_parse_word, text), repr(text)
+            outcomes.add(type(outcome))
+    assert outcomes == {tuple, str}
+
+
+def test_exponent_sum_and_word_str_match_the_letter_loops():
+    rng = random.Random(2017)
+    words = [random_braid_word(rng, 60) for _ in range(2000)]
+    words += [_random_word(rng, 2000, 9000) for _ in range(4)]
+    for word in words:
+        assert exponent_sum(word) == _oracle_exponent_sum(word)
+        assert word_str(word) == "".join(braid._CHAR_OF_LETTER[x] for x in word)
+        assert parse_word(word_str(word)) == word
 
 
 def test_delta_floor_matches_oracle():
@@ -581,8 +763,15 @@ def _sign_test_words():
 
 
 def test_syllables_match_free_reduction_by_runs():
+    # _syllables keeps exponents and the last generator; generators alternate
     for word in _sign_test_words():
-        assert braid._syllables(word) == _reference_syllables(word), word_str(word)
+        gen, exps = braid._syllables(word)
+        assert (gen == 0) == (not exps)
+        gens = [gen if (len(exps) - 1 - i) % 2 == 0 else 3 - gen
+                for i in range(len(exps))]
+        assert list(map(list, zip(gens, exps))) == _reference_syllables(word), \
+            word_str(word)
+        assert braid._letters(gen, exps) == free_reduce_word(word)
 
 
 def test_dd_sign_matches_letter_level_definition():

@@ -65,6 +65,11 @@ CASES: dict[str, list[str]] = {
     "braid_reduce_sigma2_cubed": ["braid", "reduce", "abaBAbb"],
     "braid_floor": ["braid", "floor", "abABab" * 3],
     "braid_bad_letter": ["braid", "sign", "xyz"],
+    # whitespace is dropped before parsing, and the payload echoes the word
+    # as parsed
+    "braid_sign_whitespace": ["braid", "sign", " a\tb A \n"],
+    # the first bad letter is named, past the spaces before it
+    "braid_bad_letter_after_space": ["braid", "sign", "ab c"],
     # klein
     "klein_fill_lo": ["klein", "fill", "1", "0"],
     "klein_fill_dihedral": ["klein", "fill", "0", "1"],
