@@ -34,13 +34,16 @@ other:
   The lift F_g of a braid g is increasing, so g^-1 w g > 1 iff
   F_w(F_g(0)) > F_g(0), and u < v iff F_v(0) > F_u(0); when the points
   are equal, the quotient is a power of s2.  So no inverse or conjugated
-  word is built.  ``dd_sign``, ``dd_compare``, ``conj_sign``,
+  word is built.  ``dd_sign``, ``dd_compare``, ``lifted_point``,
   ``delta_floor``, ``commutes_with_sigma2`` and ``peripheral_parse`` read
   the lift, and through them ``braid sign``, ``compare`` and ``floor`` and
-  ``verify proposition-4-3``.  ``braid reduce`` reads ``peripheral_parse``
-  first and answers a braid s2^k as the word s2^k, where handle reduction
-  ends: a word in which s1 occurs with one sign only is not a power of s2
-  (Dehornoy's trichotomy).  The lift costs one integer step per letter and
+  ``verify proposition-4-3``.  ``conj_sign`` walks nothing: the peripheral
+  element s2^k Delta^(2l) moves a lifted point in closed form, so one
+  walk of a conjugator serves every grid point of ``verify
+  proposition-4-3``, and each point costs O(1) integer operations.
+  ``braid reduce`` reads ``peripheral_parse`` first and answers a braid
+  s2^k as the word s2^k, where handle reduction ends: a word in which s1
+  occurs with one sign only is not a power of s2 (Dehornoy's trichotomy).  The lift costs one integer step per letter and
   has no step cap.
 
 A braid is DD-positive iff it admits a 1-positive representative (s1 only
@@ -60,8 +63,6 @@ __all__ = [
     "PeripheralElement",
     "SIGMA1",
     "SIGMA2",
-    "DELTA",
-    "DELTA_SQ",
     "parse_word",
     "word_str",
     "exponent_sum",
@@ -70,6 +71,7 @@ __all__ = [
     "handle_reduce",
     "dd_sign",
     "dd_compare",
+    "lifted_point",
     "conj_sign",
     "delta_floor",
     "commutes_with_sigma2",
@@ -114,8 +116,6 @@ def word_str(word: GroupWord) -> str:
 
 SIGMA1: GroupWord = (1,)
 SIGMA2: GroupWord = (2,)
-DELTA: GroupWord = (1, 2, 1)
-DELTA_SQ: GroupWord = DELTA + DELTA
 
 
 def exponent_sum(word: GroupWord) -> int:
@@ -429,14 +429,29 @@ def dd_compare(u: GroupWord, v: GroupWord) -> Ordering:
     return Ordering.GREATER
 
 
-def conj_sign(word: GroupWord, conjugator: GroupWord) -> Sign3:
-    """Sign of ``word`` in the conjugate ordering whose positive cone is
-    {w : g^-1 w g DD-positive} for g = ``conjugator``: ``word`` walked from
-    g's lifted point, against that point.  |g| + |w| letters; the word
-    g^-1 w g is never built.  At equal points g^-1 w g is s2^k, with k the
-    exponent sum of ``word``."""
-    start = _lift(conjugator, _BASE)
-    return _order(start, _lift(word, start)) or _s2_power_sign(exponent_sum(word))
+def lifted_point(word: GroupWord) -> tuple[int, int, int]:
+    """The lifted point F_word(0) = (x, y, h) of ``word``: one walk of its
+    letters from the base point."""
+    return _lift(word, _BASE)
+
+
+def conj_sign(k: int, l: int, start: tuple[int, int, int]) -> Sign3:
+    """Sign of the peripheral element s2^k Delta^(2l) in the conjugate
+    ordering whose positive cone is {w : g^-1 w g DD-positive}, for the
+    conjugator g with lifted point ``start`` = (x, y, h) (``lifted_point``):
+    the point that s2^k Delta^(2l) walks ``start`` to, against ``start``.
+
+    Nothing is walked.  Delta^2 acts as -I and moves h on by one, and s2^k
+    subtracts k x from y, so the end point is ((-1)^l x, (-1)^l (y - k x))
+    with half-turn count h moved on by l.  For l != 0 the counts differ, and
+    the sign is that of l; for l = 0 the cross product is -k x^2.  The
+    points are equal only when l = 0 and k x = 0, and then g^-1 s2^k g is
+    s2^k itself.
+    """
+    x, y, h = start
+    flip = -1 if l & 1 else 1
+    end = (flip * x, flip * (y - k * x), h + l)
+    return _order(start, end) or _s2_power_sign(k)
 
 
 def delta_floor(word: GroupWord) -> int:

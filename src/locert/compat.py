@@ -25,8 +25,12 @@ The grid pins phi(s2) only: phi(Delta^2) = y^-1 x^2 and its twin y x^2 give
 the same sign at every grid point, because l != 0 decides the sign on both
 sides.  Only ``test_phi_peripheral_examples`` holds phi(Delta^2).
 
-Both reports raise OverflowError past a cap: 2,000,000 conjugated grid
-letters in all (before sampling), and a Klein-slope survey bound past 100.
+Each conjugator is walked once, to its lifted point, and each grid point
+is decided from that point in closed form (``braid.conj_sign``); the
+choice of Klein ordering walks it once more.  Both reports raise
+OverflowError past a cap: 2,000,000 letters of conjugated grid words in all
+(before sampling), which no code builds, and a Klein-slope survey bound
+past 100.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .klein import (
 )
 from .sampling import random_braid_words
 from .slopes import primitive_slopes
-from .words import GroupWord, Sign3, word_power
+from .words import GroupWord, Sign3
 
 __all__ = [
     "CompatReport",
@@ -57,10 +61,10 @@ __all__ = [
 # The caps: ``proposition_4_3_report`` counts (samples + 1) ((2B + 1)^2 - 1)
 # (2 max_len + 7B) letters for grid bound B, the length of the conjugated
 # grid words g^-1 w g, and ``jsjlo_nonapplicability_report`` surveys O(B^2)
-# slopes for bound B.  ``braid.conj_sign`` builds no such word and walks
-# |g| + |w| letters a point, so the letter cap over-counts the walk by up
-# to max_len letters a point; the count is kept, so every request answers
-# as before.
+# slopes for bound B.  No code builds or walks those words: a report walks
+# its conjugator at most twice and decides each grid point in O(1).  The
+# letter count is kept as it was, so every request answers with the same
+# exit code as before.
 _MAX_GRID_LETTERS = 2_000_000
 _MAX_SLOPE_BOUND = 100
 
@@ -92,10 +96,10 @@ def verify_compatibility(
     ordering is expected to produce failures and guards the test suite
     against sign-convention drift.
 
-    The 2B + 1 powers of s2 and of Delta^2 are built once per call, and
-    each grid point costs one ``braid.conj_sign``: a walk of the conjugator
-    from the base point and of the grid word on from there, |g| + |w|
-    letters, with no conjugated word built.
+    The conjugator is walked once to its lifted point, and once more by
+    ``braid.commutes_with_sigma2`` unless the ordering is forced.  Each grid
+    point costs one ``braid.conj_sign`` on that point, O(1) integer
+    operations; no grid or conjugated word is built.
     """
     if grid_bound < 1:
         raise ValueError("grid_bound must be >= 1")
@@ -108,16 +112,14 @@ def verify_compatibility(
     failures = []
     checked = 0
     positives = 0
+    start = braid.lifted_point(conjugator)
     span = range(-grid_bound, grid_bound + 1)
-    delta_sq_powers = [word_power(braid.DELTA_SQ, l) for l in span]
     for k in span:
-        s2_power = word_power(braid.SIGMA2, k)
-        for l, delta_sq_power in zip(span, delta_sq_powers):
+        for l in span:
             if k == 0 and l == 0:
                 continue
             checked += 1
-            word = s2_power + delta_sq_power
-            if braid.conj_sign(word, conjugator) is not Sign3.POSITIVE:
+            if braid.conj_sign(k, l, start) is not Sign3.POSITIVE:
                 continue
             positives += 1
             if k_sign(phi_peripheral(k, l), ordering) is not Sign3.POSITIVE:

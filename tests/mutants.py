@@ -209,6 +209,26 @@ MUTANTS = [
          "--grid-bound", "3", "--max-len", "6", "--verbose-cases"],
         f"{_GOLDEN}[verify_prop43]",
     ),
+    # Delta^2l moves a lifted point on by l half-turns, not back
+    Mutant(
+        "conj_sign_delta_half_turns",
+        "src/locert/braid.py",
+        "h + l",
+        "h - l",
+        ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
+         "--grid-bound", "3", "--max-len", "6", "--verbose-cases"],
+        f"{_GOLDEN}[verify_prop43]",
+    ),
+    # s2^k sets y -= k x, as s2 sets y -= x in the lift
+    Mutant(
+        "conj_sign_sigma2_shear",
+        "src/locert/braid.py",
+        "y - k * x",
+        "y + k * x",
+        ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
+         "--grid-bound", "3", "--max-len", "6", "--verbose-cases"],
+        f"{_GOLDEN}[verify_prop43]",
+    ),
     # phi(s2) = y^-1, so s2^k Delta^2l maps to x^2l y^(-k-l)
     Mutant(
         "phi_peripheral_sigma2_image",

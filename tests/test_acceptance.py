@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from bundled import data_file
 from locert import braid
 from locert.braid import (
-    DELTA_SQ,
     SIGMA1,
     SIGMA2,
     Ordering,
@@ -40,6 +39,7 @@ from locert.seifert import (
 )
 from locert.slopes import hf_surgery_rank, make_slope, primitive_slopes
 from locert.words import Sign3, invert_word, word_power
+from test_braid import DELTA_SQ
 from test_klein import k_conjugate_ordering, k_inverse, k_multiply
 
 
@@ -131,13 +131,13 @@ def test_criterion_5_conjugate_restriction_grid():
             # The restriction lemma: Delta^2 dominates, and s2's sign flips
             # exactly when gamma lies outside <s2, Delta^2>.
             s2_sign = -1 if braid.commutes_with_sigma2(gamma) else 1
+            start = braid.lifted_point(gamma)
             for k in range(-4, 5):
                 for l in range(-4, 5):
                     if k == 0 and l == 0:
                         continue
-                    word = word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
                     expected = l > 0 if l else s2_sign * k > 0
-                    actual = conj_sign(word, gamma) is Sign3.POSITIVE
+                    actual = conj_sign(k, l, start) is Sign3.POSITIVE
                     assert actual == expected, (gamma, k, l)
 
 

@@ -9,8 +9,6 @@ import pytest
 
 from locert import braid
 from locert.braid import (
-    DELTA,
-    DELTA_SQ,
     SIGMA1,
     SIGMA2,
     STEP_CAP,
@@ -24,6 +22,7 @@ from locert.braid import (
     exponent_sum,
     handle_reduce,
     is_trivial,
+    lifted_point,
     modular_image,
     parse_word,
     peripheral_parse,
@@ -33,6 +32,9 @@ from locert.sampling import random_braid_word, random_braid_words
 from locert.words import Sign3, free_reduce_word, invert_word, word_power
 
 BRAID_RELATOR = parse_word("abaBAB")
+# Garside's Delta = s1 s2 s1; Delta^2 generates the center of B3
+DELTA = parse_word("aba")
+DELTA_SQ = DELTA + DELTA
 
 
 def test_parse_and_format_round_trip():
@@ -182,16 +184,27 @@ def test_dd_left_invariance():
 
 
 def test_conj_sign_examples():
-    assert conj_sign(parse_word("B"), ()) is Sign3.POSITIVE
-    assert conj_sign(parse_word("aBA"), SIGMA1) is Sign3.POSITIVE
-    assert conj_sign(SIGMA2, SIGMA1) is Sign3.POSITIVE
+    # (k, l) names s2^k Delta^2l
+    assert conj_sign(-1, 0, lifted_point(())) is Sign3.POSITIVE
+    assert conj_sign(1, 0, lifted_point(SIGMA1)) is Sign3.POSITIVE
+    assert conj_sign(5, -1, lifted_point(SIGMA1)) is Sign3.NEGATIVE
+    assert conj_sign(3, 0, lifted_point(SIGMA2)) is Sign3.NEGATIVE
+    assert conj_sign(0, 0, lifted_point(DELTA)) is Sign3.TRIVIAL
+    assert walked_conj_sign(parse_word("B"), ()) is Sign3.POSITIVE
+    assert walked_conj_sign(parse_word("aBA"), SIGMA1) is Sign3.POSITIVE
+    assert walked_conj_sign(SIGMA2, SIGMA1) is Sign3.POSITIVE
 
 
 def test_conj_identity_matches_dd():
     rng = random.Random(1006)
     for _ in range(100):
         word = random_braid_word(rng, 16)
-        assert conj_sign(word, ()) is dd_sign(word)
+        assert walked_conj_sign(word, ()) is dd_sign(word)
+    base = lifted_point(())
+    for k in range(-4, 5):
+        for l in range(-4, 5):
+            word = word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
+            assert conj_sign(k, l, base) is dd_sign(word), (k, l)
 
 
 def test_delta_floor_examples():
@@ -862,34 +875,64 @@ def _point_reading_words():
     return words + [_alternating(n) for n in (1, 7, 50, 200)]
 
 
+def walked_conj_sign(word, conjugator):
+    """The sign of ``word`` in the DD ordering conjugated by ``conjugator``,
+    read by walking ``word`` on from the conjugator's lifted point: the
+    word-level reading that ``conj_sign``'s closed form replaces.  At equal
+    points g^-1 w g is s2^k, with k the exponent sum of ``word``."""
+    start = braid._lift(conjugator, braid._BASE)
+    end = braid._lift(word, start)
+    return braid._order(start, end) or braid._s2_power_sign(exponent_sum(word))
+
+
 def test_conj_sign_matches_the_conjugated_word():
-    # conj_sign walks the word on from the conjugator's lifted point; the
-    # built word g^-1 w g, walked from the base point, must agree
-    grids = [
-        [word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
-         for k in range(-b, b + 1) for l in range(-b, b + 1)]
-        for b in (1, 4, 8)
-    ]
+    # the word-level reading walks w on from g's lifted point, and for
+    # w = s2^k Delta^2l the closed form moves that point without a walk; the
+    # built word g^-1 w g, walked from the base point, must agree with both
     # conjugators in <s2, Delta^2> fix the lifted point of every s2^k
     peripheral = [word_power(SIGMA2, j) + word_power(DELTA_SQ, i)
                   for j in (-3, 0, 1, 4) for i in (-2, 0, 1)]
     conjugators = random_braid_words(2027, 24, 12) + peripheral
     conjugators += [SIGMA1, _alternating(9)]
-    pairs = [(w, g) for g in conjugators for grid in grids for w in grid]
+    cases = [(g, (k, l)) for g in conjugators for b in (1, 4, 8)
+             for k in range(-b, b + 1) for l in range(-b, b + 1)]
     long_words = _point_reading_words()
-    pairs += [(w, g) for w, g in zip(long_words, long_words[1:] + long_words[:1])]
-    pairs += [(word_power(SIGMA2, k), g) for g in long_words for k in (-2, 0, 3)]
+    cases += [(g, (k, 0)) for g in long_words for k in (-2, 0, 3)]
+    cases = [(word_power(SIGMA2, k) + word_power(DELTA_SQ, l), g, (k, l))
+             for g, (k, l) in cases]
+    cases += [(w, g, None) for w, g in zip(long_words, long_words[1:] + long_words[:1])]
     mismatches, signs, fixed = [], set(), 0
-    for w, g in pairs:
-        sign = conj_sign(w, g)
-        if sign is not dd_sign(invert_word(g) + w + g):
-            mismatches.append((word_str(w), word_str(g)))
+    for w, g, point in cases:
+        sign = dd_sign(invert_word(g) + w + g)
+        if walked_conj_sign(w, g) is not sign:
+            mismatches.append(("walked", word_str(w), word_str(g)))
+        if point is not None and conj_sign(*point, lifted_point(g)) is not sign:
+            mismatches.append(("closed", point, word_str(g)))
         signs.add(sign)
         start = braid._lift(g, braid._BASE)
         fixed += exponent_sum(w) != 0 and braid._lift(w, start) == start
     assert mismatches == []
     assert signs == set(Sign3)
     assert fixed >= 100  # the equal-point branch, at nonzero powers of s2
+
+
+def test_conj_sign_closed_form_on_seeded_points():
+    # 2,000 seeded (g, k, l) with |g| <= 40 and |k|, |l| <= 9; peripheral
+    # conjugators (x = 0), s1 and (s1 s2^-1)^9 get 20 points each
+    rng = random.Random(2029)
+    special = [word_power(SIGMA2, j) + word_power(DELTA_SQ, i)
+               for j in (-2, 0, 3) for i in (-1, 0, 2)]
+    special += [SIGMA1, _alternating(9)]
+    conjugators = [g for g in special for _ in range(20)]
+    conjugators += [random_braid_word(rng, 40) for _ in range(2000 - len(conjugators))]
+    signs = set()
+    for g in conjugators:
+        k, l = rng.randint(-9, 9), rng.randint(-9, 9)
+        built = invert_word(g) + word_power(SIGMA2, k) + word_power(DELTA_SQ, l) + g
+        sign = conj_sign(k, l, lifted_point(g))
+        assert sign is dd_sign(built), (word_str(g), k, l)
+        signs.add(sign)
+    assert signs == set(Sign3)
 
 
 def test_dd_compare_matches_the_quotient_word():

@@ -17,7 +17,7 @@ from locert import alexander, braid, compat, fpgroup, klein, seifert, slopes
 from locert.cli import _build_parser, run
 from locert.sampling import random_braid_word
 from locert.words import int_str, word_power
-from test_braid import _planted_central
+from test_braid import DELTA_SQ, _planted_central
 from test_cli_golden import _RUNTIME, CASES, INPUTS, capture
 
 
@@ -363,7 +363,7 @@ def test_reduce_runs_handle_reduction_outside_sigma2(monkeypatch):
     # s2^k Delta^2l with l != 0 lies in <s2, Delta^2> but not in <s2>
     rng = random.Random(2014)
     words = [_planted_central(rng, rng.randint(0, 200))
-             + word_power(braid.SIGMA2, k) + word_power(braid.DELTA_SQ, l)
+             + word_power(braid.SIGMA2, k) + word_power(DELTA_SQ, l)
              for k in range(-5, 6) for l in (-2, -1, 1, 2)]
     expected = [braid.word_str(braid.handle_reduce(w)) for w in words]
     calls = _reduce_calls(monkeypatch)

@@ -8,18 +8,21 @@ from math import gcd
 import pytest
 
 from locert import compat
+from locert import braid
 from locert.braid import (
-    DELTA_SQ,
     SIGMA1,
     SIGMA2,
     commutes_with_sigma2,
     conj_sign,
     delta_floor,
     is_trivial,
+    lifted_point,
     parse_word,
+    word_str,
 )
 from locert.cli import run
 from locert.compat import (
+    CompatReport,
     jsjlo_nonapplicability_report,
     phi_peripheral,
     proposition_4_3_report,
@@ -29,6 +32,7 @@ from locert.klein import KleinElement, KleinOrderingId, k_sign
 from locert.sampling import random_braid_words
 from locert.slopes import make_slope
 from locert.words import Sign3, invert_word, word_power
+from test_braid import DELTA_SQ, walked_conj_sign
 from test_klein import k_multiply
 
 
@@ -107,9 +111,9 @@ def test_row_floors_reproduce_the_grid():
     cases = [(g, None) for g in conjugators] + [(SIGMA1, KleinOrderingId.O1)]
     for conjugator, forced in cases:
         signs = _row_signs(conjugator, bound)
+        start = lifted_point(conjugator)
         for (k, l), sign in signs.items():
-            word = word_power(SIGMA2, k) + word_power(DELTA_SQ, l)
-            assert conj_sign(word, conjugator) is sign, (conjugator, k, l)
+            assert conj_sign(k, l, start) is sign, (conjugator, k, l)
         report = verify_compatibility(conjugator, bound, force_ordering=forced)
         positive = [point for point, sign in signs.items() if sign is Sign3.POSITIVE]
         failures = tuple(
@@ -119,6 +123,48 @@ def test_row_floors_reproduce_the_grid():
         )
         assert (report.checked, report.positives, report.failures) == (
             len(signs), len(positive), failures)
+
+
+def _walked_report(conjugator, bound):
+    """``verify_compatibility``'s report, each grid point read by walking
+    the word s2^k Delta^2l on from the conjugator's lifted point."""
+    if commutes_with_sigma2(conjugator):
+        ordering = KleinOrderingId.O1
+    else:
+        ordering = KleinOrderingId.O2
+    span = range(-bound, bound + 1)
+    points = [(k, l) for k in span for l in span if (k, l) != (0, 0)]
+    positive = [
+        (k, l) for k, l in points
+        if walked_conj_sign(word_power(SIGMA2, k) + word_power(DELTA_SQ, l), conjugator)
+        is Sign3.POSITIVE
+    ]
+    failures = tuple(point for point in positive
+                     if k_sign(phi_peripheral(*point), ordering) is not Sign3.POSITIVE)
+    return CompatReport(word_str(conjugator), ordering, len(points), len(positive),
+                        failures)
+
+
+def test_a_report_walks_its_conjugator_at_most_twice(monkeypatch):
+    # one walk to the lifted point and one for the ordering choice, however
+    # large the grid
+    conjugator = tuple(random.Random(6007).choices((1, -1, 2, -2), k=20_000))
+    expected = _walked_report(conjugator, 1)
+    walks = []
+    lift = braid._lift
+
+    def counting_lift(word, point):
+        walks.append(len(word))
+        return lift(word, point)
+
+    monkeypatch.setattr(braid, "_lift", counting_lift)
+    for bound in (1, 8):
+        walks.clear()
+        report = verify_compatibility(conjugator, bound)
+        assert report.checked == (2 * bound + 1) ** 2 - 1
+        assert walks == [len(conjugator)] * 2, bound
+    monkeypatch.undo()
+    assert verify_compatibility(conjugator, 1) == expected
 
 
 def test_report_serialization():
