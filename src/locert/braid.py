@@ -334,6 +334,10 @@ def handle_reduce(word: GroupWord) -> GroupWord:
 
 # The ray (0, 1) at half-turn count 0: the lifted point of the identity.
 _BASE = (0, 1, 0)
+# Read per grid point, so bound once (the convention at ``words.Sign3``).
+_POSITIVE = Sign3.POSITIVE
+_NEGATIVE = Sign3.NEGATIVE
+_TRIVIAL = Sign3.TRIVIAL
 
 
 def _lift(word: GroupWord, point: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -389,10 +393,10 @@ def _order(start: tuple[int, int, int], end: tuple[int, int, int]) -> Sign3 | No
     x, y, h = start
     x2, y2, h2 = end
     if h != h2:
-        return Sign3.POSITIVE if h2 > h else Sign3.NEGATIVE
+        return _POSITIVE if h2 > h else _NEGATIVE
     cross = x * y2 - y * x2
     if cross:
-        return Sign3.POSITIVE if cross < 0 else Sign3.NEGATIVE
+        return _POSITIVE if cross < 0 else _NEGATIVE
     return None
 
 
@@ -400,8 +404,8 @@ def _s2_power_sign(k: int) -> Sign3:
     """The DD sign of s2^k: the braids fixing the base ray are the powers
     of s2, and s2^k is positive iff k < 0."""
     if k < 0:
-        return Sign3.POSITIVE
-    return Sign3.NEGATIVE if k else Sign3.TRIVIAL
+        return _POSITIVE
+    return _NEGATIVE if k else _TRIVIAL
 
 
 def dd_sign(word: GroupWord) -> Sign3:
@@ -422,9 +426,9 @@ def dd_compare(u: GroupWord, v: GroupWord) -> Ordering:
     sign = _order(_lift(u, _BASE), _lift(v, _BASE)) or _s2_power_sign(
         exponent_sum(v) - exponent_sum(u)
     )
-    if sign is Sign3.POSITIVE:
+    if sign is _POSITIVE:
         return Ordering.LESS
-    if sign is Sign3.TRIVIAL:
+    if sign is _TRIVIAL:
         return Ordering.EQUAL
     return Ordering.GREATER
 

@@ -67,6 +67,10 @@ __all__ = [
 # exit code as before.
 _MAX_GRID_LETTERS = 2_000_000
 _MAX_SLOPE_BOUND = 100
+# Read per grid point, so bound once (the convention at ``words.Sign3``).
+_POSITIVE = Sign3.POSITIVE
+_O1 = KleinOrderingId.O1
+_O2 = KleinOrderingId.O2
 
 
 def phi_peripheral(k: int, l: int) -> KleinElement:
@@ -106,9 +110,9 @@ def verify_compatibility(
     if force_ordering is not None:
         ordering = force_ordering
     elif braid.commutes_with_sigma2(conjugator):
-        ordering = KleinOrderingId.O1
+        ordering = _O1
     else:
-        ordering = KleinOrderingId.O2
+        ordering = _O2
     failures = []
     checked = 0
     positives = 0
@@ -119,10 +123,10 @@ def verify_compatibility(
             if k == 0 and l == 0:
                 continue
             checked += 1
-            if braid.conj_sign(k, l, start) is not Sign3.POSITIVE:
+            if braid.conj_sign(k, l, start) is not _POSITIVE:
                 continue
             positives += 1
-            if k_sign(phi_peripheral(k, l), ordering) is not Sign3.POSITIVE:
+            if k_sign(phi_peripheral(k, l), ordering) is not _POSITIVE:
                 failures.append((k, l))
     return CompatReport(
         braid.word_str(conjugator),

@@ -68,17 +68,23 @@ class KleinFillResult(NamedTuple):
 
 
 IDENTITY = KleinElement(0, 0)
+# Read per grid point, so bound once (the convention at ``words.Sign3``).
+_POSITIVE = Sign3.POSITIVE
+_NEGATIVE = Sign3.NEGATIVE
+_TRIVIAL = Sign3.TRIVIAL
+_O1 = KleinOrderingId.O1
 
 
 def k_sign(g: KleinElement, ordering: KleinOrderingId) -> Sign3:
     """Sign of g in the chosen ordering; trichotomy is immediate from the
     normal form."""
-    if g.a != 0:
-        return Sign3.POSITIVE if g.a > 0 else Sign3.NEGATIVE
-    if g.b == 0:
-        return Sign3.TRIVIAL
-    positive = g.b > 0 if ordering is KleinOrderingId.O1 else g.b < 0
-    return Sign3.POSITIVE if positive else Sign3.NEGATIVE
+    a, b = g
+    if a != 0:
+        return _POSITIVE if a > 0 else _NEGATIVE
+    if b == 0:
+        return _TRIVIAL
+    positive = b > 0 if ordering is _O1 else b < 0
+    return _POSITIVE if positive else _NEGATIVE
 
 
 def klein_fill(slope: Slope) -> KleinFillResult:

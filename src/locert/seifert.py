@@ -94,6 +94,16 @@ class LORule(Enum):
     USER_ASSERTED = "UserAsserted"
 
 
+# Read per slope walked, so bound once (the convention at ``words.Sign3``).
+_LO = LOStatus.LO
+_NOT_LO = LOStatus.NOT_LO
+_UNKNOWN = LOStatus.UNKNOWN
+_B1_RULE = LORule.B1_RULE
+_ZHS_CLASSIFICATION = LORule.ZHS_CLASSIFICATION
+_LSPACE_INTERVAL = LORule.LSPACE_INTERVAL
+_USER_ASSERTED = LORule.USER_ASSERTED
+
+
 class LOSlopeVerdict(NamedTuple):
     status: LOStatus
     rule: LORule | None
@@ -192,7 +202,8 @@ class UserPiece(NamedTuple):
     ``SpliceTree.from_json``, whatever their statuses.  The meridian entry
     (1, 0), when LO, asserts that the ambient homology sphere has
     left-orderable fundamental group.  ``prime_zero_filling`` supplies the
-    primeness hypothesis the B1 rule needs.
+    primeness hypothesis the B1 rule needs; with it, a not_lo entry at 0/1
+    contradicts that rule and is an input error of ``SpliceTree.from_json``.
     """
 
     name: str
@@ -301,14 +312,16 @@ class SpliceTree(NamedTuple):
                     "prime_zero_filling must be true or false, "
                     f"got {brief_repr(prime)}",
                 )
-                nodes.append(
-                    UserPiece(
-                        _json_str(nd.get("name", ""), "name"),
-                        _json_str(nd.get("description", ""), "description"),
-                        _asserted_slopes(asserted),
-                        prime,
-                    )
+                name = _json_str(nd.get("name", ""), "name")
+                description = _json_str(nd.get("description", ""), "description")
+                statuses = _asserted_slopes(asserted)
+                # a prime 0-filling has b1 > 0, so the B1 rule makes it LO
+                _expect(
+                    not (prime and statuses.get(Slope(0, 1)) is _NOT_LO),
+                    f"user piece {brief_repr(name)} asserts not_lo at 0/1, but "
+                    "prime_zero_filling makes its 0-filling LO (B1 rule)",
                 )
+                nodes.append(UserPiece(name, description, statuses, prime))
             else:
                 raise ValueError(f"unknown node kind {brief_repr(kind)}")
         edges = []
@@ -400,19 +413,19 @@ def zhs_lo_status(z: BrieskornZHS) -> LOSlopeVerdict:
     nontrivial multiplicities; {2, 3, 5} is the Poincare sphere."""
     if z.is_s3():
         return LOSlopeVerdict(
-            LOStatus.NOT_LO,
-            LORule.ZHS_CLASSIFICATION,
+            _NOT_LO,
+            _ZHS_CLASSIFICATION,
             f"{z.describe()} is S^3; the trivial group is not left-orderable",
         )
     if sorted(m for m in z.multiplicities if m > 1) == [2, 3, 5]:
         return LOSlopeVerdict(
-            LOStatus.NOT_LO,
-            LORule.ZHS_CLASSIFICATION,
+            _NOT_LO,
+            _ZHS_CLASSIFICATION,
             f"{z.describe()} is the Poincare sphere; finite fundamental group",
         )
     return LOSlopeVerdict(
-        LOStatus.LO,
-        LORule.ZHS_CLASSIFICATION,
+        _LO,
+        _ZHS_CLASSIFICATION,
         f"{z.describe()} is a Seifert fibred integer homology sphere other "
         "than S^3 and the Poincare sphere (Boyer-Rolfsen-Wiest)",
     )
@@ -427,7 +440,7 @@ def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict
     eff = make_slope(k.chirality * alpha.p, alpha.q)
     if eff.p == eff.q * k.r * k.s:
         return LOSlopeVerdict(
-            LOStatus.UNKNOWN,
+            _UNKNOWN,
             None,
             f"{slope_str(alpha)} filling of {k.describe()} is reducible; "
             "no rule applies",
@@ -439,14 +452,14 @@ def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict
     bar = f"rs - r - s = {int_str(threshold)}"
     if not_lo:
         return LOSlopeVerdict(
-            LOStatus.NOT_LO,
-            LORule.LSPACE_INTERVAL,
+            _NOT_LO,
+            _LSPACE_INTERVAL,
             f"{where} satisfies p/q >= {bar}: an L-space "
             "filling, hence not left-orderable (Boyer-Gordon-Watson)",
         )
     return LOSlopeVerdict(
-        LOStatus.LO,
-        LORule.LSPACE_INTERVAL,
+        _LO,
+        _LSPACE_INTERVAL,
         f"{where} satisfies p/q < {bar}: not an L-space, "
         "and the filling is Seifert fibred, hence left-orderable "
         "(Boyer-Gordon-Watson)",
@@ -465,8 +478,8 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
     if isinstance(piece, TorusKnotPiece):
         if alpha.p == 0:
             return LOSlopeVerdict(
-                LOStatus.LO,
-                LORule.B1_RULE,
+                _LO,
+                _B1_RULE,
                 "0-filling has infinite first homology (surjection onto Z) "
                 "and is prime and Seifert fibred (Heil)",
             )
@@ -476,7 +489,7 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
             verdict = zhs_lo_status(closed)
             return LOSlopeVerdict(
                 verdict.status,
-                LORule.ZHS_CLASSIFICATION,
+                _ZHS_CLASSIFICATION,
                 f"{slope_str(alpha)} filling of {piece.describe()} closes to "
                 f"{closed.describe()}: " + verdict.evidence,
             )
@@ -484,8 +497,8 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
 
     if alpha.p == 0 and piece.prime_zero_filling:
         return LOSlopeVerdict(
-            LOStatus.LO,
-            LORule.B1_RULE,
+            _LO,
+            _B1_RULE,
             "0-filling has infinite first homology (surjection onto Z); "
             "primeness supplied by caller flag",
         )
@@ -493,11 +506,11 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
     if status is not None:
         return LOSlopeVerdict(
             status,
-            LORule.USER_ASSERTED,
+            _USER_ASSERTED,
             f"asserted by caller on {piece.describe()} at {slope_str(alpha)}",
         )
     return LOSlopeVerdict(
-        LOStatus.UNKNOWN, None, f"no rule applies at {slope_str(alpha)}"
+        _UNKNOWN, None, f"no rule applies at {slope_str(alpha)}"
     )
 
 
@@ -526,7 +539,7 @@ def _pair(
     verdict on side a and, only when that verdict is LO, the image f(alpha)
     and the verdict on side b (None and None otherwise)."""
     va = slope_lo_verdict(tree.nodes[edge.a], alpha)
-    if va.status is not LOStatus.LO:
+    if va.status is not _LO:
         return va, None, None
     image = apply_gluing(edge.matrix, alpha)
     return va, image, slope_lo_verdict(tree.nodes[edge.b], image)
@@ -598,7 +611,7 @@ def _certify_edge(tree: SpliceTree, edge_index: int, bound: int) -> tuple | None
     meridian = apply_gluing(invert_gluing(edge.matrix), lam)
     for alpha in chain((meridian, lam), primitive_slopes(bound)):
         va, image, vb = _pair(tree, edge, alpha)
-        if vb is not None and vb.status is LOStatus.LO:
+        if vb is not None and vb.status is _LO:
             return edge_index, alpha, image, va, vb
     return None
 

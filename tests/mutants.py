@@ -275,6 +275,51 @@ MUTANTS = [
         ["cover", "order", "--poly", "2t^2 - 3t + 2", "--n", "3"],
         "tests/test_alexander.py::test_five_two_orders",
     ),
+    # a gluing matrix is unimodular: determinant 0 is refused too
+    Mutant(
+        "apply_gluing_singular",
+        "src/locert/slopes.py",
+        "if abs(m.det()) != 1:",
+        "if abs(m.det()) > 1:",
+        ["slope", "glue", "--matrix", "1,0,0,0", "1/1"],
+        "tests/test_slopes.py::test_apply_gluing_examples",
+    ),
+    # a bare integer p is the slope p/1
+    Mutant(
+        "parse_slope_bare_integer",
+        "src/locert/slopes.py",
+        "if slash else 1)",
+        "if slash else 0)",
+        ["slope", "delta", "3", "1/2"],
+        "tests/test_slopes.py::test_parse_and_format",
+    ),
+    # an echo of exactly 40 characters is shown whole
+    Mutant(
+        "brief_repr_cut_boundary",
+        "src/locert/words.py",
+        "return text if len(text) <= _ECHO_CHARS",
+        "return text if len(text) < _ECHO_CHARS",
+        ["slope", "delta", "z" * 38, "1/1"],
+        "tests/test_slopes.py::test_brief_repr_echoes_only_the_start",
+    ),
+    # s1 moving x from below 0 onto the base line is a half-turn
+    Mutant(
+        "lift_half_open_onto_base_line",
+        "src/locert/braid.py",
+        "if x < 0 <= new or new <= 0 < x:",
+        "if x < 0 < new or new <= 0 < x:",
+        ["braid", "sign", "aA"],
+        "tests/test_braid.py::test_lift_examples",
+    ),
+    # a prime user piece may not deny its own 0-filling
+    Mutant(
+        "prime_not_lo_checks_the_meridian",
+        "src/locert/seifert.py",
+        "statuses.get(Slope(0, 1)) is _NOT_LO",
+        "statuses.get(Slope(1, 0)) is _NOT_LO",
+        ["splice", "cert", "prime_not_lo_tree.json"],
+        f"{_GOLDEN}[splice_cert_prime_not_lo]",
+    ),
 ]
 
 _COPIED = ("src", "tests", "perfbench", "pyproject.toml")

@@ -124,6 +124,10 @@ def test_lift_examples():
     assert braid._lift(DELTA, base) == (1, 0, 0)
     assert braid._lift(DELTA_SQ, base) == (0, -1, 1)
     assert braid._lift(word_power(DELTA_SQ, -2), base) == (0, 1, -2)
+    # the half-open rule: s1 back onto the base line from x < 0 counts a
+    # half-turn, s1^-1 onto it from x > 0 does not
+    assert braid._lift((1, -1), base) == (0, 1, 0)
+    assert braid._lift((-1, 1), base) == (0, 1, 0)
 
 
 def test_lift_walks_on_from_any_lifted_point():

@@ -214,6 +214,9 @@ CASES: dict[str, list[str]] = {
     # Sigma(2,3,7) are input errors, which cert refuses and verify reports
     "splice_cert_empty_forest": ["splice", "cert", "empty_tree.json"],
     "splice_cert_s3_summand": ["splice", "cert", "s3_summand_tree.json"],
+    # a prime user piece asserting not_lo at 0/1 contradicts the B1 rule:
+    # an input error, which cert and verify both refuse
+    "splice_cert_prime_not_lo": ["splice", "cert", "prime_not_lo_tree.json"],
     # -1/1 and 1/-1 name one slope: an input error, not a first match
     "splice_cert_duplicate_slope": ["splice", "cert", "duplicate_slope_tree.json"],
     # the same assertions in two key orders print the same certificate
@@ -271,6 +274,8 @@ CASES: dict[str, list[str]] = {
                                    "empty_cert.json"],
     "splice_verify_s3_summand": ["splice", "verify", "s3_summand_tree.json",
                                  "s3_summand_cert.json"],
+    "splice_verify_prime_not_lo": ["splice", "verify", "prime_not_lo_tree.json",
+                                   "prime_not_lo_cert.json"],
     # hf
     "hf_rank": ["hf", "rank", "--p", "-3", "--q", "1", "--nu", "1", "--ranks", "1"],
     # nu > 5

@@ -20,18 +20,28 @@ parameter of a package function or class (a NamedTuple's field defaults
 count) must be passed by some call in those same readers and omitted by
 another: a knob only the tests turn is a constant, and a default every
 caller overrides is a required parameter.
+
+The per-item kernels named in ``ENUM_FREE_KERNELS`` are read as bytecode:
+none of them reads an Enum member through its class, which costs a slow
+``EnumType.__getattr__`` call on CPython 3.11 (``words.Sign3``).
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import dis
+import enum
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+from locert.words import Sign3
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "locert"
@@ -550,3 +560,63 @@ def test_layer_imports_are_pinned():
     # A static check: a new edge, such as braid importing fpgroup again,
     # fails here without starting a process.
     assert {path.stem: package_imports(path) for path in MODULES} == _LAYER_IMPORTS
+
+
+# The per-item kernels: each reads Enum members from module constants bound
+# at import, never through the Enum class (the convention at ``words.Sign3``).
+ENUM_FREE_KERNELS = {
+    "braid": ("_order", "_s2_power_sign", "conj_sign"),
+    "klein": ("k_sign",),
+    "compat": ("verify_compatibility",),
+    "seifert": ("slope_lo_verdict", "torus_knot_lspace_verdict", "zhs_lo_status",
+                "_pair", "_certify_edge"),
+}
+
+
+def enum_member_reads(function) -> list[str]:
+    """The ``Class.member`` reads in ``function``'s bytecode, nested code
+    included: a LOAD_GLOBAL of an Enum subclass that a LOAD_ATTR follows."""
+    reads = []
+    codes = [function.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        enum_name = None
+        for ins in dis.get_instructions(code):
+            if enum_name is not None and ins.opname == "LOAD_ATTR":
+                reads.append(f"{enum_name}.{ins.argval}")
+            enum_name = None
+            if ins.opname == "LOAD_GLOBAL":
+                value = function.__globals__.get(ins.argval)
+                if isinstance(value, type) and issubclass(value, enum.Enum):
+                    enum_name = ins.argval
+    return reads
+
+
+_PLANTED_POSITIVE = Sign3.POSITIVE
+
+
+def _planted_read(sign: Sign3) -> bool:
+    return sign is Sign3.POSITIVE
+
+
+def _planted_nested_read(signs: list[Sign3]) -> list[Sign3]:
+    return [s for s in signs if s is not Sign3.TRIVIAL]
+
+
+def _hoisted_read(sign: Sign3) -> bool:
+    return sign is _PLANTED_POSITIVE
+
+
+def test_enum_member_reads_catches_a_planted_read():
+    assert enum_member_reads(_planted_read) == ["Sign3.POSITIVE"]
+    assert enum_member_reads(_planted_nested_read) == ["Sign3.TRIVIAL"]
+    assert enum_member_reads(_hoisted_read) == []
+
+
+@pytest.mark.parametrize("layer", sorted(ENUM_FREE_KERNELS))
+def test_kernels_read_no_enum_member_through_its_class(layer):
+    module = importlib.import_module(f"locert.{layer}")
+    reads = {name: enum_member_reads(getattr(module, name))
+             for name in ENUM_FREE_KERNELS[layer]}
+    assert {name: found for name, found in reads.items() if found} == {}

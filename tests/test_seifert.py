@@ -204,6 +204,29 @@ def test_user_piece_reads_one_entry_per_slope():
             SpliceTree.from_json(tree(asserted))
 
 
+def test_prime_user_piece_cannot_deny_its_zero_filling():
+    # prime with b1 > 0 forces LO at 0/1, so not_lo there contradicts the
+    # flag; lo and unknown agree with it, and without the flag anything goes
+    def tree(asserted, prime):
+        user = {"kind": "user", "name": "Y", "asserted": asserted,
+                "prime_zero_filling": prime}
+        return {"nodes": [user, {"kind": "torus_knot", "r": 2, "s": 3}],
+                "edges": [{"a": 0, "b": 1, "matrix": [0, 1, -1, -2]}]}
+
+    message = (r"^user piece 'Y' asserts not_lo at 0/1, but prime_zero_filling "
+               r"makes its 0-filling LO \(B1 rule\)$")
+    for key in ("0/1", "0", "0/-1"):
+        with pytest.raises(ValueError, match=message):
+            SpliceTree.from_json(tree({key: "not_lo"}, True))
+    for status in ("lo", "unknown"):
+        piece = SpliceTree.from_json(tree({"0/1": status}, True)).nodes[0]
+        assert piece.asserted == {Slope(0, 1): LOStatus(status)}
+    assert SpliceTree.from_json(tree({"0/1": "not_lo"}, False)).nodes[0].asserted == {
+        Slope(0, 1): LOStatus.NOT_LO}
+    assert SpliceTree.from_json(tree({"1/0": "not_lo"}, True)).nodes[0].asserted == {
+        Slope(1, 0): LOStatus.NOT_LO}
+
+
 def test_definite_verdicts_carry_a_rule():
     # Every LO or NOT_LO verdict of the rule table names the rule that gave
     # it; only UNKNOWN may carry none.  Swept over the slopes of the search

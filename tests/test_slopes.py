@@ -140,6 +140,11 @@ def test_apply_gluing_examples():
         ValueError, match=r"^matrix \(2, 0, 0, 1\) has determinant 2$"
     ):
         apply_gluing(GluingMatrix(2, 0, 0, 1), MERIDIAN)
+    # a singular matrix is no gluing, though it maps 1/1 to a primitive slope
+    with pytest.raises(
+        ValueError, match=r"^matrix \(1, 0, 0, 0\) has determinant 0$"
+    ):
+        apply_gluing(GluingMatrix(1, 0, 0, 0), Slope(1, 1))
 
 
 def test_gluing_diagnostics_echo_only_the_start():
