@@ -27,14 +27,16 @@ sides.  Only ``test_phi_peripheral_examples`` holds phi(Delta^2).
 
 Each conjugator is walked once, to its lifted point, and each grid point
 is decided from that point in closed form (``braid.conj_sign``); the
-choice of Klein ordering walks it once more.  Both reports raise
-OverflowError past a cap: 2,000,000 letters of conjugated grid words in all
-(before sampling), which no code builds, and a Klein-slope survey bound
-past 100.
+choice of Klein ordering walks it once more.  The grid and its images in K
+depend on the grid bound only, so the conjugators of a report share them.
+Both reports raise OverflowError past a cap: 2,000,000 letters of
+conjugated grid words in all (before sampling), which no code builds, and
+a Klein-slope survey bound past 100.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from . import braid
@@ -64,7 +66,10 @@ __all__ = [
 # slopes for bound B.  No code builds or walks those words: a report walks
 # its conjugator at most twice and decides each grid point in O(1).  The
 # letter count is kept as it was, so every request answers with the same
-# exit code as before.
+# exit code as before.  It also bounds the one grid ``_grid`` holds: the
+# letter count passes the cap past B = 32, so a report's grid has at most
+# 4,224 points, each built once per bound with its image in K.  A direct
+# ``verify_compatibility`` call at a larger B holds O(B^2) points.
 _MAX_GRID_LETTERS = 2_000_000
 _MAX_SLOPE_BOUND = 100
 # Read per grid point, so bound once (the convention at ``words.Sign3``).
@@ -77,6 +82,16 @@ def phi_peripheral(k: int, l: int) -> KleinElement:
     """Image of s2^k Delta^(2l) under the gluing: y^-k (y^-1 x^2)^l, which
     normalizes to x^(2l) y^(-k-l) since x^2 is central."""
     return KleinElement(2 * l, -k - l)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(grid_bound: int) -> tuple[tuple[int, int, KleinElement], ...]:
+    """The grid (k, l) in [-B, B]^2 minus the origin, k-major, each point
+    with its image ``phi_peripheral(k, l)``.  One entry is kept: the
+    conjugators of a report share one bound, and a report at another bound
+    replaces it."""
+    span = range(-grid_bound, grid_bound + 1)
+    return tuple((k, l, phi_peripheral(k, l)) for k in span for l in span if k or l)
 
 
 class CompatReport(NamedTuple):
@@ -103,7 +118,10 @@ def verify_compatibility(
     The conjugator is walked once to its lifted point, and once more by
     ``braid.commutes_with_sigma2`` unless the ordering is forced.  Each grid
     point costs one ``braid.conj_sign`` on that point, O(1) integer
-    operations; no grid or conjugated word is built.
+    operations; no conjugated word is built.  The grid and its images in K
+    are built once per bound and held until a call at another bound, so
+    one grid is kept at a time.  ``proposition_4_3_report``'s cap keeps
+    B <= 32; a direct caller with a larger B holds O(B^2) points.
     """
     if grid_bound < 1:
         raise ValueError("grid_bound must be >= 1")
@@ -114,24 +132,19 @@ def verify_compatibility(
     else:
         ordering = _O2
     failures = []
-    checked = 0
     positives = 0
     start = braid.lifted_point(conjugator)
-    span = range(-grid_bound, grid_bound + 1)
-    for k in span:
-        for l in span:
-            if k == 0 and l == 0:
-                continue
-            checked += 1
-            if braid.conj_sign(k, l, start) is not _POSITIVE:
-                continue
-            positives += 1
-            if k_sign(phi_peripheral(k, l), ordering) is not _POSITIVE:
-                failures.append((k, l))
+    grid = _grid(grid_bound)
+    for k, l, image in grid:
+        if braid.conj_sign(k, l, start) is not _POSITIVE:
+            continue
+        positives += 1
+        if k_sign(image, ordering) is not _POSITIVE:
+            failures.append((k, l))
     return CompatReport(
         braid.word_str(conjugator),
         ordering,
-        checked,
+        len(grid),
         positives,
         tuple(failures),
     )

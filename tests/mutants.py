@@ -239,6 +239,16 @@ MUTANTS = [
          "--grid-bound", "3", "--max-len", "6", "--verbose-cases"],
         "tests/test_compat.py::test_phi_peripheral_examples",
     ),
+    # the grid leaves out the origin only: the axes k = 0 and l = 0 stay
+    Mutant(
+        "prop43_grid_origin_only",
+        "src/locert/compat.py",
+        "for l in span if k or l)",
+        "for l in span if k and l)",
+        ["verify", "proposition-4-3", "--samples", "6", "--seed", "5",
+         "--grid-bound", "3", "--max-len", "6", "--verbose-cases"],
+        f"{_GOLDEN}[verify_prop43]",
+    ),
     # a relator row holds exponent sums, so inverse letters count -1
     Mutant(
         "abelianize_inverse_letters",

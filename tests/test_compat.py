@@ -167,6 +167,52 @@ def test_a_report_walks_its_conjugator_at_most_twice(monkeypatch):
     assert verify_compatibility(conjugator, 1) == expected
 
 
+def _looped_report(conjugator, bound, force_ordering=None):
+    """``verify_compatibility``'s report from a nested loop over k and l,
+    each point's image in K built at that point."""
+    if force_ordering is not None:
+        ordering = force_ordering
+    elif commutes_with_sigma2(conjugator):
+        ordering = KleinOrderingId.O1
+    else:
+        ordering = KleinOrderingId.O2
+    failures = []
+    checked = 0
+    positives = 0
+    start = lifted_point(conjugator)
+    span = range(-bound, bound + 1)
+    for k in span:
+        for l in span:
+            if k == 0 and l == 0:
+                continue
+            checked += 1
+            if conj_sign(k, l, start) is not Sign3.POSITIVE:
+                continue
+            positives += 1
+            if k_sign(phi_peripheral(k, l), ordering) is not Sign3.POSITIVE:
+                failures.append((k, l))
+    return CompatReport(word_str(conjugator), ordering, checked, positives,
+                        tuple(failures))
+
+
+def test_shared_grid_matches_the_looped_report():
+    conjugators = [w for seed in range(50) for w in random_braid_words(seed, 2, 12)]
+    conjugators.append(SIGMA1)
+    compat._grid.cache_clear()
+    rebuilds = 0
+    last = None
+    for conjugator in conjugators:
+        for forced in (None, KleinOrderingId.O1, KleinOrderingId.O2):
+            # a bound that differs from the last call's evicts the one grid held
+            for bound in (1, 8, 3, 8, 1):
+                rebuilds += bound != last
+                last = bound
+                report = verify_compatibility(conjugator, bound, force_ordering=forced)
+                assert report == _looped_report(conjugator, bound, forced), (
+                    word_str(conjugator), forced, bound)
+    assert compat._grid.cache_info().misses == rebuilds
+
+
 def test_report_serialization():
     report = verify_compatibility(SIGMA1, 3)
     assert report.ordering is KleinOrderingId.O2

@@ -23,7 +23,9 @@ caller overrides is a required parameter.
 
 The per-item kernels named in ``ENUM_FREE_KERNELS`` are read as bytecode:
 none of them reads an Enum member through its class, which costs a slow
-``EnumType.__getattr__`` call on CPython 3.11 (``words.Sign3``).
+``EnumType.__getattr__`` call on CPython 3.11 (``words.Sign3``).  The
+Proposition 4.3 grid loop is read the same way: it builds no image in K,
+which its shared grid holds, and a report builds each image once.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from pathlib import Path
 
 import pytest
 
+from locert import compat
+from locert.compat import phi_peripheral
+from locert.klein import KleinElement
 from locert.words import Sign3
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -573,23 +578,28 @@ ENUM_FREE_KERNELS = {
 }
 
 
-def enum_member_reads(function) -> list[str]:
-    """The ``Class.member`` reads in ``function``'s bytecode, nested code
-    included: a LOAD_GLOBAL of an Enum subclass that a LOAD_ATTR follows."""
-    reads = []
+def instructions(function):
+    """``function``'s bytecode instructions, nested code included."""
     codes = [function.__code__]
     while codes:
         code = codes.pop()
         codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        yield from dis.get_instructions(code)
+
+
+def enum_member_reads(function) -> list[str]:
+    """The ``Class.member`` reads in ``function``'s bytecode, nested code
+    included: a LOAD_GLOBAL of an Enum subclass that a LOAD_ATTR follows."""
+    reads = []
+    enum_name = None
+    for ins in instructions(function):
+        if enum_name is not None and ins.opname == "LOAD_ATTR":
+            reads.append(f"{enum_name}.{ins.argval}")
         enum_name = None
-        for ins in dis.get_instructions(code):
-            if enum_name is not None and ins.opname == "LOAD_ATTR":
-                reads.append(f"{enum_name}.{ins.argval}")
-            enum_name = None
-            if ins.opname == "LOAD_GLOBAL":
-                value = function.__globals__.get(ins.argval)
-                if isinstance(value, type) and issubclass(value, enum.Enum):
-                    enum_name = ins.argval
+        if ins.opname == "LOAD_GLOBAL":
+            value = function.__globals__.get(ins.argval)
+            if isinstance(value, type) and issubclass(value, enum.Enum):
+                enum_name = ins.argval
     return reads
 
 
@@ -620,3 +630,53 @@ def test_kernels_read_no_enum_member_through_its_class(layer):
     reads = {name: enum_member_reads(getattr(module, name))
              for name in ENUM_FREE_KERNELS[layer]}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+# The images in K that Proposition 4.3's shared grid holds: the grid loop
+# reads them from the grid, and builds none itself.
+_GRID_IMAGES = {"phi_peripheral", "KleinElement"}
+
+
+def image_builds(function) -> list[str]:
+    """The names in ``_GRID_IMAGES`` that ``function``'s bytecode loads as
+    globals, nested code included."""
+    return [ins.argval for ins in instructions(function)
+            if ins.opname == "LOAD_GLOBAL" and ins.argval in _GRID_IMAGES]
+
+
+def _planted_image(k: int, l: int) -> KleinElement:
+    return KleinElement(2 * l, -k - l)
+
+
+def _planted_nested_image(points: list[tuple[int, int]]) -> list[KleinElement]:
+    return [phi_peripheral(k, l) for k, l in points]
+
+
+def _shared_images(bound: int) -> list[KleinElement]:
+    return [image for _, _, image in compat._grid(bound)]
+
+
+def test_image_builds_catches_a_planted_call():
+    assert image_builds(_planted_image) == ["KleinElement"]
+    assert image_builds(_planted_nested_image) == ["phi_peripheral"]
+    assert image_builds(_shared_images) == []
+
+
+def test_grid_loop_builds_no_image():
+    assert image_builds(compat.verify_compatibility) == []
+
+
+def test_a_report_builds_each_image_once(monkeypatch):
+    # 5 samples and the control, at B = 4: one grid of 9^2 - 1 = 80 points,
+    # so one image per grid point, not one per positive of each conjugator
+    images = []
+    phi = compat.phi_peripheral
+
+    def counting_phi(k, l):
+        images.append((k, l))
+        return phi(k, l)
+
+    monkeypatch.setattr(compat, "phi_peripheral", counting_phi)
+    compat._grid.cache_clear()
+    compat.proposition_4_3_report(1, 5, 10, 4, False)
+    assert len(images) == 80
