@@ -115,6 +115,13 @@ def verify_compatibility(
     ordering is expected to produce failures and guards the test suite
     against sign-convention drift.
 
+    The grid check pins only phi(s2) = y^-1.  At l != 0 the sign is decided
+    by l on both sides, since Delta^2 dominates the peripheral ordering and
+    x^2 dominates K's, so phi(Delta^2) = y^-1 x^2 and its inverse-y twin
+    y x^2 give the same report.  Only
+    ``tests/test_compat.py::test_phi_peripheral_examples`` holds
+    phi(Delta^2).
+
     The conjugator is walked once to its lifted point, and once more by
     ``braid.commutes_with_sigma2`` unless the ordering is forced.  Each grid
     point costs one ``braid.conj_sign`` on that point, O(1) integer

@@ -411,11 +411,12 @@ def enumerate_table(
                         define(alpha, col)
         alpha += 1
 
-    live = [c for c in range(len(table)) if rep(c) == c]
-    renumber = {c: i for i, c in enumerate(live)}
-    compact = [
-        [renumber[rep(table[c][col])] for col in range(ncols)] for c in live
-    ]
+    # One root lookup per coset, then one list read per table entry.
+    roots = [rep(c) for c in range(len(table))]
+    live = [c for c, root in enumerate(roots) if root == c]
+    index = {c: i for i, c in enumerate(live)}
+    renumber = [index[root] for root in roots]
+    compact = [[renumber[target] for target in table[c]] for c in live]
     return ClosedTable(len(live), compact)
 
 

@@ -84,7 +84,10 @@ def parse_slope(text: str) -> Slope:
 
 def slope_str(s: Slope) -> str:
     """``p/q``; OverflowError (``int_str``) past the digit limit."""
-    return f"{int_str(s.p)}/{int_str(s.q)}"
+    try:
+        return f"{s.p}/{s.q}"
+    except ValueError:  # str() refuses an int past the digit limit
+        return f"{int_str(s.p)}/{int_str(s.q)}"
 
 
 def primitive_slopes(bound: int) -> Iterator[Slope]:

@@ -102,8 +102,8 @@ MUTANTS = [
     Mutant(
         "moser_mirror_chirality",
         "src/locert/seifert.py",
-        "d = abs(piece.chirality * alpha.p - alpha.q * piece.r * piece.s)",
-        "d = abs(alpha.p - alpha.q * piece.r * piece.s)",
+        "d = abs(piece.chirality * p - q * piece.r * piece.s)",
+        "d = abs(p - q * piece.r * piece.s)",
         ["splice", "verify", "lspace_mirror_tree.json", "tampered_cert.json"],
         "tests/test_seifert.py::test_moser_fillings",
     ),
@@ -257,6 +257,15 @@ MUTANTS = [
         "row[abs(x) - 1] += 1",
         ["group", "abelianize", "../../../src/locert/data/plus4_figure_eight_pi1.json"],
         "tests/test_fpgroup.py::test_abelianization_examples",
+    ),
+    # SNF folds a row the pivot does not divide, so Z/2 + Z/3 reads [6]
+    Mutant(
+        "snf_divisibility_fold",
+        "src/locert/fpgroup.py",
+        "if m[i][j] % pivot != 0:",
+        "if m[i][j] % pivot != 0 and False:",
+        ["group", "abelianize", "z6.json"],
+        "tests/test_fpgroup.py::test_smith_normal_form_known_values",
     ),
     # the backward scan walks the inverse column
     Mutant(

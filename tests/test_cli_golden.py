@@ -120,6 +120,8 @@ CASES: dict[str, list[str]] = {
                                   _HUGE_GLUE, "--", f"{_HUGE}/1"],
     # group
     "group_abelianize": ["group", "abelianize", DATA + "plus4_figure_eight_pi1.json"],
+    # <a, b | a^2, b^3, [a, b]> is Z/6: the torsion of diag(2, 3) is [6]
+    "group_abelianize_z6": ["group", "abelianize", "z6.json"],
     "group_abelianize_missing": ["group", "abelianize", "missing.json"],
     "group_abelianize_string_relators": ["group", "abelianize", "string_relators.json"],
     "group_abelianize_string_generators": ["group", "abelianize",

@@ -1,7 +1,10 @@
 """Presentations, Smith normal form, Dehn filling, amalgams, Todd-Coxeter."""
 
+import hashlib
+import json
 import random
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +289,38 @@ def test_coset_enumeration_defines_a_pinned_number_of_cosets(p, subgroup, define
         match=f"^the coset table did not close within {defined - 1} cosets$",
     ):
         enumerate_table(p, subgroup, defined - 1)
+
+
+_S3 = Presentation.from_json(
+    json.loads((Path(__file__).parent / "golden" / "inputs" / "s3.json").read_text())
+)
+
+
+@pytest.mark.parametrize(
+    "p, subgroup, index, digest",
+    [
+        (_S3, [], 6,
+         "69be776091b5ae286a47539442fde44453decc34ee709cd41942e11e8d44fdad"),
+        (_S3, [parse_group_word("x", _S3.generators)], 3,
+         "32dc9371f6a336e73f03baf61fccf3eb8bd754d87ddbffc69d9d498b512c335e"),
+        (_symmetric(4), [], 24,
+         "aa39f11e56ea001fa3f5526fdfaec0de9507a253515d4eaa6ff108e573ae0168"),
+        (_symmetric(5), [], 120,
+         "a832eaee8429ee3f62f5d7516385e08d95b28e7ea0cbd9d416c5bcf57d51628d"),
+        (dehn_fill(B3, MERIDIAN, LONGITUDE, (1, 0)), [], 1,
+         "fc7f35e853cc00816bea4984e3d202adbe27f5859fdfee7e02368f2107bb7add"),
+        (Presentation.parse(["x", "y"], ["x y X y", "y x x"]), [], 4,
+         "6ea4445a341850e05cf3486fba271be3d97543b40a12d4fbd79f844a5e5ebab7"),
+    ],
+)
+def test_closed_tables_are_pinned(p, subgroup, index, digest):
+    # The compacted table, coset numbers included, is pinned by the sha256
+    # of its JSON: a change to the compaction or to the definition order
+    # that keeps the index still changes the digest.
+    closed = enumerate_table(p, subgroup, 1000)
+    assert closed.index == index
+    assert hashlib.sha256(json.dumps(closed.table).encode()).hexdigest() == digest
+    assert check_closed_table(p, subgroup, closed)
 
 
 def test_out_of_range_subgroup_letter_is_an_input_error():

@@ -24,7 +24,14 @@ from locert.seifert import (
     verify_certificate,
     zhs_lo_status,
 )
-from locert.slopes import GluingMatrix, Slope, hf_surgery_rank, make_slope
+from locert.slopes import (
+    GluingMatrix,
+    Slope,
+    hf_surgery_rank,
+    make_slope,
+    primitive_slopes,
+    slope_str,
+)
 
 TREFOIL = TorusKnotPiece(2, 3, 1)
 SPLICE = GluingMatrix(0, 1, 1, 0)
@@ -173,6 +180,113 @@ def test_slope_verdict_dispatch_order():
     assert slope_lo_verdict(user, make_slope(3, 1)).status is LOStatus.UNKNOWN
 
 
+def _renormalizing_verdict(piece, alpha: Slope) -> LOSlopeVerdict:
+    """The rule table with every slope renormalized through ``make_slope``
+    and every verdict built through the class: the oracle of
+    ``slope_lo_verdict``, which reads a slope in normal form as given."""
+    if isinstance(piece, BrieskornZHS):
+        raise ValueError("closed pieces have no slopes to fill")
+    alpha = make_slope(alpha.p, alpha.q)
+
+    if isinstance(piece, TorusKnotPiece):
+        if alpha.p == 0:
+            return LOSlopeVerdict(
+                LOStatus.LO,
+                LORule.B1_RULE,
+                "0-filling has infinite first homology (surjection onto Z) "
+                "and is prime and Seifert fibred (Heil)",
+            )
+        if abs(alpha.p) == 1:
+            d = abs(piece.chirality * alpha.p - alpha.q * piece.r * piece.s)
+            closed = BrieskornZHS((piece.r, piece.s, d) if d > 1 else (1,))
+            verdict = zhs_lo_status(closed)
+            return LOSlopeVerdict(
+                verdict.status,
+                LORule.ZHS_CLASSIFICATION,
+                f"{slope_str(alpha)} filling of {piece.describe()} closes to "
+                f"{closed.describe()}: " + verdict.evidence,
+            )
+        return torus_knot_lspace_verdict(piece, alpha)
+
+    if alpha.p == 0 and piece.prime_zero_filling:
+        return LOSlopeVerdict(
+            LOStatus.LO,
+            LORule.B1_RULE,
+            "0-filling has infinite first homology (surjection onto Z); "
+            "primeness supplied by caller flag",
+        )
+    status = piece.asserted.get(alpha)
+    if status is not None:
+        return LOSlopeVerdict(
+            status,
+            LORule.USER_ASSERTED,
+            f"asserted by caller on {piece.describe()} at {slope_str(alpha)}",
+        )
+    return LOSlopeVerdict(
+        LOStatus.UNKNOWN, None, f"no rule applies at {slope_str(alpha)}"
+    )
+
+
+def _outcome(verdict, piece, alpha):
+    try:
+        return verdict(piece, alpha)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def test_slope_verdict_matches_the_renormalizing_oracle():
+    asserted = {Slope(1, 0): LOStatus.LO, Slope(-3, 2): LOStatus.NOT_LO,
+                Slope(5, 7): LOStatus.UNKNOWN, Slope(0, 1): LOStatus.NOT_LO}
+    pieces = [TorusKnotPiece(2, 3, 1), TorusKnotPiece(2, 3, -1),
+              TorusKnotPiece(3, 4, 1),
+              UserPiece("Y", "asserting", asserted, False),
+              UserPiece("Z", "", {Slope(2, 1): LOStatus.LO}, True)]
+    slopes = list(primitive_slopes(12))
+    # the same slopes as (-p, -q), and slopes make_slope normalizes or refuses
+    slopes += [Slope(-p, -q) for p, q in slopes]
+    slopes += [Slope(-1, 0), Slope(2, 4), Slope(-2, -4), Slope(4, 2), Slope(0, 0),
+               Slope(0, -1), Slope(0, 2)]
+    for piece in pieces:
+        for alpha in slopes:
+            got = _outcome(slope_lo_verdict, piece, alpha)
+            want = _outcome(_renormalizing_verdict, piece, alpha)
+            assert (type(got), got) == (type(want), want), (piece, alpha)
+    assert _outcome(slope_lo_verdict, TREFOIL, Slope(2, 4)) == (
+        ValueError, "slope (2, 4) is not primitive")
+    assert _outcome(slope_lo_verdict, TREFOIL, Slope(0, 0)) == (
+        ValueError, "slope (0, 0) is not primitive")
+
+
+def _no_answer_tree() -> SpliceTree:
+    # The user piece asserts no slope, so no pair exists at any bound.
+    return SpliceTree.from_json({
+        "nodes": [{"kind": "user", "name": "mystery"},
+                  {"kind": "torus_knot", "r": 2, "s": 3}],
+        "edges": [{"a": 0, "b": 1, "matrix": [0, 1, 1, 0]}],
+    })
+
+
+def test_the_walk_skips_make_slope_and_the_verdict_class(monkeypatch):
+    # The walk generates slopes in normal form, so the rule table reads them
+    # as given; verdicts skip NamedTuple's __new__ (``LOSlopeVerdict``).
+    made, built = [], []
+    monkeypatch.setattr(seifert, "make_slope",
+                        lambda p, q: made.append((p, q)) or make_slope(p, q))
+    class_new = LOSlopeVerdict.__new__
+    monkeypatch.setattr(LOSlopeVerdict, "__new__",
+                        lambda cls, *fields: built.append(fields) or class_new(cls, *fields))
+    assert certificate_search(_no_answer_tree(), search_bound=30).status is LOStatus.UNKNOWN
+    assert made == [] and built == []
+    # On a torus knot only zhs_lo_status, at |p| = 1, builds through the
+    # class.
+    walk = list(primitive_slopes(12))
+    for piece in (TREFOIL, TorusKnotPiece(3, 4, -1)):
+        built.clear()
+        for alpha in walk:
+            slope_lo_verdict(piece, alpha)
+        assert len(built) == sum(abs(p) == 1 for p, _ in walk)
+
+
 def test_closed_pieces_have_no_slopes():
     with pytest.raises(ValueError, match="^closed pieces have no slopes to fill$"):
         slope_lo_verdict(BrieskornZHS((2, 3, 7)), Slope(1, 0))
@@ -297,13 +411,9 @@ def test_search_generates_slopes_lazily(monkeypatch):
 
 
 def test_slope_walk_stops_at_its_cap(monkeypatch):
-    # The user piece asserts no slope, so no pair exists: the walk runs to
-    # its bound, and a bound past the cap stops instead of walking on.
-    tree = SpliceTree.from_json({
-        "nodes": [{"kind": "user", "name": "mystery"},
-                  {"kind": "torus_knot", "r": 2, "s": 3}],
-        "edges": [{"a": 0, "b": 1, "matrix": [0, 1, 1, 0]}],
-    })
+    # No pair exists: the walk runs to its bound, and a bound past the cap
+    # stops instead of walking on.
+    tree = _no_answer_tree()
     monkeypatch.setattr("locert.seifert._MAX_SEARCH_BOUND", 3)
     assert certificate_search(tree, search_bound=3).status is LOStatus.UNKNOWN
     walked = []

@@ -86,8 +86,10 @@ def test_parse_and_format():
     assert slope_str(Slope(-1, 1)) == "-1/1"
     # an entry str() refuses for its length is a budget, not an input error
     budget = r"^an integer in the result exceeds the 4300-digit budget$"
-    with pytest.raises(OverflowError, match=budget):
-        slope_str(Slope(1, 10**5000))
+    for slope in (Slope(1, 10**5000), Slope(-(10**5000), 1)):
+        with pytest.raises(OverflowError, match=budget):
+            slope_str(slope)
+    assert slope_str(Slope(-(10**4299), 10**4299)) == f"-{10**4299}/{10**4299}"
 
 
 def test_an_integer_past_the_digit_limit_is_too_long():
