@@ -18,11 +18,13 @@ Provides:
   1,000,000 letters (OverflowError past it);
 * amalgamated products via Seifert-Van Kampen style identification pairs;
 * bounded HLT-style Todd-Coxeter coset enumeration with deterministic
-  scheduling, which raises OverflowError (never a wrong finite index) when
-  the table does not close within the coset cap, or would pass 2,000,000
-  entries below it, and ValueError on a subgroup letter that names no
-  generator (0 or past the generator count), as ``Presentation`` does on
-  a relator letter.
+  scheduling, on a table held as one list per column (``cols[col][coset]``)
+  that doubles as cosets are defined, compacted at the end to the
+  row-major ``ClosedTable``.  It raises OverflowError (never a wrong finite
+  index) when the table does not close within the coset cap, or would pass
+  2,000,000 entries below it, and ValueError on a subgroup letter that
+  names no generator (0 or past the generator count), as ``Presentation``
+  does on a relator letter.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ __all__ = [
 ]
 
 # The caps: letters of a ``dehn_fill`` relator, and entries of an
-# ``enumerate_table`` table (cosets x 2 columns per generator, ~40 bytes each).
+# ``enumerate_table`` table (cosets x 2 columns per generator).  An entry
+# costs 26-29 bytes at the cap, column slots, coset ints and the union-find
+# parents together (tracemalloc peak on CPython 3.11, 2-4 columns), so the
+# entry cap holds the table near 60 MB; below the cap a column list may
+# have up to twice the slots its cosets fill, 8 bytes each.
 _MAX_LETTERS = 1_000_000
 _MAX_TABLE_ENTRIES = 2_000_000
 
@@ -295,9 +301,17 @@ def enumerate_table(
     presentation order, and undefined entries filled column by column, so
     a run is reproducible bit for bit.
 
+    The table is held by column: ``cols[col][coset]`` is the target coset
+    or None.  Every column list doubles, up to the cap, when a definition
+    passes its length, so the lists hold at most twice the cosets defined.
     Each relator and subgroup word is freely reduced and compiled once per
-    call to a list of table columns; a backward scan reads column ``c ^ 1``.
-    So a scan costs one table read per letter it passes.
+    call to the column lists a forward scan reads and, letter for letter,
+    the inverse column lists a backward scan reads, so a scan step reads a
+    target from its list and computes no column.  A relator cycle that
+    already closes at the coset in hand is found inline, without the fill
+    routine; any other goes through the fill routine's full scan from
+    alpha, to its coincidence or its first definition.  The closed table is compacted to
+    ``ClosedTable``'s rows, one per live coset.
     """
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
@@ -314,8 +328,10 @@ def enumerate_table(
         stop = f"the coset table would pass the {_MAX_TABLE_ENTRIES}-entry cap"
     else:
         stop = f"the coset table did not close within {max_cosets} cosets"
-    table: list[list[int | None]] = [[None] * ncols]
+    cols: list[list[int | None]] = [[None] for _ in range(ncols)]
+    pairs = [(cols[col], cols[col ^ 1]) for col in range(ncols)]
     parent = [0]
+    defined = room = 1  # cosets defined, and the length of each list
 
     def rep(c: int) -> int:
         root = c
@@ -325,34 +341,39 @@ def enumerate_table(
             parent[c], c = root, parent[c]
         return root
 
-    def define(alpha: int, col: int) -> int:
-        if len(table) >= cap:
+    def define(alpha: int, col: int) -> None:
+        nonlocal defined, room
+        beta = defined
+        if beta >= cap:
             raise OverflowError(stop)
-        beta = len(table)
-        table.append([None] * ncols)
-        parent.append(beta)
-        table[alpha][col] = beta
-        table[beta][col ^ 1] = alpha
-        return beta
+        if beta == room:
+            room = min(2 * room, cap)
+            blank = [None] * (room - beta)
+            for column in cols:
+                column.extend(blank)
+            parent.extend(range(beta, room))
+        defined = beta + 1
+        cols[col][alpha] = beta
+        cols[col ^ 1][beta] = alpha
 
     def coincidence(a: int, b: int) -> None:
         queue: deque[int] = deque()
         _merge(a, b, queue)
         while queue:
             gamma = queue.popleft()
-            for col in range(ncols):
-                delta = table[gamma][col]
+            for column, inverse in pairs:
+                delta = column[gamma]
                 if delta is None:
                     continue
-                table[delta][col ^ 1] = None
+                inverse[delta] = None
                 mu, nu = rep(gamma), rep(delta)
-                if table[mu][col] is not None:
-                    _merge(nu, table[mu][col], queue)
-                elif table[nu][col ^ 1] is not None:
-                    _merge(mu, table[nu][col ^ 1], queue)
+                if column[mu] is not None:
+                    _merge(nu, column[mu], queue)
+                elif inverse[nu] is not None:
+                    _merge(mu, inverse[nu], queue)
                 else:
-                    table[mu][col] = nu
-                    table[nu][col ^ 1] = mu
+                    column[mu] = nu
+                    inverse[nu] = mu
 
     def _merge(a: int, b: int, queue: deque[int]) -> None:
         a, b = rep(a), rep(b)
@@ -361,12 +382,13 @@ def enumerate_table(
             parent[b] = a
             queue.append(b)
 
-    def scan_and_fill(alpha: int, word: list[int]) -> None:
+    def scan_and_fill(alpha: int, word: tuple) -> None:
+        forward, backward, letters, last = word
         f, i = alpha, 0
-        b, j = alpha, len(word) - 1
+        b, j = alpha, last
         while True:
             while i <= j:
-                nxt = table[f][word[i]]
+                nxt = forward[i][f]
                 if nxt is None:
                     break
                 f = nxt
@@ -376,7 +398,7 @@ def enumerate_table(
                     coincidence(f, b)
                 return
             while j >= i:
-                nxt = table[b][word[j] ^ 1]
+                nxt = backward[j][b]
                 if nxt is None:
                     break
                 b = nxt
@@ -384,39 +406,52 @@ def enumerate_table(
             if j < i:
                 coincidence(f, b)
                 return
-            col = word[i]
             if j == i:
-                table[f][col] = b
-                table[b][col ^ 1] = f
+                forward[i][f] = b
+                backward[i][b] = f
                 return
-            define(f, col)
+            define(f, letters[i])
 
-    def columns(word: GroupWord) -> list[int]:
-        return [_column(x) for x in free_reduce_word(word)]
+    def compiled(word: GroupWord) -> tuple:
+        letters = [_column(x) for x in free_reduce_word(word)]
+        forward = [cols[c] for c in letters]
+        backward = [cols[c ^ 1] for c in letters]
+        return forward, backward, letters, len(letters) - 1
 
-    relators = [columns(r) for r in p.relators]
+    relators = [compiled(r) for r in p.relators]
     for w in subgroup:
-        scan_and_fill(0, columns(w))
+        scan_and_fill(0, compiled(w))
     alpha = 0
-    while alpha < len(table):
+    while alpha < defined:
         # Only a root is its own parent, whatever path compression did.
         if parent[alpha] == alpha:
-            for w in relators:
-                scan_and_fill(alpha, w)
+            for word in relators:
+                f = alpha
+                for column in word[0]:
+                    f = column[f]
+                    if f is None:
+                        break
+                else:
+                    if f == alpha:  # the relator cycle closes at alpha
+                        continue
+                # The fill routine scans again from alpha: handing it the
+                # position reached costs an index per step, more than the
+                # steps it repeats.
+                scan_and_fill(alpha, word)
                 if parent[alpha] != alpha:
                     break
             if parent[alpha] == alpha:
                 for col in range(ncols):
-                    if table[alpha][col] is None:
+                    if cols[col][alpha] is None:
                         define(alpha, col)
         alpha += 1
 
     # One root lookup per coset, then one list read per table entry.
-    roots = [rep(c) for c in range(len(table))]
+    roots = [rep(c) for c in range(defined)]
     live = [c for c, root in enumerate(roots) if root == c]
     index = {c: i for i, c in enumerate(live)}
     renumber = [index[root] for root in roots]
-    compact = [[renumber[target] for target in table[c]] for c in live]
+    compact = [[renumber[column[c]] for column in cols] for c in live]
     return ClosedTable(len(live), compact)
 
 

@@ -37,14 +37,17 @@ nontrivial factor is.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
 from .slopes import (
+    _LONGITUDE,
     GluingMatrix,
     Slope,
+    _new_tuple,
     apply_gluing,
     invert_gluing,
     make_slope,
@@ -102,8 +105,6 @@ _B1_RULE = LORule.B1_RULE
 _ZHS_CLASSIFICATION = LORule.ZHS_CLASSIFICATION
 _LSPACE_INTERVAL = LORule.LSPACE_INTERVAL
 _USER_ASSERTED = LORule.USER_ASSERTED
-# Builds a NamedTuple without its Python-level __new__ (``LOSlopeVerdict``).
-_new_tuple = tuple.__new__
 
 
 class LOSlopeVerdict(NamedTuple):
@@ -114,8 +115,12 @@ class LOSlopeVerdict(NamedTuple):
     ``_new_tuple(LOSlopeVerdict, (status, rule, evidence))``, never through
     the class.  NamedTuple's ``__new__`` is a Python function wrapped around
     that same ``tuple.__new__`` call, and costs about 350 ns on CPython 3.11.7
-    against about 200 ns for the module-bound call (``timeit``).
-    ``tests/test_seifert.py`` counts the constructions of a slope walk.
+    against about 200 ns for the module-bound call (``timeit``).  The
+    walk's slopes follow the same convention: ``slopes.make_slope`` and
+    ``slopes.primitive_slopes`` build each ``Slope`` with ``tuple.__new__``,
+    where NamedTuple's ``__new__`` cost about 120 ns of the walk's 410 ns
+    per generated slope.  ``tests/test_seifert.py`` counts the constructions
+    of a slope walk.
     """
 
     status: LOStatus
@@ -529,9 +534,11 @@ def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
             _USER_ASSERTED,
             f"asserted by caller on {piece.describe()} at {slope_str(alpha)}",
         ))
-    return _new_tuple(LOSlopeVerdict, (
-        _UNKNOWN, None, f"no rule applies at {slope_str(alpha)}"
-    ))
+    try:
+        evidence = f"no rule applies at {p}/{q}"
+    except ValueError:  # str() refuses an int past the digit limit
+        evidence = f"no rule applies at {slope_str(alpha)}"
+    return _new_tuple(LOSlopeVerdict, (_UNKNOWN, None, evidence))
 
 
 # --- certificates ---------------------------------------------------------------
@@ -553,16 +560,30 @@ def enumerate_slopes(bound: int) -> list[Slope]:
 
 
 def _pair(
-    tree: SpliceTree, edge: SpliceEdge, alpha: Slope
-) -> tuple[LOSlopeVerdict, Slope | None, LOSlopeVerdict | None]:
-    """The one check of a slope pair (alpha, f(alpha)) across ``edge``: the
-    verdict on side a and, only when that verdict is LO, the image f(alpha)
-    and the verdict on side b (None and None otherwise)."""
-    va = slope_lo_verdict(tree.nodes[edge.a], alpha)
-    if va.status is not _LO:
-        return va, None, None
-    image = apply_gluing(edge.matrix, alpha)
-    return va, image, slope_lo_verdict(tree.nodes[edge.b], image)
+    side_a: Piece, side_b: Piece, matrix: GluingMatrix, candidates: Iterable[Slope]
+) -> tuple[Slope, LOSlopeVerdict, Slope | None, LOSlopeVerdict | None]:
+    """The one check of slope pairs (alpha, f(alpha)) across an edge, for
+    each alpha of ``candidates`` in turn: the verdict on ``side_a`` and,
+    only when that verdict is LO, the image f(alpha) and the verdict on
+    ``side_b``.  Stops at the first pair LO on both sides.  Returns the
+    last pair checked as (alpha, verdict a, image, verdict b), with image
+    and verdict b None when verdict a is not LO.
+
+    ``candidates`` must not be empty, and the caller has checked ``matrix``
+    unimodular, so each image is ``make_slope`` of the matrix product.  The
+    walk (``_certify_edge``) and ``verify_certificate`` (one candidate)
+    share this loop, so a walked slope costs no call of its own."""
+    a, b, c, d = matrix
+    for alpha in candidates:
+        va = slope_lo_verdict(side_a, alpha)
+        image = vb = None
+        if va.status is _LO:
+            p, q = alpha
+            image = make_slope(a * p + b * q, c * p + d * q)
+            vb = slope_lo_verdict(side_b, image)
+            if vb.status is _LO:
+                break
+    return alpha, va, image, vb
 
 
 def _component(
@@ -625,14 +646,18 @@ def _certify_edge(tree: SpliceTree, edge_index: int, bound: int) -> tuple | None
     time.  The first two are the splice pairs: a preferred meridian fills
     to the ambient homology sphere, and a longitude is left-orderable by
     the B1 rule.
+
+    The matrix is checked unimodular once, by ``invert_gluing``, before
+    ``_pair`` walks the candidates.
     """
     edge = tree.edges[edge_index]
-    lam = Slope(0, 1)
-    meridian = apply_gluing(invert_gluing(edge.matrix), lam)
-    for alpha in chain((meridian, lam), primitive_slopes(bound)):
-        va, image, vb = _pair(tree, edge, alpha)
-        if vb is not None and vb.status is _LO:
-            return edge_index, alpha, image, va, vb
+    meridian = apply_gluing(invert_gluing(edge.matrix), _LONGITUDE)
+    alpha, va, image, vb = _pair(
+        tree.nodes[edge.a], tree.nodes[edge.b], edge.matrix,
+        chain((meridian, _LONGITUDE), primitive_slopes(bound)),
+    )
+    if vb is not None and vb.status is _LO:
+        return edge_index, alpha, image, va, vb
     return None
 
 
@@ -752,7 +777,9 @@ def verify_certificate(tree: SpliceTree, record: object) -> tuple[bool, list[str
         if edge_index != edge:
             fail(f"edge {edge_index} does not belong to component {list(nodes)}")
             continue
-        va, image, vb = _pair(tree, tree.edges[edge_index], alpha)
+        glued = tree.edges[edge_index]  # unimodular: the tree is valid
+        _, va, image, vb = _pair(tree.nodes[glued.a], tree.nodes[glued.b],
+                                 glued.matrix, (alpha,))
         if vb is None:
             fail(
                 f"edge {edge_index}: slope {slope_str(alpha)} "

@@ -49,6 +49,16 @@ class Slope(NamedTuple):
     q: int
 
 
+# Builds a NamedTuple without its Python-level __new__, the construction
+# convention stated at ``seifert.LOSlopeVerdict``: here for the slopes that
+# ``make_slope`` and ``primitive_slopes`` return, and imported by
+# ``seifert`` for its verdicts.
+_new_tuple = tuple.__new__
+# The longitude 0/1, which bounds in the knot exterior (also the B1 rule's
+# slope and the second splice candidate in ``seifert``).
+_LONGITUDE = _new_tuple(Slope, (0, 1))
+
+
 class GluingMatrix(NamedTuple):
     """Row-major 2x2 integer matrix ((a, b), (c, d)) acting on column
     vectors (p, q)."""
@@ -72,7 +82,7 @@ def make_slope(p: int, q: int) -> Slope:
         raise ValueError(f"slope {brief_repr((p, q))} is not primitive")
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    return Slope(p, q)
+    return _new_tuple(Slope, (p, q))
 
 
 def parse_slope(text: str) -> Slope:
@@ -96,16 +106,17 @@ def primitive_slopes(bound: int) -> Iterator[Slope]:
     commits to.  Generated shell by shell in that order, so nothing is
     sorted or stored: shell m holds -m/q and m/q for q < m, then p/m for
     -m <= p <= m."""
+    new, slope = _new_tuple, Slope  # locals: read once per slope yielded
     if bound >= 1:
-        yield Slope(1, 0)
+        yield new(slope, (1, 0))
     for m in range(1, bound + 1):
         for q in range(1, m):
             if gcd(m, q) == 1:
-                yield Slope(-m, q)
-                yield Slope(m, q)
+                yield new(slope, (-m, q))
+                yield new(slope, (m, q))
         for p in range(-m, m + 1):
             if gcd(p, m) == 1:
-                yield Slope(p, m)
+                yield new(slope, (p, m))
 
 
 def intersection_number(alpha: Slope, beta: Slope) -> int:
@@ -136,8 +147,7 @@ def union_homology_order(f: GluingMatrix) -> int:
     lambda) for the longitude lambda = 0/1 of each side, with 0 meaning
     positive first Betti number and 1 certifying an integer homology
     sphere."""
-    lam = Slope(0, 1)
-    return intersection_number(apply_gluing(f, lam), lam)
+    return intersection_number(apply_gluing(f, _LONGITUDE), _LONGITUDE)
 
 
 def hf_surgery_rank(p: int, q: int, nu: int, ranks: tuple[int, ...]) -> int:

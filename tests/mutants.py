@@ -271,10 +271,19 @@ MUTANTS = [
     Mutant(
         "coset_backward_scan_column",
         "src/locert/fpgroup.py",
-        "nxt = table[b][word[j] ^ 1]",
-        "nxt = table[b][word[j]]",
+        "nxt = backward[j][b]",
+        "nxt = forward[j][b]",
         ["group", "enumerate", "s3.json"],
         f"{_GOLDEN}[group_enumerate]",
+    ),
+    # a relator cycle that is complete but ends off alpha is a coincidence
+    Mutant(
+        "coset_closed_cycle_off_alpha",
+        "src/locert/fpgroup.py",
+        "if f == alpha:  # the relator cycle closes at alpha",
+        "if True:  # the relator cycle closes at alpha",
+        ["verify", "nonapplicability", "--slope-bound", "3"],
+        "tests/test_fpgroup.py::test_column_table_matches_the_row_major_oracle",
     ),
     # G = H - lc^s, whose resultant with Delta gives the order
     Mutant(

@@ -176,6 +176,10 @@ CASES: dict[str, list[str]] = {
     # one past the slope walk's cap: the walk stops at 400 with no pair
     "splice_cert_no_answer_past_cap": ["splice", "cert", "no_answer_tree.json",
                                        "--bound", "401"],
+    # the torus knot on side a: the walk reads the L-space interval per slope
+    "splice_cert_no_answer_torus_first": ["splice", "cert",
+                                          "no_answer_torus_first_tree.json",
+                                          "--bound", "6"],
     "splice_cert_user_splice": ["splice", "cert", "user_splice_tree.json"],
     "splice_cert_user_splice_text": ["--format", "text", "splice", "cert",
                                      "user_splice_tree.json"],

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import deque
 from math import prod
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from locert.fpgroup import (
 )
 from locert.seifert import LORule, LOStatus, TorusKnotPiece, UserPiece, slope_lo_verdict
 from locert.slopes import Slope
-from locert.words import invert_word, word_power
+from locert.words import free_reduce_word, invert_word, word_power
 
 B3 = Presentation.parse(["s1", "s2"], ["s1 s2 s1 S2 S1 S2"])
 KLEIN = Presentation.parse(["x", "y"], ["x y X y"])
@@ -321,6 +322,168 @@ def test_closed_tables_are_pinned(p, subgroup, index, digest):
     assert closed.index == index
     assert hashlib.sha256(json.dumps(closed.table).encode()).hexdigest() == digest
     assert check_closed_table(p, subgroup, closed)
+
+
+def _row_major_table(p, subgroup, max_cosets):
+    """The oracle of ``enumerate_table``: the same HLT enumeration on a table
+    held as one list per coset, scanning relators through the fill routine
+    only.  Same definitions, coincidences, caps and messages."""
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
+    n = len(p.generators)
+    for w in subgroup:
+        for x in w:
+            if x == 0 or abs(x) > n:
+                raise ValueError(f"subgroup letter {x} out of range")
+    ncols = 2 * n
+    if not n:
+        return ClosedTable(1, [[]])
+    entries = fpgroup._MAX_TABLE_ENTRIES
+    cap = min(max_cosets, max(entries // ncols, 1))
+    if cap < max_cosets:
+        stop = f"the coset table would pass the {entries}-entry cap"
+    else:
+        stop = f"the coset table did not close within {max_cosets} cosets"
+    table = [[None] * ncols]
+    parent = [0]
+
+    def rep(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def define(alpha, col):
+        if len(table) >= cap:
+            raise OverflowError(stop)
+        beta = len(table)
+        table.append([None] * ncols)
+        parent.append(beta)
+        table[alpha][col] = beta
+        table[beta][col ^ 1] = alpha
+
+    def merge(a, b, queue):
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            parent[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        queue = deque()
+        merge(a, b, queue)
+        while queue:
+            gamma = queue.popleft()
+            for col in range(ncols):
+                delta = table[gamma][col]
+                if delta is None:
+                    continue
+                table[delta][col ^ 1] = None
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][col] is not None:
+                    merge(nu, table[mu][col], queue)
+                elif table[nu][col ^ 1] is not None:
+                    merge(mu, table[nu][col ^ 1], queue)
+                else:
+                    table[mu][col] = nu
+                    table[nu][col ^ 1] = mu
+
+    def scan_and_fill(alpha, word):
+        f, i = alpha, 0
+        b, j = alpha, len(word) - 1
+        while True:
+            while i <= j:
+                nxt = table[f][word[i]]
+                if nxt is None:
+                    break
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i:
+                nxt = table[b][word[j] ^ 1]
+                if nxt is None:
+                    break
+                b = nxt
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            col = word[i]
+            if j == i:
+                table[f][col] = b
+                table[b][col ^ 1] = f
+                return
+            define(f, col)
+
+    def columns(word):
+        return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in free_reduce_word(word)]
+
+    relators = [columns(r) for r in p.relators]
+    for w in subgroup:
+        scan_and_fill(0, columns(w))
+    alpha = 0
+    while alpha < len(table):
+        if parent[alpha] == alpha:
+            for w in relators:
+                scan_and_fill(alpha, w)
+                if parent[alpha] != alpha:
+                    break
+            if parent[alpha] == alpha:
+                for col in range(ncols):
+                    if table[alpha][col] is None:
+                        define(alpha, col)
+        alpha += 1
+    roots = [rep(c) for c in range(len(table))]
+    live = [c for c, root in enumerate(roots) if root == c]
+    index = {c: i for i, c in enumerate(live)}
+    renumber = [index[root] for root in roots]
+    return ClosedTable(len(live), [[renumber[t] for t in table[c]] for c in live])
+
+
+def _table_outcome(enumerate_fn, p, subgroup, max_cosets):
+    try:
+        return enumerate_fn(p, subgroup, max_cosets)
+    except (OverflowError, ValueError) as error:
+        return type(error), str(error)
+
+
+def _random_presentation(rng):
+    n = rng.randint(1, 3)
+    letters = [x for i in range(1, n + 1) for x in (i, -i)]
+    relators = [(i,) * rng.randint(2, 5) for i in range(1, n + 1) if rng.random() < 0.7]
+    relators += [tuple(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+                 for _ in range(rng.randint(0, 3))]
+    subgroup = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.02:  # a letter that names no generator
+        subgroup.append((rng.choice((0, n + 1, -n - 1)),))
+    p = Presentation(tuple(f"g{i}" for i in range(1, n + 1)), tuple(relators))
+    return p, subgroup, rng.randint(50, 3000)
+
+
+def test_column_table_matches_the_row_major_oracle():
+    # The same table, or the same error, on every input: the column layout
+    # changes no definition, coincidence, cap or coset number.
+    rng = random.Random(3601)
+    nontrivial = stopped = 0
+    for _ in range(420):
+        p, subgroup, cap = _random_presentation(rng)
+        got = _table_outcome(enumerate_table, p, subgroup, cap)
+        assert got == _table_outcome(_row_major_table, p, subgroup, cap), (p, subgroup, cap)
+        nontrivial += isinstance(got, ClosedTable) and got.index > 1
+        stopped += got[0] is OverflowError
+    assert nontrivial > 50 and stopped > 100
+    triangle = Presentation.parse(["a", "b"], ["a a", "b b b", "a b " * 7])
+    cases = [(_symmetric(n), [], 100_000) for n in range(3, 8)]
+    cases += [(_symmetric(6), [(1,), (2,)], 1000), (triangle, [], 5_000), (triangle, [], 30_000)]
+    for p, subgroup, cap in cases:
+        got = _table_outcome(enumerate_table, p, subgroup, cap)
+        assert got == _table_outcome(_row_major_table, p, subgroup, cap)
 
 
 def test_out_of_range_subgroup_letter_is_an_input_error():

@@ -32,6 +32,7 @@ from locert.slopes import (
     primitive_slopes,
     slope_str,
 )
+from locert.words import int_str
 
 TREFOIL = TorusKnotPiece(2, 3, 1)
 SPLICE = GluingMatrix(0, 1, 1, 0)
@@ -180,6 +181,67 @@ def test_slope_verdict_dispatch_order():
     assert slope_lo_verdict(user, make_slope(3, 1)).status is LOStatus.UNKNOWN
 
 
+def _lspace_oracle(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict:
+    """The L-space interval rule read through ``make_slope`` and the class,
+    with its evidence assembled in parts: the oracle that
+    ``torus_knot_lspace_verdict`` must match byte for byte, however its
+    per-slope work is cut."""
+    eff = make_slope(k.chirality * alpha.p, alpha.q)
+    if eff.p == eff.q * k.r * k.s:
+        return LOSlopeVerdict(
+            LOStatus.UNKNOWN,
+            None,
+            f"{slope_str(alpha)} filling of {k.describe()} is reducible; "
+            "no rule applies",
+        )
+    threshold = k.r * k.s - k.r - k.s
+    where = f"{slope_str(eff)} on the positive T({k.r},{k.s})"
+    bar = f"rs - r - s = {int_str(threshold)}"
+    if eff.p >= threshold * eff.q:
+        return LOSlopeVerdict(
+            LOStatus.NOT_LO,
+            LORule.LSPACE_INTERVAL,
+            f"{where} satisfies p/q >= {bar}: an L-space "
+            "filling, hence not left-orderable (Boyer-Gordon-Watson)",
+        )
+    return LOSlopeVerdict(
+        LOStatus.LO,
+        LORule.LSPACE_INTERVAL,
+        f"{where} satisfies p/q < {bar}: not an L-space, "
+        "and the filling is Seifert fibred, hence left-orderable "
+        "(Boyer-Gordon-Watson)",
+    )
+
+
+def _outcome(verdict, piece, alpha):
+    try:
+        return verdict(piece, alpha)
+    except (ValueError, OverflowError) as error:
+        return type(error), str(error)
+
+
+def test_lspace_verdict_matches_its_oracle():
+    # Byte for byte, on mirrors, on slopes out of normal form, and past the
+    # digit limit, where both raise int_str's OverflowError.
+    big = 10**2200
+    pieces = [TorusKnotPiece(r, s, c) for r, s in ((2, 3), (2, 5), (3, 4), (5, 7))
+              for c in (1, -1)]
+    pieces += [TorusKnotPiece(big + 1, big + 3, 1), TorusKnotPiece(2, 10**4299 + 1, -1)]
+    slopes = list(primitive_slopes(15))
+    slopes += [Slope(-p, -q) for p, q in slopes]
+    slopes += [Slope(-1, 0), Slope(2, 4), Slope(0, 0), Slope(0, -1), Slope(6, 1),
+               Slope(-6, 1), Slope(35, 1), Slope(-35, 1), Slope(10**4299, 1),
+               Slope(-(10**4299), 3), Slope(10**4300, 1)]
+    for piece in pieces:
+        for alpha in slopes:
+            got = _outcome(torus_knot_lspace_verdict, piece, alpha)
+            want = _outcome(_lspace_oracle, piece, alpha)
+            assert (type(got), got) == (type(want), want), (piece, alpha)
+    # the digit limit is reached on both sides of the oracle's parts
+    assert _outcome(torus_knot_lspace_verdict, pieces[-2], Slope(3, 1))[0] is OverflowError
+    assert _outcome(torus_knot_lspace_verdict, TREFOIL, Slope(10**4300, 1))[0] is OverflowError
+
+
 def _renormalizing_verdict(piece, alpha: Slope) -> LOSlopeVerdict:
     """The rule table with every slope renormalized through ``make_slope``
     and every verdict built through the class: the oracle of
@@ -206,7 +268,7 @@ def _renormalizing_verdict(piece, alpha: Slope) -> LOSlopeVerdict:
                 f"{slope_str(alpha)} filling of {piece.describe()} closes to "
                 f"{closed.describe()}: " + verdict.evidence,
             )
-        return torus_knot_lspace_verdict(piece, alpha)
+        return _lspace_oracle(piece, alpha)
 
     if alpha.p == 0 and piece.prime_zero_filling:
         return LOSlopeVerdict(
@@ -225,13 +287,6 @@ def _renormalizing_verdict(piece, alpha: Slope) -> LOSlopeVerdict:
     return LOSlopeVerdict(
         LOStatus.UNKNOWN, None, f"no rule applies at {slope_str(alpha)}"
     )
-
-
-def _outcome(verdict, piece, alpha):
-    try:
-        return verdict(piece, alpha)
-    except ValueError as error:
-        return type(error), str(error)
 
 
 def test_slope_verdict_matches_the_renormalizing_oracle():
@@ -268,15 +323,20 @@ def _no_answer_tree() -> SpliceTree:
 
 def test_the_walk_skips_make_slope_and_the_verdict_class(monkeypatch):
     # The walk generates slopes in normal form, so the rule table reads them
-    # as given; verdicts skip NamedTuple's __new__ (``LOSlopeVerdict``).
-    made, built = [], []
+    # as given; verdicts and the walk's slopes skip NamedTuple's __new__
+    # (``LOSlopeVerdict``).
+    made, built, slopes_built = [], [], []
     monkeypatch.setattr(seifert, "make_slope",
                         lambda p, q: made.append((p, q)) or make_slope(p, q))
     class_new = LOSlopeVerdict.__new__
     monkeypatch.setattr(LOSlopeVerdict, "__new__",
                         lambda cls, *fields: built.append(fields) or class_new(cls, *fields))
+    slope_new = Slope.__new__
+    monkeypatch.setattr(Slope, "__new__", lambda cls, *fields: (
+        slopes_built.append(fields) or slope_new(cls, *fields)))
     assert certificate_search(_no_answer_tree(), search_bound=30).status is LOStatus.UNKNOWN
-    assert made == [] and built == []
+    assert made == [] and built == [] and slopes_built == []
+    assert Slope(2, 3) == (2, 3) and slopes_built == [(2, 3)]  # the class still counts
     # On a torus knot only zhs_lo_status, at |p| = 1, builds through the
     # class.
     walk = list(primitive_slopes(12))
@@ -285,6 +345,25 @@ def test_the_walk_skips_make_slope_and_the_verdict_class(monkeypatch):
         for alpha in walk:
             slope_lo_verdict(piece, alpha)
         assert len(built) == sum(abs(p) == 1 for p, _ in walk)
+
+
+def test_torus_first_walk_make_slope_count(monkeypatch):
+    # With the torus knot on side a, torus_knot_lspace_verdict renormalizes
+    # the mirrored slope of every walked slope past the B1 and |p| = 1
+    # rules (1,050 at bound 30), and the walk normalizes the image of every
+    # LO slope of side a: the splice longitude and 833 walked slopes.
+    tree = SpliceTree(tuple(reversed(_no_answer_tree().nodes)), (SpliceEdge(0, 1, SPLICE),))
+    walk = list(primitive_slopes(30))
+    lspace = [tuple(a) for a in walk if abs(a.p) > 1]
+    lo = [a for a in walk if slope_lo_verdict(tree.nodes[0], a).status is LOStatus.LO]
+    assert (len(lspace), len(lo)) == (1_050, 833)
+    made = []
+    monkeypatch.setattr(seifert, "make_slope",
+                        lambda p, q: made.append((p, q)) or make_slope(p, q))
+    assert certificate_search(tree, search_bound=30).status is LOStatus.UNKNOWN
+    images = [(1, 0)] + [(q, p) for p, q in lo]
+    assert sorted(made) == sorted(lspace + images)
+    assert len(made) == 1_884
 
 
 def test_closed_pieces_have_no_slopes():
@@ -393,16 +472,20 @@ def test_enumerate_slopes_order():
 
 def test_search_generates_slopes_lazily(monkeypatch):
     # The double trefoil certifies at -1/1, the second enumerated slope, so
-    # even a huge bound must build only a few slopes before the witness.
-    made = []
+    # even a huge bound must draw only a few slopes from the walk before the
+    # witness.
+    drawn = []
+    real_walk = seifert.primitive_slopes
 
-    def counting_slope(p, q):
-        made.append((p, q))
-        assert len(made) < 100, "the search built slopes past its witness"
-        return Slope(p, q)
+    def counting_walk(bound):
+        for slope in real_walk(bound):
+            drawn.append(slope)
+            assert len(drawn) < 100, "the search drew slopes past its witness"
+            yield slope
 
-    monkeypatch.setattr("locert.slopes.Slope", counting_slope)
+    monkeypatch.setattr(seifert, "primitive_slopes", counting_walk)
     outcome = certificate_search(_double_trefoil(), search_bound=10**9)
+    assert 0 < len(drawn) < 100
     monkeypatch.undo()
     assert outcome.certificate == dict(
         certificate_search(_double_trefoil(), search_bound=3).certificate,
