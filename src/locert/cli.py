@@ -109,18 +109,11 @@ def _braid_compare(args, payload):
 
 def _braid_reduce(args, payload):
     from . import braid
-    from .words import word_power
 
     word = braid.parse_word(args.word)
-    payload.update(word=braid.word_str(word), reduced=None, trivial=None)
-    peripheral = braid.peripheral_parse(word)
-    if peripheral is not None and peripheral.l == 0:
-        # s2^k: no word of it holds s1 with one sign only (Dehornoy's
-        # trichotomy), so handle reduction ends at s2^k itself
-        reduced = word_power(braid.SIGMA2, peripheral.k)
-    else:
-        reduced = braid.handle_reduce(word)
-    payload.update(reduced=braid.word_str(reduced), trivial=not reduced)
+    reduced = braid.dd_normal_form(word)
+    payload.update(word=braid.word_str(word), reduced=braid.word_str(reduced),
+                   trivial=not reduced)
     return "ok"
 
 
@@ -362,10 +355,10 @@ def _build_parser() -> _Parser:
     p.add_argument("u")
     p.add_argument("v")
     p.set_defaults(handler=_braid_compare)
-    p = braid_sub.add_parser("reduce", help="handle reduction")
+    p = braid_sub.add_parser("reduce", help="Dubrovina-Dubrovin normal form")
     p.add_argument("word")
     p.set_defaults(handler=_braid_reduce, citations=[
-        "Dehornoy: handle reduction decides 1-positivity"])
+        "Dubrovina-Dubrovin 2001: a = s1 s2 and b = s2^-1 generate the positive cone"])
     p = braid_sub.add_parser("floor", help="Delta^2 floor in the DD ordering")
     p.add_argument("word")
     p.set_defaults(handler=_braid_floor, citations=[

@@ -171,24 +171,34 @@ MUTANTS = [
         ["slope", "delta", "--", "1" + "0" * 2200 + "/1", "1/1" + "0" * 2200],
         f"{_GOLDEN}[slope_delta_too_large]",
     ),
-    # a handle s1^e s2^m s1^-e becomes s2^-e s1^m s2^e, not s2^e s1^m s2^-e
+    # on the ray (1, 1) the remainder a^-1 r is s2^(e - 2), which is >= 1 iff
+    # e - 2 <= 0: the tie that ``braid_reduce`` meets
     Mutant(
-        "handle_rewrite_conjugator_sign",
+        "dd_peel_base_ray_tie",
         "src/locert/braid.py",
-        "(e1 - sgn, -sgn, m, sgn, e2 + sgn)",
-        "(e1 - sgn, sgn, m, -sgn, e2 + sgn)",
+        "not nx and e <= 2",
+        "not nx and e < 2",
         ["braid", "reduce", "abAbaBBAbaBabA"],
         f"{_GOLDEN}[braid_reduce]",
     ),
-    # the next handle is looked for from the triple at low - 2; from low - 3
-    # it can be one that a merge into syllable low - 1 completed
+    # a negative braid's form is the inverse of its inverse's peel
     Mutant(
-        "handle_resume_triple",
+        "dd_negative_inverts_the_peel",
         "src/locert/braid.py",
-        "start = low - 2 if low > 2 else 0",
-        "start = low - 3 if low > 3 else 0",
+        "return invert_word(_peel(*_lift(inverse, _BASE), -k))",
+        "return _peel(*_lift(inverse, _BASE), -k)",
         ["braid", "reduce", "BABABAbAbaBBAbB"],
         f"{_GOLDEN}[braid_reduce_order]",
+    ),
+    # only the base ray, not the whole base line, marks a power of s2:
+    # s2^k Delta^2l with l != 0 is peeled
+    Mutant(
+        "dd_base_line_is_not_the_base_ray",
+        "src/locert/braid.py",
+        "if not x and not h:",
+        "if not x:",
+        ["braid", "reduce", "bbabaaba"],
+        f"{_GOLDEN}[braid_reduce_peripheral]",
     ),
     # every str.isspace character is dropped, not only the space
     Mutant(

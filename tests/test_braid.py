@@ -1,4 +1,4 @@
-"""B3 word problem, handle reduction, and the DD ordering."""
+"""B3 word problem, handle reduction, the DD ordering and its normal form."""
 
 import random
 import re
@@ -6,6 +6,8 @@ import sys
 from itertools import groupby
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locert import braid
 from locert.braid import (
@@ -17,6 +19,7 @@ from locert.braid import (
     commutes_with_sigma2,
     conj_sign,
     dd_compare,
+    dd_normal_form,
     dd_sign,
     delta_floor,
     exponent_sum,
@@ -959,3 +962,111 @@ def test_dd_compare_matches_the_quotient_word():
         seen.add(order)
     assert mismatches == []
     assert seen == set(Ordering)
+
+
+# --- the DD normal form ----------------------------------------------------
+
+# The generators of the DD positive cone, as s1 and s2 letters.
+_PEEL_A = parse_word("ab")  # a = s1 s2
+_PEEL_B = parse_word("B")  # b = s2^-1
+
+
+def _peel_oracle(word):
+    """The DD normal form by its definition, slowly: while the remainder r
+    is not 1, peel a if a^-1 r >= 1 and b otherwise.  Each remainder's sign
+    is read as ``dd_sign`` reads it, at the lifted point that ``_lift``
+    walks on by the inverse letters of the peeled piece.  The pieces are
+    joined and freely reduced at the end, powers of s2 peel b by b, and a
+    negative braid is the inverse of its inverse's form."""
+    if dd_sign(word) is Sign3.NEGATIVE:
+        return invert_word(_peel_oracle(invert_word(word)))
+    point, k = braid._lift(word, braid._BASE), exponent_sum(word)
+    peeled = ()
+    while (point, k) != (braid._BASE, 0):
+        for piece in (_PEEL_A, _PEEL_B):
+            rest = braid._lift(invert_word(piece), point)
+            rest_k = k - exponent_sum(piece)
+            sign = braid._order(braid._BASE, rest) or braid._s2_power_sign(rest_k)
+            if sign is not Sign3.NEGATIVE:
+                break
+        else:
+            raise AssertionError(f"neither a nor b peels from {word_str(word)}")
+        peeled += piece
+        point, k = rest, rest_k
+    return free_reduce_word(peeled)
+
+
+def test_dd_normal_form_examples():
+    golden = parse_word("abAbaBBAbaBabA")
+    assert word_str(dd_normal_form(golden)) == "ababaBBBaBBBab"
+    assert dd_normal_form(invert_word(golden)) == invert_word(dd_normal_form(golden))
+    assert word_str(dd_normal_form(parse_word("abA"))) == "Bab"
+    assert dd_normal_form(BRAID_RELATOR) == ()
+    assert dd_normal_form(()) == ()
+    for k in (-3, -1, 1, 4):
+        assert dd_normal_form(word_power(SIGMA2, k)) == word_power(SIGMA2, k)
+        # s1 = a b and s1 s2^-1 = a b b are greedy words already
+        assert dd_normal_form(word_power(SIGMA1, k)) == word_power(SIGMA1, k)
+        assert dd_normal_form(_alternating(k)) == _alternating(k)
+    # Delta^2 = a^3
+    assert dd_normal_form(word_power(DELTA_SQ, 2)) == word_power(_PEEL_A, 6)
+
+
+def _normal_form_words():
+    rng = random.Random(2030)
+    words = [random_braid_word(rng, 40) for _ in range(1500)]
+    words += [_planted_trivial(rng, 60) for _ in range(100)]
+    words += [_planted_central(rng, rng.randint(0, 120)) + word_power(SIGMA2, k)
+              + word_power(DELTA_SQ, l) for k in range(-4, 5) for l in range(-2, 3)]
+    words += [_random_word(rng, 300, 600) for _ in range(20)]
+    return words
+
+
+def test_dd_normal_form_matches_peel_oracle_on_random_words():
+    words = _normal_form_words()
+    mismatches = [word_str(w) for w in words if dd_normal_form(w) != _peel_oracle(w)]
+    assert mismatches == []
+    signs = {dd_sign(w) for w in words}
+    assert signs == set(Sign3)
+
+
+def test_dd_normal_form_of_handle_reduction():
+    # handle reduction's word is the same braid, so it has the same form
+    rng = random.Random(2031)
+    words = _normal_form_words() + _long_words(rng, 8, 512, 4096)
+    mismatches = [word_str(w) for w in words
+                  if dd_normal_form(handle_reduce(w)) != dd_normal_form(w)]
+    assert mismatches == []
+
+
+def test_dd_normal_form_alternating_family_matches_oracle():
+    # (s1 s2^-1)^n at 8,192 letters, the worst case of the lift's operands
+    word = _alternating(4096)
+    assert len(word) == 8192
+    assert dd_normal_form(word) == _peel_oracle(word) == word
+    assert dd_normal_form(invert_word(word)) == invert_word(word)
+
+
+_LETTER = st.sampled_from((1, -1, 2, -2))
+# Words that are 1 in B3, each inserted at one place of the input.
+_TRIVIAL_INSERTS = [BRAID_RELATOR, invert_word(BRAID_RELATOR),
+                    (1, -1), (-1, 1), (2, -2), (-2, 2)]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(_LETTER, max_size=40), st.data())
+def test_dd_normal_form_is_a_normal_form(letters, data):
+    word = tuple(letters)
+    form = dd_normal_form(word)
+    assert is_trivial(invert_word(form) + word)
+    assert len({x > 0 for x in form if abs(x) == 1}) <= 1
+    assert form == free_reduce_word(form)
+    # a relator or a cancelling pair at one place, or Delta^2 at one place
+    # and Delta^-2 at another (Delta^2 is central): the same braid
+    cut = data.draw(st.integers(0, len(word)))
+    insert = data.draw(st.sampled_from(_TRIVIAL_INSERTS))
+    assert dd_normal_form(word[:cut] + insert + word[cut:]) == form
+    lo, hi = sorted(data.draw(st.integers(0, len(word))) for _ in range(2))
+    central = (word[:lo] + DELTA_SQ + word[lo:hi] + word_power(DELTA_SQ, -1)
+               + word[hi:])
+    assert dd_normal_form(central) == form

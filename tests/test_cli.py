@@ -5,7 +5,6 @@ import io
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from bundled import data_file, data_path
 from locert import alexander, braid, compat, fpgroup, klein, seifert, slopes
 from locert.cli import _build_parser, run
 from locert.sampling import random_braid_word
-from locert.words import int_str, word_power
+from locert.words import int_str, invert_word, word_power
 from test_braid import DELTA_SQ, _planted_central
 from test_cli_golden import _RUNTIME, CASES, INPUTS, capture
 
@@ -273,7 +272,7 @@ def _raiser(exc):
     return handler
 
 
-@pytest.mark.parametrize("layer, command", [("handle_reduce", "reduce"),
+@pytest.mark.parametrize("layer, command", [("dd_normal_form", "reduce"),
                                             ("delta_floor", "floor")])
 def test_braid_caps_are_input_errors(monkeypatch, capsys, layer, command):
     monkeypatch.setattr(braid, layer, _raiser(ValueError("cap hit")))
@@ -281,30 +280,11 @@ def test_braid_caps_are_input_errors(monkeypatch, capsys, layer, command):
     assert capsys.readouterr().err == "error: cap hit\n"
 
 
-# ``braid reduce`` is the one command that runs handle reduction
-_STEP_CAPPED = {
-    "braid reduce": (["braid", "reduce", "abA"],
-                     {"word": "abA", "reduced": None, "trivial": None}),
-}
-
-
-@pytest.mark.parametrize("command", sorted(_STEP_CAPPED))
-def test_step_cap_is_inconclusive(monkeypatch, command):
-    # a compute budget, not bad input: the result keys are null and the
-    # reason is the cap's message
-    argv, payload = _STEP_CAPPED[command]
-    monkeypatch.setattr(braid, "STEP_CAP", 0)
-    code, result = _run(argv)
-    assert code == 2 and result["status"] == "inconclusive"
-    reason = result["payload"].pop("reason")
-    assert re.fullmatch(r"handle reduction exceeded 0 steps on a word of \d+ letters",
-                        reason)
-    assert result["payload"] == payload
-
-
+# Every command that reads the DD order; none runs handle reduction.
 _ORDER_QUERIES = {
     "braid sign": ["braid", "sign", "abA"],
     "braid compare": ["braid", "compare", "A", "bA"],
+    "braid reduce": ["braid", "reduce", "abA"],
     "braid floor": ["braid", "floor", "abA"],
     "verify proposition-4-3": ["verify", "proposition-4-3", "--samples", "1",
                                "--grid-bound", "1"],
@@ -313,30 +293,18 @@ _ORDER_QUERIES = {
 
 @pytest.mark.parametrize("command", sorted(_ORDER_QUERIES))
 def test_step_cap_does_not_reach_the_order(monkeypatch, command):
-    # the DD order is read from the lift, which has no step cap: a word that
-    # handle reduction gives up on still gets its answer
+    # the DD order and the normal form are read from the lift, which has no
+    # step cap: a word that handle reduction gives up on still gets its answer
     argv = _ORDER_QUERIES[command]
     code, uncapped = _run(argv)
     monkeypatch.setattr(braid, "STEP_CAP", 0)
-    assert _run(["braid", "reduce", "abA"])[0] == 2
+    with pytest.raises(OverflowError, match="handle reduction exceeded 0 steps"):
+        braid.handle_reduce(braid.parse_word("abA"))
     capped_code, capped = _run(argv)
     assert code == capped_code == 0
     for result in (uncapped, capped):
         del result["runtime_ms"]
     assert capped == uncapped
-
-
-def _reduce_calls(monkeypatch):
-    """Record each word ``braid reduce`` hands to handle reduction."""
-    calls = []
-    real = braid.handle_reduce
-
-    def spy(word):
-        calls.append(word)
-        return real(word)
-
-    monkeypatch.setattr(braid, "handle_reduce", spy)
-    return calls
 
 
 def _reduced(word):
@@ -347,43 +315,56 @@ def _reduced(word):
 
 def test_reduce_answers_powers_of_sigma2_from_the_lift(monkeypatch):
     # planted-trivial words times s2^k: the lift's s2^k is the word handle
-    # reduction ends at, and handle reduction is not run
+    # reduction ends at too, and nothing is peeled
     rng = random.Random(2013)
     words = [_planted_central(rng, rng.randint(0, 1142))
              + word_power(braid.SIGMA2, k)
              for k in range(-5, 6) for _ in range(6)]
     assert max(len(w) for w in words) <= 2005
     expected = [braid.word_str(braid.handle_reduce(w)) for w in words]
-    calls = _reduce_calls(monkeypatch)
+    assert expected == [braid.word_str(word_power(braid.SIGMA2, k))
+                        for k in range(-5, 6) for _ in range(6)]
+    monkeypatch.setattr(braid, "_peel", _raiser(AssertionError("peeled")))
     assert [_reduced(w) for w in words] == expected
-    assert calls == []
 
 
-def test_reduce_runs_handle_reduction_outside_sigma2(monkeypatch):
-    # s2^k Delta^2l with l != 0 lies in <s2, Delta^2> but not in <s2>
+def test_reduce_peels_the_peripheral_subgroup_outside_sigma2():
+    # s2^k Delta^2l with l != 0 lies in <s2, Delta^2> but not in <s2>: its
+    # word depends on (k, l) only, holds s1 with the sign of l, and is the
+    # normal form of handle reduction's word
     rng = random.Random(2014)
-    words = [_planted_central(rng, rng.randint(0, 200))
-             + word_power(braid.SIGMA2, k) + word_power(DELTA_SQ, l)
-             for k in range(-5, 6) for l in (-2, -1, 1, 2)]
-    expected = [braid.word_str(braid.handle_reduce(w)) for w in words]
-    calls = _reduce_calls(monkeypatch)
-    assert [_reduced(w) for w in words] == expected
-    assert calls == words
+    for k in range(-5, 6):
+        for l in (-2, -1, 1, 2):
+            element = word_power(braid.SIGMA2, k) + word_power(DELTA_SQ, l)
+            words = [_planted_central(rng, rng.randint(0, 200)) + element
+                     for _ in range(3)]
+            reduced = {_reduced(w) for w in words}
+            assert reduced == {braid.word_str(braid.dd_normal_form(
+                braid.handle_reduce(w))) for w in words}
+            (text,) = reduced
+            assert braid.peripheral_parse(words[0]) == (k, l)
+            assert braid.is_trivial(braid.parse_word(text) + invert_word(element))
+            assert set(text) & {"a", "A"} == {"a" if l > 0 else "A"}
 
 
 def test_reduce_matches_handle_reduction_on_random_words():
+    # the same braid as handle reduction's word, and the same word as its
+    # normal form
     rng = random.Random(2015)
     words = [random_braid_word(rng, 40) for _ in range(1000)]
     in_sigma2 = [braid.peripheral_parse(w) for w in words]
     assert sum(p is not None and p.l == 0 for p in in_sigma2) >= 50
     for word in words:
-        assert _reduced(word) == braid.word_str(braid.handle_reduce(word))
+        handled = braid.handle_reduce(word)
+        reduced = braid.parse_word(_reduced(word))
+        assert braid.is_trivial(reduced + invert_word(handled))
+        assert reduced == braid.dd_normal_form(handled)
 
 
 def test_reduce_answers_sigma2_powers_past_the_step_cap(monkeypatch):
-    # a documented correctness change: a word in <s2> past the step cap used
-    # to answer inconclusive; a word outside <s2> still does.  The cap is
-    # lowered here; test_braid runs a planted word past the real one.
+    # ``braid reduce`` runs no handle reduction, so no word meets the step
+    # cap, in <s2> or outside it.  The cap is lowered here; test_braid runs a
+    # planted word past the real one.
     monkeypatch.setattr(braid, "STEP_CAP", 100)
     word = _planted_central(random.Random(2012), 480)
     assert len(word) == 840
@@ -396,7 +377,7 @@ def test_reduce_answers_sigma2_powers_past_the_step_cap(monkeypatch):
     code, result = _run(["braid", "reduce", "abaBA"])
     assert code == 0 and result["payload"]["reduced"] == "b"
     code, result = _run(["braid", "reduce", "abA"])
-    assert code == 2 and result["status"] == "inconclusive"
+    assert code == 0 and result["payload"]["reduced"] == "Bab"
 
 
 _S3 = str(INPUTS / "s3.json")
@@ -406,7 +387,7 @@ _TREE = data_path("double_trefoil_splice.json")
 _PROBES = {
     "braid sign": (["braid", "sign", "aB"], braid, "dd_sign"),
     "braid compare": (["braid", "compare", "a", "b"], braid, "dd_compare"),
-    "braid reduce": (["braid", "reduce", "abA"], braid, "handle_reduce"),
+    "braid reduce": (["braid", "reduce", "abA"], braid, "dd_normal_form"),
     "braid floor": (["braid", "floor", "abA"], braid, "delta_floor"),
     "klein fill": (["klein", "fill", "2", "3"], klein, "klein_fill"),
     "klein sign": (["klein", "sign", "x y"], klein, "k_sign"),
@@ -479,7 +460,7 @@ def test_other_runtime_errors_surface(monkeypatch):
     # only ValueError and OSError are input errors; anything else is a fault
     # of the program and must not print as one
     for exc in (KeyError("k"), RuntimeError("r"), RecursionError("deep")):
-        monkeypatch.setattr(braid, "handle_reduce", _raiser(exc))
+        monkeypatch.setattr(braid, "dd_normal_form", _raiser(exc))
         with pytest.raises(type(exc)):
             run(["braid", "reduce", "ab"])
 

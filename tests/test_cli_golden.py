@@ -56,13 +56,17 @@ CASES: dict[str, list[str]] = {
     "braid_compare": ["braid", "compare", "b", ""],
     # the second "--" is the word v: argparse used to drop it, so v was empty
     "braid_compare_double_dash": ["braid", "compare", "--", "a", "--"],
+    # the DD normal form: a before b, at the ray (1, 1) too
     "braid_reduce": ["braid", "reduce", "abAbaBBAbaBabA"],
-    # pins the handle order: the strictly leftmost order gives "ABBBBBA"
+    # a DD-negative braid: the inverse of its inverse's form
     "braid_reduce_order": ["braid", "reduce", "BABABAbAbaBBAbB"],
-    # braids in <s2>: handle reduction ends at the power of s2 the lift reads
+    "braid_reduce_inverse": ["braid", "reduce", "aBAbABabbABaBA"],
+    # braids in <s2>: the power of s2 the lift reads
     "braid_reduce_sigma2": ["braid", "reduce", "abaBA"],
     "braid_reduce_relator": ["braid", "reduce", "abaBAB"],
     "braid_reduce_sigma2_cubed": ["braid", "reduce", "abaBAbb"],
+    # s2^2 Delta^2 maps the base line to itself but is not a power of s2
+    "braid_reduce_peripheral": ["braid", "reduce", "bbabaaba"],
     "braid_floor": ["braid", "floor", "abABab" * 3],
     "braid_bad_letter": ["braid", "sign", "xyz"],
     # whitespace is dropped before parsing, and the payload echoes the word

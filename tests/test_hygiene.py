@@ -60,6 +60,9 @@ TEST_ONLY_EXPORTS = {
     "fpgroup.py: check_closed_table",
     # |Delta(-1)|, the 2-fold cover order by direct evaluation
     "alexander.py: evaluate_at_int",
+    # membership in the peripheral subgroup <s2, Delta^2> of Proposition
+    # 4.3, with its coordinates (k, l)
+    "braid.py: peripheral_parse",
 }
 
 
@@ -570,7 +573,7 @@ def test_layer_imports_are_pinned():
 # The per-item kernels: each reads Enum members from module constants bound
 # at import, never through the Enum class (the convention at ``words.Sign3``).
 ENUM_FREE_KERNELS = {
-    "braid": ("_order", "_s2_power_sign", "conj_sign"),
+    "braid": ("_order", "_s2_power_sign", "conj_sign", "dd_normal_form", "_peel"),
     "klein": ("k_sign",),
     "compat": ("verify_compatibility",),
     "seifert": ("slope_lo_verdict", "torus_knot_lspace_verdict", "zhs_lo_status",
