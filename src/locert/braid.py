@@ -67,6 +67,7 @@ __all__ = [
     "PeripheralElement",
     "SIGMA1",
     "SIGMA2",
+    "read_word",
     "parse_word",
     "word_str",
     "exponent_sum",
@@ -87,7 +88,9 @@ __all__ = [
 STEP_CAP = 1_000_000
 
 _LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
-_CHAR_OF_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
+# ``word_str``'s table: the byte letter + 2 to its character (-2, -1, 1, 2 to
+# B, A, a, b), and every other byte to 0xFF, which no ASCII decode accepts.
+_CHAR_OF_BYTE = b"BA\xffab" + b"\xff" * 251
 
 
 class Ordering(Enum):
@@ -103,21 +106,34 @@ class PeripheralElement(NamedTuple):
     l: int
 
 
-def parse_word(text: str) -> GroupWord:
-    """Parse ASCII braid syntax (a/A/b/B, whitespace ignored).
+def read_word(text: str) -> tuple[str, GroupWord]:
+    """Parse ASCII braid syntax (a/A/b/B, whitespace ignored): ``text`` with
+    its whitespace removed, and the word it spells.
 
     ``str.split`` drops exactly the characters that ``str.isspace`` calls
     whitespace, and the letters map through one dict lookup each, in C.  The
-    first character that is neither raises ValueError.
+    first character that is neither raises ValueError.  Each letter is one
+    character, so the text returned is ``word_str`` of the word.
     """
+    compact = "".join(text.split())
     try:
-        return tuple(map(_LETTER_OF_CHAR.__getitem__, "".join(text.split())))
+        return compact, tuple(map(_LETTER_OF_CHAR.__getitem__, compact))
     except KeyError as exc:
         raise ValueError(f"invalid braid letter {exc.args[0]!r}") from None
 
 
+def parse_word(text: str) -> GroupWord:
+    """The word that ``text`` spells, as ``read_word`` parses it."""
+    return read_word(text)[1]
+
+
 def word_str(word: GroupWord) -> str:
-    return "".join(map(_CHAR_OF_LETTER.__getitem__, word))
+    """The ASCII syntax of ``word``, built in C: each letter plus 2 is a byte
+    in 0..4, which ``bytes.translate`` maps to its character.  Any other
+    integer raises ValueError, from ``bytes`` when it plus 2 lies outside
+    0..255, and from the ASCII decode of the 0xFF it maps to otherwise.
+    """
+    return bytes(map((2).__add__, word)).translate(_CHAR_OF_BYTE).decode("ascii")
 
 
 SIGMA1: GroupWord = (1,)
@@ -563,9 +579,10 @@ def _peel(x: int, y: int, h: int, e: int) -> GroupWord:
     Cost: O(1) integer operations a peel, and about as many peels as
     letters.  The operands are the lift's, so the cost is O(L^2) bit
     operations at worst, which (s1 s2^-1)^n reaches: ``braid reduce`` took
-    0.011, 0.071 and 0.87 s in process on it at 8,192, 32,768 and 131,070
-    letters (the longest such word an argv string holds), and about 2.3 ms
-    on a random word of 8,192 letters (CPython 3.11.7, a 2-CPU Xeon host).
+    0.007, 0.067 and 0.80-0.84 s in process on it at 8,192, 32,768 and
+    131,070 letters (the longest such word an argv string holds), and about
+    2.5 ms on a random word of 8,192 letters (CPython 3.11.7, a 2-CPU Xeon
+    host).
     """
     out: list[int] = []
     while x or h or e:

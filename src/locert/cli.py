@@ -91,10 +91,11 @@ def _load_json(path: str) -> dict:
 
 
 def _braid_sign(args, payload) -> str:
+    """The DD sign; the word echoed is the input with whitespace removed."""
     from . import braid
 
-    word = braid.parse_word(args.word)
-    payload.update(word=braid.word_str(word), sign=braid.dd_sign(word).value)
+    text, word = braid.read_word(args.word)
+    payload.update(word=text, sign=braid.dd_sign(word).value)
     return "ok"
 
 
@@ -108,12 +109,13 @@ def _braid_compare(args, payload):
 
 
 def _braid_reduce(args, payload):
+    """The DD normal form; the word echoed is the input with whitespace
+    removed, and only the normal form is rendered."""
     from . import braid
 
-    word = braid.parse_word(args.word)
+    text, word = braid.read_word(args.word)
     reduced = braid.dd_normal_form(word)
-    payload.update(word=braid.word_str(word), reduced=braid.word_str(reduced),
-                   trivial=not reduced)
+    payload.update(word=text, reduced=braid.word_str(reduced), trivial=not reduced)
     return "ok"
 
 

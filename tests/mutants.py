@@ -200,6 +200,15 @@ MUTANTS = [
         ["braid", "reduce", "bbabaaba"],
         f"{_GOLDEN}[braid_reduce_peripheral]",
     ),
+    # word_str's table maps each letter to its own character
+    Mutant(
+        "word_str_table_swaps_a_and_b",
+        "src/locert/braid.py",
+        'b"BA\\xffab"',
+        'b"BA\\xffba"',
+        ["braid", "reduce", "abAbaBBAbaBabA"],
+        f"{_GOLDEN}[braid_reduce]",
+    ),
     # every str.isspace character is dropped, not only the space
     Mutant(
         "parse_word_split_on_space",

@@ -679,18 +679,36 @@ def test_parse_word_matches_the_per_character_loop():
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
             outcome = _parse_outcome(parse_word, text)
             assert outcome == _parse_outcome(_oracle_parse_word, text), repr(text)
+            if type(outcome) is tuple:
+                # the text read_word returns is the input without whitespace
+                spelled = "".join(c for c in text if not c.isspace())
+                assert braid.read_word(text) == (spelled, outcome)
             outcomes.add(type(outcome))
     assert outcomes == {tuple, str}
 
 
+# word_str's oracle: one dict lookup per letter
+_CHAR_OF_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
+
+
 def test_exponent_sum_and_word_str_match_the_letter_loops():
     rng = random.Random(2017)
-    words = [random_braid_word(rng, 60) for _ in range(2000)]
-    words += [_random_word(rng, 2000, 9000) for _ in range(4)]
+    words = [(), *((x,) for x in _CHAR_OF_LETTER)]
+    words += [random_braid_word(rng, 60) for _ in range(2000)]
+    words += [_random_word(rng, 2000, 10_000) for _ in range(6)]
+    words.append(_random_word(rng, 10_000, 10_000))
     for word in words:
         assert exponent_sum(word) == _oracle_exponent_sum(word)
-        assert word_str(word) == "".join(braid._CHAR_OF_LETTER[x] for x in word)
+        assert word_str(word) == "".join(_CHAR_OF_LETTER[x] for x in word)
         assert parse_word(word_str(word)) == word
+
+
+@pytest.mark.parametrize("bad", [0, 3, -3, 252, 253, 254, -2 ** 70])
+def test_word_str_refuses_a_non_letter(bad):
+    # as the dict lookup did, a non-letter anywhere raises, never renders
+    for word in ((bad,), (1, -2, bad), (bad, 2) * 3):
+        with pytest.raises(ValueError):
+            word_str(word)
 
 
 def test_delta_floor_matches_oracle():

@@ -307,6 +307,25 @@ def test_step_cap_does_not_reach_the_order(monkeypatch, command):
     assert capped == uncapped
 
 
+def test_braid_sign_and_reduce_render_only_the_normal_form(monkeypatch):
+    # the echo is the parsed text, so word_str runs only on the normal form
+    calls = []
+    render = braid.word_str
+
+    def counted(word):
+        calls.append(word)
+        return render(word)
+
+    monkeypatch.setattr(braid, "word_str", counted)
+    text = " abAbaBB\tAbaBabA "
+    code, result = _run(["braid", "sign", text])
+    assert code == 0 and result["payload"]["word"] == "abAbaBBAbaBabA"
+    assert calls == []
+    code, result = _run(["braid", "reduce", text])
+    assert code == 0 and result["payload"]["word"] == "abAbaBBAbaBabA"
+    assert calls == [braid.parse_word(result["payload"]["reduced"])]
+
+
 def _reduced(word):
     code, result = _run(["braid", "reduce", braid.word_str(word)])
     assert code == 0, result

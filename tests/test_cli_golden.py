@@ -72,6 +72,9 @@ CASES: dict[str, list[str]] = {
     # whitespace is dropped before parsing, and the payload echoes the word
     # as parsed
     "braid_sign_whitespace": ["braid", "sign", " a\tb A \n"],
+    # the echo drops every str.isspace character, as parsing does: here the
+    # no-break, em and ideographic spaces
+    "braid_sign_unicode_whitespace": ["braid", "sign", "a\u00a0b\u2003A\u3000B"],
     # the first bad letter is named, past the spaces before it
     "braid_bad_letter_after_space": ["braid", "sign", "ab c"],
     # klein
