@@ -5,7 +5,8 @@ Modules by subject:
 
 * ``braid``     - B3 word problem, handle reduction, the Dubrovina-
                   Dubrovin ordering (read from the lifted SL(2, Z) action)
-                  and its conjugates, and the peripheral subgroup of the
+                  and its conjugates, the DD normal form that ``braid
+                  reduce`` prints, and the peripheral subgroup of the
                   trefoil exterior
 * ``klein``     - the Klein-bottle group, its two distinguished
                   orderings, and fillings of the twisted I-bundle

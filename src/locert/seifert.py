@@ -484,22 +484,21 @@ def torus_knot_lspace_verdict(k: TorusKnotPiece, alpha: Slope) -> LOSlopeVerdict
     ))
 
 
-def slope_lo_verdict(piece: Piece, alpha: Slope) -> LOSlopeVerdict:
+def slope_lo_verdict(
+    piece: TorusKnotPiece | UserPiece, alpha: Slope
+) -> LOSlopeVerdict:
     """Dispatch over the rule table; first applicable rule wins.  A torus
     knot exterior tries B1Rule at 0/1, ZHSClassification at |p| = 1, then
     LSpaceInterval; a user piece tries B1Rule at 0/1 under its primeness
     flag, then UserAsserted, and is UNKNOWN elsewhere.
 
-    A slope already in normal form (as the slope walk generates them) is
-    read as given; any other goes through ``make_slope``, which normalizes
-    it or refuses it."""
-    if isinstance(piece, BrieskornZHS):
-        raise ValueError("closed pieces have no slopes to fill")
+    Precondition, checked where each input is made, not here: ``piece`` is
+    an exterior of a tree that ``SpliceTree.components`` validated, and
+    ``alpha`` is in ``make_slope`` normal form, as every slope source gives
+    it (the slope walk, ``apply_gluing``, ``_LONGITUDE``, ``parse_slope``).
+    ``tests/test_seifert.py`` checks both on every call that the search and
+    the checker make on the golden trees and on a fuzzed batch."""
     p, q = alpha
-    if gcd(p, q) != 1 or q < 0 or (q == 0 and p < 0):
-        alpha = make_slope(p, q)
-        p, q = alpha
-
     if isinstance(piece, TorusKnotPiece):
         if p == 0:
             return _new_tuple(LOSlopeVerdict, (
@@ -676,27 +675,29 @@ def certificate_search(tree: SpliceTree, search_bound: int) -> SearchOutcome:
     _expect(search_bound >= 0,
             f"search_bound must be >= 0, got {brief_repr(search_bound)}")
     walked = min(search_bound, _MAX_SEARCH_BOUND)
-    stopped = False
-    components = []
+    stopped = walked < search_bound  # an UNKNOWN answer has an uncertified edge
+    components, statuses = [], set()
     for node_ids, edge in tree.components():
         if edge is None:
             verdict = zhs_lo_status(tree.nodes[node_ids[0]])
-            components.append(_component(tree, node_ids, verdict.status, verdict))
+            status = verdict.status
+            components.append(_component(tree, node_ids, status, verdict))
         elif pair := _certify_edge(tree, edge, walked):
-            components.append(_component(tree, node_ids, LOStatus.LO, pair=pair))
+            status = _LO
+            components.append(_component(tree, node_ids, status, pair=pair))
         else:
-            stopped = walked < search_bound
+            status = _UNKNOWN
             note = (
                 f"no slope pair with |p|, q <= {walked} verified "
                 "left-orderable on both sides"
             )
-            components.append(_component(tree, node_ids, LOStatus.UNKNOWN, note=note))
-    statuses = {LOStatus(c["status"]) for c in components}
-    if statuses <= {LOStatus.LO}:
+            components.append(_component(tree, node_ids, status, note=note))
+        statuses.add(status)
+    if statuses <= {_LO}:
         certificate = _certificate(components, search_bound)
-        return SearchOutcome(LOStatus.LO, components, certificate)
-    status = LOStatus.NOT_LO if LOStatus.NOT_LO in statuses else LOStatus.UNKNOWN
-    if stopped and status is LOStatus.UNKNOWN:
+        return SearchOutcome(_LO, components, certificate)
+    status = _NOT_LO if _NOT_LO in statuses else _UNKNOWN
+    if stopped and status is _UNKNOWN:
         raise OverflowError(
             f"no slope pair with |p|, q <= {walked} verified left-orderable "
             "on both sides, and the search stops at that cap"

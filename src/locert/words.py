@@ -4,7 +4,7 @@ A group word is a tuple of nonzero integers, +i / -i meaning the i-th
 generator (1-based) or its inverse.  This is the one word layer:
 inversion, free reduction and powers.  ``fpgroup`` writes its relators with
 them, ``braid``, ``compat`` and ``sampling`` type their B3 words here, and
-``cli`` builds powers of s2 with ``word_power``.
+``braid.dd_normal_form`` builds powers of s2 with ``word_power``.
 ``Sign3`` is the sign of an element in a left ordering, which ``braid``,
 ``klein`` and ``compat`` all read.  Past CPython's int <-> str digit
 limit, ``parse_int`` refuses an input integer (ValueError) and ``int_str``

@@ -367,6 +367,24 @@ MUTANTS = [
         ["splice", "cert", "prime_not_lo_tree.json"],
         f"{_GOLDEN}[splice_cert_prime_not_lo]",
     ),
+    # the B1 rule needs a prime 0-filling, which a user piece only asserts
+    Mutant(
+        "user_b1_needs_primeness",
+        "src/locert/seifert.py",
+        "if p == 0 and piece.prime_zero_filling:",
+        "if p == 0:",
+        ["splice", "cert", "user_zero_filling_not_prime_tree.json"],
+        f"{_GOLDEN}[splice_cert_user_zero_filling_not_prime]",
+    ),
+    # p/q = rs - r - s is an L-space filling: the interval is closed
+    Mutant(
+        "lspace_threshold_inclusive",
+        "src/locert/seifert.py",
+        "not_lo = eff.p >= threshold * eff.q",
+        "not_lo = eff.p > threshold * eff.q",
+        ["splice", "cert", "lspace_threshold_tree.json", "--bound", "3"],
+        f"{_GOLDEN}[splice_cert_lspace_threshold]",
+    ),
 ]
 
 _COPIED = ("src", "tests", "perfbench", "pyproject.toml")

@@ -54,6 +54,9 @@ CASES: dict[str, list[str]] = {
     "braid_sign": ["braid", "sign", "aB"],
     "braid_sign_text": ["--format", "text", "braid", "sign", "B"],
     "braid_compare": ["braid", "compare", "b", ""],
+    # aba = bab, and the trivial word lies below a
+    "braid_compare_equal": ["braid", "compare", "aba", "bab"],
+    "braid_compare_greater": ["braid", "compare", "a", ""],
     # the second "--" is the word v: argparse used to drop it, so v was empty
     "braid_compare_double_dash": ["braid", "compare", "--", "a", "--"],
     # the DD normal form: a before b, at the ray (1, 1) too
@@ -68,6 +71,8 @@ CASES: dict[str, list[str]] = {
     # s2^2 Delta^2 maps the base line to itself but is not a power of s2
     "braid_reduce_peripheral": ["braid", "reduce", "bbabaaba"],
     "braid_floor": ["braid", "floor", "abABab" * 3],
+    # s2 maps the base line to itself and lies below 1: the floor is h - 1
+    "braid_floor_base_line": ["braid", "floor", "b"],
     "braid_bad_letter": ["braid", "sign", "xyz"],
     # whitespace is dropped before parsing, and the payload echoes the word
     # as parsed
@@ -169,6 +174,8 @@ CASES: dict[str, list[str]] = {
     "group_enumerate_inconclusive": ["group", "enumerate", "dihedral.json",
                                      "--max-cosets", "200"],
     "group_enumerate_zero_cap": ["group", "enumerate", "s3.json", "--max-cosets", "0"],
+    # the trivial group: one coset, of the subgroup itself
+    "group_enumerate_no_generators": ["group", "enumerate", "no_generators.json"],
     # the free group on 40 generators never closes: 80 columns stop the table
     # at 25000 cosets, far below the --max-cosets the memory could not hold
     "group_enumerate_table_cap": ["group", "enumerate", "free_group_40.json",
@@ -197,6 +204,14 @@ CASES: dict[str, list[str]] = {
     "splice_cert_splice_pairs": ["splice", "cert", "splice_pairs_forest.json"],
     "splice_cert_poincare_forest": ["splice", "cert", "poincare_forest_tree.json"],
     "splice_cert_bad_node": ["splice", "cert", "bad_node_tree.json"],
+    # a closed Brieskorn node has no boundary torus to glue
+    "splice_cert_closed_node_on_edge": ["splice", "cert", "closed_node_on_edge_tree.json"],
+    # without prime_zero_filling the B1 rule gives a user piece nothing at 0/1
+    "splice_cert_user_zero_filling_not_prime": ["splice", "cert",
+                                                "user_zero_filling_not_prime_tree.json"],
+    # 2/1 glues to 3/1 = rs - r - s on T(2,5): an L-space filling, not LO
+    "splice_cert_lspace_threshold": ["splice", "cert", "lspace_threshold_tree.json",
+                                     "--bound", "3"],
     "splice_cert_integer_key": ["splice", "cert", "integer_key_tree.json"],
     "splice_cert_top_level_list": ["splice", "cert", "list_tree.json"],
     "splice_cert_short_matrix": ["splice", "cert", "short_matrix_tree.json"],

@@ -4,7 +4,8 @@ import hashlib
 import json
 import random
 from collections import deque
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,42 @@ def test_smith_normal_form_known_values():
     assert smith_normal_form([[6]], 1) == [6]
     # divisibility chain: diag(2, 3) has invariants (1, 6)
     assert smith_normal_form([[2, 0], [0, 3]], 2) == [1, 6]
+
+
+def _det(m: list[list[int]]) -> int:
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+def _determinantal_factors(rows: list[list[int]], ncols: int) -> list[int]:
+    """Invariant factors d_k / d_(k-1), d_k the gcd of the k x k minors,
+    up to the rank: the oracle that shares no step with the elimination."""
+    factors, previous = [], 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        d = gcd(*(_det([[rows[i][j] for j in cs] for i in rs])
+                  for rs in combinations(range(len(rows)), k)
+                  for cs in combinations(range(ncols), k)))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
+def test_smith_normal_form_matches_determinantal_divisors():
+    rng = random.Random(3906)
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
+        assert smith_normal_form(rows, ncols) == _determinantal_factors(rows, ncols), rows
+    # rank-deficient and sparse shapes, which few uniform draws reach
+    for rows in ([[2, 4], [1, 2]], [[0, 0, 0]], [[6, 0, 0], [0, 0, 0], [0, 0, 4]],
+                 [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 6, 0], [0, 0, 0, 8]]):
+        ncols = len(rows[0])
+        assert smith_normal_form(rows, ncols) == _determinantal_factors(rows, ncols)
 
 
 def test_smith_normal_form_scramble_invariance():

@@ -4,8 +4,12 @@ import copy
 import json
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_splice_fuzz import FUZZ, REAL_TREES, _dumps, _one_edit, trees
 
 from locert import seifert
 from locert.seifert import (
@@ -34,6 +38,8 @@ from locert.slopes import (
 )
 from locert.words import int_str
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+DATA = Path(seifert.__file__).resolve().parent / "data"
 TREFOIL = TorusKnotPiece(2, 3, 1)
 SPLICE = GluingMatrix(0, 1, 1, 0)
 
@@ -245,9 +251,8 @@ def test_lspace_verdict_matches_its_oracle():
 def _renormalizing_verdict(piece, alpha: Slope) -> LOSlopeVerdict:
     """The rule table with every slope renormalized through ``make_slope``
     and every verdict built through the class: the oracle of
-    ``slope_lo_verdict``, which reads a slope in normal form as given."""
-    if isinstance(piece, BrieskornZHS):
-        raise ValueError("closed pieces have no slopes to fill")
+    ``slope_lo_verdict``, which reads its slope, in normal form by its
+    precondition, as given."""
     alpha = make_slope(alpha.p, alpha.q)
 
     if isinstance(piece, TorusKnotPiece):
@@ -296,20 +301,16 @@ def test_slope_verdict_matches_the_renormalizing_oracle():
               TorusKnotPiece(3, 4, 1),
               UserPiece("Y", "asserting", asserted, False),
               UserPiece("Z", "", {Slope(2, 1): LOStatus.LO}, True)]
+    # canonical slopes only, the precondition of slope_lo_verdict: the walk's,
+    # and slopes past the digit limit, where both print through int_str
     slopes = list(primitive_slopes(12))
-    # the same slopes as (-p, -q), and slopes make_slope normalizes or refuses
-    slopes += [Slope(-p, -q) for p, q in slopes]
-    slopes += [Slope(-1, 0), Slope(2, 4), Slope(-2, -4), Slope(4, 2), Slope(0, 0),
-               Slope(0, -1), Slope(0, 2)]
+    slopes += [Slope(10**4300, 1), Slope(-(10**4300), 3), Slope(10**4299 + 1, 2)]
     for piece in pieces:
         for alpha in slopes:
+            assert make_slope(*alpha) == alpha
             got = _outcome(slope_lo_verdict, piece, alpha)
             want = _outcome(_renormalizing_verdict, piece, alpha)
             assert (type(got), got) == (type(want), want), (piece, alpha)
-    assert _outcome(slope_lo_verdict, TREFOIL, Slope(2, 4)) == (
-        ValueError, "slope (2, 4) is not primitive")
-    assert _outcome(slope_lo_verdict, TREFOIL, Slope(0, 0)) == (
-        ValueError, "slope (0, 0) is not primitive")
 
 
 def _no_answer_tree() -> SpliceTree:
@@ -366,9 +367,75 @@ def test_torus_first_walk_make_slope_count(monkeypatch):
     assert len(made) == 1_884
 
 
-def test_closed_pieces_have_no_slopes():
-    with pytest.raises(ValueError, match="^closed pieces have no slopes to fill$"):
-        slope_lo_verdict(BrieskornZHS((2, 3, 7)), Slope(1, 0))
+_SPLICE_FILES = sorted([*GOLDEN_INPUTS.glob("*.json"), *DATA.glob("*.json")])
+
+
+def _splice_trees() -> list[SpliceTree]:
+    """Every file of the golden inputs and the package data that
+    ``SpliceTree.from_json`` reads as a tree."""
+    found = []
+    for path in _SPLICE_FILES:
+        try:
+            found.append(SpliceTree.from_json(json.loads(path.read_bytes())))
+        except (ValueError, OverflowError, RecursionError):  # not JSON, or not a tree
+            continue
+    return found
+
+
+def _search_and_verify(tree: SpliceTree, records: list) -> None:
+    """``certificate_search`` at bound 3, then ``verify_certificate`` on its
+    certificate and on each record; a tree or record the two refuse is
+    skipped, as the CLI reports it."""
+    try:
+        certificate = certificate_search(tree, search_bound=3).certificate
+    except (ValueError, OverflowError):
+        certificate = None
+    for record in records if certificate is None else [certificate, *records]:
+        try:
+            verify_certificate(tree, record)
+        except (ValueError, OverflowError):
+            continue
+
+
+def test_every_verdict_call_meets_its_precondition(monkeypatch):
+    # slope_lo_verdict trusts its caller: an exterior piece of a validated
+    # tree, and a slope in make_slope normal form.  Every call that the
+    # search and the checker make, on every tree of the golden inputs and
+    # the package data and on a seeded batch of fuzzed trees, meets both.
+    calls = []
+    real = seifert.slope_lo_verdict
+
+    def spy(piece, alpha):
+        try:
+            canonical = make_slope(*alpha) == alpha
+        except ValueError:  # not primitive
+            canonical = False
+        assert type(piece) in (TorusKnotPiece, UserPiece), piece
+        assert canonical, alpha
+        calls.append(type(piece))
+        return real(piece, alpha)
+
+    monkeypatch.setattr(seifert, "slope_lo_verdict", spy)
+    records = [json.loads(path.read_text()) for path in _SPLICE_FILES
+               if path.name.endswith("_cert.json")]
+    for tree in _splice_trees():
+        _search_and_verify(tree, records)
+    assert set(calls) == {TorusKnotPiece, UserPiece}
+
+    fuzz_trees = st.one_of(trees, st.sampled_from(REAL_TREES).flatmap(_one_edit))
+
+    @FUZZ
+    @given(fuzz_trees)
+    def check(obj):
+        try:
+            tree = SpliceTree.from_json(json.loads(_dumps(obj)))
+        except (ValueError, OverflowError):  # an input error, or past a budget
+            return
+        _search_and_verify(tree, records)
+
+    before = len(calls)
+    check()
+    assert len(calls) > before
 
 
 def test_user_piece_reads_one_entry_per_slope():
