@@ -87,7 +87,10 @@ __all__ = [
 # Bounds ``handle_reduce``, which only the cross-checks run: no command meets it.
 STEP_CAP = 1_000_000
 
-_LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
+# ``read_word``'s table: A, B, a and b (bytes 65, 66, 97 and 98) to 0xFF, 0xFE,
+# 1 and 2, which read as signed bytes are the letters -1, -2, 1 and 2, and
+# every other byte to 0.
+_LETTER_OF_BYTE = bytes(65) + b"\xff\xfe" + bytes(30) + b"\x01\x02" + bytes(157)
 # ``word_str``'s table: the byte letter + 2 to its character (-2, -1, 1, 2 to
 # B, A, a, b), and every other byte to 0xFF, which no ASCII decode accepts.
 _CHAR_OF_BYTE = b"BA\xffab" + b"\xff" * 251
@@ -111,15 +114,20 @@ def read_word(text: str) -> tuple[str, GroupWord]:
     its whitespace removed, and the word it spells.
 
     ``str.split`` drops exactly the characters that ``str.isspace`` calls
-    whitespace, and the letters map through one dict lookup each, in C.  The
-    first character that is neither raises ValueError.  Each letter is one
-    character, so the text returned is ``word_str`` of the word.
+    whitespace.  The rest is read in C: the ASCII encode writes one ``?``
+    for each other character, so byte i is character i, and
+    ``bytes.translate`` maps each letter to its signed byte and every other
+    byte to 0.  The first 0 names the first character that is no letter,
+    which raises ValueError; otherwise the bytes, read as signed, are the
+    word.  Each letter is one character, so the text returned is
+    ``word_str`` of the word.
     """
     compact = "".join(text.split())
-    try:
-        return compact, tuple(map(_LETTER_OF_CHAR.__getitem__, compact))
-    except KeyError as exc:
-        raise ValueError(f"invalid braid letter {exc.args[0]!r}") from None
+    codes = compact.encode("ascii", "replace").translate(_LETTER_OF_BYTE)
+    bad = codes.find(0)
+    if bad >= 0:
+        raise ValueError(f"invalid braid letter {compact[bad]!r}")
+    return compact, tuple(memoryview(codes).cast("b"))
 
 
 def parse_word(text: str) -> GroupWord:
@@ -579,10 +587,10 @@ def _peel(x: int, y: int, h: int, e: int) -> GroupWord:
     Cost: O(1) integer operations a peel, and about as many peels as
     letters.  The operands are the lift's, so the cost is O(L^2) bit
     operations at worst, which (s1 s2^-1)^n reaches: ``braid reduce`` took
-    0.007, 0.067 and 0.80-0.84 s in process on it at 8,192, 32,768 and
-    131,070 letters (the longest such word an argv string holds), and about
-    2.5 ms on a random word of 8,192 letters (CPython 3.11.7, a 2-CPU Xeon
-    host).
+    0.007, 0.06 and 0.78-0.80 s in process on it at 8,192, 32,768 and
+    131,070 letters (the longest such word an argv string holds), and 2.2 to
+    3.4 ms on random words of 8,192 letters, the more on a negative one,
+    whose inverse is walked as well (CPython 3.11.7, a 2-CPU Xeon host).
     """
     out: list[int] = []
     while x or h or e:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 from enum import Enum
+from operator import neg
 
 __all__ = [
     "GroupWord",
@@ -52,7 +53,8 @@ class Sign3(Enum):
 
 
 def invert_word(word: GroupWord) -> GroupWord:
-    return tuple(-x for x in reversed(word))
+    """The inverse word: the letters reversed and negated, in C."""
+    return tuple(map(neg, reversed(word)))
 
 
 def free_reduce_word(word: GroupWord) -> GroupWord:

@@ -218,6 +218,33 @@ MUTANTS = [
         ["braid", "sign", " a\tb A \n"],
         f"{_GOLDEN}[braid_sign_whitespace]",
     ),
+    # read_word's table maps a to s1 and A to its inverse
+    Mutant(
+        "read_word_table_swaps_a_and_A",
+        "src/locert/braid.py",
+        'b"\\xff\\xfe" + bytes(30) + b"\\x01\\x02"',
+        'b"\\x01\\xfe" + bytes(30) + b"\\xff\\x02"',
+        ["braid", "reduce", "abAbaBBAbaBabA"],
+        f"{_GOLDEN}[braid_reduce]",
+    ),
+    # a bad first letter is refused, as a later one is
+    Mutant(
+        "read_word_bad_first_letter",
+        "src/locert/braid.py",
+        "if bad >= 0:",
+        "if bad > 0:",
+        ["braid", "sign", "xyz"],
+        f"{_GOLDEN}[braid_bad_letter]",
+    ),
+    # the inverse word reads the letters last to first
+    Mutant(
+        "invert_word_reverses",
+        "src/locert/words.py",
+        "tuple(map(neg, reversed(word)))",
+        "tuple(map(neg, word))",
+        ["braid", "reduce", "BABABAbAbaBBAbB"],
+        f"{_GOLDEN}[braid_reduce_order]",
+    ),
     # Proposition 4.3 pairs O1 with the conjugators that commute with s2
     Mutant(
         "prop43_swapped_klein_ordering",

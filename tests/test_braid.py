@@ -633,6 +633,10 @@ def test_handle_reduce_step_cap_matches_two_stack_kernel(monkeypatch):
 # --- the builtin parse against the per-character loop ---------------------
 
 
+# the oracle's own letters, so a wrong table in braid cannot pass its oracle
+_LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
+
+
 def _oracle_parse_word(text):
     # the per-character loop parse_word ran before it split on whitespace
     letters = []
@@ -640,7 +644,7 @@ def _oracle_parse_word(text):
         if ch.isspace():
             continue
         try:
-            letters.append(braid._LETTER_OF_CHAR[ch])
+            letters.append(_LETTER_OF_CHAR[ch])
         except KeyError:
             raise ValueError(f"invalid braid letter {ch!r}") from None
     return tuple(letters)
@@ -670,6 +674,12 @@ def test_split_drops_exactly_the_isspace_characters():
             if c.isspace() != (not c.split())] == []
 
 
+# strays that the ASCII encode keeps (``?``, NUL, DEL) or writes as ``?``:
+# Latin, fullwidth and Cyrillic look-alikes, and the lone surrogate by which
+# Python decodes an undecodable argv byte
+_LONG_STRAYS = "?\x00\x7f\xe9\xdf\uff41\u0430\udcff"
+
+
 def test_parse_word_matches_the_per_character_loop():
     rng = random.Random(2016)
     outcomes = set()
@@ -685,6 +695,35 @@ def test_parse_word_matches_the_per_character_loop():
                 assert braid.read_word(text) == (spelled, outcome)
             outcomes.add(type(outcome))
     assert outcomes == {tuple, str}
+    # one stray at the first, a middle or the last of 2,000-10,000 positions:
+    # the byte pass must name the character the per-character loop names
+    alphabet = "aAbB" * 8 + _SPACES
+    for stray in _LONG_STRAYS:
+        for where in ("first", "middle", "last"):
+            n = rng.randint(2000, 10_000)
+            chars = [rng.choice(alphabet) for _ in range(n)]
+            at = {"first": 0, "middle": rng.randrange(1, n - 1), "last": n - 1}[where]
+            chars[at] = stray
+            text = "".join(chars)
+            expected = _parse_outcome(_oracle_parse_word, text)
+            assert expected == f"invalid braid letter {stray!r}"
+            assert _parse_outcome(parse_word, text) == expected, (stray, where)
+            chars[at] = rng.choice("aAbB")
+            text = "".join(chars)
+            spelled = "".join(c for c in text if not c.isspace())
+            assert braid.read_word(text) == (spelled, _oracle_parse_word(text))
+
+
+def test_invert_word_matches_the_generator():
+    # fpgroup inverts words over any nonzero letters, not only +-1 and +-2
+    rng = random.Random(2019)
+    for bound in (2, 300, 2 ** 70):
+        for _ in range(200):
+            word = tuple(rng.choice((-1, 1)) * rng.randint(1, bound)
+                         for _ in range(rng.randint(0, 40)))
+            assert invert_word(word) == tuple(-x for x in reversed(word))
+    word = _random_word(rng, 8192, 8192)
+    assert invert_word(word) == tuple(-x for x in reversed(word))
 
 
 # word_str's oracle: one dict lookup per letter

@@ -82,6 +82,12 @@ CASES: dict[str, list[str]] = {
     "braid_sign_unicode_whitespace": ["braid", "sign", "a\u00a0b\u2003A\u3000B"],
     # the first bad letter is named, past the spaces before it
     "braid_bad_letter_after_space": ["braid", "sign", "ab c"],
+    # a bad last letter is named after thousands of good ones
+    "braid_bad_letter_late": ["braid", "sign", "abAB" * 1024 + "c"],
+    # a literal "?" is named as itself
+    "braid_bad_letter_question_mark": ["braid", "sign", "ab?"],
+    # a non-ASCII character is named as typed, not as the encoder's "?"
+    "braid_compare_bad_letter_non_ascii": ["braid", "compare", "ab", "aBé"],
     # klein
     "klein_fill_lo": ["klein", "fill", "1", "0"],
     "klein_fill_dihedral": ["klein", "fill", "0", "1"],
